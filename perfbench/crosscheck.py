@@ -1,19 +1,19 @@
 """Cross-check of the tracer's eigensolve counts against cProfile.
 
-    python3 perfbench/crosscheck.py [--seed 42] [--scale full]
+    python3 perfbench/crosscheck.py
 
-Runs each workload component in-process (``--jobs 1``) once under cProfile and once
-under the tracer, and requires both to count the same calls to
-``numpy.linalg`` ``eigh``, ``eigvalsh`` and ``svd``.  cProfile also sees
-numpy's own internal calls (``numpy.linalg.norm(ord=2)`` calls ``svd``);
-those do not go through ``numpy.linalg`` and are left out of its count.
-At seed 42 and full scale the counts and the share of real-valued
-eigensolve inputs must also equal the values recorded at the seed commit.
+Runs each workload component at seed 42 and full scale in-process
+(``--jobs 1``) once under cProfile and once under the tracer, and requires
+both to count the same calls to ``numpy.linalg`` ``eigh``, ``eigvalsh`` and
+``svd``.  cProfile also sees numpy's own internal calls
+(``numpy.linalg.norm(ord=2)`` calls ``svd``); those do not go through
+``numpy.linalg`` and are left out of its count.  The counts and the share of
+real-valued eigensolve inputs must also equal the values recorded at the
+seed commit.
 """
 
 from __future__ import annotations
 
-import argparse
 import cProfile
 import os
 import pstats
@@ -28,7 +28,8 @@ import numpy as np
 import tracer as tracing
 import workloads
 
-#: (eigh, eigvalsh, svd, real_input_frac) at seed 42, measured at the seed commit.
+SEED = 42
+#: (eigh, eigvalsh, svd, real_input_frac) at ``SEED``, measured at the seed commit.
 EXPECTED_AT_42 = {
     "sweep-tfim9": (342, 34, 80, 1.0),
     "audit-random": (8, 548, 20, 0.0),
@@ -47,27 +48,23 @@ def profiled_counts(stats: pstats.Stats) -> tuple[int, ...]:
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--seed", type=int, default=42)
-    parser.add_argument("--scale", choices=sorted(workloads.SCALES), default="full")
-    args = parser.parse_args()
     harness.WORK.mkdir(exist_ok=True)
     ok = True
     for workload in workloads.COMPONENTS:
-        commands = workloads.component(workload, args.seed, args.scale)
+        commands = workloads.component(workload, SEED)
         run_dir = Path(tempfile.mkdtemp(prefix=f"crosscheck-{workload}-", dir=harness.WORK))
         try:
             configs = harness.write_configs(commands, run_dir)
             profile = cProfile.Profile()
             profile.enable()
-            harness.run_in_process(commands, configs, args.seed, run_dir / "profiled")
+            harness.run_in_process(commands, configs, SEED, run_dir / "profiled")
             profile.disable()
             profiled = profiled_counts(pstats.Stats(profile))
 
             tracer = tracing.Tracer()
             uninstall = tracer.install()
             try:
-                harness.run_in_process(commands, configs, args.seed, run_dir / "traced", tracer)
+                harness.run_in_process(commands, configs, SEED, run_dir / "traced", tracer)
             finally:
                 uninstall()
         finally:
@@ -75,12 +72,10 @@ def main() -> int:
         summary = tracer.summarize()
         traced = tuple(int(summary[f"operators.linalg.{f}.calls"]) for f in tracing.LINALG)
         real = summary["operators.linalg.real_input_frac"]
-        verdict = traced == profiled
-        line = f"{workload}: traced {traced} cProfile {profiled} real_input_frac {real:g}"
-        if args.seed == 42 and args.scale == "full":
-            expected = EXPECTED_AT_42[workload]
-            verdict = verdict and traced + (real,) == expected
-            line += f" seed-commit {expected}"
+        expected = EXPECTED_AT_42[workload]
+        verdict = traced == profiled and traced + (real,) == expected
+        line = (f"{workload}: traced {traced} cProfile {profiled} real_input_frac {real:g}"
+                f" seed-commit {expected}")
         print(("OK   " if verdict else "FAIL ") + line, flush=True)
         ok = ok and verdict
     return 0 if ok else 1

@@ -29,9 +29,19 @@ WORK = Path(__file__).resolve().parent / "_work"
 sys.path.insert(0, str(SRC))
 
 
+#: glibc's malloc thresholds, fixed at the ceiling its dynamic mmap threshold
+#: can rise to (32 MiB) and the trim threshold that implies.  Left dynamic,
+#: the threshold moves with the first large free, and the same
+#: ``cumulant-decay`` command peaks at 131 or 147 MB depending only on the
+#: lengths of the checkout path and argument strings.  Fixed, peak RSS repeats
+#: to 0.3 % whatever the path, and large arrays still come from the heap.
+PINNED_MALLOC = {"MALLOC_MMAP_THRESHOLD_": str(32 << 20), "MALLOC_TRIM_THRESHOLD_": str(64 << 20)}
+
+
 def child_env() -> dict:
-    """Environment of every child: only the checkout's qbp, pinned BLAS."""
-    return dict(os.environ, PYTHONPATH=str(SRC), **PINNED_THREADS)
+    """Environment of every child: only the checkout's qbp, pinned BLAS and
+    malloc thresholds."""
+    return dict(os.environ, PYTHONPATH=str(SRC), **PINNED_THREADS, **PINNED_MALLOC)
 
 
 @dataclass(frozen=True)

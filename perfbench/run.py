@@ -10,12 +10,11 @@ for about ``--seconds`` and reports medians over passes.
 ``--trace 0`` reports the end-to-end metrics: ``wall_s``, ``cpu_s`` and
 ``peak_rss_mb`` of a pass, and ``setup_s``, the median time of a fresh
 interpreter that imports ``qbp.cli``, parses the configs and builds each
-model.  Peak RSS depends on glibc's dynamic mmap threshold: the same
-``cumulant-decay`` command peaks at 131 or 147 MB depending only on the
-lengths of path and argument strings.  ``--trace 1`` runs one pass
-in-process through ``qbp.cli.main``
-with ``--jobs 1``, untraced and then traced, and reports the per-layer
-metrics of ``tracer.PER_LAYER`` plus the tracing overhead.
+model.  Children run with glibc's malloc thresholds fixed
+(``harness.PINNED_MALLOC``), so peak RSS does not depend on the checkout
+path.  ``--trace 1`` runs one pass in-process through ``qbp.cli.main`` with
+``--jobs 1``, untraced and then traced, and reports the per-layer metrics of
+``tracer.PER_LAYER`` plus the tracing overhead.
 
 Every command's outputs are checked (see ``workloads``); a command that
 exits with an unexpected code or fails a check counts as failed.  The last
@@ -218,6 +217,7 @@ def environment(workload: str, commands, seed: int, trace: bool) -> dict:
         "python": platform.python_version(),
         **json.loads(versions.stdout),
         "thread_env": {k: os.environ.get(k) for k in harness.PINNED_THREADS},
+        "malloc_env": harness.PINNED_MALLOC,
         "jobs": {c.name: 1 if trace else c.jobs for c in commands},
         "nproc": os.cpu_count(),
     }
