@@ -28,6 +28,7 @@ from .models import (
     degrees,
     distance_map,
     edge_hamiltonian,
+    neighborhood,
     partition_function,
     region_partition,
     thermal_state,
@@ -37,6 +38,7 @@ from .operators import (
     PAULI_Z,
     conditional_expectation,
     embed,
+    gibbs_state,
     matrix_exp_h,
     matrix_log_pd,
     op_norm,
@@ -77,9 +79,10 @@ def thermal_potential(
     if traced >= set(model.vertices):
         raise ModelError("cannot trace out every vertex")
     beta = model.beta
-    h_sub = edge_hamiltonian(model, edges)
-    state = matrix_exp_h(-beta * h_sub)
-    state = DenseOperator(state.layout, state.mat / state.trace().real)
+    if set(edges) == set(model.edges):
+        state = thermal_state(model)
+    else:
+        state, _ = gibbs_state(edge_hamiltonian(model, edges), beta)
     reduced = partial_trace(state, traced)
     outside = [e for e in edges if not (e.endpoints() & traced)]
     h_out = edge_hamiltonian(model, outside, reduced.layout)
@@ -324,8 +327,11 @@ def single_step_experiment(
     reduced_layout = model.layout.drop({leaf})
 
     away = edge_hamiltonian(model, parts.outer + parts.buffer, reduced_layout)
-    near_full = matrix_exp_h(-beta * edge_hamiltonian(model, parts.inner))
-    near = partial_trace(near_full, {leaf})
+    # The inner terms live in the radius ball, so exp(-beta H_inner) on the
+    # full layout is the ball's exponential tensored with identity.
+    ball_layout = model.layout.subset(neighborhood(model, {leaf}, radius))
+    near_ball = matrix_exp_h(-beta * edge_hamiltonian(model, parts.inner, ball_layout))
+    near = partial_trace(near_ball, {leaf})
     surrogate = circle_product(matrix_exp_h(-beta * away), near)
 
     z = partition_function(model)

@@ -40,8 +40,7 @@ class TripartiteSplit:
 
 def von_neumann_entropy(rho: DenseOperator) -> float:
     """-sum(p log p) over the spectrum, natural log, with 0 log 0 = 0."""
-    assert_density(rho)
-    w = np.linalg.eigvalsh(rho.mat)
+    w = assert_density(rho)
     w = w[w > 0.0]
     return max(0.0, float(-(w * np.log(w)).sum()))
 

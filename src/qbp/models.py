@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -25,8 +26,8 @@ from .operators import (
     SiteLayout,
     assert_hermitian,
     embed,
+    gibbs_state,
     hermitize,
-    matrix_exp_h,
     partial_trace,
 )
 
@@ -115,6 +116,16 @@ class GraphModel:
             if e.key == (u, v):
                 return e
         raise ModelError(f"no edge {key} in model")
+
+    @cached_property
+    def _thermal(self) -> tuple[DenseOperator, np.ndarray]:
+        """(rho, w): the thermal state and the spectrum of H.
+
+        Computed once, on first use, and released with the model.  The
+        eigenvectors are not kept: at the dimension cap they alone would
+        hold hundreds of megabytes.
+        """
+        return gibbs_state(edge_hamiltonian(self), self.beta)
 
 
 def _require_tree(vertices: Sequence[int], edge_keys: Sequence[tuple[int, int]]):
@@ -255,17 +266,15 @@ def hamiltonian(model: GraphModel) -> DenseOperator:
 
 
 def thermal_state(model: GraphModel) -> DenseOperator:
-    """exp(-beta H) / Z, computed with a spectral shift for stability."""
-    h = hamiltonian(model)
-    w = np.linalg.eigvalsh(h.mat)
-    shifted = matrix_exp_h(-model.beta * (h - float(w[0]) * DenseOperator.identity(h.layout)))
-    z = shifted.trace().real
-    return DenseOperator(h.layout, shifted.mat / z)
+    """exp(-beta H) / Z, computed with a spectral shift for stability.
+
+    The same object is returned on every call for a given model.
+    """
+    return model._thermal[0]
 
 
 def partition_function(model: GraphModel) -> float:
-    w = np.linalg.eigvalsh(hamiltonian(model).mat)
-    return float(np.exp(-model.beta * w).sum())
+    return float(np.exp(-model.beta * model._thermal[1]).sum())
 
 
 def exact_reduced_density(model: GraphModel, keep: Iterable[int]) -> DenseOperator:

@@ -215,15 +215,20 @@ def assert_hermitian(op: DenseOperator, rtol: float = HERMITIAN_RTOL):
 
 def assert_density(
     op: DenseOperator, trace_atol: float = 1e-10, eig_floor: float = -1e-10
-):
-    """Check unit trace and (numerically) non-negative spectrum."""
+) -> np.ndarray:
+    """Check unit trace and (numerically) non-negative spectrum.
+
+    Returns the ascending spectrum the check computed, so callers that need
+    it do not diagonalise the same matrix again.
+    """
     assert_hermitian(op)
     tr = op.trace()
     if abs(tr - 1.0) > trace_atol:
         raise NonDensityError(f"trace {tr} is not 1 within {trace_atol}")
-    w = np.linalg.eigvalsh(op.mat)
+    w = np.linalg.eigvalsh(_real_if_exact(op.mat))
     if w[0] < eig_floor:
         raise NonDensityError(f"minimum eigenvalue {w[0]} below {eig_floor}")
+    return w
 
 
 def embed(op: DenseOperator, full: SiteLayout) -> DenseOperator:
@@ -292,9 +297,18 @@ def conditional_expectation(op: DenseOperator, out: Iterable[int]) -> DenseOpera
     return embed((1.0 / d_out) * reduced, op.layout)
 
 
+def _real_if_exact(mat: np.ndarray) -> np.ndarray:
+    """The real part of ``mat`` when its imaginary part is exactly zero.
+
+    Real symmetric eigensolves cost about a fifth of complex Hermitian ones,
+    and every stock model except the random one has real terms.
+    """
+    return mat if mat.imag.any() else mat.real
+
+
 def _eigh_checked(op: DenseOperator) -> tuple[np.ndarray, np.ndarray]:
     assert_hermitian(op)
-    return np.linalg.eigh(op.mat)
+    return np.linalg.eigh(_real_if_exact(op.mat))
 
 
 def hermitian_eig(op: DenseOperator) -> tuple[np.ndarray, DenseOperator]:
@@ -308,6 +322,18 @@ def matrix_exp_h(op: DenseOperator) -> DenseOperator:
     w, v = _eigh_checked(op)
     mat = (v * np.exp(w)) @ v.conj().T
     return DenseOperator(op.layout, hermitize(mat))
+
+
+def gibbs_state(ham: DenseOperator, beta: float) -> tuple[DenseOperator, np.ndarray]:
+    """exp(-beta H) / Z and the ascending spectrum of H, from one eigensolve.
+
+    The Boltzmann weights are shifted by the smallest eigenvalue before
+    exponentiating, so they never overflow.
+    """
+    w, v = _eigh_checked(ham)
+    p = np.exp(-beta * (w - w[0]))
+    mat = (v * (p / p.sum())) @ v.conj().T
+    return DenseOperator(ham.layout, hermitize(mat)), w
 
 
 def matrix_log_pd(op: DenseOperator, floor: float = LOG_EIG_FLOOR) -> DenseOperator:
@@ -326,15 +352,22 @@ def matrix_log_pd(op: DenseOperator, floor: float = LOG_EIG_FLOOR) -> DenseOpera
     return DenseOperator(op.layout, hermitize(mat))
 
 
+def _singular_values(op: DenseOperator) -> np.ndarray:
+    """Singular values, unordered; |eigenvalues| when ``op`` is Hermitian."""
+    if is_hermitian(op):
+        return np.abs(np.linalg.eigvalsh(_real_if_exact(op.mat)))
+    return np.linalg.svd(op.mat, compute_uv=False)
+
+
 def trace_norm(op: DenseOperator) -> float:
     """Sum of singular values (for Hermitian inputs, sum of |eigenvalues|)."""
-    return float(np.linalg.svd(op.mat, compute_uv=False).sum())
+    return float(_singular_values(op).sum())
 
 
 def op_norm(op: DenseOperator) -> float:
     """Largest singular value (spectral norm)."""
-    s = np.linalg.svd(op.mat, compute_uv=False)
-    return float(s[0]) if s.size else 0.0
+    s = _singular_values(op)
+    return float(s.max()) if s.size else 0.0
 
 
 def as_rng(seed) -> np.random.Generator:

@@ -14,19 +14,25 @@ from qbp import (
     conditional_expectation,
     cumulants,
     diameter,
+    circle_product,
     edge_hamiltonian,
     embed,
     fit_thermal_bound,
     localization_records,
     matrix_exp_h,
     op_norm,
+    partial_trace,
     random_hermitian,
+    region_partition,
     single_step_bound,
     single_step_experiment,
     thermal_potential,
+    thermal_state,
+    trace_norm,
     transverse_ising,
 )
 from qbp.diagnostics import CumulantEntry, CumulantSeries
+from qbp.models import partition_function
 
 from oracles import partial_trace_by_sum
 
@@ -240,6 +246,22 @@ class TestSingleStepExperiment:
         assert slope < 0
         for got, want in zip(errs, TFIM8_STEP_ERRORS):
             assert got == pytest.approx(want, rel=1e-5)
+
+    def test_ball_layout_matches_full_layout_formula(self):
+        # Reference: the inner factor exponentiated on the full layout.
+        m = build_chain(6, 2, transverse_ising(1.0, 1.0), beta=1.0)
+        term1 = partial_trace(thermal_state(m), {1})
+        reduced = m.layout.drop({1})
+        for radius in range(1, 6):
+            parts = region_partition(m, {1}, radius)
+            away = edge_hamiltonian(m, parts.outer + parts.buffer, reduced)
+            near = partial_trace(matrix_exp_h(-edge_hamiltonian(m, parts.inner)), {1})
+            surrogate = circle_product(matrix_exp_h(-away), near)
+            rec = single_step_experiment(m, 1, radius)
+            literal = trace_norm(term1 - (1.0 / partition_function(m)) * surrogate)
+            normalized = trace_norm(term1 - (1.0 / surrogate.trace().real) * surrogate)
+            assert abs(rec.lhs_literal - literal) < 1e-12
+            assert abs(rec.lhs_normalized - normalized) < 1e-12
 
     def test_bound_attached_when_constants_given(self):
         m = build_chain(6, 2, transverse_ising(1.0, 1.0), beta=1.0)

@@ -1,4 +1,6 @@
+import gc
 import json
+import weakref
 
 import numpy as np
 import pytest
@@ -26,6 +28,8 @@ from qbp import (
     thermal_state,
     transverse_ising,
 )
+
+from qbp.models import partition_function
 
 from oracles import kron_all, nx_distance, partial_trace_by_sum
 
@@ -113,6 +117,17 @@ class TestThermalState:
         boltz = np.exp(-m.beta * (w - w[0]))
         want = float((w * boltz).sum() / boltz.sum())
         assert energy == pytest.approx(want, abs=1e-10)
+
+    def test_one_state_per_model_freed_with_it(self):
+        m = build_chain(4, 2, transverse_ising(), beta=1.0)
+        rho = thermal_state(m)
+        assert thermal_state(m) is rho
+        w = np.linalg.eigvalsh(hamiltonian(m).mat)
+        assert partition_function(m) == pytest.approx(np.exp(-w).sum(), rel=1e-12)
+        alive = weakref.ref(rho)
+        del rho, m
+        gc.collect()
+        assert alive() is None
 
     def test_unit_trace_and_positivity(self):
         for factory in (classical_ising(), transverse_ising(), heisenberg(),

@@ -23,6 +23,7 @@ from qbp import (
     random_hermitian,
     trace_norm,
 )
+from qbp.operators import _eigh_checked
 
 from oracles import embed_by_indices, partial_trace_by_sum
 
@@ -268,3 +269,32 @@ class TestRandomGenerators:
         parts = np.concatenate([entries.real, entries.imag])
         bound = 5.0 * parts.std() / np.sqrt(parts.size)
         assert abs(parts.mean()) < bound
+
+
+class TestRealFastPath:
+    def test_real_valued_input_solved_in_real_arithmetic(self):
+        g = np.random.default_rng(5).standard_normal((8, 8))
+        op = DenseOperator(Q123, g + g.T)
+        assert np.iscomplexobj(op.mat)
+        w, v = _eigh_checked(op)
+        assert not np.iscomplexobj(v)
+        wc, vc = np.linalg.eigh(op.mat)
+        assert np.abs(w - wc).max() < 1e-12
+        # Compare a spectral function: eigenvectors are fixed only up to phase.
+        got = (v * np.tanh(w)) @ v.T
+        want = (vc * np.tanh(wc)) @ vc.conj().T
+        assert np.abs(got - want).max() < 1e-12
+
+
+class TestNormsAgainstSvd:
+    @pytest.mark.parametrize("kind", ["hermitian_real", "hermitian_complex", "general"])
+    def test_trace_and_operator_norm(self, kind):
+        rng = np.random.default_rng(11)
+        g = rng.standard_normal((8, 8))
+        if kind != "hermitian_real":
+            g = g + 1j * rng.standard_normal((8, 8))
+        mat = g if kind == "general" else g + g.conj().T
+        op = DenseOperator(Q123, mat)
+        s = np.linalg.svd(mat, compute_uv=False)
+        assert trace_norm(op) == pytest.approx(s.sum(), rel=1e-12)
+        assert op_norm(op) == pytest.approx(s[0], rel=1e-12)
