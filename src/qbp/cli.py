@@ -33,6 +33,8 @@ import numpy as np
 from . import __version__
 from .diagnostics import (
     BoundConstants,
+    CumulantSeries,
+    ThermalBoundFit,
     cumulants,
     fit_thermal_bound,
     single_step_experiment,
@@ -110,7 +112,7 @@ def parse_config(raw: dict, seed_override=None, out_override=None, jobs_override
     constants.update(raw.get("bound_constants", {}))
     jobs = jobs_override if jobs_override is not None else raw.get("jobs", 0)
     try:
-        return ExperimentConfig(
+        cfg = ExperimentConfig(
             model=model,
             beta_values=tuple(float(b) for b in raw.get("beta_values", [])),
             ell_values=tuple(int(x) for x in raw.get("ell_values", [])),
@@ -125,6 +127,11 @@ def parse_config(raw: dict, seed_override=None, out_override=None, jobs_override
         )
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad config value: {exc}") from exc
+    for field in ("beta_values", "ell_values", "s_steps"):
+        values = getattr(cfg, field)
+        if not all(x > 0 for x in values):
+            raise ConfigError(f"{field} must be positive, got {list(values)}")
+    return cfg
 
 
 def build_model(cfg: ExperimentConfig, beta: float) -> GraphModel:
@@ -183,12 +190,18 @@ def write_manifest(out_dir: Path, command: str, cfg_raw: dict, cfg: ExperimentCo
     )
 
 
+def _cumulant_fit(model: GraphModel, leaf: int) -> tuple[CumulantSeries, ThermalBoundFit]:
+    """Cumulant shells of the thermal potential at ``leaf`` and their
+    fitted envelope."""
+    series = cumulants(thermal_potential(model, {leaf}), model, {leaf})
+    return series, fit_thermal_bound(series)
+
+
 def fitted_constants(model: GraphModel, leaf: int, base: dict) -> tuple[BoundConstants | None, float, float]:
     """Bound constants with the cumulant envelope fitted from the full
     Hamiltonian's thermal potential at the traced leaf (one fit per beta,
     used uniformly across radii)."""
-    series = cumulants(thermal_potential(model, {leaf}), model, {leaf})
-    fit = fit_thermal_bound(series)
+    _, fit = _cumulant_fit(model, leaf)
     amp = float(base.get("cumulant_amp", fit.amplitude))
     decay = float(base.get("cumulant_decay", fit.decay))
     if math.isnan(amp) or math.isnan(decay) or amp <= 0 or decay <= 0:
@@ -205,10 +218,13 @@ def fitted_constants(model: GraphModel, leaf: int, base: dict) -> tuple[BoundCon
     return consts, amp, decay
 
 
-# -- per-beta workers (top level so they pickle) --------------------------------
+# -- workers (top level so they pickle) -----------------------------------------
+#
+# Each takes (cfg, index, beta) and returns the rows of every output of its
+# command, in the order ``COMMANDS`` lists the outputs.
 
-def _window_sweep_point(args) -> tuple[int, list[list], list[list]]:
-    cfg, index, beta = args
+def _window_sweep_point(args) -> tuple[list[list], list[list]]:
+    cfg, _, beta = args
     model = build_model(cfg, beta)
     first, last = chain_endpoints(model)
     target = cfg.target if cfg.target is not None else last
@@ -239,24 +255,23 @@ def _window_sweep_point(args) -> tuple[int, list[list], list[list]]:
                 decay,
             ]
         )
-    return index, sweep_rows, step_rows
+    return sweep_rows, step_rows
 
 
-def _cumulant_point(args) -> tuple[int, list[list]]:
-    cfg, index, beta = args
+def _cumulant_point(args) -> tuple[list[list]]:
+    cfg, _, beta = args
     model = build_model(cfg, beta)
     first, _ = chain_endpoints(model)
     leaf = cfg.leaf if cfg.leaf is not None else first
-    series = cumulants(thermal_potential(model, {leaf}), model, {leaf})
-    fit = fit_thermal_bound(series)
+    series, fit = _cumulant_fit(model, leaf)
     rows = [
         [cfg.model_id, beta, j, norm, fit.amplitude, fit.decay]
         for j, norm in series.norms()
     ]
-    return index, rows
+    return (rows,)
 
 
-def _hastings_point(args) -> tuple[int, list[list]]:
+def _hastings_point(args) -> tuple[list[list]]:
     cfg, index, beta = args
     layout = SiteLayout((1, 2), (2, 2))
     ss = np.random.SeedSequence(entropy=cfg.seed, spawn_key=(index,))
@@ -276,11 +291,11 @@ def _hastings_point(args) -> tuple[int, list[list]]:
                 math.exp(beta * op_norm(v) / 2.0),
             ]
         )
-    return index, rows
+    return (rows,)
 
 
-def _markov_point(args) -> tuple[int, list[list], list[dict]]:
-    cfg, index, beta = args
+def _markov_point(args) -> tuple[list[list], list[dict]]:
+    cfg, _, beta = args
     model = build_model(cfg, beta)
     csv_rows, json_rows = [], []
     for ell in cfg.ell_values:
@@ -296,124 +311,94 @@ def _markov_point(args) -> tuple[int, list[list], list[dict]]:
                 ]
             )
             json_rows.append({"beta": beta, **row.as_json()})
-    return index, csv_rows, json_rows
+    return csv_rows, json_rows
 
 
-def _run_parallel(worker, points, jobs: int):
+def _lemma_suite(args) -> tuple[list[list], list[tuple[str, dict]]]:
+    cfg, _, _ = args
+    summaries = run_suite(cfg.seed, cfg.instances)
+    rows = [
+        [name, s.count, s.min_margin, s.failures] for name, s in summaries.items()
+    ]
+    # The JSON report lists checks, and each check's fields, by sorted key.
+    by_check = [
+        (name, dict(sorted(summaries[name].as_json().items())))
+        for name in sorted(summaries)
+    ]
+    return rows, by_check
+
+
+# -- commands --------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Command:
+    """One CLI command.
+
+    ``worker`` names the worker in this module; it runs once per beta, or
+    once in all when ``per_beta`` is false.  It is looked up when the
+    command runs, so a wrapper or patch applied to the module attribute
+    sees every call.  ``required`` lists the config fields that must be
+    non-empty.  Each output pairs a file name with either its CSV header
+    line or the JSON document type (``list`` or ``dict``) its rows form.
+    """
+
+    worker: str
+    required: tuple[str, ...]
+    outputs: tuple[tuple[str, str | type], ...]
+    per_beta: bool = True
+
+
+COMMANDS = {
+    "window-sweep": Command("_window_sweep_point", ("beta_values", "ell_values"), (
+        ("window_sweep.csv", "model_id,N,beta,ell,trace_error,slope"),
+        ("single_step.csv", "model_id,beta,ell,lhs_literal,lhs_normalized,"
+                            "rhs_total,rhs_bound1,rhs_bound2,K_fit,k_fit"),
+    )),
+    "cumulant-decay": Command("_cumulant_point", ("beta_values",), (
+        ("cumulant_decay.csv", "model_id,beta,j,norm,K,k"),
+    )),
+    "hastings-verify": Command("_hastings_point", ("beta_values", "s_steps"), (
+        ("hastings_verify.csv", "model_id,beta,s_steps,residual,o_norm,o_norm_cap"),
+    )),
+    "lemma-suite": Command("_lemma_suite", (), (
+        ("lemma_suite.csv", "check,count,min_margin,failures"),
+        ("lemma_suite.json", dict),
+    ), per_beta=False),
+    "markov-audit": Command("_markov_point", ("beta_values", "ell_values"), (
+        ("markov_audit.csv", "model_id,beta,ell,U,deficiency,degenerate"),
+        ("markov_audit.json", list),
+    )),
+}
+
+
+def run_command(name: str, cfg: ExperimentConfig, out_dir: Path, jobs: int) -> int:
+    """Validate, run the worker over its points, and write every output.
+
+    Returns the exit code: 4 when the lemma suite records a failure, else 0.
+    """
+    command = COMMANDS[name]
+    empty = [f for f in command.required if not getattr(cfg, f)]
+    if empty:
+        raise ConfigError(f"{name} needs non-empty {' and '.join(empty)}")
+    worker = globals()[command.worker]
+    betas = cfg.beta_values if command.per_beta else (None,)
+    points = [(cfg, i, b) for i, b in enumerate(betas)]
     if jobs <= 1 or len(points) <= 1:
         results = [worker(p) for p in points]
     else:
         with ProcessPoolExecutor(max_workers=min(jobs, len(points))) as pool:
             results = list(pool.map(worker, points))
-    return sorted(results, key=lambda r: r[0])
-
-
-# -- commands --------------------------------------------------------------------
-
-def cmd_window_sweep(cfg: ExperimentConfig, out_dir: Path, jobs: int) -> int:
-    if not cfg.beta_values or not cfg.ell_values:
-        raise ConfigError("window-sweep needs non-empty beta_values and ell_values")
-    points = [(cfg, i, b) for i, b in enumerate(cfg.beta_values)]
-    results = _run_parallel(_window_sweep_point, points, jobs)
-    sweep_rows = [row for _, srows, _ in results for row in srows]
-    step_rows = [row for _, _, prows in results for row in prows]
-    write_csv(
-        out_dir / "window_sweep.csv",
-        ["model_id", "N", "beta", "ell", "trace_error", "slope"],
-        sweep_rows,
-    )
-    write_csv(
-        out_dir / "single_step.csv",
-        [
-            "model_id",
-            "beta",
-            "ell",
-            "lhs_literal",
-            "lhs_normalized",
-            "rhs_total",
-            "rhs_bound1",
-            "rhs_bound2",
-            "K_fit",
-            "k_fit",
-        ],
-        step_rows,
-    )
-    return 0
-
-
-def cmd_cumulant_decay(cfg: ExperimentConfig, out_dir: Path, jobs: int) -> int:
-    if not cfg.beta_values:
-        raise ConfigError("cumulant-decay needs non-empty beta_values")
-    points = [(cfg, i, b) for i, b in enumerate(cfg.beta_values)]
-    results = _run_parallel(_cumulant_point, points, jobs)
-    rows = [row for _, ptrows in results for row in ptrows]
-    write_csv(
-        out_dir / "cumulant_decay.csv",
-        ["model_id", "beta", "j", "norm", "K", "k"],
-        rows,
-    )
-    return 0
-
-
-def cmd_hastings_verify(cfg: ExperimentConfig, out_dir: Path, jobs: int) -> int:
-    if not cfg.beta_values or not cfg.s_steps:
-        raise ConfigError("hastings-verify needs beta_values and s_steps")
-    points = [(cfg, i, b) for i, b in enumerate(cfg.beta_values)]
-    results = _run_parallel(_hastings_point, points, jobs)
-    rows = [row for _, ptrows in results for row in ptrows]
-    write_csv(
-        out_dir / "hastings_verify.csv",
-        ["model_id", "beta", "s_steps", "residual", "o_norm", "o_norm_cap"],
-        rows,
-    )
-    return 0
-
-
-def cmd_lemma_suite(cfg: ExperimentConfig, out_dir: Path, jobs: int) -> int:
-    summaries = run_suite(cfg.seed, cfg.instances)
-    rows = [
-        [name, s.count, s.min_margin, s.failures] for name, s in summaries.items()
-    ]
-    write_csv(
-        out_dir / "lemma_suite.csv",
-        ["check", "count", "min_margin", "failures"],
-        rows,
-    )
-    (out_dir / "lemma_suite.json").write_text(
-        json.dumps({name: s.as_json() for name, s in summaries.items()}, indent=2, sort_keys=True)
-        + "\n",
-        encoding="utf-8",
-    )
-    if any(s.failures for s in summaries.values()):
+    tables = [[row for part in parts for row in part] for parts in zip(*results)]
+    for (filename, form), rows in zip(command.outputs, tables):
+        if isinstance(form, str):
+            write_csv(out_dir / filename, form.split(","), rows)
+        else:
+            (out_dir / filename).write_text(
+                json.dumps(form(rows), indent=2) + "\n", encoding="utf-8"
+            )
+    if name == "lemma-suite" and any(failures for *_, failures in tables[0]):
         return 4
     return 0
-
-
-def cmd_markov_audit(cfg: ExperimentConfig, out_dir: Path, jobs: int) -> int:
-    if not cfg.beta_values or not cfg.ell_values:
-        raise ConfigError("markov-audit needs non-empty beta_values and ell_values")
-    points = [(cfg, i, b) for i, b in enumerate(cfg.beta_values)]
-    results = _run_parallel(_markov_point, points, jobs)
-    csv_rows = [row for _, crows, _ in results for row in crows]
-    json_rows = [row for _, _, jrows in results for row in jrows]
-    write_csv(
-        out_dir / "markov_audit.csv",
-        ["model_id", "beta", "ell", "U", "deficiency", "degenerate"],
-        csv_rows,
-    )
-    (out_dir / "markov_audit.json").write_text(
-        json.dumps(json_rows, indent=2) + "\n", encoding="utf-8"
-    )
-    return 0
-
-
-COMMANDS = {
-    "window-sweep": cmd_window_sweep,
-    "cumulant-decay": cmd_cumulant_decay,
-    "hastings-verify": cmd_hastings_verify,
-    "lemma-suite": cmd_lemma_suite,
-    "markov-audit": cmd_markov_audit,
-}
 
 
 def main(argv=None) -> int:
@@ -435,27 +420,17 @@ def main(argv=None) -> int:
         with open(args.config, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
         cfg = parse_config(raw, args.seed, args.out, args.jobs)
-    except (OSError, json.JSONDecodeError, ConfigError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-
-    out_dir = Path(cfg.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    jobs = cfg.jobs if cfg.jobs > 0 else (os.cpu_count() or 1)
-    try:
-        code = COMMANDS[args.command](cfg, out_dir, jobs)
+        out_dir = Path(cfg.out_dir)
+        out_dir.mkdir(parents=True, exist_ok=True)
+        jobs = cfg.jobs if cfg.jobs > 0 else (os.cpu_count() or 1)
+        code = run_command(args.command, cfg, out_dir, jobs)
     except DimensionCapError as exc:
         print(f"dimension cap exceeded: {exc}", file=sys.stderr)
         return 3
-    except ConfigError as exc:
+    except (OSError, json.JSONDecodeError, ConfigError, ModelError, OperatorError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (ModelError, OperatorError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    outputs = sorted(p.name for p in out_dir.glob("*.csv")) + sorted(
-        p.name for p in out_dir.glob("*.json") if p.name != "run_manifest.json"
-    )
+    outputs = [filename for filename, _ in COMMANDS[args.command].outputs]
     write_manifest(out_dir, args.command, raw, cfg, outputs, t0)
     return code
 

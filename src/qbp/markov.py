@@ -56,7 +56,11 @@ def cmi(rho: DenseOperator, split: TripartiteSplit) -> float:
         raise ValueError(
             f"split {sorted(support)} does not cover support {rho.layout.sites}"
         )
-    s_abc = von_neumann_entropy(rho)
+    return _cmi(rho, split, von_neumann_entropy(rho))
+
+
+def _cmi(rho: DenseOperator, split: TripartiteSplit, s_abc: float) -> float:
+    """``cmi`` of a split known to cover ``rho``, given S(ABC) = S(rho)."""
     s_ab = von_neumann_entropy(partial_trace(rho, split.c))
     s_bc = von_neumann_entropy(partial_trace(rho, split.a))
     if split.b:
@@ -70,27 +74,21 @@ def _clamp(value: float) -> float:
     return 0.0 if CMI_CLAMP <= value < 0.0 else value
 
 
-def _state_deficiency(
-    state: DenseOperator,
+def _blanket_split(
+    vertices: frozenset[int],
     adj: Mapping[int, Iterable[int]],
     subset: frozenset[int],
     radius: int,
-) -> tuple[float, bool]:
-    """Deficiency of ``subset`` for an arbitrary state over an arbitrary graph.
-
-    Returns (value, degenerate); a degenerate split (nothing beyond the
-    blanket) reports zero.
-    """
-    vertices = set(state.layout.sites)
+) -> TripartiteSplit | None:
+    """(subset, blanket, rest) for the deficiency of ``subset`` over an
+    arbitrary graph, or None when the split is degenerate (nothing lies
+    beyond the blanket), whose deficiency is reported as zero."""
     if not subset or not subset < vertices:
         raise ValueError(f"subset {sorted(subset)} must be a nonempty proper subset")
     dist = bfs_distances(adj, subset)
     blanket = frozenset(v for v in vertices if 0 < dist.get(v, radius + 1) <= radius)
-    rest = frozenset(vertices - subset - blanket)
-    if not rest:
-        return 0.0, True
-    value = cmi(state, TripartiteSplit(subset, blanket, rest))
-    return _clamp(value), False
+    rest = vertices - subset - blanket
+    return TripartiteSplit(subset, blanket, rest) if rest else None
 
 
 def markov_deficiency(
@@ -108,8 +106,9 @@ def markov_deficiency(
     if radius < 1:
         raise ValueError(f"radius must be >= 1, got {radius}")
     state = state if state is not None else thermal_state(model)
-    value, _ = _state_deficiency(state, adjacency(model), frozenset(subset), radius)
-    return value
+    vertices = frozenset(state.layout.sites)
+    split = _blanket_split(vertices, adjacency(model), frozenset(subset), radius)
+    return 0.0 if split is None else _clamp(cmi(state, split))
 
 
 @dataclass(frozen=True)
@@ -159,14 +158,29 @@ def deficiency_rows(
     analysis only ever conditions on small subsets.
     """
     state = state if state is not None else thermal_state(model)
-    adj = adjacency(model)
+    return _deficiency_rows(state, adjacency(model), radius, max_subset_size)
+
+
+def _deficiency_rows(
+    state: DenseOperator,
+    adj: Mapping[int, Iterable[int]],
+    radius: int,
+    max_size: int,
+) -> list[DeficiencyRow]:
+    """Deficiencies of ``state`` over the graph ``adj`` for every connected
+    proper subset up to ``max_size``; the whole state's entropy, shared by
+    every subset, is computed once."""
+    if radius < 1:
+        raise ModelError(f"radius must be >= 1, got {radius}")
+    vertices = frozenset(state.layout.sites)
+    s_abc = von_neumann_entropy(state)
     rows = []
-    n = len(model.vertices)
-    for subset in connected_subsets(adj, max_subset_size):
-        if len(subset) >= n:
+    for subset in connected_subsets(adj, max_size):
+        if len(subset) >= len(adj):
             continue
-        value, degenerate = _state_deficiency(state, adj, frozenset(subset), radius)
-        rows.append(DeficiencyRow(subset, radius, value, degenerate))
+        split = _blanket_split(vertices, adj, frozenset(subset), radius)
+        value = 0.0 if split is None else _clamp(_cmi(state, split, s_abc))
+        rows.append(DeficiencyRow(subset, radius, value, split is None))
     return rows
 
 
@@ -203,18 +217,10 @@ def leaf_trace_preserves_markov(
     input_markov = all(r.value <= tol for r in before)
     after: tuple[DeficiencyRow, ...] = ()
     if input_markov:
-        reduced = partial_trace(state, {leaf})
         adj = {
             v: tuple(w for w in ws if w != leaf)
             for v, ws in adjacency(model).items()
             if v != leaf
         }
-        rows = []
-        n = len(adj)
-        for subset in connected_subsets(adj, max_subset_size):
-            if len(subset) >= n:
-                continue
-            value, degenerate = _state_deficiency(reduced, adj, frozenset(subset), 1)
-            rows.append(DeficiencyRow(subset, 1, value, degenerate))
-        after = tuple(rows)
+        after = tuple(_deficiency_rows(partial_trace(state, {leaf}), adj, 1, max_subset_size))
     return LeafTraceReport(leaf, tol, max_subset_size, input_markov, before, after)

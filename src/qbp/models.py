@@ -111,11 +111,14 @@ class GraphModel:
         return self.layout.sites
 
     def edge(self, key: tuple[int, int]) -> EdgeTerm:
-        u, v = sorted(key)
-        for e in self.edges:
-            if e.key == (u, v):
-                return e
-        raise ModelError(f"no edge {key} in model")
+        try:
+            return self._edges_by_key[tuple(sorted(key))]
+        except KeyError:
+            raise ModelError(f"no edge {key} in model") from None
+
+    @cached_property
+    def _edges_by_key(self) -> dict[tuple[int, int], EdgeTerm]:
+        return {e.key: e for e in self.edges}
 
     @cached_property
     def _thermal(self) -> tuple[DenseOperator, np.ndarray]:
@@ -424,10 +427,6 @@ def matrix_from_json(rows) -> np.ndarray:
     return np.array(
         [[complex(re, im) for re, im in row] for row in rows], dtype=np.complex128
     )
-
-
-def matrix_to_json(mat: np.ndarray) -> list:
-    return [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(mat)]
 
 
 def model_from_config(cfg: Mapping) -> GraphModel:

@@ -7,14 +7,13 @@ product when the operands commute.  Exact propagation is correct whenever
 the thermal state is conditionally independent across edge cuts; the
 sliding-window variant trades window width for accuracy when it is not.
 
-Messages are renormalized to unit trace at every step (the discarded scale
-is accumulated in ``log_norm``); without this, bare exponentials underflow
-already around ten sites at moderate inverse temperature.
+Messages are renormalized to unit trace at every step; without this, bare
+exponentials underflow already around ten sites at moderate inverse
+temperature.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import reduce
 from typing import Iterable, Sequence
@@ -26,7 +25,6 @@ from .models import (
     ModelError,
     adjacency,
     degrees,
-    distance_map,
     edge_hamiltonian,
     exact_reduced_density,
     thermal_state,
@@ -47,39 +45,26 @@ from .operators import (
 ERROR_FLOOR = 1e-10
 
 
-def circle_product(a: DenseOperator, b: DenseOperator) -> DenseOperator:
-    """exp(log A + log B) on the union of the supports.
+def circle_product(*ops: DenseOperator) -> DenseOperator:
+    """exp(log A + log B + ...) on the union of the supports, in one
+    exponentiation.
 
-    Operands are auto-embedded to their union layout first; both must be
+    Operands are auto-embedded to their union layout first; all must be
     Hermitian positive definite.
     """
-    layout = union_layout(a.layout, b.layout)
-    la = matrix_log_pd(embed(a, layout))
-    lb = matrix_log_pd(embed(b, layout))
-    return matrix_exp_h(la + lb)
-
-
-def circle_product_all(ops: Sequence[DenseOperator]) -> DenseOperator:
-    """Circle product of several operators in one exponentiation."""
     if not ops:
         raise ValueError("need at least one operand")
     layout = reduce(union_layout, (op.layout for op in ops))
-    total = sum(matrix_log_pd(embed(op, layout)).mat for op in ops)
+    total = reduce(np.add, (matrix_log_pd(embed(op, layout)).mat for op in ops))
     return matrix_exp_h(DenseOperator(layout, total))
 
 
 @dataclass(frozen=True, eq=False)
 class WindowMessage:
-    """A unit-trace positive operator supported on a window of sites.
-
-    ``log_norm`` accumulates the logarithms of the normalization factors
-    discarded along the way, so the unnormalized value is recoverable as
-    ``exp(log_norm) * op``.
-    """
+    """A unit-trace positive operator supported on a window of sites."""
 
     op: DenseOperator
     window: tuple[int, ...]
-    log_norm: float = 0.0
 
     def __post_init__(self):
         if self.op.layout.sites != tuple(sorted(self.window)):
@@ -91,15 +76,11 @@ class WindowMessage:
             raise ValueError(f"message trace {tr} is not 1")
 
 
-def _normalized(op: DenseOperator) -> tuple[DenseOperator, float]:
+def _normalized(op: DenseOperator) -> DenseOperator:
     z = op.trace().real
     if z <= 0:
         raise ValueError(f"cannot normalize operator with trace {z}")
-    return DenseOperator(op.layout, op.mat / z), math.log(z)
-
-
-def _edge_factor(model: GraphModel, u: int, v: int) -> DenseOperator:
-    return matrix_exp_h(-model.beta * model.edge((u, v)).term)
+    return DenseOperator(op.layout, op.mat / z)
 
 
 def message_update(
@@ -111,46 +92,38 @@ def message_update(
     into ``u``, traces out ``u``, and renormalizes.  With no incoming
     messages this is the propagation base case.
     """
-    if (min(u, v), max(u, v)) not in [e.key for e in model.edges]:
-        raise ModelError(f"no edge ({u}, {v}) in model")
+    edge = model.edge((u, v))
     for m in incoming:
         if v in m.window:
             raise SiteMismatchError(
                 f"incoming message on {m.window} already covers destination {v}"
             )
-    factors = [_edge_factor(model, u, v)] + [m.op for m in incoming]
-    combined = circle_product_all(factors)
-    op, log_z = _normalized(partial_trace(combined, {u}))
-    return WindowMessage(
-        op, op.layout.sites, log_norm=log_z + sum(m.log_norm for m in incoming)
+    combined = circle_product(
+        matrix_exp_h(-model.beta * edge.term), *(m.op for m in incoming)
     )
+    op = _normalized(partial_trace(combined, {u}))
+    return WindowMessage(op, op.layout.sites)
 
 
 def run_exact_bp(model: GraphModel, target: int) -> DenseOperator:
-    """Propagate messages for as many rounds as the target's eccentricity,
-    then combine everything flowing into the target into a belief.
+    """One pass of messages from the leaves toward the target, then the
+    belief combining everything flowing into the target.
 
-    Always runs; the belief matches the exact reduced state only when the
+    Each of the n - 1 edges carries exactly one message, computed once its
+    subtree's messages are in; incoming messages are combined in ascending
+    vertex order.  The belief matches the exact reduced state only when the
     thermal state is conditionally independent across edge cuts.
     """
     if target not in model.vertices:
         raise ModelError(f"unknown vertex {target}")
-    adj = adjacency(model)
     if len(model.vertices) == 1:
         return thermal_state(model)
-    rounds = max(distance_map(model, [target]).values())
-    directed = [(u, v) for u in model.vertices for v in adj[u]]
-    msgs = {(u, v): message_update(model, u, v) for u, v in directed}
-    for _ in range(rounds):
-        msgs = {
-            (u, v): message_update(
-                model, u, v, [msgs[(w, u)] for w in adj[u] if w != v]
-            )
-            for u, v in directed
-        }
-    belief = circle_product_all([msgs[(u, target)].op for u in adj[target]])
-    op, _ = _normalized(belief)
-    return op
+    adj = adjacency(model)
+
+    def toward(u: int, v: int) -> WindowMessage:
+        return message_update(model, u, v, [toward(w, u) for w in adj[u] if w != v])
+
+    return _normalized(circle_product(*(toward(u, target).op for u in adj[target])))
 
 
 def chain_order(model: GraphModel, target: int) -> list[int]:
@@ -188,13 +161,12 @@ def run_sliding_window(model: GraphModel, target: int, window: int) -> DenseOper
     w = min(window, n - 1)
     init_layout = model.layout.subset(order[: w + 1])
     block = edge_hamiltonian(model, seq_edges[:w], init_layout)
-    current, _ = _normalized(matrix_exp_h(-model.beta * block))
+    current = _normalized(matrix_exp_h(-model.beta * block))
     for j in range(w, n - 1):
-        current, _ = _normalized(partial_trace(current, {order[j - w]}))
+        current = _normalized(partial_trace(current, {order[j - w]}))
         factor = matrix_exp_h(-model.beta * seq_edges[j].term)
-        current, _ = _normalized(circle_product(current, factor))
-    belief, _ = _normalized(partial_trace(current, set(current.sites) - {target}))
-    return belief
+        current = _normalized(circle_product(current, factor))
+    return _normalized(partial_trace(current, set(current.sites) - {target}))
 
 
 @dataclass(frozen=True)

@@ -14,6 +14,8 @@ from functools import reduce
 import networkx as nx
 import numpy as np
 
+from qbp import circle_product, message_update
+
 
 def kron_all(mats):
     return reduce(np.kron, mats)
@@ -146,3 +148,28 @@ def nx_graph(model):
 def nx_distance(model, v, targets):
     g = nx_graph(model)
     return min(nx.shortest_path_length(g, v, t) for t in targets)
+
+
+def round_based_exact_bp(model, target):
+    """Reference schedule for exact propagation: every directed message is
+    recomputed from the previous round's messages, for ecc(target) rounds
+    after the base case, then the messages into the target are combined
+    and normalized.  Returns the belief matrix.
+
+    Unlike the rest of this module it uses the package's own
+    ``message_update`` and ``circle_product``: it checks the schedule, not
+    the message arithmetic, so the two must agree bit for bit.
+    """
+    g = nx_graph(model)
+    adj = {u: sorted(g.neighbors(u)) for u in model.vertices}
+    directed = [(u, v) for u in model.vertices for v in adj[u]]
+    msgs = {(u, v): message_update(model, u, v) for u, v in directed}
+    for _ in range(nx.eccentricity(g, target)):
+        msgs = {
+            (u, v): message_update(
+                model, u, v, [msgs[(w, u)] for w in adj[u] if w != v]
+            )
+            for u, v in directed
+        }
+    belief = circle_product(*(msgs[(u, target)].op for u in adj[target]))
+    return belief.mat / belief.trace().real

@@ -3,6 +3,7 @@ import subprocess
 import sys
 
 import numpy as np
+import pytest
 
 from qbp import cli
 from qbp.operators import PAULI_Z
@@ -170,10 +171,38 @@ class TestOtherCommands:
         assert {"U", "ell", "deficiency", "degenerate", "beta"} <= set(audit[0])
 
 
+BAD_VALUES = [
+    # every (command, required field) pair, emptied
+    ("window-sweep", "beta_values", []),
+    ("window-sweep", "ell_values", []),
+    ("cumulant-decay", "beta_values", []),
+    ("hastings-verify", "beta_values", []),
+    ("hastings-verify", "s_steps", []),
+    ("markov-audit", "beta_values", []),
+    ("markov-audit", "ell_values", []),
+    # out of range: ell and s_steps below 1, beta not positive
+    ("window-sweep", "ell_values", [0]),
+    ("markov-audit", "ell_values", [0, -1]),
+    ("hastings-verify", "s_steps", [0]),
+    ("window-sweep", "beta_values", [0.0]),
+    ("cumulant-decay", "beta_values", [0.0]),
+    ("hastings-verify", "beta_values", [-1.0]),
+]
+
+
 class TestExitCodes:
-    def test_empty_ell_list(self, tmp_path):
-        cfg = write_config(tmp_path, ell_values=[])
-        assert run("window-sweep", cfg, tmp_path / "out") == 2
+    @pytest.mark.parametrize(
+        "command,field,value",
+        BAD_VALUES,
+        ids=[f"{c}-{f}-{'nonpositive' if v else 'empty'}" for c, f, v in BAD_VALUES],
+    )
+    def test_empty_ell_list(self, tmp_path, command, field, value):
+        cfg = write_config(tmp_path, **{field: value})
+        assert run(command, cfg, tmp_path / "out") == 2
+
+    def test_required_fields_match_command_table(self):
+        table = {(c, f) for c, cmd in cli.COMMANDS.items() for f in cmd.required}
+        assert table == {(c, f) for c, f, v in BAD_VALUES if not v}
 
     def test_missing_seed(self, tmp_path):
         cfg = write_config(tmp_path)

@@ -115,6 +115,12 @@ class TestDeficiency:
             for lo, hi in zip(vals[1:], vals[:-1]):
                 assert lo <= hi + 1e-10
 
+    def test_radius_below_one_rejected(self):
+        m = build_chain(4, 2, transverse_ising(1.0, 1.0), beta=1.0)
+        for radius in (0, -1):
+            with pytest.raises(ModelError):
+                deficiency_rows(m, radius)
+
     def test_rows_cover_connected_subsets(self):
         m = build_chain(4, 2, classical_ising(), beta=1.0)
         rows = deficiency_rows(m, 1, max_subset_size=2)

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import linalg
 
+from qbp import propagation
 from qbp import (
     DenseOperator,
     ModelError,
@@ -31,7 +32,7 @@ from qbp import (
     window_error_sweep,
 )
 
-from oracles import classical_chain_message, classical_marginal
+from oracles import classical_chain_message, classical_marginal, round_based_exact_bp
 
 Q1 = SiteLayout((1,), (2,))
 
@@ -178,6 +179,35 @@ class TestExactPropagation:
             marg = classical_marginal(m, target)
             assert np.allclose(np.diag(belief.mat).real, marg, atol=1e-9)
             assert np.allclose(belief.mat, np.diag(np.diag(belief.mat)), atol=1e-12)
+
+    @pytest.mark.parametrize(
+        "model",
+        [
+            build_tree(
+                {k: 2 for k in range(1, 7)},
+                [(1, 2, FACTORIES["random"]), (2, 3, FACTORIES["random"]),
+                 (2, 4, FACTORIES["random"]), (4, 5, FACTORIES["random"]),
+                 (4, 6, FACTORIES["random"])],
+                beta=0.7,
+            ),
+            build_chain(6, 2, transverse_ising(1.0, 1.0), beta=1.0),
+        ],
+        ids=["tree6-random", "chain6-tfim"],
+    )
+    def test_one_pass_matches_round_based_schedule(self, model, monkeypatch):
+        calls = []
+        original = propagation.message_update
+
+        def counted(*args, **kwargs):
+            calls.append(args[1:3])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(propagation, "message_update", counted)
+        for target in model.vertices:
+            calls.clear()
+            belief = run_exact_bp(model, target)
+            assert len(calls) == len(model.vertices) - 1
+            assert np.array_equal(belief.mat, round_based_exact_bp(model, target))
 
     def test_tfim_documents_inexactness(self):
         m = build_chain(6, 2, transverse_ising(1.0, 1.0), beta=1.0)
