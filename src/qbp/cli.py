@@ -131,6 +131,10 @@ def parse_config(raw: dict, seed_override=None, out_override=None, jobs_override
         values = getattr(cfg, field)
         if not all(x > 0 for x in values):
             raise ConfigError(f"{field} must be positive, got {list(values)}")
+    if cfg.instances < 1:
+        raise ConfigError(f"instances must be at least 1, got {cfg.instances}")
+    if cfg.jobs < 0:
+        raise ConfigError(f"jobs must be non-negative (0: one per core), got {cfg.jobs}")
     return cfg
 
 
@@ -230,15 +234,14 @@ def _window_sweep_point(args) -> tuple[list[list], list[list]]:
     target = cfg.target if cfg.target is not None else last
     leaf = cfg.leaf if cfg.leaf is not None else (first if target != first else last)
     n = len(model.vertices)
-    ells = [e for e in cfg.ell_values if 1 <= e <= n - 1]
-    sweep = window_error_sweep(model, target, ells)
+    sweep = window_error_sweep(model, target, cfg.ell_values)
     slope = math.nan if sweep.slope is None else sweep.slope
     sweep_rows = [
         [cfg.model_id, n, beta, ell, err, slope] for ell, err in sweep.entries
     ]
     consts, amp, decay = fitted_constants(model, leaf, cfg.bound_constants)
     step_rows = []
-    for ell in ells:
+    for ell in cfg.ell_values:
         rec = single_step_experiment(model, leaf, ell, consts)
         bound = rec.bound
         step_rows.append(

@@ -19,7 +19,6 @@ from .operators import (
     SiteLayout,
     as_rng,
     assert_hermitian,
-    hermitize,
     matrix_exp_h,
     op_norm,
     partial_trace,
@@ -48,17 +47,12 @@ class CheckResult:
         return self.margin >= -self.slack * max(1.0, abs(self.rhs))
 
 
-def _exp_mat(mat: np.ndarray) -> np.ndarray:
-    w, u = np.linalg.eigh(hermitize(mat))
-    return (u * np.exp(w)) @ u.conj().T
-
-
 def check_golden_thompson(a: DenseOperator, b: DenseOperator) -> CheckResult:
     """Tr exp(A+B) <= Tr[exp(A) exp(B)] for Hermitian A, B."""
     assert_hermitian(a)
     assert_hermitian(b)
-    lhs = np.trace(_exp_mat(a.mat + b.mat)).real
-    rhs = np.trace(_exp_mat(a.mat) @ _exp_mat(b.mat)).real
+    lhs = matrix_exp_h(a + b).trace().real
+    rhs = (matrix_exp_h(a) @ matrix_exp_h(b)).trace().real
     return CheckResult("golden_thompson", float(lhs), float(rhs))
 
 
@@ -139,7 +133,7 @@ def check_exp_bound(a: DenseOperator, b: DenseOperator) -> CheckResult:
     """||exp(A) - exp(B)|| <= exp(max(||A||, ||B||)) ||A - B|| (Hermitian)."""
     assert_hermitian(a)
     assert_hermitian(b)
-    lhs = float(np.linalg.norm(_exp_mat(a.mat) - _exp_mat(b.mat), 2))
+    lhs = float(np.linalg.norm((matrix_exp_h(a) - matrix_exp_h(b)).mat, 2))
     big_m = max(op_norm(a), op_norm(b))
     rhs = float(np.exp(big_m) * np.linalg.norm(a.mat - b.mat, 2))
     return CheckResult("exp_bound", lhs, rhs)

@@ -7,9 +7,9 @@ product when the operands commute.  Exact propagation is correct whenever
 the thermal state is conditionally independent across edge cuts; the
 sliding-window variant trades window width for accuracy when it is not.
 
-Messages are renormalized to unit trace at every step; without this, bare
-exponentials underflow already around ten sites at moderate inverse
-temperature.
+Every belief is one shifted exponential exp(-K) / Tr exp(-K) of a summed
+effective Hamiltonian K: beta times the edge terms minus the log of each
+incoming message, taken on its own support.  No exponential is logged back.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ from .operators import (
     DenseOperator,
     SiteMismatchError,
     embed,
+    gibbs_state,
     matrix_exp_h,
     matrix_log_pd,
     partial_trace,
@@ -45,18 +46,22 @@ from .operators import (
 ERROR_FLOOR = 1e-10
 
 
+def _sum_on_union(*ops: DenseOperator) -> DenseOperator:
+    """Sum of the operators, each embedded on the union of their supports."""
+    layout = reduce(union_layout, (op.layout for op in ops))
+    return DenseOperator(layout, reduce(np.add, (embed(op, layout).mat for op in ops)))
+
+
 def circle_product(*ops: DenseOperator) -> DenseOperator:
     """exp(log A + log B + ...) on the union of the supports, in one
     exponentiation.
 
-    Operands are auto-embedded to their union layout first; all must be
-    Hermitian positive definite.
+    Each logarithm is taken on its operand's own support and then embedded
+    on the union layout; all operands must be Hermitian positive definite.
     """
     if not ops:
         raise ValueError("need at least one operand")
-    layout = reduce(union_layout, (op.layout for op in ops))
-    total = reduce(np.add, (matrix_log_pd(embed(op, layout)).mat for op in ops))
-    return matrix_exp_h(DenseOperator(layout, total))
+    return matrix_exp_h(_sum_on_union(*(matrix_log_pd(op) for op in ops)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -76,21 +81,14 @@ class WindowMessage:
             raise ValueError(f"message trace {tr} is not 1")
 
 
-def _normalized(op: DenseOperator) -> DenseOperator:
-    z = op.trace().real
-    if z <= 0:
-        raise ValueError(f"cannot normalize operator with trace {z}")
-    return DenseOperator(op.layout, op.mat / z)
-
-
 def message_update(
     model: GraphModel, u: int, v: int, incoming: Sequence[WindowMessage] = ()
 ) -> WindowMessage:
     """One directed message u -> v.
 
-    Combines the edge factor exp(-beta h_(u,v)) with all messages flowing
-    into ``u``, traces out ``u``, and renormalizes.  With no incoming
-    messages this is the propagation base case.
+    The belief exp(-beta h_(u,v) + sum of log m) / Z over all messages m
+    flowing into ``u``, with ``u`` traced out.  With no incoming messages
+    this is the propagation base case.
     """
     edge = model.edge((u, v))
     for m in incoming:
@@ -98,10 +96,8 @@ def message_update(
             raise SiteMismatchError(
                 f"incoming message on {m.window} already covers destination {v}"
             )
-    combined = circle_product(
-        matrix_exp_h(-model.beta * edge.term), *(m.op for m in incoming)
-    )
-    op = _normalized(partial_trace(combined, {u}))
+    k = _sum_on_union(model.beta * edge.term, *(-matrix_log_pd(m.op) for m in incoming))
+    op = partial_trace(gibbs_state(k, 1.0)[0], {u})
     return WindowMessage(op, op.layout.sites)
 
 
@@ -123,7 +119,8 @@ def run_exact_bp(model: GraphModel, target: int) -> DenseOperator:
     def toward(u: int, v: int) -> WindowMessage:
         return message_update(model, u, v, [toward(w, u) for w in adj[u] if w != v])
 
-    return _normalized(circle_product(*(toward(u, target).op for u in adj[target])))
+    belief = circle_product(*(toward(u, target).op for u in adj[target]))
+    return DenseOperator(belief.layout, belief.mat / belief.trace().real)
 
 
 def chain_order(model: GraphModel, target: int) -> list[int]:
@@ -146,10 +143,9 @@ def chain_order(model: GraphModel, target: int) -> list[int]:
 def run_sliding_window(model: GraphModel, target: int, window: int) -> DenseOperator:
     """Windowed propagation along a chain toward an endpoint target.
 
-    Starts from the exponential of the summed Hamiltonian of the first
-    ``window`` edges (one eigendecomposition instead of ``window`` circle
-    products; the two are analytically identical), then alternates tracing
-    the lowest site with absorbing the next edge factor, keeping at most
+    Starts from the Gibbs state of the summed Hamiltonian of the first
+    ``window`` edges, then alternates tracing the lowest site with absorbing
+    the next edge term, exp(-beta h_j + log window) / Z, keeping at most
     ``window + 1`` sites alive.  ``window = n_sites - 1`` reproduces the
     exact reduced state.
     """
@@ -161,12 +157,12 @@ def run_sliding_window(model: GraphModel, target: int, window: int) -> DenseOper
     w = min(window, n - 1)
     init_layout = model.layout.subset(order[: w + 1])
     block = edge_hamiltonian(model, seq_edges[:w], init_layout)
-    current = _normalized(matrix_exp_h(-model.beta * block))
+    current, _ = gibbs_state(block, model.beta)
     for j in range(w, n - 1):
-        current = _normalized(partial_trace(current, {order[j - w]}))
-        factor = matrix_exp_h(-model.beta * seq_edges[j].term)
-        current = _normalized(circle_product(current, factor))
-    return _normalized(partial_trace(current, set(current.sites) - {target}))
+        traced = partial_trace(current, {order[j - w]})
+        k = _sum_on_union(model.beta * seq_edges[j].term, -matrix_log_pd(traced))
+        current, _ = gibbs_state(k, 1.0)
+    return partial_trace(current, set(current.sites) - {target})
 
 
 @dataclass(frozen=True)

@@ -187,14 +187,23 @@ BAD_VALUES = [
     ("window-sweep", "beta_values", [0.0]),
     ("cumulant-decay", "beta_values", [0.0]),
     ("hastings-verify", "beta_values", [-1.0]),
+    ("lemma-suite", "instances", 0),
+    # a window wider than the 5-site chain allows
+    ("window-sweep", "ell_values", [1, 50]),
 ]
+
+
+def bad_value_id(command, field, value):
+    values = value if isinstance(value, list) else [value]
+    kind = "empty" if not values else "nonpositive" if min(values) <= 0 else "above_range"
+    return f"{command}-{field}-{kind}"
 
 
 class TestExitCodes:
     @pytest.mark.parametrize(
         "command,field,value",
         BAD_VALUES,
-        ids=[f"{c}-{f}-{'nonpositive' if v else 'empty'}" for c, f, v in BAD_VALUES],
+        ids=[bad_value_id(*bad) for bad in BAD_VALUES],
     )
     def test_empty_ell_list(self, tmp_path, command, field, value):
         cfg = write_config(tmp_path, **{field: value})
@@ -202,7 +211,13 @@ class TestExitCodes:
 
     def test_required_fields_match_command_table(self):
         table = {(c, f) for c, cmd in cli.COMMANDS.items() for f in cmd.required}
-        assert table == {(c, f) for c, f, v in BAD_VALUES if not v}
+        assert table == {(c, f) for c, f, v in BAD_VALUES if v == []}
+
+    def test_negative_jobs(self, tmp_path):
+        cfg = write_config(tmp_path)
+        assert run("window-sweep", cfg, tmp_path / "out", extra=["--jobs", "-3"]) == 2
+        with pytest.raises(cli.ConfigError):
+            cli.parse_config(json.loads(cfg.read_text()) | {"jobs": -3})
 
     def test_missing_seed(self, tmp_path):
         cfg = write_config(tmp_path)

@@ -8,6 +8,7 @@ from qbp import propagation
 from qbp import (
     DenseOperator,
     ModelError,
+    OperatorError,
     PAULI_X,
     PAULI_Z,
     SiteLayout,
@@ -261,6 +262,24 @@ class TestSlidingWindow:
             run_sliding_window(chain, 2, 1)
         with pytest.raises(ModelError):
             run_sliding_window(chain, 4, 0)
+
+
+class TestLargeBeta:
+    """The 8-site transverse-field chain at inverse temperatures where bare
+    exponentials of its edge terms leave double precision.  The pytest
+    configuration turns every RuntimeWarning into an error."""
+
+    @pytest.mark.parametrize("beta", [5.0, 20.0, 60.0, 200.0])
+    def test_exact_bp_belief_is_finite_unit_trace(self, beta):
+        m = build_chain(8, 2, transverse_ising(1.0, 1.0), beta=beta)
+        belief = run_exact_bp(m, 8)
+        assert np.isfinite(belief.mat).all()
+        assert belief.trace() == pytest.approx(1.0, abs=1e-12)
+
+    def test_sliding_window_failure_is_typed(self):
+        m = build_chain(8, 2, transverse_ising(1.0, 1.0), beta=200.0)
+        with pytest.raises(OperatorError):
+            run_sliding_window(m, 8, 3)
 
 
 class TestWindowErrorSweep:

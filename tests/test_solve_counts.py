@@ -5,7 +5,9 @@ routine and dimension.  When the window sweep and the single-step experiment
 run on one model, the full dimension needs one solve for the thermal state,
 one for the widest window and one for the widest radius ball; anything more
 is a repeat.  A deficiency table needs the entropy of the whole state once,
-however many subsets it lists.
+however many subsets it lists.  A belief is one shifted exponential of summed
+effective Hamiltonians, so a sliding-window step solves once at the window
+dimension and a single-step surrogate once at the reduced dimension.
 """
 
 from collections import Counter
@@ -17,6 +19,7 @@ from qbp import (
     build_chain,
     deficiency_rows,
     random_two_local,
+    run_sliding_window,
     single_step_experiment,
     transverse_ising,
     window_error_sweep,
@@ -52,3 +55,18 @@ def test_deficiency_table_solves_whole_state_entropy_once(solves):
     m = build_chain(6, 2, random_two_local(seed=3), beta=1.0)
     deficiency_rows(m)
     assert solves["eigvalsh", m.layout.dim] == 1
+
+
+def test_sliding_window_solves_once_per_step(solves):
+    m = build_chain(6, 2, transverse_ising(1.0, 1.0), beta=1.0)
+    run_sliding_window(m, 6, 2)
+    assert solves["eigh", 8] == 4  # the first window, then one per step
+
+
+def test_single_step_solves_once_per_radius_at_reduced_dimension(solves):
+    m = build_chain(6, 2, transverse_ising(1.0, 1.0), beta=1.0)
+    for radius in range(1, 5):
+        single_step_experiment(m, 1, radius)
+    reduced = m.layout.dim // 2
+    assert solves["eigh", reduced] <= 5  # one surrogate per radius, one ball
+    assert solves["eigvalsh", reduced] == 8  # two trace norms per radius
