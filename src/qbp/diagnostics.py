@@ -28,8 +28,8 @@ from .models import (
     degrees,
     distance_map,
     edge_hamiltonian,
+    log_partition_function,
     neighborhood,
-    partition_function,
     region_partition,
     thermal_state,
 )
@@ -40,7 +40,6 @@ from .operators import (
     conditional_expectation,
     embed,
     gibbs_state,
-    matrix_exp_h,
     matrix_log_pd,
     op_norm,
     partial_trace,
@@ -331,17 +330,17 @@ def single_step_experiment(
     # The inner terms live in the radius ball, so exp(-beta H_inner) on the
     # full layout is the ball's exponential tensored with identity.
     ball_layout = model.layout.subset(neighborhood(model, {leaf}, radius))
-    near_ball = matrix_exp_h(-beta * edge_hamiltonian(model, parts.inner, ball_layout))
-    # Logged at unit trace, where its Hermiticity check cannot overflow; the
-    # floor scales by the same factor, so the same eigenvalues fall below it.
+    h_inner = edge_hamiltonian(model, parts.inner, ball_layout)
+    near_ball, log_t = gibbs_state(h_inner, beta)
+    # near = Tr_leaf exp(-beta H_inner) is t times this unit-trace operator,
+    # so the floor scales by 1/t and the same eigenvalues fall below it.
     near = partial_trace(near_ball, {leaf})
-    t = near.trace().real
-    log_near = matrix_log_pd((1.0 / t) * near, floor=LOG_EIG_FLOOR / t)
-    surrogate, w = gibbs_state(_sum_on_union(beta * away, -log_near), 1.0)
+    log_near = matrix_log_pd(near, floor=LOG_EIG_FLOOR * math.exp(-log_t))
+    surrogate, log_s = gibbs_state(_sum_on_union(beta * away, -log_near), 1.0)
 
-    # The surrogate exp(-beta H_away + log near) has trace t * sum(exp(-w)).
-    literal_scale = t * np.exp(-w).sum() / partition_function(model)
-    lhs_literal = trace_norm(term1 - literal_scale * surrogate)
+    # The surrogate exp(-beta H_away + log near) has trace t * exp(log_s).
+    log_scale = log_t + log_s - log_partition_function(model)
+    lhs_literal = trace_norm(term1 - math.exp(log_scale) * surrogate)
     lhs_normalized = trace_norm(term1 - surrogate)
     ends = frozenset().union(*(e.endpoints() for e in parts.buffer))
     buffer_norm = (

@@ -127,7 +127,7 @@ def hastings_operator(
     if s_steps < 1:
         raise ValueError(f"s_steps must be >= 1, got {s_steps}")
     h, v = _embedded_pair(h, v)
-    result = np.eye(h.dim, dtype=np.complex128)
+    result = np.eye(h.dim)
     step = -beta / (2.0 * s_steps)
     for k in range(1, s_steps + 1):
         s = (k - 0.5) / s_steps

@@ -10,6 +10,7 @@ qubit pair) and embedded lazily.
 from __future__ import annotations
 
 import json
+import math
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
@@ -23,6 +24,7 @@ from .operators import (
     PAULI_Y,
     PAULI_Z,
     DenseOperator,
+    OperatorError,
     SiteLayout,
     assert_hermitian,
     embed,
@@ -121,8 +123,8 @@ class GraphModel:
         return {e.key: e for e in self.edges}
 
     @cached_property
-    def _thermal(self) -> tuple[DenseOperator, np.ndarray]:
-        """(rho, w): the thermal state and the spectrum of H.
+    def _thermal(self) -> tuple[DenseOperator, float]:
+        """(rho, log Z): the thermal state and its log partition function.
 
         Computed once, on first use, and released with the model.  The
         eigenvectors are not kept: at the dimension cap they alone would
@@ -258,9 +260,10 @@ def edge_hamiltonian(
     """Sum of the given edge terms embedded on ``layout`` (default: full)."""
     layout = layout if layout is not None else model.layout
     edges = model.edges if edges is None else tuple(edges)
-    total = np.zeros((layout.dim, layout.dim), dtype=np.complex128)
+    dtype = np.result_type(np.float64, *{e.term.mat.dtype for e in edges})
+    total = np.zeros((layout.dim, layout.dim), dtype=dtype)
     for e in edges:
-        total = total + embed(e.term, layout).mat
+        total += embed(e.term, layout).mat
     return DenseOperator(layout, total)
 
 
@@ -276,8 +279,17 @@ def thermal_state(model: GraphModel) -> DenseOperator:
     return model._thermal[0]
 
 
+def log_partition_function(model: GraphModel) -> float:
+    return model._thermal[1]
+
+
 def partition_function(model: GraphModel) -> float:
-    return float(np.exp(-model.beta * model._thermal[1]).sum())
+    """Z; raises OperatorError naming log Z when Z overflows a float."""
+    log_z = log_partition_function(model)
+    try:
+        return math.exp(log_z)
+    except OverflowError:
+        raise OperatorError(f"partition function overflows: log Z = {log_z}") from None
 
 
 def exact_reduced_density(model: GraphModel, keep: Iterable[int]) -> DenseOperator:
@@ -322,7 +334,7 @@ def transverse_ising(
 
     def make(ctx: EdgeContext) -> np.ndarray:
         _require_qubits(ctx, "transverse_ising")
-        eye = np.eye(2, dtype=np.complex128)
+        eye = np.eye(2)
         term = -J * np.kron(PAULI_Z, PAULI_Z)
         term = term - (hx / 2.0) * (np.kron(PAULI_X, eye) + np.kron(eye, PAULI_X))
         if full_boundary_fields:
@@ -336,13 +348,13 @@ def transverse_ising(
 
 
 def heisenberg(J: float = 1.0) -> TermFactory:
-    """Isotropic exchange J (XX + YY + ZZ)."""
+    """Isotropic exchange J (XX + YY + ZZ); Y(x)Y is real, so the term is too."""
 
     def make(ctx: EdgeContext) -> np.ndarray:
         _require_qubits(ctx, "heisenberg")
         return J * (
             np.kron(PAULI_X, PAULI_X)
-            + np.kron(PAULI_Y, PAULI_Y)
+            + np.kron(PAULI_Y, PAULI_Y).real
             + np.kron(PAULI_Z, PAULI_Z)
         )
 
@@ -402,7 +414,7 @@ def build_tree(
     for u, v, spec in edge_specs:
         u, v = sorted((u, v))
         ctx = EdgeContext(u, v, dims[u], dims[v], degree[u], degree[v])
-        mat = spec(ctx) if callable(spec) else np.asarray(spec, dtype=np.complex128)
+        mat = spec(ctx) if callable(spec) else spec
         term = DenseOperator(layout.subset((u, v)), mat)
         edges.append(EdgeTerm(u, v, term))
     return GraphModel(layout, tuple(edges), beta)
@@ -423,10 +435,11 @@ def build_chain(
 # -- JSON model files ----------------------------------------------------------
 
 def matrix_from_json(rows) -> np.ndarray:
-    """Nested [re, im] pairs, row-major, to a complex matrix."""
-    return np.array(
+    """Nested [re, im] pairs, row-major, to a matrix; real if every im is 0."""
+    mat = np.array(
         [[complex(re, im) for re, im in row] for row in rows], dtype=np.complex128
     )
+    return mat if mat.imag.any() else mat.real
 
 
 def model_from_config(cfg: Mapping) -> GraphModel:

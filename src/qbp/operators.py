@@ -1,11 +1,12 @@
-"""Dense complex operator algebra on tensor products of labelled sites.
+"""Dense operator algebra on tensor products of labelled sites.
 
 Everything downstream (graph models, message passing, spectral filters,
 bound evaluators) manipulates operators through this module: tensor
 embedding, partial traces, Hermitian matrix functions, norms, and seeded
 random ensembles.  Values are immutable once constructed and all
 functions are pure, so they are safe to share across threads; the only
-stateful objects are the caller-owned random generators.
+stateful objects are the caller-owned random generators.  An operator's
+dtype follows its data (float64 or complex128) through all arithmetic.
 """
 
 from __future__ import annotations
@@ -26,9 +27,9 @@ HERMITIAN_RTOL = 1e-12
 #: Eigenvalues at or below this floor make a matrix logarithm fail loudly.
 LOG_EIG_FLOOR = 1e-30
 
-PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
+PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]])
 PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=np.complex128)
-PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=np.complex128)
+PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]])
 
 
 class OperatorError(ValueError):
@@ -61,6 +62,9 @@ class SingularOperatorError(OperatorError):
     def __init__(self, message: str, eigenvalue: float):
         super().__init__(message)
         self.eigenvalue = eigenvalue
+
+    def __reduce__(self):
+        return type(self), (str(self), self.eigenvalue)
 
 
 @dataclass(frozen=True)
@@ -136,13 +140,14 @@ def union_layout(a: SiteLayout, b: SiteLayout) -> SiteLayout:
 
 @dataclass(frozen=True, eq=False)
 class DenseOperator:
-    """A dense complex square matrix annotated with its site support."""
+    """A dense float64 or complex128 square matrix annotated with its site support."""
 
     layout: SiteLayout
     mat: np.ndarray
 
     def __post_init__(self):
-        mat = np.array(self.mat, dtype=np.complex128)
+        mat = np.asarray(self.mat)
+        mat = np.array(mat, dtype=np.promote_types(mat.dtype, np.float64))
         if mat.shape != (self.layout.dim, self.layout.dim):
             raise OperatorError(
                 f"matrix shape {mat.shape} does not match layout dimension "
@@ -153,7 +158,7 @@ class DenseOperator:
 
     @classmethod
     def identity(cls, layout: SiteLayout) -> "DenseOperator":
-        return cls(layout, np.eye(layout.dim, dtype=np.complex128))
+        return cls(layout, np.eye(layout.dim))
 
     @property
     def dim(self) -> int:
@@ -181,7 +186,7 @@ class DenseOperator:
         return DenseOperator(self.layout, -self.mat)
 
     def __mul__(self, scalar) -> "DenseOperator":
-        return DenseOperator(self.layout, self.mat * complex(scalar))
+        return DenseOperator(self.layout, self.mat * scalar)
 
     __rmul__ = __mul__
 
@@ -225,7 +230,7 @@ def assert_density(
     tr = op.trace()
     if abs(tr - 1.0) > trace_atol:
         raise NonDensityError(f"trace {tr} is not 1 within {trace_atol}")
-    w = np.linalg.eigvalsh(_real_if_exact(op.mat))
+    w = np.linalg.eigvalsh(op.mat)
     if w[0] < eig_floor:
         raise NonDensityError(f"minimum eigenvalue {w[0]} below {eig_floor}")
     return w
@@ -244,7 +249,7 @@ def embed(op: DenseOperator, full: SiteLayout) -> DenseOperator:
         return DenseOperator(full, op.mat)
     rest = [s for s in full.sites if s not in op.layout.sites]
     rest_dim = prod(full.dim_of(s) for s in rest)
-    big = np.kron(op.mat, np.eye(rest_dim, dtype=np.complex128))
+    big = np.kron(op.mat, np.eye(rest_dim))
     cur_sites = op.layout.sites + tuple(rest)
     cur_dims = tuple(full.dim_of(s) for s in cur_sites)
     n = len(cur_sites)
@@ -297,18 +302,9 @@ def conditional_expectation(op: DenseOperator, out: Iterable[int]) -> DenseOpera
     return embed((1.0 / d_out) * reduced, op.layout)
 
 
-def _real_if_exact(mat: np.ndarray) -> np.ndarray:
-    """The real part of ``mat`` when its imaginary part is exactly zero.
-
-    Real symmetric eigensolves cost about a fifth of complex Hermitian ones,
-    and every stock model except the random one has real terms.
-    """
-    return mat if mat.imag.any() else mat.real
-
-
 def _eigh_checked(op: DenseOperator) -> tuple[np.ndarray, np.ndarray]:
     assert_hermitian(op)
-    return np.linalg.eigh(_real_if_exact(op.mat))
+    return np.linalg.eigh(op.mat)
 
 
 def hermitian_eig(op: DenseOperator) -> tuple[np.ndarray, DenseOperator]:
@@ -324,16 +320,16 @@ def matrix_exp_h(op: DenseOperator) -> DenseOperator:
     return DenseOperator(op.layout, hermitize(mat))
 
 
-def gibbs_state(ham: DenseOperator, beta: float) -> tuple[DenseOperator, np.ndarray]:
-    """exp(-beta H) / Z and the ascending spectrum of H, from one eigensolve.
+def gibbs_state(ham: DenseOperator, beta: float) -> tuple[DenseOperator, float]:
+    """exp(-beta H) / Z and log Z, from one eigensolve.
 
     The Boltzmann weights are shifted by the smallest eigenvalue before
-    exponentiating, so they never overflow.
+    exponentiating, so neither overflows.
     """
     w, v = _eigh_checked(ham)
     p = np.exp(-beta * (w - w[0]))
     mat = (v * (p / p.sum())) @ v.conj().T
-    return DenseOperator(ham.layout, hermitize(mat)), w
+    return DenseOperator(ham.layout, hermitize(mat)), float(np.log(p.sum()) - beta * w[0])
 
 
 def matrix_log_pd(op: DenseOperator, floor: float = LOG_EIG_FLOOR) -> DenseOperator:
@@ -355,7 +351,7 @@ def matrix_log_pd(op: DenseOperator, floor: float = LOG_EIG_FLOOR) -> DenseOpera
 def _singular_values(op: DenseOperator) -> np.ndarray:
     """Singular values, unordered; |eigenvalues| when ``op`` is Hermitian."""
     if is_hermitian(op):
-        return np.abs(np.linalg.eigvalsh(_real_if_exact(op.mat)))
+        return np.abs(np.linalg.eigvalsh(op.mat))
     return np.linalg.svd(op.mat, compute_uv=False)
 
 

@@ -219,6 +219,11 @@ class TestExitCodes:
         with pytest.raises(cli.ConfigError):
             cli.parse_config(json.loads(cfg.read_text()) | {"jobs": -3})
 
+    def test_worker_singular_error_exits_2_in_pool(self, tmp_path):
+        # At beta = 60 the traced window has eigenvalues below double precision.
+        cfg = write_config(tmp_path, beta_values=[60, 61], ell_values=[1])
+        assert run("window-sweep", cfg, tmp_path / "out", extra=["--jobs", "2"]) == 2
+
     def test_missing_seed(self, tmp_path):
         cfg = write_config(tmp_path)
         raw = json.loads(cfg.read_text())

@@ -8,6 +8,7 @@ from qbp import (
     BoundConstants,
     DenseOperator,
     ModelError,
+    OperatorError,
     SiteLayout,
     build_chain,
     classical_ising,
@@ -262,6 +263,16 @@ class TestSingleStepExperiment:
             normalized = trace_norm(term1 - (1.0 / surrogate.trace().real) * surrogate)
             assert abs(rec.lhs_literal - literal) < 1e-12
             assert abs(rec.lhs_normalized - normalized) < 1e-12
+
+    @pytest.mark.parametrize("radius", range(1, 8))
+    def test_large_beta_finite_or_typed(self, radius):
+        # At beta = 200 the 8-site chain's Boltzmann weights leave the float range.
+        m = build_chain(8, 2, transverse_ising(1.0, 1.0), beta=200.0)
+        try:
+            rec = single_step_experiment(m, 8, radius)
+        except OperatorError:
+            return
+        assert math.isfinite(rec.lhs_literal) and math.isfinite(rec.lhs_normalized)
 
     def test_bound_attached_when_constants_given(self):
         m = build_chain(6, 2, transverse_ising(1.0, 1.0), beta=1.0)

@@ -9,6 +9,7 @@ from scipy import linalg
 from qbp import (
     DenseOperator,
     ModelError,
+    OperatorError,
     PAULI_X,
     PAULI_Z,
     build_chain,
@@ -25,11 +26,14 @@ from qbp import (
     op_norm,
     random_two_local,
     region_partition,
+    run_exact_bp,
+    run_sliding_window,
+    thermal_potential,
     thermal_state,
     transverse_ising,
 )
 
-from qbp.models import partition_function
+from qbp.models import log_partition_function, matrix_from_json, partition_function
 
 from oracles import kron_all, nx_distance, partial_trace_by_sum
 
@@ -128,6 +132,14 @@ class TestThermalState:
         del rho, m
         gc.collect()
         assert alive() is None
+
+    def test_partition_function_overflow_is_typed(self):
+        # beta |E0| is about 1800 on the 8-site chain at beta = 200.
+        m = build_chain(8, 2, transverse_ising(), beta=200.0)
+        w = np.linalg.eigvalsh(hamiltonian(m).mat)
+        assert log_partition_function(m) == pytest.approx(-200.0 * w[0], rel=1e-12)
+        with pytest.raises(OperatorError, match="log Z"):
+            partition_function(m)
 
     def test_unit_trace_and_positivity(self):
         for factory in (classical_ising(), transverse_ising(), heisenberg(),
@@ -253,6 +265,40 @@ class TestModelConfig:
         assert len(m.edges) == 2
         assert np.allclose(m.edge((2, 3)).term.mat, 0.25 * np.kron(PAULI_Z, PAULI_Z))
 
+    def test_matrix_from_json_dtype_follows_imaginary_parts(self):
+        real = matrix_from_json([[[1.0, 0.0], [2.0, 0.0]], [[2.0, 0.0], [3.0, 0.0]]])
+        assert real.dtype == np.float64
+        assert np.array_equal(real, [[1.0, 2.0], [2.0, 3.0]])
+        cplx = matrix_from_json([[[1.0, 0.0], [0.0, -1.0]], [[0.0, 1.0], [3.0, 0.0]]])
+        assert cplx.dtype == np.complex128
+
     def test_malformed_config(self):
         with pytest.raises(ModelError):
             model_from_config({"vertices": [], "beta": 1.0})
+
+
+class TestDtypeFollowsData:
+    @pytest.mark.parametrize(
+        "factory", [transverse_ising(), classical_ising()], ids=["tfim", "ising"]
+    )
+    def test_real_model_stays_real(self, factory):
+        m = build_chain(6, factory=factory, beta=0.8)
+        assert all(e.term.mat.dtype == np.float64 for e in m.edges)
+        for op in (
+            edge_hamiltonian(m),
+            thermal_state(m),
+            run_sliding_window(m, 6, 2),
+            run_exact_bp(m, 6),
+            thermal_potential(m, {1}),
+        ):
+            assert op.mat.dtype == np.float64
+
+    def test_heisenberg_real_and_random_complex(self):
+        assert all(
+            e.term.mat.dtype == np.float64
+            for e in build_chain(3, factory=heisenberg()).edges
+        )
+        assert all(
+            e.term.mat.dtype == np.complex128
+            for e in build_chain(3, factory=random_two_local(seed=1)).edges
+        )

@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,7 @@ from qbp import (
     DimensionCapError,
     NonHermitianError,
     PAULI_X,
+    PAULI_Y,
     PAULI_Z,
     SingularOperatorError,
     SiteLayout,
@@ -224,6 +227,13 @@ class TestExpLog:
             matrix_log_pd(op)
         assert err.value.eigenvalue == pytest.approx(-0.25)
 
+    def test_singularity_error_pickles(self):
+        err = SingularOperatorError("eigenvalue -0.25 at or below floor", -0.25)
+        back = pickle.loads(pickle.dumps(err))
+        assert type(back) is SingularOperatorError
+        assert str(back) == str(err)
+        assert back.eigenvalue == -0.25
+
 
 class TestNorms:
     def test_density_trace_norm(self):
@@ -275,15 +285,51 @@ class TestRealFastPath:
     def test_real_valued_input_solved_in_real_arithmetic(self):
         g = np.random.default_rng(5).standard_normal((8, 8))
         op = DenseOperator(Q123, g + g.T)
-        assert np.iscomplexobj(op.mat)
+        assert op.mat.dtype == np.float64
         w, v = _eigh_checked(op)
-        assert not np.iscomplexobj(v)
-        wc, vc = np.linalg.eigh(op.mat)
+        assert v.dtype == np.float64
+        wc, vc = np.linalg.eigh(op.mat.astype(np.complex128))
         assert np.abs(w - wc).max() < 1e-12
         # Compare a spectral function: eigenvectors are fixed only up to phase.
         got = (v * np.tanh(w)) @ v.T
         want = (vc * np.tanh(wc)) @ vc.conj().T
         assert np.abs(got - want).max() < 1e-12
+
+
+class TestDtypeFollowsData:
+    def test_integer_input_promoted_to_float64(self):
+        op = DenseOperator(Q1, np.array([[1, 2], [2, 3]]))
+        assert op.mat.dtype == np.float64
+        assert np.array_equal(op.mat, [[1.0, 2.0], [2.0, 3.0]])
+
+    def test_float_and_complex_kept(self):
+        assert DenseOperator(Q1, PAULI_X).mat.dtype == np.float64
+        assert DenseOperator(Q1, PAULI_Y).mat.dtype == np.complex128
+
+    def test_real_plus_complex_is_complex(self):
+        total = DenseOperator(Q1, PAULI_X) + DenseOperator(Q1, PAULI_Y)
+        assert total.mat.dtype == np.complex128
+        assert np.array_equal(total.mat, PAULI_X + PAULI_Y)
+
+    def test_real_arithmetic_stays_real(self):
+        x = DenseOperator(Q1, PAULI_X)
+        for op in (
+            embed(x, Q123),
+            2.5 * x,
+            x @ x,
+            partial_trace(embed(x, Q12), {2}),
+            matrix_exp_h(x),
+            DenseOperator.identity(Q12),
+        ):
+            assert op.mat.dtype == np.float64
+
+    @pytest.mark.parametrize("mat", [PAULI_Z, PAULI_Y], ids=["float", "complex"])
+    def test_input_mutation_leaves_operator_unchanged(self, mat):
+        src = mat.copy()
+        op = DenseOperator(Q1, src)
+        src[0, 0] = 7.0
+        assert np.array_equal(op.mat, mat)
+        assert not op.mat.flags.writeable
 
 
 class TestNormsAgainstSvd:
