@@ -10,14 +10,17 @@ Commands::
     qbp markov-audit    --config cfg.json ...
 
 Exit codes: 0 success, 2 config error, 3 dimension cap exceeded, 4 lemma
-failure.  Re-running a command with the same config and seed reproduces
-byte-identical CSV output; floats are serialized with 17 significant digits.
-No plotting happens in-process: the CSVs are the interface.
+failure, 5 numerical limit (a computed operator too singular for its log, or
+no longer a density).  Re-running a command with the same config and seed
+reproduces byte-identical CSV output; floats are serialized with 17
+significant digits.  No plotting happens in-process: the CSVs are the
+interface.
 """
 
 from __future__ import annotations
 
 import argparse
+import ctypes
 import hashlib
 import json
 import math
@@ -53,7 +56,9 @@ from .models import (
 )
 from .operators import (
     DimensionCapError,
+    NonDensityError,
     OperatorError,
+    SingularOperatorError,
     SiteLayout,
     op_norm,
     random_hermitian,
@@ -174,6 +179,18 @@ def write_csv(path: Path, header: list[str], rows: list[list]) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+def _blas_info() -> dict:
+    """Name, version and thread count (None when not exposed) of numpy's BLAS."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    threads = None
+    for path in (Path(np.__file__).parent.parent / "numpy.libs").glob("*openblas*"):
+        get = getattr(ctypes.CDLL(str(path)), "scipy_openblas_get_num_threads64_", None)
+        if get is not None:
+            get.argtypes, get.restype = [], ctypes.c_int
+            threads = get()
+    return {"name": blas["name"], "version": blas["version"], "threads": threads}
+
+
 def write_manifest(out_dir: Path, command: str, cfg_raw: dict, cfg: ExperimentConfig, outputs: list[str], t0: float) -> None:
     manifest = {
         "command": command,
@@ -186,6 +203,7 @@ def write_manifest(out_dir: Path, command: str, cfg_raw: dict, cfg: ExperimentCo
             "numpy": np.__version__,
             "python": sys.version.split()[0],
         },
+        "blas": _blas_info(),
         "wall_time_s": time.time() - t0,
         "outputs": outputs,
     }
@@ -430,6 +448,9 @@ def main(argv=None) -> int:
     except DimensionCapError as exc:
         print(f"dimension cap exceeded: {exc}", file=sys.stderr)
         return 3
+    except (SingularOperatorError, NonDensityError) as exc:  # raised on computed operators only
+        print(f"numerical limit: {exc}", file=sys.stderr)
+        return 5
     except (OSError, json.JSONDecodeError, ConfigError, ModelError, OperatorError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

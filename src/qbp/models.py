@@ -74,7 +74,7 @@ class EdgeTerm:
             raise ModelError(
                 f"edge term must live on sites {(u, v)}, got {self.term.layout.sites}"
             )
-        assert_hermitian(self.term)
+        assert_hermitian(self.term.mat)
 
     @property
     def key(self) -> tuple[int, int]:

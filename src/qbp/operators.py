@@ -7,6 +7,8 @@ random ensembles.  Values are immutable once constructed and all
 functions are pure, so they are safe to share across threads; the only
 stateful objects are the caller-owned random generators.  An operator's
 dtype follows its data (float64 or complex128) through all arithmetic.
+The private matrix functions also take stacks, shape (..., d, d), and give
+each matrix the same LAPACK/BLAS call it gets alone, so results are bit-equal.
 """
 
 from __future__ import annotations
@@ -201,20 +203,29 @@ class DenseOperator:
             )
 
 
+def _dagger(mat: np.ndarray) -> np.ndarray:
+    return mat.conj().swapaxes(-1, -2)
+
+
 def hermitize(mat: np.ndarray) -> np.ndarray:
-    """Average away numerical skew: (M + M†)/2."""
-    return (mat + mat.conj().T) / 2.0
+    """Average away numerical skew: (M + M†)/2, of a matrix or a stack."""
+    return (mat + _dagger(mat)) / 2.0
 
 
-def is_hermitian(op: DenseOperator, rtol: float = HERMITIAN_RTOL) -> bool:
-    scale = np.linalg.norm(op.mat)
-    if scale == 0.0:
-        return True
-    return np.linalg.norm(op.mat - op.mat.conj().T) <= rtol * scale
+def _hermitian(mat: np.ndarray, rtol: float = HERMITIAN_RTOL) -> np.ndarray:
+    """Per matrix: ||M - M†||_F <= rtol ||M||_F."""
+
+    def squared_norm(x):  # one BLAS dot product of the real components
+        v = x.reshape(*x.shape[:-2], 1, -1)
+        v = v.view(np.float64) if np.iscomplexobj(v) else v
+        return (v @ v.swapaxes(-1, -2))[..., 0, 0]
+
+    return squared_norm(mat - _dagger(mat)) <= rtol**2 * squared_norm(mat)
 
 
-def assert_hermitian(op: DenseOperator, rtol: float = HERMITIAN_RTOL):
-    if not is_hermitian(op, rtol):
+def assert_hermitian(mat: np.ndarray, rtol: float = HERMITIAN_RTOL):
+    """Raise NonHermitianError unless every matrix of ``mat`` is Hermitian."""
+    if not _hermitian(mat, rtol).all():
         raise NonHermitianError("operator is not Hermitian within tolerance")
 
 
@@ -226,7 +237,7 @@ def assert_density(
     Returns the ascending spectrum the check computed, so callers that need
     it do not diagonalise the same matrix again.
     """
-    assert_hermitian(op)
+    assert_hermitian(op.mat)
     tr = op.trace()
     if abs(tr - 1.0) > trace_atol:
         raise NonDensityError(f"trace {tr} is not 1 within {trace_atol}")
@@ -262,12 +273,19 @@ def embed(op: DenseOperator, full: SiteLayout) -> DenseOperator:
 def partial_trace(op: DenseOperator, traced: Iterable[int]) -> DenseOperator:
     """Trace out the given sites, preserving trace, Hermiticity, positivity."""
     traced = frozenset(traced)
-    unknown = traced - set(op.layout.sites)
-    if unknown:
-        raise SiteMismatchError(f"sites {sorted(unknown)} not in layout")
     if not traced:
         return op
-    sites, dims = op.layout.sites, op.layout.dims
+    return DenseOperator(*_partial_trace(op.mat, op.layout, traced))
+
+
+def _partial_trace(
+    mat: np.ndarray, layout: SiteLayout, traced: frozenset
+) -> tuple[SiteLayout, np.ndarray]:
+    """Layout and matrix (or stack) left after tracing out ``traced``."""
+    unknown = traced - set(layout.sites)
+    if unknown:
+        raise SiteMismatchError(f"sites {sorted(unknown)} not in layout")
+    sites, dims = layout.sites, layout.dims
     n = len(sites)
     row = ascii_letters[:n]
     col = []
@@ -280,10 +298,11 @@ def partial_trace(op: DenseOperator, traced: Iterable[int]) -> DenseOperator:
             free += 1
     keep = [i for i, s in enumerate(sites) if s not in traced]
     out_sub = "".join(row[i] for i in keep) + "".join(col[i] for i in keep)
-    tensor = op.mat.reshape(dims + dims)
-    reduced = np.einsum(f"{row}{''.join(col)}->{out_sub}", tensor)
-    keep_layout = op.layout.subset([sites[i] for i in keep])
-    return DenseOperator(keep_layout, reduced.reshape(keep_layout.dim, keep_layout.dim))
+    stack = mat.shape[:-2]
+    tensor = mat.reshape(stack + dims + dims)
+    reduced = np.einsum(f"...{row}{''.join(col)}->...{out_sub}", tensor)
+    keep_layout = layout.subset([sites[i] for i in keep])
+    return keep_layout, reduced.reshape(stack + (keep_layout.dim, keep_layout.dim))
 
 
 def conditional_expectation(op: DenseOperator, out: Iterable[int]) -> DenseOperator:
@@ -302,22 +321,25 @@ def conditional_expectation(op: DenseOperator, out: Iterable[int]) -> DenseOpera
     return embed((1.0 / d_out) * reduced, op.layout)
 
 
-def _eigh_checked(op: DenseOperator) -> tuple[np.ndarray, np.ndarray]:
-    assert_hermitian(op)
-    return np.linalg.eigh(op.mat)
+def _eigh_checked(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    assert_hermitian(mat)
+    return np.linalg.eigh(mat)
 
 
 def hermitian_eig(op: DenseOperator) -> tuple[np.ndarray, DenseOperator]:
     """Eigendecomposition A = U diag(w) U† with eigenvalues ascending."""
-    w, v = _eigh_checked(op)
+    w, v = _eigh_checked(op.mat)
     return w, DenseOperator(op.layout, v)
+
+
+def _exp_h(mat: np.ndarray) -> np.ndarray:
+    w, v = _eigh_checked(mat)
+    return hermitize((v * np.exp(w)[..., None, :]) @ _dagger(v))
 
 
 def matrix_exp_h(op: DenseOperator) -> DenseOperator:
     """Matrix exponential of a Hermitian operator via eigendecomposition."""
-    w, v = _eigh_checked(op)
-    mat = (v * np.exp(w)) @ v.conj().T
-    return DenseOperator(op.layout, hermitize(mat))
+    return DenseOperator(op.layout, _exp_h(op.mat))
 
 
 def gibbs_state(ham: DenseOperator, beta: float) -> tuple[DenseOperator, float]:
@@ -326,10 +348,20 @@ def gibbs_state(ham: DenseOperator, beta: float) -> tuple[DenseOperator, float]:
     The Boltzmann weights are shifted by the smallest eigenvalue before
     exponentiating, so neither overflows.
     """
-    w, v = _eigh_checked(ham)
+    w, v = _eigh_checked(ham.mat)
     p = np.exp(-beta * (w - w[0]))
-    mat = (v * (p / p.sum())) @ v.conj().T
+    mat = (v * (p / p.sum())) @ _dagger(v)
     return DenseOperator(ham.layout, hermitize(mat)), float(np.log(p.sum()) - beta * w[0])
+
+
+def _log_pd(mat: np.ndarray, floor: float = LOG_EIG_FLOOR) -> np.ndarray:
+    w, v = _eigh_checked(mat)
+    lowest = w[..., 0].min()
+    if lowest <= floor:
+        raise SingularOperatorError(
+            f"eigenvalue {lowest} at or below floor {floor}", eigenvalue=float(lowest)
+        )
+    return hermitize((v * np.log(w)[..., None, :]) @ _dagger(v))
 
 
 def matrix_log_pd(op: DenseOperator, floor: float = LOG_EIG_FLOOR) -> DenseOperator:
@@ -339,31 +371,33 @@ def matrix_log_pd(op: DenseOperator, floor: float = LOG_EIG_FLOOR) -> DenseOpera
     ``floor``; clamping here would silently corrupt every downstream
     effective-Hamiltonian combination, so failing loudly is deliberate.
     """
-    w, v = _eigh_checked(op)
-    if w[0] <= floor:
-        raise SingularOperatorError(
-            f"eigenvalue {w[0]} at or below floor {floor}", eigenvalue=float(w[0])
-        )
-    mat = (v * np.log(w)) @ v.conj().T
-    return DenseOperator(op.layout, hermitize(mat))
+    return DenseOperator(op.layout, _log_pd(op.mat, floor))
 
 
-def _singular_values(op: DenseOperator) -> np.ndarray:
-    """Singular values, unordered; |eigenvalues| when ``op`` is Hermitian."""
-    if is_hermitian(op):
-        return np.abs(np.linalg.eigvalsh(op.mat))
-    return np.linalg.svd(op.mat, compute_uv=False)
+def _singular_values(mat: np.ndarray) -> np.ndarray:
+    """Singular values of each matrix, unordered; |eigenvalues| when every
+    matrix is Hermitian."""
+    if _hermitian(mat).all():
+        return np.abs(np.linalg.eigvalsh(mat))
+    return np.linalg.svd(mat, compute_uv=False)
+
+
+def _trace_norm(mat: np.ndarray) -> np.ndarray:
+    return _singular_values(mat).sum(axis=-1)
+
+
+def _op_norm(mat: np.ndarray) -> np.ndarray:
+    return _singular_values(mat).max(axis=-1, initial=0.0)
 
 
 def trace_norm(op: DenseOperator) -> float:
     """Sum of singular values (for Hermitian inputs, sum of |eigenvalues|)."""
-    return float(_singular_values(op).sum())
+    return float(_trace_norm(op.mat))
 
 
 def op_norm(op: DenseOperator) -> float:
     """Largest singular value (spectral norm)."""
-    s = _singular_values(op)
-    return float(s.max()) if s.size else 0.0
+    return float(_op_norm(op.mat))
 
 
 def as_rng(seed) -> np.random.Generator:
@@ -385,14 +419,18 @@ def random_density(seed, layout: SiteLayout) -> DenseOperator:
     rng = as_rng(seed)
     d = layout.dim
     g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    w = g @ g.conj().T
-    return DenseOperator(layout, w / np.trace(w).real)
+    return DenseOperator(layout, _density(g))
+
+
+def _density(g: np.ndarray) -> np.ndarray:
+    w = g @ _dagger(g)
+    return w / np.trace(w, axis1=-2, axis2=-1).real[..., None, None]
 
 
 def time_evolve(obs: DenseOperator, ham: DenseOperator, t: float) -> DenseOperator:
     """Heisenberg evolution exp(iHt) O exp(-iHt) of an observable."""
     if obs.layout != ham.layout:
         raise SiteMismatchError("observable and Hamiltonian layouts differ")
-    w, v = _eigh_checked(ham)
+    w, v = _eigh_checked(ham.mat)
     u = (v * np.exp(1j * w * t)) @ v.conj().T
     return DenseOperator(obs.layout, u @ obs.mat @ u.conj().T)

@@ -14,7 +14,24 @@ from functools import reduce
 import networkx as nx
 import numpy as np
 
-from qbp import circle_product, message_update
+from qbp import (
+    DenseOperator,
+    SiteLayout,
+    check_circle_eig_lower_bound,
+    check_circle_perturbation,
+    check_commutator_power,
+    check_exp_bound,
+    check_golden_thompson,
+    check_telescoping,
+    check_trace_norm_monotone,
+    check_weyl,
+    circle_product,
+    message_update,
+    op_norm,
+    random_density,
+    random_hermitian,
+)
+from qbp.inequalities import CHECK_NAMES
 
 
 def kron_all(mats):
@@ -173,3 +190,83 @@ def round_based_exact_bp(model, target):
         }
     belief = circle_product(*(msgs[(u, target)].op for u in adj[target]))
     return belief.mat / belief.trace().real
+
+
+def _random_layout(rng):
+    n_sites = int(rng.integers(2, 5))  # qubit dims 4..16
+    return SiteLayout(tuple(range(1, n_sites + 1)), (2,) * n_sites)
+
+
+def random_unitary(rng, layout):
+    """exp(iH) of a random Hermitian H, drawn like the suite draws it."""
+    h = random_hermitian(rng, layout)
+    w, u = np.linalg.eigh(h.mat)
+    return DenseOperator(layout, (u * np.exp(1j * w)) @ u.conj().T)
+
+
+def _looped_check(name, rng):
+    layout = _random_layout(rng)
+    if name == "golden_thompson":
+        return check_golden_thompson(
+            random_hermitian(rng, layout), random_hermitian(rng, layout)
+        )
+    if name == "weyl":
+        return check_weyl(random_hermitian(rng, layout), random_hermitian(rng, layout))
+    if name == "circle_eig_lower_bound":
+        return check_circle_eig_lower_bound(
+            random_density(rng, layout), random_density(rng, layout)
+        )
+    if name == "commutator_power":
+        n = int(rng.choice([1, 2, 3, 5]))
+        return check_commutator_power(
+            random_hermitian(rng, layout), random_hermitian(rng, layout), n
+        )
+    if name == "telescoping":
+        k = int(rng.choice([1, 2, 4]))
+        return check_telescoping(
+            random_unitary(rng, layout),
+            random_unitary(rng, layout),
+            random_hermitian(rng, layout),
+            k,
+        )
+    if name == "exp_bound":
+        return check_exp_bound(
+            random_hermitian(rng, layout), random_hermitian(rng, layout)
+        )
+    if name == "trace_norm_monotone":
+        sites = list(layout.sites)
+        size = int(rng.integers(1, len(sites)))
+        out = [sites[i] for i in rng.choice(len(sites), size=size, replace=False)]
+        return check_trace_norm_monotone(random_hermitian(rng, layout), out)
+    if name == "circle_perturbation":
+        eps_a = float(rng.choice([1e-3, 1e-1]))
+        eps_b = float(rng.choice([1e-3, 1e-1]))
+        h_a = random_hermitian(rng, layout)
+        h_b = random_hermitian(rng, layout)
+        scale = max(op_norm(h_a), op_norm(h_b))
+        return check_circle_perturbation(
+            (1.0 / scale) * h_a, (1.0 / scale) * h_b, eps_a, eps_b, rng
+        )
+    raise ValueError(f"unknown check {name!r}")
+
+
+def looped_suite(master_seed, instances):
+    """Reference for ``run_suite``: every instance drawn and checked on its
+    own through the public ``check_*`` functions, one at a time, as the suite
+    ran before it evaluated stacks.  Returns ``{name: (min_margin, failures)}``.
+
+    Like ``round_based_exact_bp`` it uses the package's own check arithmetic:
+    it checks the draw order and the stacking, not the inequalities, so the
+    two must agree bit for bit.
+    """
+    children = np.random.SeedSequence(master_seed).spawn(len(CHECK_NAMES))
+    out = {}
+    for name, child in zip(CHECK_NAMES, children):
+        rng = np.random.default_rng(child)
+        min_margin, failures = np.inf, 0
+        for _ in range(instances):
+            result = _looped_check(name, rng)
+            min_margin = min(min_margin, result.margin)
+            failures += 0 if result.passed else 1
+        out[name] = (float(min_margin), failures)
+    return out

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -53,6 +54,10 @@ class TestWindowSweep:
         manifest = json.loads((tmp_path / "out" / "run_manifest.json").read_text())
         assert manifest["command"] == "window-sweep"
         assert "config_sha256" in manifest
+        blas = manifest["blas"]
+        assert set(blas) == {"name", "version", "threads"}
+        assert blas["name"] == np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+        assert blas["threads"] is None or blas["threads"] >= 1
 
     def test_classical_errors_at_noise_floor(self, tmp_path):
         cfg = write_config(
@@ -219,10 +224,38 @@ class TestExitCodes:
         with pytest.raises(cli.ConfigError):
             cli.parse_config(json.loads(cfg.read_text()) | {"jobs": -3})
 
-    def test_worker_singular_error_exits_2_in_pool(self, tmp_path):
+    def test_worker_singular_error_exits_5_in_pool(self, tmp_path):
         # At beta = 60 the traced window has eigenvalues below double precision.
         cfg = write_config(tmp_path, beta_values=[60, 61], ell_values=[1])
-        assert run("window-sweep", cfg, tmp_path / "out", extra=["--jobs", "2"]) == 2
+        for jobs in ("1", "2"):
+            assert run("window-sweep", cfg, tmp_path / "out", extra=["--jobs", jobs]) == 5
+
+    @pytest.mark.parametrize("code,label", [
+        (0, None),
+        (2, "config error: "),
+        (3, "dimension cap exceeded: "),
+        (4, None),
+        (5, "numerical limit: "),
+    ])
+    def test_exit_code_table(self, tmp_path, monkeypatch, capsys, code, label):
+        command, overrides = "window-sweep", {}
+        if code == 2:
+            overrides = {"beta_values": []}
+        elif code == 3:
+            overrides = {"model": {"stock": {"kind": "chain", "n": 14, "factory": "tfim"}}}
+        elif code == 4:
+            from qbp.inequalities import SuiteSummary
+
+            command = "lemma-suite"
+            monkeypatch.setattr(
+                cli, "run_suite", lambda seed, n: {"weyl": SuiteSummary("weyl", n, -1.0, 1)}
+            )
+        elif code == 5:
+            overrides = {"beta_values": [60], "ell_values": [1]}
+        cfg = write_config(tmp_path, **overrides)
+        assert run(command, cfg, tmp_path / "out") == code
+        err = capsys.readouterr().err
+        assert err.startswith(label) if label else err == ""
 
     def test_missing_seed(self, tmp_path):
         cfg = write_config(tmp_path)
@@ -276,5 +309,9 @@ def test_console_entry_point(tmp_path):
          "--out", str(tmp_path / "out"), "--jobs", "1"],
         capture_output=True,
         text=True,
+        env={**os.environ, "OPENBLAS_NUM_THREADS": "1"},
     )
     assert proc.returncode == 0, proc.stderr
+    # The manifest reports the BLAS thread count the library itself sees.
+    manifest = json.loads((tmp_path / "out" / "run_manifest.json").read_text())
+    assert manifest["blas"]["threads"] in (1, None)

@@ -16,8 +16,17 @@ from qbp import (
     random_hermitian,
     run_suite,
 )
-from qbp.inequalities import CHECK_NAMES, _random_unitary
-from qbp.operators import PAULI_X, PAULI_Z
+from qbp.inequalities import (
+    CHECK_NAMES,
+    SUITE_BLOCK,
+    _commutator_power,
+    _exp_bound,
+    _golden_thompson,
+    _weyl,
+)
+from qbp.operators import PAULI_X, PAULI_Z, hermitize
+
+from oracles import looped_suite, random_unitary
 
 Q1 = SiteLayout((1,), (2,))
 Q12 = SiteLayout((1, 2), (2, 2))
@@ -90,7 +99,7 @@ class TestCommutatorPower:
 class TestTelescoping:
     def test_identity_u_both_sides_zero(self):
         rng = np.random.default_rng(5)
-        v = _random_unitary(rng, Q12)
+        v = random_unitary(rng, Q12)
         o = random_hermitian(rng, Q12)
         r = check_telescoping(DenseOperator.identity(Q12), v, o, 3)
         assert r.lhs == pytest.approx(0.0, abs=1e-12)
@@ -98,7 +107,7 @@ class TestTelescoping:
 
     def test_single_step_equality(self):
         rng = np.random.default_rng(6)
-        u, v = _random_unitary(rng, Q12), _random_unitary(rng, Q12)
+        u, v = random_unitary(rng, Q12), random_unitary(rng, Q12)
         o = random_hermitian(rng, Q12)
         r = check_telescoping(u, v, o, 1)
         assert abs(r.margin) < 1e-10
@@ -107,7 +116,7 @@ class TestTelescoping:
         rng = np.random.default_rng(7)
         with pytest.raises(ValueError):
             check_telescoping(
-                random_hermitian(rng, Q12), _random_unitary(rng, Q12),
+                random_hermitian(rng, Q12), random_unitary(rng, Q12),
                 random_hermitian(rng, Q12), 2,
             )
 
@@ -169,3 +178,33 @@ class TestSuite:
     def test_json_shape(self):
         s = run_suite(master_seed=1, instances=5)["weyl"].as_json()
         assert set(s) == {"count", "min_margin", "failures"}
+
+
+@pytest.mark.parametrize("instances", [1, 7, 200])
+@pytest.mark.parametrize("seed", [1, 3, 42, 123])
+def test_stacked_suite_equals_looped(monkeypatch, seed, instances):
+    """Stacked evaluation reproduces one-at-a-time evaluation bit for bit,
+    with every instance in one block and spread over several."""
+    expected = looped_suite(seed, instances)
+    for block in (SUITE_BLOCK, 64):
+        monkeypatch.setattr("qbp.inequalities.SUITE_BLOCK", block)
+        got = run_suite(seed, instances)
+        assert {name: (s.min_margin, s.failures) for name, s in got.items()} == expected
+
+
+@pytest.mark.parametrize("kernel,check,params", [
+    (_golden_thompson, check_golden_thompson, ()),
+    (_weyl, check_weyl, ()),
+    (_commutator_power, check_commutator_power, (5,)),
+    (_exp_bound, check_exp_bound, ()),
+], ids=["golden_thompson", "weyl", "commutator_power", "exp_bound"])
+def test_kernel_on_stack_equals_each_instance(kernel, check, params):
+    """Both sides of every instance, not only the smallest margin, match the
+    one-instance check: numpy's vectorised power, for one, rounds some x ** 4
+    differently from the C library's pow that a single instance uses."""
+    rng = np.random.default_rng(11)
+    a, b = hermitize(rng.standard_normal((2, 200, 4, 4)) + 1j * rng.standard_normal((2, 200, 4, 4)))
+    lhs, rhs = kernel(a, b, *params)
+    for i in range(len(a)):
+        single = check(DenseOperator(Q12, a[i]), DenseOperator(Q12, b[i]), *params)
+        assert (lhs[i], rhs[i]) == (single.lhs, single.rhs)

@@ -26,7 +26,16 @@ from qbp import (
     random_hermitian,
     trace_norm,
 )
-from qbp.operators import _eigh_checked
+from qbp.operators import (
+    _density,
+    _eigh_checked,
+    _exp_h,
+    _log_pd,
+    _op_norm,
+    _partial_trace,
+    _trace_norm,
+    hermitize,
+)
 
 from oracles import embed_by_indices, partial_trace_by_sum
 
@@ -286,7 +295,7 @@ class TestRealFastPath:
         g = np.random.default_rng(5).standard_normal((8, 8))
         op = DenseOperator(Q123, g + g.T)
         assert op.mat.dtype == np.float64
-        w, v = _eigh_checked(op)
+        w, v = _eigh_checked(op.mat)
         assert v.dtype == np.float64
         wc, vc = np.linalg.eigh(op.mat.astype(np.complex128))
         assert np.abs(w - wc).max() < 1e-12
@@ -344,3 +353,35 @@ class TestNormsAgainstSvd:
         s = np.linalg.svd(mat, compute_uv=False)
         assert trace_norm(op) == pytest.approx(s.sum(), rel=1e-12)
         assert op_norm(op) == pytest.approx(s[0], rel=1e-12)
+
+
+class TestStacks:
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+    def test_stacked_helpers_equal_per_matrix(self, dtype):
+        rng = np.random.default_rng(8)
+        g = rng.standard_normal((6, 8, 8)).astype(dtype)
+        if dtype == np.complex128:
+            g += 1j * rng.standard_normal((6, 8, 8))
+        herm, dens = hermitize(g), _density(g)
+        helpers = [
+            (_exp_h, herm),
+            (_log_pd, dens),
+            (lambda m: _partial_trace(m, Q123, frozenset({2}))[1], herm),
+            (_trace_norm, herm),
+            (_op_norm, g),
+        ]
+        for fn, stack in helpers:
+            got = fn(stack)
+            for i in range(len(stack)):
+                assert np.array_equal(got[i], fn(stack[i]))
+
+    def test_stacked_log_floor_names_lowest_eigenvalue(self):
+        stack = np.stack([np.eye(2), np.diag([1.0, -1e-3]), np.diag([1.0, -2.0])])
+        with pytest.raises(SingularOperatorError) as info:
+            _log_pd(stack)
+        assert info.value.eigenvalue == -2.0
+
+    def test_stacked_hermiticity_guard_sees_every_matrix(self):
+        stack = np.stack([np.eye(2), np.array([[0.0, 1.0], [0.0, 0.0]])])
+        with pytest.raises(NonHermitianError):
+            _exp_h(stack)

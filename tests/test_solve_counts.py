@@ -7,7 +7,9 @@ one for the widest window and one for the widest radius ball; anything more
 is a repeat.  A deficiency table needs the entropy of the whole state once,
 however many subsets it lists.  A belief is one shifted exponential of summed
 effective Hamiltonians, so a sliding-window step solves once at the window
-dimension and a single-step surrogate once at the reduced dimension.
+dimension and a single-step surrogate once at the reduced dimension.  The
+lemma suite decomposes each stack of like instances in one call, so its solve
+count does not grow with the number of instances.
 """
 
 from collections import Counter
@@ -20,10 +22,12 @@ from qbp import (
     deficiency_rows,
     random_two_local,
     run_sliding_window,
+    run_suite,
     single_step_experiment,
     transverse_ising,
     window_error_sweep,
 )
+from qbp.inequalities import SUITE_BLOCK
 
 FULL_DIM_SOLVES = 3
 
@@ -70,3 +74,15 @@ def test_single_step_solves_once_per_radius_at_reduced_dimension(solves):
     reduced = m.layout.dim // 2
     assert solves["eigh", reduced] <= 5  # one surrogate per radius, one ball
     assert solves["eigvalsh", reduced] == 8  # two trace norms per radius
+
+
+def test_lemma_suite_solves_once_per_bucket(solves):
+    # At seed 3 the first 100 instances of every check already populate each
+    # (dimension, parameter) bucket that 400 instances do, so equal counts
+    # mean no solve is made per instance.
+    assert SUITE_BLOCK >= 400
+    run_suite(3, 100)
+    small = sum(n for key, n in solves.items() if isinstance(key, tuple))
+    solves.clear()
+    run_suite(3, 400)
+    assert sum(n for key, n in solves.items() if isinstance(key, tuple)) == small
