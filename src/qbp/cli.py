@@ -319,8 +319,9 @@ def _markov_point(args) -> tuple[list[list], list[dict]]:
     cfg, _, beta = args
     model = build_model(cfg, beta)
     csv_rows, json_rows = [], []
+    entropies: dict = {}
     for ell in cfg.ell_values:
-        for row in deficiency_rows(model, ell):
+        for row in deficiency_rows(model, ell, entropies=entropies):
             csv_rows.append(
                 [
                     cfg.model_id,

@@ -37,7 +37,6 @@ from .operators import (
     DenseOperator,
     LOG_EIG_FLOOR,
     PAULI_Z,
-    conditional_expectation,
     embed,
     gibbs_state,
     matrix_log_pd,
@@ -119,6 +118,10 @@ def cumulants(
     distance j; because the conditional average is the identity once no site
     remains beyond j, the shells sum back to ``op`` exactly.  Distances are
     measured in the model graph, so ``op`` may live on a reduced layout.
+
+    Each shell's norm is taken on its own support, before the shell is
+    embedded, since ||A (x) I|| = ||A||; only the last shell and the
+    telescoping residual are solved at ``op``'s full dimension.
     """
     anchor = frozenset(anchor)
     dm = distance_map(model, anchor)
@@ -133,10 +136,12 @@ def cumulants(
     while True:
         far = [s for s in sites if dm[s] > j]
         if not far:
-            shell = remainder
+            shell, norm = remainder, op_norm(remainder)
         else:
-            shell = conditional_expectation(remainder, far)
-        entries.append(CumulantEntry(j, shell, op_norm(shell)))
+            reduced = partial_trace(remainder, far)
+            local = (1.0 / (op.dim // reduced.dim)) * reduced
+            shell, norm = embed(local, op.layout), op_norm(local)
+        entries.append(CumulantEntry(j, shell, norm))
         total = total + shell
         if not far:
             break
@@ -328,10 +333,14 @@ def single_step_experiment(
 
     away = edge_hamiltonian(model, parts.outer + parts.buffer, reduced_layout)
     # The inner terms live in the radius ball, so exp(-beta H_inner) on the
-    # full layout is the ball's exponential tensored with identity.
-    ball_layout = model.layout.subset(neighborhood(model, {leaf}, radius))
-    h_inner = edge_hamiltonian(model, parts.inner, ball_layout)
-    near_ball, log_t = gibbs_state(h_inner, beta)
+    # full layout is the ball's exponential tensored with identity.  A ball
+    # holding every edge has the model's own thermal state.
+    if parts.buffer or parts.outer:
+        ball_layout = model.layout.subset(neighborhood(model, {leaf}, radius))
+        h_inner = edge_hamiltonian(model, parts.inner, ball_layout)
+        near_ball, log_t = gibbs_state(h_inner, beta)
+    else:
+        near_ball, log_t = thermal_state(model), log_partition_function(model)
     # near = Tr_leaf exp(-beta H_inner) is t times this unit-trace operator,
     # so the floor scales by 1/t and the same eigenvalues fall below it.
     near = partial_trace(near_ball, {leaf})

@@ -25,6 +25,7 @@ from .models import EdgeTerm, GraphModel, ModelError, distance_map, edge_hamilto
 from .operators import (
     DenseOperator,
     SiteMismatchError,
+    _dagger,
     embed,
     hermitize,
     matrix_exp_h,
@@ -35,6 +36,11 @@ from .operators import (
 #: Below this value of |beta * omega| the frequency profile switches to its
 #: two-term Taylor series to dodge the 0/0 cancellation.
 SMALL_FREQ = 1e-8
+
+#: Matrix entries per stack of midpoint steps in ``hastings_operator``.  A
+#: matrix at d >= 256 fills it alone, so large layouts still go one step at a
+#: time and need no more memory than a step-by-step loop.
+STACK_ENTRIES = 2**16
 
 
 @dataclass(frozen=True)
@@ -88,10 +94,11 @@ def filter_time(t, beta: float):
 
 
 def _filtered(h_mat: np.ndarray, v_mat: np.ndarray, beta: float) -> np.ndarray:
+    """V filtered in the eigenbasis of H, for one H or a stack of them."""
     w, u = np.linalg.eigh(hermitize(h_mat))
-    v_tilde = u.conj().T @ v_mat @ u
-    gaps = w[:, None] - w[None, :]
-    return hermitize(u @ (filter_hat(gaps, beta) * v_tilde) @ u.conj().T)
+    v_tilde = _dagger(u) @ v_mat @ u
+    gaps = w[..., :, None] - w[..., None, :]
+    return hermitize(u @ (filter_hat(gaps, beta) * v_tilde) @ _dagger(u))
 
 
 def _embedded_pair(
@@ -122,19 +129,23 @@ def hastings_operator(
     Discretizes the interpolation H(s) = H + sV at midpoints s_k = (k - 1/2)/n
     and left-multiplies the factors exp(-(beta / 2n) * filtered(H(s_k), V)),
     largest s outermost.  Satisfies ||O|| <= exp(beta ||V|| / 2) for every
-    resolution, since each factor's exponent is bounded by ||V|| / 2n.
+    resolution, since each factor's exponent is bounded by ||V|| / 2n.  The
+    factors do not depend on the running product, so the steps are
+    decomposed in stacks of at most ``STACK_ENTRIES`` matrix entries.
     """
     if s_steps < 1:
         raise ValueError(f"s_steps must be >= 1, got {s_steps}")
     h, v = _embedded_pair(h, v)
     result = np.eye(h.dim)
     step = -beta / (2.0 * s_steps)
-    for k in range(1, s_steps + 1):
+    chunk = max(1, STACK_ENTRIES // h.dim**2)
+    for first in range(1, s_steps + 1, chunk):
+        k = np.arange(first, min(first + chunk, s_steps + 1))
         s = (k - 0.5) / s_steps
-        phi = _filtered(h.mat + s * v.mat, v.mat, beta)
+        phi = _filtered(h.mat + s[:, None, None] * v.mat, v.mat, beta)
         w, u = np.linalg.eigh(phi)
-        factor = (u * np.exp(step * w)) @ u.conj().T
-        result = factor @ result
+        for factor in (u * np.exp(step * w)[..., None, :]) @ _dagger(u):
+            result = factor @ result
     return DenseOperator(h.layout, result)
 
 

@@ -56,18 +56,23 @@ def cmi(rho: DenseOperator, split: TripartiteSplit) -> float:
         raise ValueError(
             f"split {sorted(support)} does not cover support {rho.layout.sites}"
         )
-    return _cmi(rho, split, von_neumann_entropy(rho))
+    return _cmi(rho, split, {})
 
 
-def _cmi(rho: DenseOperator, split: TripartiteSplit, s_abc: float) -> float:
-    """``cmi`` of a split known to cover ``rho``, given S(ABC) = S(rho)."""
-    s_ab = von_neumann_entropy(partial_trace(rho, split.c))
-    s_bc = von_neumann_entropy(partial_trace(rho, split.a))
-    if split.b:
-        s_b = von_neumann_entropy(partial_trace(rho, split.a | split.c))
-    else:
-        s_b = 0.0
-    return s_ab + s_bc - s_abc - s_b
+def _cmi(rho: DenseOperator, split: TripartiteSplit, entropies: dict) -> float:
+    """``cmi`` of a split known to cover ``rho``.
+
+    ``entropies`` memoizes the entropy of ``rho`` with each traced-site set
+    removed, keyed by that set; calls on the same state may share it.
+    """
+
+    def entropy(traced: frozenset[int]) -> float:
+        if traced not in entropies:
+            entropies[traced] = von_neumann_entropy(partial_trace(rho, traced))
+        return entropies[traced]
+
+    s_b = entropy(split.a | split.c) if split.b else 0.0
+    return entropy(split.c) + entropy(split.a) - entropy(frozenset()) - s_b
 
 
 def _clamp(value: float) -> float:
@@ -151,14 +156,18 @@ def deficiency_rows(
     radius: int = 1,
     max_subset_size: int = 2,
     state: DenseOperator | None = None,
+    entropies: dict | None = None,
 ) -> list[DeficiencyRow]:
     """Deficiencies of every connected subset up to the size cap.
 
     The cap (default 2) keeps the enumeration polynomial; message-passing
-    analysis only ever conditions on small subsets.
+    analysis only ever conditions on small subsets.  ``entropies`` memoizes
+    the state's reduced entropies by traced-site set: pass one dict to every
+    call on the same state, and each entropy is computed once.
     """
     state = state if state is not None else thermal_state(model)
-    return _deficiency_rows(state, adjacency(model), radius, max_subset_size)
+    entropies = {} if entropies is None else entropies
+    return _deficiency_rows(state, adjacency(model), radius, max_subset_size, entropies)
 
 
 def _deficiency_rows(
@@ -166,20 +175,19 @@ def _deficiency_rows(
     adj: Mapping[int, Iterable[int]],
     radius: int,
     max_size: int,
+    entropies: dict,
 ) -> list[DeficiencyRow]:
     """Deficiencies of ``state`` over the graph ``adj`` for every connected
-    proper subset up to ``max_size``; the whole state's entropy, shared by
-    every subset, is computed once."""
+    proper subset up to ``max_size``, memoizing entropies in ``entropies``."""
     if radius < 1:
         raise ModelError(f"radius must be >= 1, got {radius}")
     vertices = frozenset(state.layout.sites)
-    s_abc = von_neumann_entropy(state)
     rows = []
     for subset in connected_subsets(adj, max_size):
         if len(subset) >= len(adj):
             continue
         split = _blanket_split(vertices, adj, frozenset(subset), radius)
-        value = 0.0 if split is None else _clamp(_cmi(state, split, s_abc))
+        value = 0.0 if split is None else _clamp(_cmi(state, split, entropies))
         rows.append(DeficiencyRow(subset, radius, value, split is None))
     return rows
 
@@ -222,5 +230,6 @@ def leaf_trace_preserves_markov(
             for v, ws in adjacency(model).items()
             if v != leaf
         }
-        after = tuple(_deficiency_rows(partial_trace(state, {leaf}), adj, 1, max_subset_size))
+        reduced = partial_trace(state, {leaf})
+        after = tuple(_deficiency_rows(reduced, adj, 1, max_subset_size, {}))
     return LeafTraceReport(leaf, tol, max_subset_size, input_markov, before, after)

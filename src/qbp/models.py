@@ -26,8 +26,8 @@ from .operators import (
     DenseOperator,
     OperatorError,
     SiteLayout,
+    _add_embedded,
     assert_hermitian,
-    embed,
     gibbs_state,
     hermitize,
     partial_trace,
@@ -257,14 +257,18 @@ def edge_hamiltonian(
     edges: Iterable[EdgeTerm] | None = None,
     layout: SiteLayout | None = None,
 ) -> DenseOperator:
-    """Sum of the given edge terms embedded on ``layout`` (default: full)."""
+    """Sum of the given edge terms embedded on ``layout`` (default: full).
+
+    Each term is added in place into one zeroed tensor, touching only the
+    entries where the identity on the other sites is nonzero.
+    """
     layout = layout if layout is not None else model.layout
     edges = model.edges if edges is None else tuple(edges)
     dtype = np.result_type(np.float64, *{e.term.mat.dtype for e in edges})
-    total = np.zeros((layout.dim, layout.dim), dtype=dtype)
+    total = np.zeros(layout.dims + layout.dims, dtype=dtype)
     for e in edges:
-        total += embed(e.term, layout).mat
-    return DenseOperator(layout, total)
+        _add_embedded(total, e.term, layout)
+    return DenseOperator(layout, total.reshape(layout.dim, layout.dim))
 
 
 def hamiltonian(model: GraphModel) -> DenseOperator:

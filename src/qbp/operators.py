@@ -253,21 +253,37 @@ def embed(op: DenseOperator, full: SiteLayout) -> DenseOperator:
     The result lives on ``full`` with axes permuted into the canonical
     ascending site order; the trace scales by the complement dimension.
     """
+    if op.layout == full:
+        return DenseOperator(full, op.mat)
+    tensor = np.zeros(full.dims + full.dims, dtype=op.mat.dtype)
+    _add_embedded(tensor, op, full)
+    return DenseOperator(full, tensor.reshape(full.dim, full.dim))
+
+
+def _add_embedded(tensor: np.ndarray, op: DenseOperator, full: SiteLayout) -> None:
+    """Add ``op`` tensored with identity into ``tensor``, shape
+    ``full.dims + full.dims``, in place.
+
+    The identity is nonzero only where each complement site's row and column
+    indices agree, so ``op`` is added through a strided view of exactly those
+    entries: one axis per support row, one per support column, and one
+    diagonal axis per complement site.  Every other entry is left untouched.
+    """
     for s, d in zip(op.layout.sites, op.layout.dims):
         if full.dim_of(s) != d:  # raises SiteMismatchError on unknown site
             raise SiteMismatchError(f"site {s} has dimension {full.dim_of(s)} != {d}")
-    if op.layout.sites == full.sites:
-        return DenseOperator(full, op.mat)
-    rest = [s for s in full.sites if s not in op.layout.sites]
-    rest_dim = prod(full.dim_of(s) for s in rest)
-    big = np.kron(op.mat, np.eye(rest_dim))
-    cur_sites = op.layout.sites + tuple(rest)
-    cur_dims = tuple(full.dim_of(s) for s in cur_sites)
-    n = len(cur_sites)
-    perm = [cur_sites.index(s) for s in full.sites]
-    tensor = big.reshape(cur_dims + cur_dims)
-    tensor = tensor.transpose(perm + [n + p for p in perm])
-    return DenseOperator(full, tensor.reshape(full.dim, full.dim))
+    axes = [full.axis_of(s) for s in op.layout.sites]
+    rest = [i for i in range(len(full.sites)) if i not in axes]
+    n, shape, strides = len(full.sites), tensor.shape, tensor.strides
+    view = np.lib.stride_tricks.as_strided(
+        tensor,
+        shape=[shape[i] for i in axes + axes] + [shape[i] for i in rest],
+        strides=[strides[i] for i in axes]
+        + [strides[n + i] for i in axes]
+        + [strides[i] + strides[n + i] for i in rest],
+        writeable=True,
+    )
+    view += op.mat.reshape(op.layout.dims + op.layout.dims + (1,) * len(rest))
 
 
 def partial_trace(op: DenseOperator, traced: Iterable[int]) -> DenseOperator:

@@ -146,20 +146,22 @@ def run_sliding_window(model: GraphModel, target: int, window: int) -> DenseOper
     Starts from the Gibbs state of the summed Hamiltonian of the first
     ``window`` edges, then alternates tracing the lowest site with absorbing
     the next edge term, exp(-beta h_j + log window) / Z, keeping at most
-    ``window + 1`` sites alive.  ``window = n_sites - 1`` reproduces the
-    exact reduced state.
+    ``window + 1`` sites alive.  ``window = n_sites - 1`` spans the whole
+    chain, so it is the exact reduced state, read off the model's own
+    thermal state.
     """
     order = chain_order(model, target)
     n = len(order)
     if not 1 <= window <= n - 1:
         raise ModelError(f"window must be in [1, {n - 1}], got {window}")
+    if window == n - 1:
+        return exact_reduced_density(model, {target})
     seq_edges = [model.edge((order[i], order[i + 1])) for i in range(n - 1)]
-    w = min(window, n - 1)
-    init_layout = model.layout.subset(order[: w + 1])
-    block = edge_hamiltonian(model, seq_edges[:w], init_layout)
+    init_layout = model.layout.subset(order[: window + 1])
+    block = edge_hamiltonian(model, seq_edges[:window], init_layout)
     current, _ = gibbs_state(block, model.beta)
-    for j in range(w, n - 1):
-        traced = partial_trace(current, {order[j - w]})
+    for j in range(window, n - 1):
+        traced = partial_trace(current, {order[j - window]})
         k = _sum_on_union(model.beta * seq_edges[j].term, -matrix_log_pd(traced))
         current, _ = gibbs_state(k, 1.0)
     return partial_trace(current, set(current.sites) - {target})

@@ -75,6 +75,36 @@ def embed_by_indices(op_mat, op_sites, full_sites, dims):
     return out
 
 
+def kron_embed(op_mat, op_sites, full_sites, dims):
+    """Kronecker embedding oracle: ``op (x) I`` on the remaining sites, legs
+    transposed into ``full_sites`` order, added onto zeros.
+
+    ``full_sites`` must be ascending.  The addition onto zeros makes every
+    zero entry +0.0 (the Kronecker product gives -0.0 where a negative entry
+    meets an identity zero), so results can be compared byte for byte.
+    """
+    rest = [s for s in full_sites if s not in op_sites]
+    cur = list(op_sites) + rest
+    cur_dims = [dims[s] for s in cur]
+    big = np.kron(op_mat, np.eye(int(np.prod([dims[s] for s in rest]))))
+    perm = [cur.index(s) for s in full_sites]
+    n = len(cur)
+    tensor = big.reshape(cur_dims * 2).transpose(perm + [n + p for p in perm])
+    total = big.shape[0]
+    return np.zeros((total, total), dtype=big.dtype) + tensor.reshape(total, total)
+
+
+def kron_hamiltonian(terms, full_sites, dims):
+    """Sum of ``(op_mat, op_sites)`` terms, each Kronecker-embedded, added
+    in the given order onto zeros of the promoted dtype."""
+    total = int(np.prod([dims[s] for s in full_sites]))
+    dtype = np.result_type(np.float64, *(mat.dtype for mat, _ in terms))
+    out = np.zeros((total, total), dtype=dtype)
+    for mat, sites in terms:
+        out += kron_embed(mat, sites, full_sites, dims)
+    return out
+
+
 def partial_trace_by_sum(mat, dims, traced_axes):
     """Explicit double-index-summation partial trace oracle."""
     n = len(dims)

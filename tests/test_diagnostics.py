@@ -125,6 +125,12 @@ class TestCumulants:
                 )
                 assert leaked <= 1e-12
 
+    def test_shell_norms_match_the_embedded_shells(self):
+        m = build_chain(6, 2, transverse_ising(), beta=1.0)
+        for op in (thermal_potential(m, {1}), random_hermitian(4, m.layout)):
+            for entry in cumulants(op, m, {1}).entries:
+                assert entry.norm == pytest.approx(op_norm(entry.op), rel=1e-12)
+
     def test_classical_potential_dies_after_first_shell(self):
         m = build_chain(5, 2, classical_ising(1.0), beta=1.0)
         series = cumulants(thermal_potential(m, {1}), m, {1})

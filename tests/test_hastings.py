@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy import integrate, linalg, special
 
+from qbp import hastings
 from qbp import (
     DenseOperator,
     FilterSpec,
@@ -20,6 +21,7 @@ from qbp import (
     transverse_ising,
     truncated_hastings,
 )
+from qbp.hastings import STACK_ENTRIES, _filtered
 
 Q12 = SiteLayout((1, 2), (2, 2))
 
@@ -202,6 +204,27 @@ class TestOrderedExponential:
             r64 = conjugation_residual(h, v, 1.0, hastings_operator(h, v, 1.0, 64))
             r128 = conjugation_residual(h, v, 1.0, hastings_operator(h, v, 1.0, 128))
             assert r128 <= 0.5 * r64
+
+
+class TestStackedSteps:
+    @staticmethod
+    def step_by_step(h, v, beta, s_steps):
+        result = np.eye(h.dim)
+        for k in range(1, s_steps + 1):
+            s = (k - 0.5) / s_steps
+            phi = _filtered(h.mat + s * v.mat, v.mat, beta)
+            w, u = np.linalg.eigh(phi)
+            result = ((u * np.exp(-beta / (2.0 * s_steps) * w)) @ u.conj().T) @ result
+        return result
+
+    @pytest.mark.parametrize("stack_entries", [STACK_ENTRIES, 3 * 16, 1])
+    def test_bit_equal_to_one_step_at_a_time(self, stack_entries, monkeypatch):
+        monkeypatch.setattr(hastings, "STACK_ENTRIES", stack_entries)
+        h = random_hermitian(7, Q12)
+        v = random_hermitian(8, Q12)
+        for s_steps in (1, 7, 64):
+            got = hastings_operator(h, v, 1.5, s_steps).mat
+            assert got.tobytes() == self.step_by_step(h, v, 1.5, s_steps).tobytes()
 
 
 class TestConjugationResidual:

@@ -35,7 +35,7 @@ from qbp import (
 
 from qbp.models import log_partition_function, matrix_from_json, partition_function
 
-from oracles import kron_all, nx_distance, partial_trace_by_sum
+from oracles import kron_all, kron_hamiltonian, nx_distance, partial_trace_by_sum
 
 
 def commutator_norm(a, b):
@@ -98,6 +98,39 @@ class TestBuilders:
         for ea, eb in zip(a.edges, b.edges):
             assert np.array_equal(ea.term.mat, eb.term.mat)
             assert op_norm(ea.term) == pytest.approx(0.7)
+
+
+class TestEdgeHamiltonian:
+    # Edges (1, 3) and (2, 4) join sites that are not neighbours in the
+    # ascending layout; the second model mixes real and complex terms and
+    # a qutrit.
+    MODELS = {
+        "real": ({1: 2, 2: 2, 3: 2, 4: 2, 5: 2}, [transverse_ising(1.0, 0.7)] * 4),
+        "mixed": (
+            {1: 2, 2: 3, 3: 2, 4: 2, 5: 2},
+            [transverse_ising(1.0, 0.7), random_two_local(seed=5),
+             random_two_local(seed=6), heisenberg(0.5)],
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(MODELS))
+    def test_byte_equal_to_kron_reference(self, name):
+        dims, factories = self.MODELS[name]
+        pairs = [(1, 3), (3, 2), (2, 4), (4, 5)]
+        m = build_tree(dims, [(u, v, f) for (u, v), f in zip(pairs, factories)], beta=1.0)
+        cases = [
+            (m.edges, m.layout),
+            (m.edges[1:3], m.layout.subset({2, 3, 4})),
+            (m.edges[::-1], m.layout.subset({1, 2, 3, 4, 5})),
+            (m.edges[:1], m.layout.subset({1, 3, 4})),
+        ]
+        for edges, layout in cases:
+            got = edge_hamiltonian(m, edges, layout).mat
+            want = kron_hamiltonian(
+                [(e.term.mat, e.term.sites) for e in edges], layout.sites, dims
+            )
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
 
 
 class TestThermalState:

@@ -37,7 +37,7 @@ from qbp.operators import (
     hermitize,
 )
 
-from oracles import embed_by_indices, partial_trace_by_sum
+from oracles import embed_by_indices, kron_embed, partial_trace_by_sum
 
 Q1 = SiteLayout((1,), (2,))
 Q12 = SiteLayout((1, 2), (2, 2))
@@ -86,6 +86,21 @@ class TestEmbed:
         got = embed(op, full).mat
         want = embed_by_indices(op.mat, lay_op.sites, full.sites, dims)
         assert np.allclose(got, want, atol=1e-13)
+
+    @pytest.mark.parametrize("is_complex", [False, True])
+    def test_byte_equal_to_kron_reference(self, is_complex):
+        rng = np.random.default_rng(11)
+        dims = {1: 2, 2: 3, 4: 2, 7: 2, 9: 3}
+        full = SiteLayout(tuple(dims), tuple(dims.values()))
+        for sites in [(2,), (1, 7), (2, 9), (1, 4, 9), (4, 7, 9), (1, 2, 4, 7)]:
+            lay = full.subset(sites)
+            mat = rng.standard_normal((lay.dim, lay.dim))
+            if is_complex:
+                mat = mat + 1j * rng.standard_normal((lay.dim, lay.dim))
+            got = embed(DenseOperator(lay, mat), full).mat
+            want = kron_embed(mat, lay.sites, full.sites, dims)
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
 
     def test_round_trip_with_partial_trace(self):
         rng = np.random.default_rng(5)

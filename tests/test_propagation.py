@@ -224,6 +224,13 @@ class TestSlidingWindow:
         belief = run_sliding_window(m, 6, 5)
         assert trace_norm(belief - exact_reduced_density(m, {6})) <= 1e-9
 
+    @pytest.mark.parametrize("name", sorted(FACTORIES))
+    def test_full_window_is_the_exact_state_at_both_endpoints(self, name):
+        m = build_chain(6, 2, FACTORIES[name], beta=1.0)
+        for target in (1, 6):
+            belief = run_sliding_window(m, target, 5)
+            assert belief.mat.tobytes() == exact_reduced_density(m, {target}).mat.tobytes()
+
     def test_window_one_classical_equals_exact_propagation(self):
         m = build_chain(6, 2, classical_ising(1.0), beta=1.0)
         sw = run_sliding_window(m, 6, 1)

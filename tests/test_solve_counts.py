@@ -2,14 +2,17 @@
 
 Every ``numpy.linalg`` decomposition is counted by matrix dimension, and by
 routine and dimension.  When the window sweep and the single-step experiment
-run on one model, the full dimension needs one solve for the thermal state,
-one for the widest window and one for the widest radius ball; anything more
-is a repeat.  A deficiency table needs the entropy of the whole state once,
-however many subsets it lists.  A belief is one shifted exponential of summed
-effective Hamiltonians, so a sliding-window step solves once at the window
-dimension and a single-step surrogate once at the reduced dimension.  The
-lemma suite decomposes each stack of like instances in one call, so its solve
-count does not grow with the number of instances.
+run on one model, the full dimension is solved once, for the thermal state:
+the widest window and the radius ball that holds every edge reuse it.  The
+cumulants of an operator take each shell's norm on the shell's own support,
+so only the last shell and the telescoping residual are solved at the
+operator's dimension.  A deficiency table computes each reduced entropy once,
+however many subsets and radii share it.  A belief is one shifted exponential
+of summed effective Hamiltonians, so a sliding-window step solves once at the
+window dimension and a single-step surrogate once at the reduced dimension.
+The lemma suite decomposes each stack of like instances in one call, so its
+solve count does not grow with the number of instances, and the ordered
+exponential decomposes all its midpoint steps in two stacked calls.
 """
 
 from collections import Counter
@@ -18,18 +21,24 @@ import numpy as np
 import pytest
 
 from qbp import (
+    SiteLayout,
     build_chain,
+    cumulants,
     deficiency_rows,
+    hastings_operator,
+    random_hermitian,
     random_two_local,
     run_sliding_window,
     run_suite,
     single_step_experiment,
+    thermal_potential,
+    thermal_state,
     transverse_ising,
     window_error_sweep,
 )
 from qbp.inequalities import SUITE_BLOCK
 
-FULL_DIM_SOLVES = 3
+FULL_DIM_SOLVES = 1
 
 
 @pytest.fixture
@@ -59,6 +68,48 @@ def test_deficiency_table_solves_whole_state_entropy_once(solves):
     m = build_chain(6, 2, random_two_local(seed=3), beta=1.0)
     deficiency_rows(m)
     assert solves["eigvalsh", m.layout.dim] == 1
+
+
+def test_deficiency_table_solves_each_reduced_entropy_once(solves):
+    n = 6
+    m = build_chain(n, 2, random_two_local(seed=3), beta=1.0)
+    state = thermal_state(m)
+    solves.clear()
+    entropies: dict = {}
+    for radius in (1, 2):
+        deficiency_rows(m, radius, state=state, entropies=entropies)
+    # Each nondegenerate split (U, blanket, rest) of the chain needs the
+    # entropies with rest, U and U + rest traced out, and the whole state's.
+    traced = {frozenset()}
+    sites = range(1, n + 1)
+    subsets = [{v} for v in sites] + [{v, v + 1} for v in range(1, n)]
+    for radius in (1, 2):
+        for u in subsets:
+            rest = {s for s in sites if min(abs(s - x) for x in u) > radius}
+            if rest:
+                traced |= {frozenset(rest), frozenset(u), frozenset(u | rest)}
+    assert set(entropies) == traced
+    assert sum(solves[key] for key in solves if isinstance(key, tuple)) == len(traced)
+    assert solves["eigvalsh", m.layout.dim] == 1
+
+
+def test_cumulants_solve_only_last_shell_and_residual_at_full_dimension(solves):
+    m = build_chain(6, 2, transverse_ising(1.0, 1.0), beta=1.0)
+    potential = thermal_potential(m, {1})
+    solves.clear()
+    series = cumulants(potential, m, {1})
+    assert len(series.entries) == 5
+    assert solves[potential.dim] == 2
+
+
+def test_hastings_operator_decomposes_all_steps_in_two_calls(solves):
+    layout = SiteLayout((1, 2), (2, 2))
+    h, v = random_hermitian(1, layout), random_hermitian(2, layout)
+    for beta in (0.5, 2.0):
+        for s_steps in (1, 64, 1024):
+            solves.clear()
+            hastings_operator(h, v, beta, s_steps)
+            assert solves["eigh", layout.dim] == 2
 
 
 def test_sliding_window_solves_once_per_step(solves):
