@@ -20,7 +20,6 @@ from .operators import (
     SiteMismatchError,
     conditional_expectation,
     embed,
-    hermitian_eig,
     matrix_exp_h,
     matrix_log_pd,
     op_norm,

@@ -348,9 +348,12 @@ def single_step_experiment(
     surrogate, log_s = gibbs_state(_sum_on_union(beta * away, -log_near), 1.0)
 
     # The surrogate exp(-beta H_away + log near) has trace t * exp(log_s).
-    log_scale = log_t + log_s - log_partition_function(model)
-    lhs_literal = trace_norm(term1 - math.exp(log_scale) * surrogate)
+    # A literal scale of exactly 1.0 leaves its bytes, and so the norm, as is.
+    scale = math.exp(log_t + log_s - log_partition_function(model))
     lhs_normalized = trace_norm(term1 - surrogate)
+    lhs_literal = (
+        lhs_normalized if scale == 1.0 else trace_norm(term1 - scale * surrogate)
+    )
     ends = frozenset().union(*(e.endpoints() for e in parts.buffer))
     buffer_norm = (
         op_norm(edge_hamiltonian(model, parts.buffer, model.layout.subset(ends)))

@@ -8,7 +8,8 @@ functions are pure, so they are safe to share across threads; the only
 stateful objects are the caller-owned random generators.  An operator's
 dtype follows its data (float64 or complex128) through all arithmetic.
 The private matrix functions also take stacks, shape (..., d, d), and give
-each matrix the same LAPACK/BLAS call it gets alone, so results are bit-equal.
+each matrix the LAPACK/BLAS call it gets alone, so results are bit-equal; only
+a lone reversal-symmetric matrix is solved as two blocks (`_reversal_blocks`).
 """
 
 from __future__ import annotations
@@ -212,15 +213,41 @@ def hermitize(mat: np.ndarray) -> np.ndarray:
     return (mat + _dagger(mat)) / 2.0
 
 
+def _squared_norm(x: np.ndarray) -> np.ndarray:
+    """Squared Frobenius norm of each matrix: one BLAS dot product of the
+    real components."""
+    v = x.reshape(*x.shape[:-2], 1, -1)
+    v = v.view(np.float64) if np.iscomplexobj(v) else v
+    return (v @ v.swapaxes(-1, -2))[..., 0, 0]
+
+
 def _hermitian(mat: np.ndarray, rtol: float = HERMITIAN_RTOL) -> np.ndarray:
     """Per matrix: ||M - M†||_F <= rtol ||M||_F."""
+    return _squared_norm(mat - _dagger(mat)) <= rtol**2 * _squared_norm(mat)
 
-    def squared_norm(x):  # one BLAS dot product of the real components
-        v = x.reshape(*x.shape[:-2], 1, -1)
-        v = v.view(np.float64) if np.iscomplexobj(v) else v
-        return (v @ v.swapaxes(-1, -2))[..., 0, 0]
 
-    return squared_norm(mat - _dagger(mat)) <= rtol**2 * squared_norm(mat)
+def _reversal_blocks(mat: np.ndarray) -> np.ndarray | None:
+    """The blocks M[s, t] ± M[s, d-1-t], s, t < d/2, stacked, when ``mat`` is
+    one even-dimension Hermitian matrix equal to its index reversal J M J
+    within ``HERMITIAN_RTOL`` (a global spin flip reverses the computational
+    basis); else None.  In the basis (e_s ± e_{d-1-s})/√2, M is their direct sum.
+
+    The diagonal must first meet the rule on its own, which turns most other
+    input away after O(d) work; a matrix that passes only as a whole takes the
+    full path, which is correct for it too.  M - J M J is minus its own
+    reversal, so its top half carries half its squared norm.
+    """
+    d = mat.shape[-1]
+    if mat.ndim != 2 or d % 2:
+        return None
+    h, diag = d // 2, mat.diagonal().real[None]  # real: M is Hermitian
+    if _squared_norm(diag - diag[:, ::-1]) > HERMITIAN_RTOL**2 * _squared_norm(diag):
+        return None
+    defect = _squared_norm(mat[:h] - mat[:h - 1 : -1, ::-1])
+    if 2.0 * defect > HERMITIAN_RTOL**2 * _squared_norm(mat):
+        return None
+    ends = mat[:h, :h - 1 : -1]
+    return np.stack((mat[:h, :h] + ends, mat[:h, :h] - ends))
 
 
 def assert_hermitian(mat: np.ndarray, rtol: float = HERMITIAN_RTOL):
@@ -241,7 +268,7 @@ def assert_density(
     tr = op.trace()
     if abs(tr - 1.0) > trace_atol:
         raise NonDensityError(f"trace {tr} is not 1 within {trace_atol}")
-    w = np.linalg.eigvalsh(op.mat)
+    w = _eigvalsh(op.mat)
     if w[0] < eig_floor:
         raise NonDensityError(f"minimum eigenvalue {w[0]} below {eig_floor}")
     return w
@@ -338,14 +365,28 @@ def conditional_expectation(op: DenseOperator, out: Iterable[int]) -> DenseOpera
 
 
 def _eigh_checked(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending w and orthonormal V with M = V diag(w) V†, of a Hermitian
+    matrix or stack; see ``_reversal_blocks`` for the two-block path."""
     assert_hermitian(mat)
-    return np.linalg.eigh(mat)
+    blocks = _reversal_blocks(mat)
+    if blocks is None:
+        return np.linalg.eigh(mat)
+    w, v = np.linalg.eigh(blocks)
+    h, order = len(w[0]), np.argsort(w, axis=None, kind="stable")
+    v *= np.sqrt(0.5)
+    out = np.empty(mat.shape, v.dtype)
+    rank = order.argsort()  # column of each block eigenvector in ``out``
+    out[:h, rank[:h]], out[h:, rank[:h]] = v[0], v[0, ::-1]
+    out[:h, rank[h:]], out[h:, rank[h:]] = v[1], -v[1, ::-1]
+    return w.ravel()[order], out
 
 
-def hermitian_eig(op: DenseOperator) -> tuple[np.ndarray, DenseOperator]:
-    """Eigendecomposition A = U diag(w) U† with eigenvalues ascending."""
-    w, v = _eigh_checked(op.mat)
-    return w, DenseOperator(op.layout, v)
+def _eigvalsh(mat: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues, by the same path as ``_eigh_checked``."""
+    blocks = _reversal_blocks(mat)
+    if blocks is None:
+        return np.linalg.eigvalsh(mat)
+    return np.sort(np.linalg.eigvalsh(blocks), axis=None)
 
 
 def _exp_h(mat: np.ndarray) -> np.ndarray:
@@ -367,6 +408,7 @@ def gibbs_state(ham: DenseOperator, beta: float) -> tuple[DenseOperator, float]:
     w, v = _eigh_checked(ham.mat)
     p = np.exp(-beta * (w - w[0]))
     mat = (v * (p / p.sum())) @ _dagger(v)
+    del v  # d² fewer bytes live while hermitize makes its two temporaries
     return DenseOperator(ham.layout, hermitize(mat)), float(np.log(p.sum()) - beta * w[0])
 
 
@@ -394,7 +436,7 @@ def _singular_values(mat: np.ndarray) -> np.ndarray:
     """Singular values of each matrix, unordered; |eigenvalues| when every
     matrix is Hermitian."""
     if _hermitian(mat).all():
-        return np.abs(np.linalg.eigvalsh(mat))
+        return np.abs(_eigvalsh(mat))
     return np.linalg.svd(mat, compute_uv=False)
 
 

@@ -15,17 +15,21 @@ from qbp import (
     SingularOperatorError,
     SiteLayout,
     SiteMismatchError,
+    build_chain,
     conditional_expectation,
+    edge_hamiltonian,
     embed,
-    hermitian_eig,
     matrix_exp_h,
     matrix_log_pd,
     op_norm,
     partial_trace,
     random_density,
     random_hermitian,
+    random_two_local,
     trace_norm,
+    transverse_ising,
 )
+from qbp import operators
 from qbp.operators import (
     _density,
     _eigh_checked,
@@ -34,6 +38,8 @@ from qbp.operators import (
     _op_norm,
     _partial_trace,
     _trace_norm,
+    assert_density,
+    gibbs_state,
     hermitize,
 )
 
@@ -187,25 +193,27 @@ class TestConditionalExpectation:
 class TestEig:
     def test_diagonal(self):
         op = DenseOperator(Q1, np.diag([3.0, 1.0]))
-        w, u = hermitian_eig(op)
+        w, u = _eigh_checked(op.mat)
         assert np.allclose(w, [1.0, 3.0])
-        assert np.allclose(np.abs(u.mat), [[0, 1], [1, 0]])
+        assert np.allclose(np.abs(u), [[0, 1], [1, 0]])
 
     def test_pauli_x(self):
-        w, _ = hermitian_eig(DenseOperator(Q1, PAULI_X))
+        w, _ = _eigh_checked(PAULI_X)
         assert np.allclose(w, [-1.0, 1.0])
 
     def test_reconstruction(self):
         lay = SiteLayout((1, 2, 3, 4), (2, 2, 2, 2))
         op = random_hermitian(42, lay)
-        w, u = hermitian_eig(op)
-        rebuilt = (u.mat * w) @ u.mat.conj().T
-        assert np.linalg.norm(rebuilt - op.mat, 2) <= 1e-9 * op_norm(op)
+        # The full path, then the block path of a reversal-symmetric matrix.
+        for mat in (op.mat, op.mat + op.mat[::-1, ::-1]):
+            w, u = _eigh_checked(mat)
+            rebuilt = (u * w) @ u.conj().T
+            assert np.linalg.norm(rebuilt - mat, 2) <= 1e-9 * np.linalg.norm(mat, 2)
 
     def test_non_hermitian_rejected(self):
         bad = DenseOperator(Q1, np.array([[0, 1], [0, 0]]))
         with pytest.raises(NonHermitianError):
-            hermitian_eig(bad)
+            _eigh_checked(bad.mat)
 
 
 class TestExpLog:
@@ -235,8 +243,8 @@ class TestExpLog:
         lay = Q12
         w = rng.uniform(-6, 6, size=lay.dim)
         h = random_hermitian(rng, lay)
-        _, u = hermitian_eig(h)
-        op = DenseOperator(lay, (u.mat * 10.0**w) @ u.mat.conj().T)
+        _, u = _eigh_checked(h.mat)
+        op = DenseOperator(lay, (u * 10.0**w) @ u.conj().T)
         back = matrix_exp_h(matrix_log_pd(op))
         assert op_norm(back - op) <= 1e-8 * op_norm(op)
 
@@ -400,3 +408,108 @@ class TestStacks:
         stack = np.stack([np.eye(2), np.array([[0.0, 1.0], [0.0, 0.0]])])
         with pytest.raises(NonHermitianError):
             _exp_h(stack)
+
+
+def _tfim_hamiltonian(n: int) -> DenseOperator:
+    return edge_hamiltonian(build_chain(n, 2, transverse_ising(1.0, 0.7), beta=1.0))
+
+
+def _complex_reversal_symmetric() -> DenseOperator:
+    lay = SiteLayout(tuple(range(6)), (2,) * 6)
+    m = random_hermitian(11, lay).mat
+    return DenseOperator(lay, m + m[::-1, ::-1])
+
+
+@pytest.fixture
+def solved_shapes(monkeypatch):
+    """Shapes of every matrix (or stack) handed to eigh and eigvalsh."""
+    shapes = []
+    for name in ("eigh", "eigvalsh"):
+        original = getattr(np.linalg, name)
+
+        def recorded(mat, *args, _original=original, **kwargs):
+            shapes.append(mat.shape)
+            return _original(mat, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, recorded)
+    return shapes
+
+
+def _full_path(monkeypatch, fn, *args):
+    """``fn(*args)`` with the block path switched off."""
+    with monkeypatch.context() as m:
+        m.setattr(operators, "_reversal_blocks", lambda mat: None)
+        return fn(*args)
+
+
+def _rel(a, b) -> float:
+    return float(np.linalg.norm(np.subtract(a, b)) / np.linalg.norm(b))
+
+
+def _full_path_inputs() -> dict:
+    tfim = _tfim_hamiltonian(6).mat
+    rng = np.random.default_rng(4)
+    r = rng.standard_normal(tfim.shape)
+    anti = (r + r.T) - (r + r.T)[::-1, ::-1]  # Hermitian, J A J = -A
+    anti *= 1e-9 * np.linalg.norm(tfim) / np.linalg.norm(anti)
+    off_diagonal = anti - np.diag(np.diag(anti))  # passes the diagonal screen
+    off_diagonal *= 1e-9 * np.linalg.norm(tfim) / np.linalg.norm(off_diagonal)
+    qutrits = random_hermitian(5, SiteLayout((1, 2, 3, 4), (3,) * 4)).mat
+    random2 = edge_hamiltonian(build_chain(6, 2, random_two_local(seed=2), beta=1.0))
+    return {
+        "random2": random2.mat,
+        "antisymmetric_1e-9": tfim + anti,
+        "off_diagonal_antisymmetric_1e-9": tfim + off_diagonal,
+        "odd_dimension_81": qutrits + qutrits[::-1, ::-1],
+        "stack": np.stack([tfim, tfim[::-1, ::-1]]),
+    }
+
+
+class TestReversalBlocks:
+    """A single even-dimension matrix equal to its index reversal J M J is
+    solved as the stack of its two half-size blocks, and agrees with the full
+    path within 1e-12 relative."""
+
+    BLOCK = {f"tfim{n}": lambda n=n: _tfim_hamiltonian(n) for n in (6, 7, 8, 9)}
+    BLOCK["complex"] = _complex_reversal_symmetric
+
+    @pytest.mark.parametrize("name", BLOCK)
+    def test_eigh_takes_blocks_and_agrees(self, solved_shapes, name):
+        op = self.BLOCK[name]()
+        d = op.dim
+        w, v = _eigh_checked(op.mat)
+        assert solved_shapes == [(2, d // 2, d // 2)]
+        w_full, _ = np.linalg.eigh(op.mat)
+        assert np.all(np.diff(w) >= 0)
+        assert np.abs(w - w_full).max() <= 1e-12 * np.abs(w_full).max()
+        assert np.abs(v.conj().T @ v - np.eye(d)).max() <= 1e-12
+        assert _rel((v * w) @ v.conj().T, op.mat) <= 1e-12
+
+    @pytest.mark.parametrize("name", BLOCK)
+    def test_matrix_functions_agree_with_full_path(self, monkeypatch, solved_shapes, name):
+        op = self.BLOCK[name]()
+        beta = 3.0 / op_norm(op)  # a spectrum the log resolves well in both paths
+        rho, log_z = gibbs_state(op, beta)
+        rho_full, log_z_full = _full_path(monkeypatch, gibbs_state, op, beta)
+        assert _rel(rho.mat, rho_full.mat) <= 1e-12
+        assert abs(log_z - log_z_full) <= 1e-12 * abs(log_z_full)
+        solved_shapes.clear()
+        for fn in (
+            lambda: matrix_log_pd(rho).mat,
+            lambda: assert_density(rho),
+            lambda: trace_norm(op),
+            lambda: op_norm(op),
+        ):
+            got = fn()
+            assert solved_shapes == [(2, op.dim // 2, op.dim // 2)]
+            assert _rel(got, _full_path(monkeypatch, fn)) <= 1e-12
+            solved_shapes.clear()
+
+    @pytest.mark.parametrize("name", sorted(_full_path_inputs()))
+    def test_full_path_kept(self, solved_shapes, name):
+        mat = _full_path_inputs()[name]
+        assert operators._reversal_blocks(mat) is None
+        w, _ = _eigh_checked(mat)
+        _trace_norm(mat)
+        assert solved_shapes == [mat.shape, mat.shape]
+        assert np.array_equal(w, np.linalg.eigh(mat)[0])

@@ -1,7 +1,7 @@
 """Guard against repeated full-dimension eigensolves.
 
-Every ``numpy.linalg`` decomposition is counted by matrix dimension, and by
-routine and dimension.  When the window sweep and the single-step experiment
+Every matrix that ``numpy.linalg`` decomposes, each matrix of a stack
+included, is counted by dimension, and by routine and dimension.  When the window sweep and the single-step experiment
 run on one model, the full dimension is solved once, for the thermal state:
 the widest window and the radius ball that holds every edge reuse it.  The
 cumulants of an operator take each shell's norm on the shell's own support,
@@ -13,6 +13,9 @@ window dimension and a single-step surrogate once at the reduced dimension.
 The lemma suite decomposes each stack of like instances in one call, so its
 solve count does not grow with the number of instances, and the ordered
 exponential decomposes all its midpoint steps in two stacked calls.
+Operators of a model that commutes with the global spin flip (TFIM) are
+solved as two half-size blocks, so each pin is taken at half the dimension
+for TFIM and, in a ``random2`` twin, at the full dimension.
 """
 
 from collections import Counter
@@ -39,29 +42,58 @@ from qbp import (
 from qbp.inequalities import SUITE_BLOCK
 
 FULL_DIM_SOLVES = 1
+#: TFIM commutes with the global spin flip, so its operators are solved as two
+#: half-size blocks; ``random2`` does not, so its solves keep the full size.
+TFIM = transverse_ising(1.0, 1.0)
+RANDOM2 = random_two_local(seed=3)
 
 
 @pytest.fixture
 def solves(monkeypatch):
+    """Counts every decomposed matrix by dimension, and by routine and
+    dimension; a stack counts each of its matrices.  ``np.linalg.norm(x, 2)``
+    calls the module-level ``svd`` of ``numpy.linalg._linalg``, so that is
+    patched too.  ``counts["calls"]`` counts numpy calls, a stack as one."""
     counts: Counter = Counter()
-    for name in ("eigh", "eigvalsh", "svd"):
-        original = getattr(np.linalg, name)
+    for module in (np.linalg, np.linalg._linalg):
+        for name in ("eigh", "eigvalsh", "svd"):
+            original = getattr(module, name)
 
-        def counted(mat, *args, _original=original, _name=name, **kwargs):
-            counts[mat.shape[-1]] += 1
-            counts[_name, mat.shape[-1]] += 1
-            return _original(mat, *args, **kwargs)
+            def counted(mat, *args, _original=original, _name=name, **kwargs):
+                d, k = mat.shape[-1], int(np.prod(mat.shape[:-2]))
+                counts[d] += k
+                counts[_name, d] += k
+                counts["calls"] += 1
+                return _original(mat, *args, **kwargs)
 
-        monkeypatch.setattr(np.linalg, name, counted)
+            monkeypatch.setattr(module, name, counted)
     return counts
 
 
-def test_full_dimension_solved_once_per_consumer(solves):
-    m = build_chain(6, 2, transverse_ising(1.0, 1.0), beta=1.0)
+def test_stacks_and_spectral_norms_are_counted(solves):
+    np.linalg.norm(np.eye(3), 2)
+    np.linalg.eigvalsh(np.stack([np.eye(4)] * 5))
+    assert solves["svd", 3] == 1
+    assert solves["eigvalsh", 4] == 5
+    assert solves["calls"] == 2
+
+
+def _sweep_and_single_steps(factory):
+    m = build_chain(6, 2, factory, beta=1.0)
     window_error_sweep(m, 6, range(1, 6))
     for radius in range(1, 6):
         single_step_experiment(m, 1, radius)
-    assert solves[m.layout.dim] <= FULL_DIM_SOLVES
+    return m.layout.dim
+
+
+def test_full_dimension_solved_once_per_consumer(solves):
+    dim = _sweep_and_single_steps(TFIM)
+    assert solves[dim] == 0
+    assert solves[dim // 2] == 2 * FULL_DIM_SOLVES  # as two half-size blocks
+
+
+def test_full_dimension_solved_once_per_consumer_random2(solves):
+    assert solves[_sweep_and_single_steps(RANDOM2)] == FULL_DIM_SOLVES
 
 
 def test_deficiency_table_solves_whole_state_entropy_once(solves):
@@ -93,13 +125,23 @@ def test_deficiency_table_solves_each_reduced_entropy_once(solves):
     assert solves["eigvalsh", m.layout.dim] == 1
 
 
-def test_cumulants_solve_only_last_shell_and_residual_at_full_dimension(solves):
-    m = build_chain(6, 2, transverse_ising(1.0, 1.0), beta=1.0)
+def _cumulant_solves(solves, factory) -> int:
+    m = build_chain(6, 2, factory, beta=1.0)
     potential = thermal_potential(m, {1})
     solves.clear()
     series = cumulants(potential, m, {1})
     assert len(series.entries) == 5
-    assert solves[potential.dim] == 2
+    return potential.dim
+
+
+def test_cumulants_solve_only_last_shell_and_residual_at_full_dimension(solves):
+    dim = _cumulant_solves(solves, TFIM)
+    assert solves[dim] == 0
+    assert solves[dim // 2] == 4  # two solves, each as two half-size blocks
+
+
+def test_cumulants_solve_only_last_shell_and_residual_at_full_dimension_random2(solves):
+    assert solves[_cumulant_solves(solves, RANDOM2)] == 2
 
 
 def test_hastings_operator_decomposes_all_steps_in_two_calls(solves):
@@ -109,21 +151,44 @@ def test_hastings_operator_decomposes_all_steps_in_two_calls(solves):
         for s_steps in (1, 64, 1024):
             solves.clear()
             hastings_operator(h, v, beta, s_steps)
-            assert solves["eigh", layout.dim] == 2
+            assert solves["calls"] == 2
+            assert solves["eigh", layout.dim] == 2 * s_steps
 
 
 def test_sliding_window_solves_once_per_step(solves):
-    m = build_chain(6, 2, transverse_ising(1.0, 1.0), beta=1.0)
+    m = build_chain(6, 2, TFIM, beta=1.0)
+    run_sliding_window(m, 6, 2)
+    assert solves["eigh", 8] == 0
+    assert solves["eigh", 4] == 8  # each window solve as two half-size blocks
+
+
+def test_sliding_window_solves_once_per_step_random2(solves):
+    m = build_chain(6, 2, RANDOM2, beta=1.0)
     run_sliding_window(m, 6, 2)
     assert solves["eigh", 8] == 4  # the first window, then one per step
 
 
-def test_single_step_solves_once_per_radius_at_reduced_dimension(solves):
-    m = build_chain(6, 2, transverse_ising(1.0, 1.0), beta=1.0)
+def _single_steps(factory) -> int:
+    m = build_chain(6, 2, factory, beta=1.0)
     for radius in range(1, 5):
         single_step_experiment(m, 1, radius)
-    reduced = m.layout.dim // 2
-    assert solves["eigh", reduced] <= 5  # one surrogate per radius, one ball
+    return m.layout.dim // 2
+
+
+def test_single_step_solves_once_per_radius_at_reduced_dimension(solves):
+    reduced = _single_steps(TFIM)
+    # Every solve is two half-size blocks: the model's thermal state at the
+    # reduced dimension, one surrogate per radius and one ball, and two trace
+    # norms per radius, at half of it.
+    assert solves["eigh", reduced] == 2
+    assert solves["eigvalsh", reduced] == 0
+    assert solves["eigh", reduced // 2] == 10
+    assert solves["eigvalsh", reduced // 2] == 16
+
+
+def test_single_step_solves_once_per_radius_at_reduced_dimension_random2(solves):
+    reduced = _single_steps(RANDOM2)
+    assert solves["eigh", reduced] == 5  # one surrogate per radius, one ball
     assert solves["eigvalsh", reduced] == 8  # two trace norms per radius
 
 
@@ -133,7 +198,7 @@ def test_lemma_suite_solves_once_per_bucket(solves):
     # mean no solve is made per instance.
     assert SUITE_BLOCK >= 400
     run_suite(3, 100)
-    small = sum(n for key, n in solves.items() if isinstance(key, tuple))
+    small = solves["calls"]
     solves.clear()
     run_suite(3, 400)
-    assert sum(n for key, n in solves.items() if isinstance(key, tuple)) == small
+    assert solves["calls"] == small
