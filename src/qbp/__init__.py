@@ -18,7 +18,6 @@ from .operators import (
     SingularOperatorError,
     SiteLayout,
     SiteMismatchError,
-    conditional_expectation,
     embed,
     matrix_exp_h,
     matrix_log_pd,
@@ -26,7 +25,6 @@ from .operators import (
     partial_trace,
     random_density,
     random_hermitian,
-    time_evolve,
     trace_norm,
     union_layout,
 )
@@ -42,7 +40,6 @@ from .models import (
     distance,
     edge_hamiltonian,
     exact_reduced_density,
-    hamiltonian,
     heisenberg,
     load_model,
     model_from_config,
@@ -57,7 +54,6 @@ from .markov import (
     cmi,
     deficiency_rows,
     leaf_trace_preserves_markov,
-    markov_deficiency,
     von_neumann_entropy,
 )
 from .propagation import (
@@ -70,13 +66,10 @@ from .propagation import (
     window_error_sweep,
 )
 from .hastings import (
-    FilterSpec,
     conjugation_residual,
     filter_hat,
     filter_time,
-    filtered_perturbation,
     hastings_operator,
-    truncated_hastings,
 )
 from .diagnostics import (
     BoundBreakdown,
@@ -85,7 +78,6 @@ from .diagnostics import (
     ThermalBoundFit,
     cumulants,
     fit_thermal_bound,
-    localization_records,
     single_step_bound,
     single_step_experiment,
     thermal_potential,

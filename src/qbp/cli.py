@@ -136,6 +136,8 @@ def parse_config(raw: dict, seed_override=None, out_override=None, jobs_override
         values = getattr(cfg, field)
         if not all(x > 0 for x in values):
             raise ConfigError(f"{field} must be positive, got {list(values)}")
+        if len(set(values)) < len(values):
+            raise ConfigError(f"{field} must not repeat a value, got {list(values)}")
     if cfg.instances < 1:
         raise ConfigError(f"instances must be at least 1, got {cfg.instances}")
     if cfg.jobs < 0:

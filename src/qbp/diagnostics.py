@@ -36,13 +36,11 @@ from .models import (
 from .operators import (
     DenseOperator,
     LOG_EIG_FLOOR,
-    PAULI_Z,
     embed,
     gibbs_state,
     matrix_log_pd,
     op_norm,
     partial_trace,
-    time_evolve,
     trace_norm,
 )
 from .propagation import _sum_on_union
@@ -90,7 +88,8 @@ def thermal_potential(
 
 @dataclass(frozen=True)
 class CumulantEntry:
-    """Distance shell index, the shell operator, and its operator norm."""
+    """Distance shell index, the shell operator on its own support (the
+    sites within distance j), and its operator norm."""
 
     j: int
     op: DenseOperator | None
@@ -119,9 +118,10 @@ def cumulants(
     remains beyond j, the shells sum back to ``op`` exactly.  Distances are
     measured in the model graph, so ``op`` may live on a reduced layout.
 
-    Each shell's norm is taken on its own support, before the shell is
-    embedded, since ||A (x) I|| = ||A||; only the last shell and the
-    telescoping residual are solved at ``op``'s full dimension.
+    Each shell is held, and its norm taken, on its own support, since
+    ||A (x) I|| = ||A||; it is embedded at ``op``'s full dimension only to
+    update the remainder and the telescoping residual, so only the last
+    shell and the residual are solved at that dimension.
     """
     anchor = frozenset(anchor)
     dm = distance_map(model, anchor)
@@ -135,17 +135,17 @@ def cumulants(
     j = 1
     while True:
         far = [s for s in sites if dm[s] > j]
-        if not far:
-            shell, norm = remainder, op_norm(remainder)
-        else:
+        if far:
             reduced = partial_trace(remainder, far)
-            local = (1.0 / (op.dim // reduced.dim)) * reduced
-            shell, norm = embed(local, op.layout), op_norm(local)
-        entries.append(CumulantEntry(j, shell, norm))
-        total = total + shell
+            shell = (1.0 / (op.dim // reduced.dim)) * reduced
+            embedded = embed(shell, op.layout)
+        else:
+            shell = embedded = remainder
+        entries.append(CumulantEntry(j, shell, op_norm(shell)))
+        total = total + embedded
         if not far:
             break
-        remainder = remainder - shell
+        remainder = remainder - embedded
         j += 1
     residual = trace_norm(total - op)
     return CumulantSeries(anchor, tuple(entries), residual)
@@ -366,68 +366,3 @@ def single_step_experiment(
         else None
     )
     return SingleStepRecord(radius, lhs_literal, lhs_normalized, buffer_norm, bound)
-
-
-@dataclass(frozen=True)
-class LocalizationRecord:
-    """Measured drift of a time-evolved observable under a decaying
-    perturbation, with the constant cap and (optionally) the predicted
-    envelope, which is reported rather than asserted."""
-
-    radius: int
-    time: float
-    measured: float
-    cap: float
-    predicted: float | None
-
-
-def localization_records(
-    model: GraphModel,
-    anchor: int,
-    radii: Sequence[int],
-    times: Sequence[float],
-    consts: BoundConstants | None = None,
-) -> list[LocalizationRecord]:
-    """Probe how little a traced region's thermal potential disturbs the
-    dynamics of observables at increasing distance.
-
-    The base Hamiltonian collects the edges not touching ``anchor`` (on the
-    reduced layout); the perturbed one adds the anchor's thermal potential.
-    The observable is a unit-norm Pauli Z at distance ``radius`` from the
-    anchor.  The drift can never exceed twice the observable norm.
-    """
-    dm = distance_map(model, [anchor])
-    base_edges = [e for e in model.edges if anchor not in e.endpoints()]
-    reduced_layout = model.layout.drop({anchor})
-    h_base = edge_hamiltonian(model, base_edges, reduced_layout)
-    h_pert = h_base + thermal_potential(model, {anchor})
-    records = []
-    for radius in radii:
-        at_radius = sorted(s for s in reduced_layout.sites if dm[s] == radius)
-        if not at_radius:
-            raise ModelError(f"no site at distance {radius} from {anchor}")
-        site = at_radius[0]
-        obs = embed(
-            DenseOperator(model.layout.subset({site}), PAULI_Z), reduced_layout
-        )
-        for t in times:
-            drift = op_norm(
-                time_evolve(obs, h_pert, t) - time_evolve(obs, h_base, t)
-            )
-            predicted = None
-            if consts is not None:
-                big_l = 2.0 * consts.cumulant_amp / (
-                    1.0 - math.exp(-consts.cumulant_decay)
-                )
-                a_eff = min(consts.cumulant_decay, consts.lr_decay)
-                av = consts.lr_decay * consts.lr_velocity
-                envelope = (
-                    abs(t) * big_l
-                    + consts.lr_amplitude
-                    * consts.cumulant_amp
-                    * math.exp(av * abs(t))
-                    / av
-                ) * math.exp(-a_eff * radius)
-                predicted = min(envelope, abs(t) * big_l)
-            records.append(LocalizationRecord(radius, t, drift, 2.0, predicted))
-    return records

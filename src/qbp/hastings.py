@@ -16,12 +16,8 @@ kept only as a test oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
-
 import numpy as np
 
-from .models import EdgeTerm, GraphModel, ModelError, distance_map, edge_hamiltonian
 from .operators import (
     DenseOperator,
     SiteMismatchError,
@@ -41,25 +37,6 @@ SMALL_FREQ = 1e-8
 #: matrix at d >= 256 fills it alone, so large layouts still go one step at a
 #: time and need no more memory than a step-by-step loop.
 STACK_ENTRIES = 2**16
-
-
-@dataclass(frozen=True)
-class FilterSpec:
-    """Filter configuration: inverse temperature, ordered-product resolution,
-    and the time-domain grid used by quadrature cross-checks."""
-
-    beta: float
-    s_steps: int = 64
-    t_max: float = 15.0
-    n_points: int = 400
-
-    def __post_init__(self):
-        if self.beta <= 0:
-            raise ValueError(f"beta must be positive, got {self.beta}")
-        if self.s_steps < 1:
-            raise ValueError(f"s_steps must be >= 1, got {self.s_steps}")
-        if self.t_max <= 0:
-            raise ValueError(f"t_max must be positive, got {self.t_max}")
 
 
 def filter_hat(omega, beta: float):
@@ -94,7 +71,11 @@ def filter_time(t, beta: float):
 
 
 def _filtered(h_mat: np.ndarray, v_mat: np.ndarray, beta: float) -> np.ndarray:
-    """V filtered in the eigenbasis of H, for one H or a stack of them."""
+    """V filtered in the eigenbasis of H, for one H or a stack of them.
+
+    Entry (j, k) in that basis is V_jk damped by the profile at the gap
+    E_j - E_k, so the result is Hermitian and never exceeds V in norm.
+    """
     w, u = np.linalg.eigh(hermitize(h_mat))
     v_tilde = _dagger(u) @ v_mat @ u
     gaps = w[..., :, None] - w[..., None, :]
@@ -106,19 +87,6 @@ def _embedded_pair(
 ) -> tuple[DenseOperator, DenseOperator]:
     layout = union_layout(h.layout, v.layout)
     return embed(h, layout), embed(v, layout)
-
-
-def filtered_perturbation(
-    h: DenseOperator, v: DenseOperator, beta: float
-) -> DenseOperator:
-    """Apply the thermal frequency filter to V in the eigenbasis of H.
-
-    Entry (j, k) of the result, in that basis, is V_jk damped by the profile
-    evaluated at the eigenvalue gap E_j - E_k.  The output is Hermitian and
-    never exceeds V in operator norm (the profile lies in (0, 1]).
-    """
-    h, v = _embedded_pair(h, v)
-    return DenseOperator(h.layout, _filtered(h.mat, v.mat, beta))
 
 
 def hastings_operator(
@@ -147,42 +115,6 @@ def hastings_operator(
         for factor in (u * np.exp(step * w)[..., None, :]) @ _dagger(u):
             result = factor @ result
     return DenseOperator(h.layout, result)
-
-
-def truncated_hastings(
-    model: GraphModel,
-    perturbation: Sequence[EdgeTerm] | Sequence[tuple[int, int]],
-    radius: int,
-    s_steps: int = 64,
-) -> DenseOperator:
-    """Locally truncated conjugation operator.
-
-    The base Hamiltonian is restricted to edge terms lying entirely inside
-    the radius-``radius`` ball around the perturbation's support, so the
-    result is supported in that ball by construction; it is returned embedded
-    on the full model layout.  At radius 0 only the perturbation's own edges
-    can survive, and beyond the graph diameter the truncation is vacuous.
-    """
-    if radius < 0:
-        raise ModelError(f"radius must be non-negative, got {radius}")
-    pert = tuple(
-        e if isinstance(e, EdgeTerm) else model.edge(e) for e in perturbation
-    )
-    if not pert:
-        raise ModelError("perturbation needs at least one edge")
-    support = frozenset().union(*(e.endpoints() for e in pert))
-    dm = distance_map(model, support)
-    ball = {s for s, d in dm.items() if d <= radius}
-    pert_keys = {e.key for e in pert}
-    base = [
-        e
-        for e in model.edges
-        if e.key not in pert_keys and e.u in ball and e.v in ball
-    ]
-    ball_layout = model.layout.subset(ball)
-    h = edge_hamiltonian(model, base, ball_layout)
-    v = edge_hamiltonian(model, pert, ball_layout)
-    return embed(hastings_operator(h, v, model.beta, s_steps), model.layout)
 
 
 def conjugation_residual(

@@ -96,26 +96,6 @@ def _blanket_split(
     return TripartiteSplit(subset, blanket, rest) if rest else None
 
 
-def markov_deficiency(
-    model: GraphModel,
-    subset: Iterable[int],
-    radius: int = 1,
-    state: DenseOperator | None = None,
-) -> float:
-    """Conditional-independence deficiency of ``subset`` on the thermal state.
-
-    Radius 1 tests the plain conditional-independence structure across the
-    subset's neighbor shell; larger radii inflate the shell.  Pass ``state``
-    to avoid recomputing the thermal state across sweeps.
-    """
-    if radius < 1:
-        raise ValueError(f"radius must be >= 1, got {radius}")
-    state = state if state is not None else thermal_state(model)
-    vertices = frozenset(state.layout.sites)
-    split = _blanket_split(vertices, adjacency(model), frozenset(subset), radius)
-    return 0.0 if split is None else _clamp(cmi(state, split))
-
-
 @dataclass(frozen=True)
 class DeficiencyRow:
     subset: tuple[int, ...]

@@ -10,7 +10,6 @@ qubit pair) and embedded lazily.
 from __future__ import annotations
 
 import json
-import math
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
@@ -24,7 +23,6 @@ from .operators import (
     PAULI_Y,
     PAULI_Z,
     DenseOperator,
-    OperatorError,
     SiteLayout,
     _add_embedded,
     assert_hermitian,
@@ -271,10 +269,6 @@ def edge_hamiltonian(
     return DenseOperator(layout, total.reshape(layout.dim, layout.dim))
 
 
-def hamiltonian(model: GraphModel) -> DenseOperator:
-    return edge_hamiltonian(model)
-
-
 def thermal_state(model: GraphModel) -> DenseOperator:
     """exp(-beta H) / Z, computed with a spectral shift for stability.
 
@@ -285,15 +279,6 @@ def thermal_state(model: GraphModel) -> DenseOperator:
 
 def log_partition_function(model: GraphModel) -> float:
     return model._thermal[1]
-
-
-def partition_function(model: GraphModel) -> float:
-    """Z; raises OperatorError naming log Z when Z overflows a float."""
-    log_z = log_partition_function(model)
-    try:
-        return math.exp(log_z)
-    except OverflowError:
-        raise OperatorError(f"partition function overflows: log Z = {log_z}") from None
 
 
 def exact_reduced_density(model: GraphModel, keep: Iterable[int]) -> DenseOperator:

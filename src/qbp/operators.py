@@ -348,22 +348,6 @@ def _partial_trace(
     return keep_layout, reduced.reshape(stack + (keep_layout.dim, keep_layout.dim))
 
 
-def conditional_expectation(op: DenseOperator, out: Iterable[int]) -> DenseOperator:
-    """Replace the ``out`` sites by normalized identity.
-
-    Computes ``(Tr_out[op] / dim_out) (x) I_out`` back on the full layout.
-    This is a trace-preserving projection (idempotent) and never increases
-    the operator norm, which is what keeps telescoping decompositions of an
-    operator into distance shells exact on finite graphs.
-    """
-    out = frozenset(out)
-    if not out:
-        return op
-    reduced = partial_trace(op, out)
-    d_out = op.layout.dim // reduced.layout.dim
-    return embed((1.0 / d_out) * reduced, op.layout)
-
-
 def _eigh_checked(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Ascending w and orthonormal V with M = V diag(w) V†, of a Hermitian
     matrix or stack; see ``_reversal_blocks`` for the two-block path."""
@@ -483,12 +467,3 @@ def random_density(seed, layout: SiteLayout) -> DenseOperator:
 def _density(g: np.ndarray) -> np.ndarray:
     w = g @ _dagger(g)
     return w / np.trace(w, axis1=-2, axis2=-1).real[..., None, None]
-
-
-def time_evolve(obs: DenseOperator, ham: DenseOperator, t: float) -> DenseOperator:
-    """Heisenberg evolution exp(iHt) O exp(-iHt) of an observable."""
-    if obs.layout != ham.layout:
-        raise SiteMismatchError("observable and Hamiltonian layouts differ")
-    w, v = _eigh_checked(ham.mat)
-    u = (v * np.exp(1j * w * t)) @ v.conj().T
-    return DenseOperator(obs.layout, u @ obs.mat @ u.conj().T)

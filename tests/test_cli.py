@@ -195,11 +195,17 @@ BAD_VALUES = [
     ("lemma-suite", "instances", 0),
     # a window wider than the 5-site chain allows
     ("window-sweep", "ell_values", [1, 50]),
+    # a value given twice
+    ("window-sweep", "beta_values", [1.0, 1]),
+    ("window-sweep", "ell_values", [1, 1, 2]),
+    ("hastings-verify", "s_steps", [8, 8]),
 ]
 
 
 def bad_value_id(command, field, value):
     values = value if isinstance(value, list) else [value]
+    if len(set(values)) < len(values):
+        return f"{command}-{field}-repeated"
     kind = "empty" if not values else "nonpositive" if min(values) <= 0 else "above_range"
     return f"{command}-{field}-{kind}"
 
@@ -213,6 +219,7 @@ class TestExitCodes:
     def test_empty_ell_list(self, tmp_path, command, field, value):
         cfg = write_config(tmp_path, **{field: value})
         assert run(command, cfg, tmp_path / "out") == 2
+        assert not any((tmp_path / "out").glob("*.csv"))
 
     def test_required_fields_match_command_table(self):
         table = {(c, f) for c, cmd in cli.COMMANDS.items() for f in cmd.required}

@@ -5,23 +5,21 @@ from scipy import integrate, linalg, special
 from qbp import hastings
 from qbp import (
     DenseOperator,
-    FilterSpec,
     SiteLayout,
     build_chain,
-    conditional_expectation,
     conjugation_residual,
     edge_hamiltonian,
+    embed,
     filter_hat,
     filter_time,
-    filtered_perturbation,
     hastings_operator,
     matrix_exp_h,
     op_norm,
     random_hermitian,
     transverse_ising,
-    truncated_hastings,
 )
 from qbp.hastings import STACK_ENTRIES, _filtered
+from qbp.models import neighborhood
 
 Q12 = SiteLayout((1, 2), (2, 2))
 
@@ -58,17 +56,6 @@ def time_kernel_by_quadrature(t, beta):
         limlst=200,
     )
     return -val / (np.pi * t)
-
-
-class TestFilterSpec:
-    def test_validation(self):
-        FilterSpec(beta=1.0)
-        with pytest.raises(ValueError):
-            FilterSpec(beta=0.0)
-        with pytest.raises(ValueError):
-            FilterSpec(beta=1.0, s_steps=0)
-        with pytest.raises(ValueError):
-            FilterSpec(beta=1.0, t_max=-1.0)
 
 
 class TestFrequencyProfile:
@@ -122,51 +109,55 @@ class TestTimeKernel:
                 assert abs(closed - oracle) < 1e-4
 
 
+def spectral_norm(mat):
+    return np.linalg.norm(mat, 2)
+
+
 class TestFilteredPerturbation:
     def test_commuting_is_identity_map(self):
         rng = np.random.default_rng(0)
-        h = random_hermitian(rng, Q12)
-        got = filtered_perturbation(h, 0.5 * h, 1.0)
-        assert op_norm(got - 0.5 * h) < 1e-12
+        h = random_hermitian(rng, Q12).mat
+        got = _filtered(h, 0.5 * h, 1.0)
+        assert spectral_norm(got - 0.5 * h) < 1e-12
 
     def test_high_temperature_limit(self):
         rng = np.random.default_rng(1)
-        h = random_hermitian(rng, Q12)
-        v = random_hermitian(rng, Q12)
-        got = filtered_perturbation(h, v, 1e-9)
-        assert op_norm(got - v) < 1e-12
+        h = random_hermitian(rng, Q12).mat
+        v = random_hermitian(rng, Q12).mat
+        got = _filtered(h, v, 1e-9)
+        assert spectral_norm(got - v) < 1e-12
 
     def test_matches_time_domain_quadrature(self):
         rng = np.random.default_rng(11)
-        h = random_hermitian(rng, Q12)
-        v = random_hermitian(rng, Q12)
-        spec = FilterSpec(beta=1.0, t_max=15.0)
-        got = filtered_perturbation(h, v, spec.beta)
-        dim = h.dim
+        h = random_hermitian(rng, Q12).mat
+        v = random_hermitian(rng, Q12).mat
+        beta, t_max = 1.0, 15.0
+        got = _filtered(h, v, beta)
+        dim = h.shape[0]
         oracle = np.zeros((dim, dim), dtype=complex)
 
         def entry(t, j, k, part):
-            u = linalg.expm(-1j * h.mat * t)
-            fwd = u @ v.mat @ u.conj().T
-            bwd = u.conj().T @ v.mat @ u
-            z = filter_time(t, spec.beta) * (fwd[j, k] + bwd[j, k])
+            u = linalg.expm(-1j * h * t)
+            fwd = u @ v @ u.conj().T
+            bwd = u.conj().T @ v @ u
+            z = filter_time(t, beta) * (fwd[j, k] + bwd[j, k])
             return z.real if part == "re" else z.imag
 
         for j in range(dim):
             for k in range(dim):
-                re, _ = integrate.quad(entry, 0, spec.t_max, args=(j, k, "re"), limit=200)
-                im, _ = integrate.quad(entry, 0, spec.t_max, args=(j, k, "im"), limit=200)
+                re, _ = integrate.quad(entry, 0, t_max, args=(j, k, "re"), limit=200)
+                im, _ = integrate.quad(entry, 0, t_max, args=(j, k, "im"), limit=200)
                 oracle[j, k] = re + 1j * im
-        assert np.abs(got.mat - oracle).max() < 1e-3
+        assert np.abs(got - oracle).max() < 1e-3
 
     def test_hermitian_and_contractive(self):
         for seed in range(25):
             rng = np.random.default_rng(seed)
-            h = random_hermitian(rng, Q12)
-            v = random_hermitian(rng, Q12)
-            phi = filtered_perturbation(h, v, 2.0)
-            assert np.allclose(phi.mat, phi.mat.conj().T)
-            assert op_norm(phi) <= op_norm(v) + 1e-12
+            h = random_hermitian(rng, Q12).mat
+            v = random_hermitian(rng, Q12).mat
+            phi = _filtered(h, v, 2.0)
+            assert np.allclose(phi, phi.conj().T)
+            assert spectral_norm(phi) <= spectral_norm(v) + 1e-12
 
 
 class TestOrderedExponential:
@@ -246,37 +237,38 @@ def chain():
     return build_chain(6, 2, transverse_ising(1.0, 1.0), beta=1.0)
 
 
+def truncated(model, radius, s_steps):
+    """Conjugation operator of the middle edge (3, 4) over the base terms
+    inside its radius-``radius`` ball, embedded on the full layout."""
+    ball = neighborhood(model, {3, 4}, radius)
+    ball_layout = model.layout.subset(ball)
+    base = [e for e in model.edges if e.key != (3, 4) and e.endpoints() <= ball]
+    h = edge_hamiltonian(model, base, ball_layout)
+    v = edge_hamiltonian(model, [model.edge((3, 4))], ball_layout)
+    return embed(hastings_operator(h, v, model.beta, s_steps), model.layout)
+
+
 class TestTruncation:
     def test_vacuous_beyond_diameter(self, chain):
         h = edge_hamiltonian(chain, [e for e in chain.edges if e.key != (3, 4)])
         v = edge_hamiltonian(chain, [chain.edge((3, 4))])
         o_full = hastings_operator(h, v, chain.beta, 16)
-        o_trunc = truncated_hastings(chain, [(3, 4)], 7, 16)
+        o_trunc = truncated(chain, 7, 16)
         assert op_norm(o_full - o_trunc) < 1e-12
 
     def test_radius_zero_uses_only_perturbation_edges(self, chain):
-        o0 = truncated_hastings(chain, [(3, 4)], 0, 16)
+        o0 = truncated(chain, 0, 16)
         ball = SiteLayout((3, 4), (2, 2))
         zero_base = DenseOperator(ball, np.zeros((4, 4)))
         v = edge_hamiltonian(chain, [chain.edge((3, 4))], ball)
-        from qbp import embed
-
         want = embed(hastings_operator(zero_base, v, chain.beta, 16), chain.layout)
         assert op_norm(o0 - want) < 1e-12
-
-    def test_support_contained_in_ball(self, chain):
-        o1 = truncated_hastings(chain, [(3, 4)], 1, 16)
-        outside = {1, 6}  # ball of radius 1 around {3, 4} is {2, 3, 4, 5}
-        assert op_norm(conditional_expectation(o1, outside) - o1) < 1e-12
 
     def test_distance_shrinks_with_radius(self, chain):
         h = edge_hamiltonian(chain, [e for e in chain.edges if e.key != (3, 4)])
         v = edge_hamiltonian(chain, [chain.edge((3, 4))])
         o_full = hastings_operator(h, v, chain.beta, 32)
-        dist = {
-            ell: op_norm(o_full - truncated_hastings(chain, [(3, 4)], ell, 32))
-            for ell in (0, 1, 2, 3)
-        }
+        dist = {ell: op_norm(o_full - truncated(chain, ell, 32)) for ell in (0, 1, 2, 3)}
         assert dist[0] > dist[1] > dist[2]
         assert dist[2] <= 1e-12 and dist[3] <= 1e-12
         for ell, want in TRUNCATION_DISTANCES.items():

@@ -14,7 +14,6 @@ from qbp import (
     diameter,
     heisenberg,
     leaf_trace_preserves_markov,
-    markov_deficiency,
     random_density,
     thermal_state,
     transverse_ising,
@@ -92,26 +91,32 @@ class TestCmi:
             cmi(rho, TripartiteSplit({1}, {2}, set()))
 
 
+def leaf_deficiency(m, radius, state=None):
+    """Deficiency of the first leaf, the ``(1,)`` row of ``deficiency_rows``."""
+    (row,) = [r for r in deficiency_rows(m, radius, state=state) if r.subset == (1,)]
+    return row.value
+
+
 class TestDeficiency:
     def test_classical_chain_is_markov(self):
         m = build_chain(6, 2, classical_ising(1.0), beta=1.0)
-        assert markov_deficiency(m, {1}, 1) <= 1e-9
+        assert leaf_deficiency(m, 1) <= 1e-9
 
     def test_tfim_witness(self):
         m = build_chain(6, 2, transverse_ising(1.0, 1.0), beta=1.0)
-        value = markov_deficiency(m, {1}, 1)
+        value = leaf_deficiency(m, 1)
         assert value > 1e-6
         assert value == pytest.approx(TFIM6_DEFICIENCY, rel=1e-6)
 
     def test_radius_beyond_diameter(self):
         m = build_chain(4, 2, transverse_ising(1.0, 1.0), beta=1.0)
-        assert markov_deficiency(m, {1}, diameter(m) + 1) == 0.0
+        assert leaf_deficiency(m, diameter(m) + 1) == 0.0
 
     def test_monotone_in_radius_on_stock_chains(self):
         for factory in (transverse_ising(1.0, 1.0), heisenberg(1.0)):
             m = build_chain(6, 2, factory, beta=1.0)
             state = thermal_state(m)
-            vals = [markov_deficiency(m, {1}, r, state=state) for r in (1, 2, 3, 4)]
+            vals = [leaf_deficiency(m, r, state=state) for r in (1, 2, 3, 4)]
             for lo, hi in zip(vals[1:], vals[:-1]):
                 assert lo <= hi + 1e-10
 

@@ -1,5 +1,6 @@
 import gc
 import json
+import math
 import weakref
 
 import numpy as np
@@ -9,7 +10,6 @@ from scipy import linalg
 from qbp import (
     DenseOperator,
     ModelError,
-    OperatorError,
     PAULI_X,
     PAULI_Z,
     build_chain,
@@ -19,7 +19,6 @@ from qbp import (
     distance,
     edge_hamiltonian,
     exact_reduced_density,
-    hamiltonian,
     heisenberg,
     load_model,
     model_from_config,
@@ -33,7 +32,7 @@ from qbp import (
     transverse_ising,
 )
 
-from qbp.models import log_partition_function, matrix_from_json, partition_function
+from qbp.models import log_partition_function, matrix_from_json
 
 from oracles import kron_all, kron_hamiltonian, nx_distance, partial_trace_by_sum
 
@@ -80,7 +79,7 @@ class TestBuilders:
     def test_tfim_boundary_field_convention(self):
         # interior sites collect hx from both incident edges, boundaries half
         m = build_chain(3, 2, transverse_ising(J=0.0, hx=2.0), beta=1.0)
-        h = hamiltonian(m).mat
+        h = edge_hamiltonian(m).mat
         x1 = kron_all([PAULI_X, np.eye(2), np.eye(2)])
         x2 = kron_all([np.eye(2), PAULI_X, np.eye(2)])
         x3 = kron_all([np.eye(2), np.eye(2), PAULI_X])
@@ -88,7 +87,7 @@ class TestBuilders:
         m_full = build_chain(
             3, 2, transverse_ising(J=0.0, hx=2.0, full_boundary_fields=True), beta=1.0
         )
-        h_full = hamiltonian(m_full).mat
+        h_full = edge_hamiltonian(m_full).mat
         assert np.allclose(h_full, -2.0 * (x1 + x2 + x3))
 
     def test_random_factory_deterministic_and_order_free(self):
@@ -141,13 +140,13 @@ class TestThermalState:
 
     def test_single_edge_direct(self):
         m = build_chain(2, 2, heisenberg(J=0.8), beta=1.3)
-        want = linalg.expm(-1.3 * hamiltonian(m).mat)
+        want = linalg.expm(-1.3 * edge_hamiltonian(m).mat)
         want /= np.trace(want).real
         assert np.allclose(thermal_state(m).mat, want, atol=1e-12)
 
     def test_gibbs_energy_matches_eigenbasis_average(self):
         m = build_chain(4, 2, transverse_ising(1.0, 1.0), beta=1.0)
-        h = hamiltonian(m)
+        h = edge_hamiltonian(m)
         rho = thermal_state(m)
         energy = np.trace(rho.mat @ h.mat).real
         w = np.linalg.eigvalsh(h.mat)
@@ -159,20 +158,19 @@ class TestThermalState:
         m = build_chain(4, 2, transverse_ising(), beta=1.0)
         rho = thermal_state(m)
         assert thermal_state(m) is rho
-        w = np.linalg.eigvalsh(hamiltonian(m).mat)
-        assert partition_function(m) == pytest.approx(np.exp(-w).sum(), rel=1e-12)
+        w = np.linalg.eigvalsh(edge_hamiltonian(m).mat)
+        z = math.exp(log_partition_function(m))
+        assert z == pytest.approx(np.exp(-w).sum(), rel=1e-12)
         alive = weakref.ref(rho)
         del rho, m
         gc.collect()
         assert alive() is None
 
-    def test_partition_function_overflow_is_typed(self):
+    def test_log_partition_function_beyond_float_range(self):
         # beta |E0| is about 1800 on the 8-site chain at beta = 200.
         m = build_chain(8, 2, transverse_ising(), beta=200.0)
-        w = np.linalg.eigvalsh(hamiltonian(m).mat)
+        w = np.linalg.eigvalsh(edge_hamiltonian(m).mat)
         assert log_partition_function(m) == pytest.approx(-200.0 * w[0], rel=1e-12)
-        with pytest.raises(OperatorError, match="log Z"):
-            partition_function(m)
 
     def test_unit_trace_and_positivity(self):
         for factory in (classical_ising(), transverse_ising(), heisenberg(),
@@ -203,7 +201,7 @@ class TestExactReducedDensity:
     def test_six_chain_against_direct_construction(self):
         m = build_chain(6, 2, transverse_ising(1.0, 1.0), beta=1.0)
         got = exact_reduced_density(m, {6})
-        full = linalg.expm(-1.0 * hamiltonian(m).mat)
+        full = linalg.expm(-1.0 * edge_hamiltonian(m).mat)
         full /= np.trace(full).real
         want = partial_trace_by_sum(full, [2] * 6, [0, 1, 2, 3, 4])
         assert np.allclose(got.mat, want, atol=1e-10)
@@ -266,7 +264,7 @@ class TestRegionPartition:
                  (3, 4, transverse_ising()), (2, 5, transverse_ising()),
                  (5, 6, transverse_ising()), (5, 7, transverse_ising())]
         m = build_tree(dims, specs, beta=1.0)
-        h = hamiltonian(m)
+        h = edge_hamiltonian(m)
         for anchor in ({1}, {4}, {1, 7}):
             for radius in range(0, 5):
                 parts = region_partition(m, anchor, radius)

@@ -16,7 +16,6 @@ from qbp import (
     SiteLayout,
     SiteMismatchError,
     build_chain,
-    conditional_expectation,
     edge_hamiltonian,
     embed,
     matrix_exp_h,
@@ -154,40 +153,6 @@ class TestPartialTrace:
         red = partial_trace(op, {1, 3})
         assert abs(red.trace() - op.trace()) < 1e-10
         assert np.allclose(red.mat, red.mat.conj().T)
-
-
-class TestConditionalExpectation:
-    def test_identity_fixed(self):
-        ident = DenseOperator.identity(Q123)
-        assert np.allclose(conditional_expectation(ident, {2}).mat, ident.mat)
-
-    def test_untouched_support_unchanged(self):
-        rng = np.random.default_rng(1)
-        op = embed(random_hermitian(rng, Q1), Q123)
-        assert np.allclose(conditional_expectation(op, {3}).mat, op.mat, atol=1e-13)
-
-    def test_projection(self):
-        rng = np.random.default_rng(2)
-        op = random_hermitian(rng, Q123)
-        once = conditional_expectation(op, {2, 3})
-        twice = conditional_expectation(once, {2, 3})
-        assert op_norm(twice - once) < 1e-12
-
-    def test_nested_regions_compose_to_larger(self):
-        rng = np.random.default_rng(4)
-        lay = SiteLayout((1, 2, 3, 4), (2, 2, 2, 2))
-        op = random_hermitian(rng, lay)
-        small, big = {4}, {3, 4}
-        want = conditional_expectation(op, big)
-        after = conditional_expectation(conditional_expectation(op, small), big)
-        before = conditional_expectation(conditional_expectation(op, big), small)
-        assert op_norm(after - want) < 1e-12
-        assert op_norm(before - want) < 1e-12
-
-    def test_norm_non_increasing(self):
-        for seed in range(20):
-            op = random_hermitian(seed, Q123)
-            assert op_norm(conditional_expectation(op, {1})) <= op_norm(op) + 1e-12
 
 
 class TestEig:
