@@ -101,6 +101,20 @@ class ExperimentConfig:
         return f"{stock.get('kind', 'chain')}-{stock.get('factory', 'classical_ising')}-n{stock.get('n')}"
 
 
+def _integer(name: str, x) -> int:
+    """``x`` as an int: a JSON integer or integral number, not a bool or a fraction."""
+    if isinstance(x, bool) or not (isinstance(x, int) or isinstance(x, float) and x.is_integer()):
+        raise ConfigError(f"{name} must be an integer, got {x!r}")
+    return int(x)
+
+
+def _positive(name: str, x) -> float:
+    """``x`` as a float: a finite JSON number above zero, not a bool."""
+    if isinstance(x, bool) or not isinstance(x, (int, float)) or not 0 < x < math.inf:
+        raise ConfigError(f"{name} must be a finite positive number, got {x!r}")
+    return float(x)
+
+
 def parse_config(raw: dict, seed_override=None, out_override=None, jobs_override=None) -> ExperimentConfig:
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
@@ -113,24 +127,25 @@ def parse_config(raw: dict, seed_override=None, out_override=None, jobs_override
     s_steps = raw.get("s_steps", 64)
     if isinstance(s_steps, int):
         s_steps = [s_steps]
-    constants = dict(DEFAULT_CONSTANTS)
-    constants.update(raw.get("bound_constants", {}))
+    constants = raw.get("bound_constants", {})
+    if not isinstance(constants, dict):
+        raise ConfigError(f"bound_constants must be an object, got {constants!r}")
     jobs = jobs_override if jobs_override is not None else raw.get("jobs", 0)
     try:
         cfg = ExperimentConfig(
             model=model,
-            beta_values=tuple(float(b) for b in raw.get("beta_values", [])),
-            ell_values=tuple(int(x) for x in raw.get("ell_values", [])),
-            bound_constants=constants,
-            s_steps=tuple(int(s) for s in s_steps),
-            instances=int(raw.get("instances", 500)),
-            seed=int(seed),
+            beta_values=tuple(_positive("beta_values", b) for b in raw.get("beta_values", [])),
+            ell_values=tuple(_integer("ell_values", x) for x in raw.get("ell_values", [])),
+            bound_constants=DEFAULT_CONSTANTS | {k: _positive(k, v) for k, v in constants.items()},
+            s_steps=tuple(_integer("s_steps", s) for s in s_steps),
+            instances=_integer("instances", raw.get("instances", 500)),
+            seed=_integer("seed", seed),
             out_dir=str(out_override if out_override is not None else raw.get("out_dir", ".")),
-            jobs=int(jobs),
-            target=raw.get("target"),
-            leaf=raw.get("leaf"),
+            jobs=_integer("jobs", jobs),
+            target=None if raw.get("target") is None else _integer("target", raw["target"]),
+            leaf=None if raw.get("leaf") is None else _integer("leaf", raw["leaf"]),
         )
-    except (TypeError, ValueError) as exc:
+    except (TypeError, OverflowError) as exc:
         raise ConfigError(f"bad config value: {exc}") from exc
     for field in ("beta_values", "ell_values", "s_steps"):
         values = getattr(cfg, field)

@@ -17,19 +17,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
 from .models import (
-    EdgeTerm,
     GraphModel,
     ModelError,
     degrees,
     distance_map,
+    edge_gibbs_state,
     edge_hamiltonian,
     log_partition_function,
-    neighborhood,
     region_partition,
     thermal_state,
 )
@@ -43,47 +42,32 @@ from .operators import (
     partial_trace,
     trace_norm,
 )
-from .propagation import _sum_on_union
+from .propagation import _sum_on_union, log_linear_fit
 
 #: Cumulant norms at or below this floor are excluded from envelope fits.
 FIT_FLOOR = 1e-12
 
 
-def thermal_potential(
-    model: GraphModel,
-    traced: Iterable[int],
-    edges: Sequence[EdgeTerm] | None = None,
-) -> DenseOperator:
+def thermal_potential(model: GraphModel, traced: Iterable[int]) -> DenseOperator:
     """Change in effective Hamiltonian from tracing ``traced`` out of the
-    thermal state of the given edge subset (default: the whole model).
+    model's thermal state.
 
     Returned on the reduced layout (all sites except ``traced``), where it
-    satisfies exp(-beta (H_out + V_th)) = Tr_traced[exp(-beta H') / Z'] with
-    H_out the subset terms having no endpoint in ``traced``.  Only those
-    outside terms are subtracted: terms touching the traced sites have no
-    home on the reduced space, and the discrepancy is confined to the
-    distance-1 shell.
+    satisfies exp(-beta (H_out + V_th)) = Tr_traced[exp(-beta H) / Z] with
+    H_out the terms having no endpoint in ``traced``.  Only those outside
+    terms are subtracted: terms touching the traced sites have no home on
+    the reduced space, and the discrepancy is confined to the distance-1
+    shell.
     """
     traced = frozenset(traced)
-    edges = model.edges if edges is None else tuple(edges)
-    if not edges:
-        raise ModelError("thermal potential needs at least one edge term")
-    endpoints = frozenset().union(*(e.endpoints() for e in edges))
-    if not traced or not traced <= endpoints:
+    if not traced or not traced < set(model.vertices):
         raise ModelError(
-            f"traced set {sorted(traced)} must lie on the subset's endpoints"
+            f"traced set {sorted(traced)} must be a nonempty proper subset of the vertices"
         )
-    if traced >= set(model.vertices):
-        raise ModelError("cannot trace out every vertex")
-    beta = model.beta
-    if set(edges) == set(model.edges):
-        state = thermal_state(model)
-    else:
-        state, _ = gibbs_state(edge_hamiltonian(model, edges), beta)
-    reduced = partial_trace(state, traced)
-    outside = [e for e in edges if not (e.endpoints() & traced)]
+    reduced = partial_trace(thermal_state(model), traced)
+    outside = [e for e in model.edges if not (e.endpoints() & traced)]
     h_out = edge_hamiltonian(model, outside, reduced.layout)
-    return (-1.0 / beta) * matrix_log_pd(reduced) - h_out
+    return (-1.0 / model.beta) * matrix_log_pd(reduced) - h_out
 
 
 @dataclass(frozen=True)
@@ -163,24 +147,19 @@ class ThermalBoundFit:
     points: tuple[tuple[int, float], ...]
 
 
-def fit_thermal_bound(series: CumulantSeries, floor: float = FIT_FLOOR) -> ThermalBoundFit:
-    """Fit log-norm against shell index over entries above the noise floor.
+def fit_thermal_bound(series: CumulantSeries) -> ThermalBoundFit:
+    """Fit log-norm against shell index over entries above ``FIT_FLOOR``.
 
     With fewer than two usable points the fit is reported as undefined
     rather than raised: a state whose potential dies inside the first shell
     has nothing to fit, which is itself the interesting outcome.
     """
-    usable = [(e.j, e.norm) for e in series.entries if e.norm > floor]
+    usable, fit = log_linear_fit(series.norms(), FIT_FLOOR)
     floored = len(series.entries) - len(usable)
-    if len(usable) < 2:
-        return ThermalBoundFit(False, math.nan, math.nan, math.nan, floored, tuple(usable))
-    xs = np.array([j for j, _ in usable], dtype=float)
-    ys = np.log(np.array([n for _, n in usable]))
-    slope, intercept = np.polyfit(xs, ys, 1)
-    residual = float(np.sqrt(np.mean((ys - (slope * xs + intercept)) ** 2)))
-    return ThermalBoundFit(
-        True, float(np.exp(intercept)), float(-slope), residual, floored, tuple(usable)
-    )
+    if fit is None:
+        return ThermalBoundFit(False, math.nan, math.nan, math.nan, floored, usable)
+    slope, intercept, residual = fit
+    return ThermalBoundFit(True, float(np.exp(intercept)), -slope, residual, floored, usable)
 
 
 @dataclass(frozen=True)
@@ -235,7 +214,6 @@ def single_step_bound(
     beta: float,
     buffer_norm: float,
     radius: int,
-    literal_rate: bool = False,
 ) -> BoundBreakdown:
     """Evaluate the predicted error envelope for one windowed step.
 
@@ -243,8 +221,6 @@ def single_step_bound(
     (boundary) edges.  The first piece prices replacing the conjugation
     operator by its radius-local truncation; the second prices the drift
     between conjugating the true and the effective thermal backgrounds.
-    ``literal_rate`` drops the min(cumulant_decay, lr_decay) factor from
-    the decay rate and uses the looser min(1/2, pi / (2 beta a v)).
     """
     if radius < 1:
         raise ValueError(f"radius must be >= 1, got {radius}")
@@ -280,10 +256,7 @@ def single_step_bound(
     )
     linear_coeff = 2.0 * big_l * beta * a_eff / (a * v)
     const_coeff = m_tilde + 4.0 * big_l * beta**2 / pi**2
-    if literal_rate:
-        rate = min(0.5, pi / (2.0 * beta * a * v))
-    else:
-        rate = min(a_eff / 2.0, pi * a_eff / (2.0 * a * v * beta))
+    rate = min(a_eff / 2.0, pi * a_eff / (2.0 * a * v * beta))
     bound2 = (
         (beta / 2.0)
         * math.exp(2.0 * beta * buffer_norm)
@@ -332,15 +305,9 @@ def single_step_experiment(
     reduced_layout = model.layout.drop({leaf})
 
     away = edge_hamiltonian(model, parts.outer + parts.buffer, reduced_layout)
-    # The inner terms live in the radius ball, so exp(-beta H_inner) on the
-    # full layout is the ball's exponential tensored with identity.  A ball
-    # holding every edge has the model's own thermal state.
-    if parts.buffer or parts.outer:
-        ball_layout = model.layout.subset(neighborhood(model, {leaf}, radius))
-        h_inner = edge_hamiltonian(model, parts.inner, ball_layout)
-        near_ball, log_t = gibbs_state(h_inner, beta)
-    else:
-        near_ball, log_t = thermal_state(model), log_partition_function(model)
+    # The inner terms touch exactly the radius ball, so exp(-beta H_inner) on
+    # the full layout is the ball's exponential tensored with identity.
+    near_ball, log_t = edge_gibbs_state(model, parts.inner)
     # near = Tr_leaf exp(-beta H_inner) is t times this unit-trace operator,
     # so the floor scales by 1/t and the same eigenvalues fall below it.
     near = partial_trace(near_ball, {leaf})

@@ -22,11 +22,10 @@ from .operators import (
     DenseOperator,
     SiteMismatchError,
     _dagger,
-    embed,
+    embed_on_union,
     hermitize,
     matrix_exp_h,
     trace_norm,
-    union_layout,
 )
 
 #: Below this value of |beta * omega| the frequency profile switches to its
@@ -82,13 +81,6 @@ def _filtered(h_mat: np.ndarray, v_mat: np.ndarray, beta: float) -> np.ndarray:
     return hermitize(u @ (filter_hat(gaps, beta) * v_tilde) @ _dagger(u))
 
 
-def _embedded_pair(
-    h: DenseOperator, v: DenseOperator
-) -> tuple[DenseOperator, DenseOperator]:
-    layout = union_layout(h.layout, v.layout)
-    return embed(h, layout), embed(v, layout)
-
-
 def hastings_operator(
     h: DenseOperator, v: DenseOperator, beta: float, s_steps: int = 64
 ) -> DenseOperator:
@@ -103,7 +95,7 @@ def hastings_operator(
     """
     if s_steps < 1:
         raise ValueError(f"s_steps must be >= 1, got {s_steps}")
-    h, v = _embedded_pair(h, v)
+    h, v = embed_on_union(h, v)
     result = np.eye(h.dim)
     step = -beta / (2.0 * s_steps)
     chunk = max(1, STACK_ENTRIES // h.dim**2)
@@ -122,7 +114,7 @@ def conjugation_residual(
 ) -> float:
     """Relative trace-norm defect of the conjugation identity:
     ||O exp(-beta H) O† - exp(-beta (H+V))||_1 / ||exp(-beta (H+V))||_1."""
-    h, v = _embedded_pair(h, v)
+    h, v = embed_on_union(h, v)
     if o.layout != h.layout:
         raise SiteMismatchError("conjugation operator layout does not match H, V")
     target = matrix_exp_h(-beta * (h + v))

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from functools import reduce
 from typing import Iterable
 
 import numpy as np
@@ -32,7 +31,7 @@ from .operators import (
     _trace_norm,
     as_rng,
     assert_hermitian,
-    embed,
+    embed_on_union,
     hermitize,
     random_hermitian,
     union_layout,
@@ -41,9 +40,9 @@ from .operators import (
 DEFAULT_SLACK = 1e-9
 
 
-def _passed(lhs, rhs, slack: float = DEFAULT_SLACK):
-    """The pass rule, per instance: rhs - lhs >= -slack * max(1, |rhs|)."""
-    return rhs - lhs >= -slack * np.maximum(1.0, np.abs(rhs))
+def _passed(lhs, rhs):
+    """The pass rule, per instance: rhs - lhs >= -DEFAULT_SLACK * max(1, |rhs|)."""
+    return rhs - lhs >= -DEFAULT_SLACK * np.maximum(1.0, np.abs(rhs))
 
 
 @dataclass(frozen=True)
@@ -51,7 +50,6 @@ class CheckResult:
     name: str
     lhs: float
     rhs: float
-    slack: float = DEFAULT_SLACK
 
     @property
     def margin(self) -> float:
@@ -59,13 +57,12 @@ class CheckResult:
 
     @property
     def passed(self) -> bool:
-        return bool(_passed(self.lhs, self.rhs, self.slack))
+        return bool(_passed(self.lhs, self.rhs))
 
 
 def _check(name: str, kernel, ops: tuple[DenseOperator, ...], *params) -> CheckResult:
     """``kernel`` on the operands, each embedded on the union of their supports."""
-    layout = reduce(union_layout, (op.layout for op in ops))
-    lhs, rhs = kernel(*(embed(op, layout).mat for op in ops), *params)
+    lhs, rhs = kernel(*(op.mat for op in embed_on_union(*ops)), *params)
     return CheckResult(name, float(lhs), float(rhs))
 
 

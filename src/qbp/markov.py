@@ -21,6 +21,9 @@ from .operators import DenseOperator, assert_density, partial_trace
 #: Tiny negative CMI values above this floor are reported as zero.
 CMI_CLAMP = -1e-8
 
+#: Deficiencies at or below this count as conditional independence.
+MARKOV_TOL = 1e-8
+
 
 @dataclass(frozen=True)
 class TripartiteSplit:
@@ -112,58 +115,41 @@ class DeficiencyRow:
         }
 
 
-def connected_subsets(
-    adj: Mapping[int, Iterable[int]], max_size: int = 2
-) -> list[tuple[int, ...]]:
-    """Connected vertex subsets up to ``max_size``, sorted for determinism."""
+def connected_subsets(adj: Mapping[int, Iterable[int]]) -> list[tuple[int, ...]]:
+    """Every vertex, then every edge (u, v) with u < v, in ascending order."""
     vertices = sorted(adj)
-    found = {(v,) for v in vertices}
-    frontier = set(found)
-    for _ in range(max_size - 1):
-        grown = set()
-        for subset in frontier:
-            for v in subset:
-                for w in adj[v]:
-                    if w not in subset:
-                        grown.add(tuple(sorted(subset + (w,))))
-        found |= grown
-        frontier = grown
-    return sorted(found, key=lambda s: (len(s), s))
+    return [(v,) for v in vertices] + [(v, w) for v in vertices for w in sorted(adj[v]) if v < w]
 
 
 def deficiency_rows(
     model: GraphModel,
     radius: int = 1,
-    max_subset_size: int = 2,
     state: DenseOperator | None = None,
     entropies: dict | None = None,
 ) -> list[DeficiencyRow]:
-    """Deficiencies of every connected subset up to the size cap.
-
-    The cap (default 2) keeps the enumeration polynomial; message-passing
-    analysis only ever conditions on small subsets.  ``entropies`` memoizes
-    the state's reduced entropies by traced-site set: pass one dict to every
-    call on the same state, and each entropy is computed once.
+    """Deficiencies of every vertex and every edge, the only subsets that
+    message passing conditions on.  ``entropies`` memoizes the state's
+    reduced entropies by traced-site set: pass one dict to every call on the
+    same state, and each entropy is computed once.
     """
     state = state if state is not None else thermal_state(model)
     entropies = {} if entropies is None else entropies
-    return _deficiency_rows(state, adjacency(model), radius, max_subset_size, entropies)
+    return _deficiency_rows(state, adjacency(model), radius, entropies)
 
 
 def _deficiency_rows(
     state: DenseOperator,
     adj: Mapping[int, Iterable[int]],
     radius: int,
-    max_size: int,
     entropies: dict,
 ) -> list[DeficiencyRow]:
-    """Deficiencies of ``state`` over the graph ``adj`` for every connected
-    proper subset up to ``max_size``, memoizing entropies in ``entropies``."""
+    """Deficiencies of ``state`` over the graph ``adj`` for every vertex and
+    edge that is a proper subset, memoizing entropies in ``entropies``."""
     if radius < 1:
         raise ModelError(f"radius must be >= 1, got {radius}")
     vertices = frozenset(state.layout.sites)
     rows = []
-    for subset in connected_subsets(adj, max_size):
+    for subset in connected_subsets(adj):
         if len(subset) >= len(adj):
             continue
         split = _blanket_split(vertices, adj, frozenset(subset), radius)
@@ -178,31 +164,27 @@ class LeafTraceReport:
     independence at radius 1."""
 
     leaf: int
-    tol: float
-    subset_cap: int
     input_markov: bool
     before: tuple[DeficiencyRow, ...]
     after: tuple[DeficiencyRow, ...]
 
     @property
     def passed(self) -> bool:
-        return self.input_markov and all(r.value <= self.tol for r in self.after)
+        return self.input_markov and all(r.value <= MARKOV_TOL for r in self.after)
 
 
-def leaf_trace_preserves_markov(
-    model: GraphModel, leaf: int, tol: float = 1e-8, max_subset_size: int = 2
-) -> LeafTraceReport:
+def leaf_trace_preserves_markov(model: GraphModel, leaf: int) -> LeafTraceReport:
     """Trace out a degree-1 vertex and re-audit all deficiencies.
 
     If the input state is not itself conditionally independent at radius 1
-    (some deficiency above ``tol``), the report says so rather than raising:
-    the preservation statement simply has nothing to say about such inputs.
+    (a deficiency above ``MARKOV_TOL``), the report says so rather than
+    raising: the preservation statement has nothing to say about such inputs.
     """
     if degrees(model).get(leaf) != 1:
         raise ModelError(f"vertex {leaf} is not a leaf")
     state = thermal_state(model)
-    before = tuple(deficiency_rows(model, 1, max_subset_size, state=state))
-    input_markov = all(r.value <= tol for r in before)
+    before = tuple(deficiency_rows(model, 1, state=state))
+    input_markov = all(r.value <= MARKOV_TOL for r in before)
     after: tuple[DeficiencyRow, ...] = ()
     if input_markov:
         adj = {
@@ -211,5 +193,5 @@ def leaf_trace_preserves_markov(
             if v != leaf
         }
         reduced = partial_trace(state, {leaf})
-        after = tuple(_deficiency_rows(reduced, adj, 1, max_subset_size, {}))
-    return LeafTraceReport(leaf, tol, max_subset_size, input_markov, before, after)
+        after = tuple(_deficiency_rows(reduced, adj, 1, {}))
+    return LeafTraceReport(leaf, input_markov, before, after)

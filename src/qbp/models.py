@@ -281,6 +281,16 @@ def log_partition_function(model: GraphModel) -> float:
     return model._thermal[1]
 
 
+def edge_gibbs_state(model: GraphModel, edges: Sequence[EdgeTerm]) -> tuple[DenseOperator, float]:
+    """exp(-beta H) / Z and log Z of the edge terms, summed in the given order,
+    on the sites they touch; all of the model's edges, in any order, give the
+    model's own cached (thermal_state, log_partition_function) objects."""
+    if len(edges) == len(model.edges) and set(edges) == set(model.edges):
+        return model._thermal
+    layout = model.layout.subset(set().union(*(e.endpoints() for e in edges)))
+    return gibbs_state(edge_hamiltonian(model, edges, layout), model.beta)
+
+
 def exact_reduced_density(model: GraphModel, keep: Iterable[int]) -> DenseOperator:
     """Brute-force reduced thermal state: the oracle all beliefs are judged by."""
     keep = set(keep)

@@ -14,9 +14,10 @@ a lone reversal-symmetric matrix is solved as two blocks (`_reversal_blocks`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import prod
 from string import ascii_letters
+from functools import reduce
 from typing import Iterable
 
 import numpy as np
@@ -80,7 +81,6 @@ class SiteLayout:
 
     sites: tuple[int, ...]
     dims: tuple[int, ...]
-    dim_cap: int = field(default=DIM_CAP_DEFAULT, compare=False, repr=False)
 
     def __post_init__(self):
         sites = tuple(int(s) for s in self.sites)
@@ -94,9 +94,9 @@ class SiteLayout:
         order = sorted(range(len(sites)), key=lambda i: sites[i])
         sites = tuple(sites[i] for i in order)
         dims = tuple(dims[i] for i in order)
-        if prod(dims) > self.dim_cap:
+        if prod(dims) > DIM_CAP_DEFAULT:
             raise DimensionCapError(
-                f"total dimension {prod(dims)} exceeds cap {self.dim_cap}"
+                f"total dimension {prod(dims)} exceeds cap {DIM_CAP_DEFAULT}"
             )
         object.__setattr__(self, "sites", sites)
         object.__setattr__(self, "dims", dims)
@@ -120,9 +120,7 @@ class SiteLayout:
         if unknown:
             raise SiteMismatchError(f"sites {sorted(unknown)} not in layout")
         pairs = [(s, d) for s, d in zip(self.sites, self.dims) if s in keep]
-        return SiteLayout(
-            tuple(s for s, _ in pairs), tuple(d for _, d in pairs), dim_cap=self.dim_cap
-        )
+        return SiteLayout(tuple(s for s, _ in pairs), tuple(d for _, d in pairs))
 
     def drop(self, sites: Iterable[int]) -> "SiteLayout":
         gone = set(sites)
@@ -136,9 +134,7 @@ def union_layout(a: SiteLayout, b: SiteLayout) -> SiteLayout:
         if merged.setdefault(s, d) != d:
             raise SiteMismatchError(f"site {s} has conflicting dimensions")
     sites = tuple(sorted(merged))
-    return SiteLayout(
-        sites, tuple(merged[s] for s in sites), dim_cap=max(a.dim_cap, b.dim_cap)
-    )
+    return SiteLayout(sites, tuple(merged[s] for s in sites))
 
 
 @dataclass(frozen=True, eq=False)
@@ -221,9 +217,9 @@ def _squared_norm(x: np.ndarray) -> np.ndarray:
     return (v @ v.swapaxes(-1, -2))[..., 0, 0]
 
 
-def _hermitian(mat: np.ndarray, rtol: float = HERMITIAN_RTOL) -> np.ndarray:
-    """Per matrix: ||M - M†||_F <= rtol ||M||_F."""
-    return _squared_norm(mat - _dagger(mat)) <= rtol**2 * _squared_norm(mat)
+def _hermitian(mat: np.ndarray) -> np.ndarray:
+    """Per matrix: ||M - M†||_F <= HERMITIAN_RTOL ||M||_F."""
+    return _squared_norm(mat - _dagger(mat)) <= HERMITIAN_RTOL**2 * _squared_norm(mat)
 
 
 def _reversal_blocks(mat: np.ndarray) -> np.ndarray | None:
@@ -250,27 +246,25 @@ def _reversal_blocks(mat: np.ndarray) -> np.ndarray | None:
     return np.stack((mat[:h, :h] + ends, mat[:h, :h] - ends))
 
 
-def assert_hermitian(mat: np.ndarray, rtol: float = HERMITIAN_RTOL):
+def assert_hermitian(mat: np.ndarray):
     """Raise NonHermitianError unless every matrix of ``mat`` is Hermitian."""
-    if not _hermitian(mat, rtol).all():
+    if not _hermitian(mat).all():
         raise NonHermitianError("operator is not Hermitian within tolerance")
 
 
-def assert_density(
-    op: DenseOperator, trace_atol: float = 1e-10, eig_floor: float = -1e-10
-) -> np.ndarray:
-    """Check unit trace and (numerically) non-negative spectrum.
+def assert_density(op: DenseOperator) -> np.ndarray:
+    """Check unit trace and non-negative spectrum, each within 1e-10.
 
     Returns the ascending spectrum the check computed, so callers that need
     it do not diagonalise the same matrix again.
     """
     assert_hermitian(op.mat)
     tr = op.trace()
-    if abs(tr - 1.0) > trace_atol:
-        raise NonDensityError(f"trace {tr} is not 1 within {trace_atol}")
+    if abs(tr - 1.0) > 1e-10:
+        raise NonDensityError(f"trace {tr} is not 1 within 1e-10")
     w = _eigvalsh(op.mat)
-    if w[0] < eig_floor:
-        raise NonDensityError(f"minimum eigenvalue {w[0]} below {eig_floor}")
+    if w[0] < -1e-10:
+        raise NonDensityError(f"minimum eigenvalue {w[0]} below -1e-10")
     return w
 
 
@@ -285,6 +279,12 @@ def embed(op: DenseOperator, full: SiteLayout) -> DenseOperator:
     tensor = np.zeros(full.dims + full.dims, dtype=op.mat.dtype)
     _add_embedded(tensor, op, full)
     return DenseOperator(full, tensor.reshape(full.dim, full.dim))
+
+
+def embed_on_union(*ops: DenseOperator) -> tuple[DenseOperator, ...]:
+    """Each operator embedded on the union of all their supports."""
+    layout = reduce(union_layout, (op.layout for op in ops))
+    return tuple(embed(op, layout) for op in ops)
 
 
 def _add_embedded(tensor: np.ndarray, op: DenseOperator, full: SiteLayout) -> None:

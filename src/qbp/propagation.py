@@ -25,20 +25,19 @@ from .models import (
     ModelError,
     adjacency,
     degrees,
-    edge_hamiltonian,
+    edge_gibbs_state,
     exact_reduced_density,
     thermal_state,
 )
 from .operators import (
     DenseOperator,
     SiteMismatchError,
-    embed,
+    embed_on_union,
     gibbs_state,
     matrix_exp_h,
     matrix_log_pd,
     partial_trace,
     trace_norm,
-    union_layout,
 )
 
 #: Errors at or below this floor are treated as numerical noise when fitting
@@ -46,10 +45,24 @@ from .operators import (
 ERROR_FLOOR = 1e-10
 
 
+def log_linear_fit(points: Iterable[tuple[float, float]], floor: float) -> tuple:
+    """The points with y above ``floor``, and the least-squares line through
+    their (x, log y) as (slope, intercept, RMS residual), or None when fewer
+    than two rise above the floor."""
+    usable = tuple((x, y) for x, y in points if y > floor)
+    if len(usable) < 2:
+        return usable, None
+    xs, ys = np.array(usable, dtype=float).T
+    ys = np.log(ys)
+    slope, intercept = np.polyfit(xs, ys, 1)
+    residual = float(np.sqrt(np.mean((ys - (slope * xs + intercept)) ** 2)))
+    return usable, (float(slope), float(intercept), residual)
+
+
 def _sum_on_union(*ops: DenseOperator) -> DenseOperator:
     """Sum of the operators, each embedded on the union of their supports."""
-    layout = reduce(union_layout, (op.layout for op in ops))
-    return DenseOperator(layout, reduce(np.add, (embed(op, layout).mat for op in ops)))
+    embedded = embed_on_union(*ops)
+    return DenseOperator(embedded[0].layout, reduce(np.add, (op.mat for op in embedded)))
 
 
 def circle_product(*ops: DenseOperator) -> DenseOperator:
@@ -147,19 +160,14 @@ def run_sliding_window(model: GraphModel, target: int, window: int) -> DenseOper
     ``window`` edges, then alternates tracing the lowest site with absorbing
     the next edge term, exp(-beta h_j + log window) / Z, keeping at most
     ``window + 1`` sites alive.  ``window = n_sites - 1`` spans the whole
-    chain, so it is the exact reduced state, read off the model's own
-    thermal state.
+    chain, so it is the exact reduced state of the model's own thermal state.
     """
     order = chain_order(model, target)
     n = len(order)
     if not 1 <= window <= n - 1:
         raise ModelError(f"window must be in [1, {n - 1}], got {window}")
-    if window == n - 1:
-        return exact_reduced_density(model, {target})
     seq_edges = [model.edge((order[i], order[i + 1])) for i in range(n - 1)]
-    init_layout = model.layout.subset(order[: window + 1])
-    block = edge_hamiltonian(model, seq_edges[:window], init_layout)
-    current, _ = gibbs_state(block, model.beta)
+    current, _ = edge_gibbs_state(model, seq_edges[:window])
     for j in range(window, n - 1):
         traced = partial_trace(current, {order[j - window]})
         k = _sum_on_union(model.beta * seq_edges[j].term, -matrix_log_pd(traced))
@@ -184,10 +192,5 @@ def window_error_sweep(
     for w in sorted(set(windows)):
         belief = run_sliding_window(model, target, w)
         entries.append((w, trace_norm(belief - oracle)))
-    usable = [(w, e) for w, e in entries if e > ERROR_FLOOR]
-    slope = None
-    if len(usable) >= 2:
-        xs = np.array([w for w, _ in usable], dtype=float)
-        ys = np.log(np.array([e for _, e in usable]))
-        slope = float(np.polyfit(xs, ys, 1)[0])
-    return WindowSweep(tuple(entries), slope)
+    _, fit = log_linear_fit(entries, ERROR_FLOOR)
+    return WindowSweep(tuple(entries), None if fit is None else fit[0])

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -199,14 +200,44 @@ BAD_VALUES = [
     ("window-sweep", "beta_values", [1.0, 1]),
     ("window-sweep", "ell_values", [1, 1, 2]),
     ("hastings-verify", "s_steps", [8, 8]),
+    # a bound constant that is not a finite positive number, or not an object
+    ("window-sweep", "bound_constants", {"trunc_rate": 0}),
+    ("window-sweep", "bound_constants", {"lr_decay": -1}),
+    ("window-sweep", "bound_constants", {"trunc_rate": "x"}),
+    ("window-sweep", "bound_constants", {"cumulant_amp": "x"}),
+    ("window-sweep", "bound_constants", [1]),
+    # a non-finite beta
+    ("window-sweep", "beta_values", [float("inf")]),
+    ("cumulant-decay", "beta_values", [float("inf")]),
+    ("hastings-verify", "beta_values", [float("inf")]),
+    # a beta too large for a float
+    ("window-sweep", "beta_values", [10**400]),
+    # an integer field holding a fraction, a bool or a list
+    ("window-sweep", "ell_values", [2.7]),
+    ("window-sweep", "ell_values", [True]),
+    ("window-sweep", "target", [4]),
 ]
 
 
 def bad_value_id(command, field, value):
+    if isinstance(value, dict):  # one bound constant
+        ((key, value),) = value.items()
+        field = f"{field}.{key}"
+    elif field in ("bound_constants", "target"):  # a list where none belongs
+        return f"{command}-{field}-list"
     values = value if isinstance(value, list) else [value]
+    if any(isinstance(v, (bool, str)) for v in values):
+        return f"{command}-{field}-{type(values[0]).__name__}"
     if len(set(values)) < len(values):
         return f"{command}-{field}-repeated"
-    kind = "empty" if not values else "nonpositive" if min(values) <= 0 else "above_range"
+    if not values:
+        kind = "empty"
+    elif math.inf in values:
+        kind = "nonfinite"
+    elif min(values) <= 0:
+        kind = "nonpositive"
+    else:
+        kind = "fraction" if any(v % 1 for v in values) else "above_range"
     return f"{command}-{field}-{kind}"
 
 

@@ -8,6 +8,7 @@ from qbp import (
     SiteLayout,
     TripartiteSplit,
     build_chain,
+    build_tree,
     classical_ising,
     cmi,
     deficiency_rows,
@@ -127,17 +128,27 @@ class TestDeficiency:
                 deficiency_rows(m, radius)
 
     def test_rows_cover_connected_subsets(self):
-        m = build_chain(4, 2, classical_ising(), beta=1.0)
-        rows = deficiency_rows(m, 1, max_subset_size=2)
-        subsets = {r.subset for r in rows}
-        assert subsets == {(1,), (2,), (3,), (4,), (1, 2), (2, 3), (3, 4)}
-        assert all(r.value <= 1e-9 for r in rows)
+        chain = build_chain(4, 2, classical_ising(), beta=1.0)
+        # Vertex 2 has degree 3; edges are listed out of order on purpose.
+        tree = build_tree(
+            {v: 2 for v in range(1, 6)},
+            [(4, 5, classical_ising()), (2, 1, classical_ising()),
+             (2, 4, classical_ising()), (3, 2, classical_ising())],
+            beta=1.0,
+        )
+        for m, want in (
+            (chain, [(1,), (2,), (3,), (4,), (1, 2), (2, 3), (3, 4)]),
+            (tree, [(1,), (2,), (3,), (4,), (5,), (1, 2), (2, 3), (2, 4), (4, 5)]),
+        ):
+            rows = deficiency_rows(m, 1)
+            assert [r.subset for r in rows] == want
+            assert all(r.value <= 1e-9 for r in rows)
 
 
 class TestLeafTrace:
     def test_classical_chain_preserved(self):
         m = build_chain(5, 2, classical_ising(1.0), beta=1.0)
-        report = leaf_trace_preserves_markov(m, 1, tol=1e-8)
+        report = leaf_trace_preserves_markov(m, 1)
         assert report.input_markov
         assert report.passed
         assert all(r.value <= 1e-8 for r in report.before)

@@ -32,7 +32,8 @@ from qbp import (
     transverse_ising,
 )
 
-from qbp.models import log_partition_function, matrix_from_json
+from qbp.models import edge_gibbs_state, log_partition_function, matrix_from_json
+from qbp.operators import gibbs_state
 
 from oracles import kron_all, kron_hamiltonian, nx_distance, partial_trace_by_sum
 
@@ -165,6 +166,21 @@ class TestThermalState:
         del rho, m
         gc.collect()
         assert alive() is None
+
+    def test_edge_gibbs_state(self):
+        m = build_chain(5, 2, random_two_local(7), beta=1.5)
+        for edges in (m.edges, m.edges[::-1]):
+            rho, log_z = edge_gibbs_state(m, edges)
+            assert rho is thermal_state(m)
+            assert log_z is log_partition_function(m)
+        for edges in (m.edges[1:], m.edges[:0:-1]):
+            rho, log_z = edge_gibbs_state(m, edges)
+            want, want_log_z = gibbs_state(
+                edge_hamiltonian(m, edges, m.layout.subset({2, 3, 4, 5})), m.beta
+            )
+            assert rho.sites == (2, 3, 4, 5)
+            assert rho.mat.tobytes() == want.mat.tobytes()
+            assert log_z == want_log_z
 
     def test_log_partition_function_beyond_float_range(self):
         # beta |E0| is about 1800 on the 8-site chain at beta = 200.

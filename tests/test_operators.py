@@ -63,7 +63,6 @@ class TestSiteLayout:
     def test_dim_cap(self):
         with pytest.raises(DimensionCapError):
             SiteLayout(tuple(range(13)), (2,) * 13)
-        SiteLayout(tuple(range(13)), (2,) * 13, dim_cap=2**13)
 
     def test_subset_and_drop(self):
         lay = SiteLayout((1, 2, 3), (2, 3, 4))
