@@ -28,7 +28,7 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -73,7 +73,6 @@ class ConfigError(ValueError):
 DEFAULT_CONSTANTS = {
     "trunc_rate": 1.0,
     "trunc_beta_scale": 1.0,
-    "lr_amplitude": 1.0,
     "lr_decay": 1.0,
     "lr_velocity": 1.0,
 }
@@ -115,6 +114,26 @@ def _positive(name: str, x) -> float:
     return float(x)
 
 
+def _check_stock(stock) -> None:
+    """Raise ConfigError, or ModelError for the factory and its parameters,
+    unless ``stock`` is a stock model spec that ``build_model`` builds as written."""
+    if not isinstance(stock, dict):
+        raise ConfigError(f"model stock must be an object, got {stock!r}")
+    known = ["kind", "n", "local_dim", "factory", "params"]
+    if set(stock) - set(known):
+        raise ConfigError(f"unknown model stock keys {sorted(set(stock) - set(known))}; known: {known}")
+    if stock.get("kind", "chain") != "chain":
+        raise ConfigError(f"unknown stock model kind {stock['kind']!r}")
+    if "n" not in stock:
+        raise ConfigError("model stock needs 'n'")
+    _integer("n", stock["n"])
+    _integer("local_dim", stock.get("local_dim", 2))
+    params = stock.get("params", {})
+    if not isinstance(params, dict):
+        raise ConfigError(f"model stock params must be an object, got {params!r}")
+    stock_factory(stock.get("factory", "classical_ising"), **params)
+
+
 def parse_config(raw: dict, seed_override=None, out_override=None, jobs_override=None) -> ExperimentConfig:
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
@@ -130,8 +149,13 @@ def parse_config(raw: dict, seed_override=None, out_override=None, jobs_override
     constants = raw.get("bound_constants", {})
     if not isinstance(constants, dict):
         raise ConfigError(f"bound_constants must be an object, got {constants!r}")
+    known = sorted(f.name for f in fields(BoundConstants))
+    if set(constants) - set(known):
+        raise ConfigError(f"unknown bound_constants {sorted(set(constants) - set(known))}; known: {known}")
     jobs = jobs_override if jobs_override is not None else raw.get("jobs", 0)
     try:
+        if "path" not in model:
+            _check_stock(model["stock"])
         cfg = ExperimentConfig(
             model=model,
             beta_values=tuple(_positive("beta_values", b) for b in raw.get("beta_values", [])),
@@ -168,9 +192,6 @@ def build_model(cfg: ExperimentConfig, beta: float) -> GraphModel:
         raw["beta"] = beta
         return model_from_config(raw)
     stock = cfg.model["stock"]
-    kind = stock.get("kind", "chain")
-    if kind != "chain":
-        raise ConfigError(f"unknown stock model kind {kind!r}")
     factory = stock_factory(stock.get("factory", "classical_ising"), **stock.get("params", {}))
     return build_chain(
         int(stock["n"]), int(stock.get("local_dim", 2)), factory, beta
@@ -245,16 +266,7 @@ def fitted_constants(model: GraphModel, leaf: int, base: dict) -> tuple[BoundCon
     decay = float(base.get("cumulant_decay", fit.decay))
     if math.isnan(amp) or math.isnan(decay) or amp <= 0 or decay <= 0:
         return None, amp, decay
-    consts = BoundConstants(
-        trunc_rate=base["trunc_rate"],
-        trunc_beta_scale=base["trunc_beta_scale"],
-        lr_amplitude=base["lr_amplitude"],
-        lr_decay=base["lr_decay"],
-        lr_velocity=base["lr_velocity"],
-        cumulant_amp=amp,
-        cumulant_decay=decay,
-    )
-    return consts, amp, decay
+    return BoundConstants(**(base | {"cumulant_amp": amp, "cumulant_decay": decay})), amp, decay
 
 
 # -- workers (top level so they pickle) -----------------------------------------

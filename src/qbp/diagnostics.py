@@ -16,7 +16,7 @@ by side.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Iterable
 
 import numpy as np
@@ -167,32 +167,23 @@ class BoundConstants:
     """Free constants entering the single-step error bound.
 
     ``trunc_rate`` and ``trunc_beta_scale`` govern how fast the conjugation
-    operator can be truncated to a local ball; ``lr_amplitude``,
-    ``lr_decay`` and ``lr_velocity`` are the locality (light-cone) constants
-    of the Hamiltonian; ``cumulant_amp`` and ``cumulant_decay`` are the
+    operator can be truncated to a local ball; ``lr_decay`` and
+    ``lr_velocity`` are the locality (light-cone) constants of the
+    Hamiltonian; ``cumulant_amp`` and ``cumulant_decay`` are the
     fitted envelope of the thermal-potential cumulants.
     """
 
     trunc_rate: float
     trunc_beta_scale: float
-    lr_amplitude: float
     lr_decay: float
     lr_velocity: float
     cumulant_amp: float
     cumulant_decay: float
 
     def __post_init__(self):
-        for name in (
-            "trunc_rate",
-            "trunc_beta_scale",
-            "lr_amplitude",
-            "lr_decay",
-            "lr_velocity",
-            "cumulant_amp",
-            "cumulant_decay",
-        ):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be strictly positive")
+        for field in fields(self):
+            if not getattr(self, field.name) > 0:
+                raise ValueError(f"{field.name} must be strictly positive")
 
 
 @dataclass(frozen=True)

@@ -389,7 +389,10 @@ STOCK_FACTORIES: dict[str, Callable[..., TermFactory]] = {
 def stock_factory(name: str, **params) -> TermFactory:
     if name not in STOCK_FACTORIES:
         raise ModelError(f"unknown factory {name!r}; have {sorted(STOCK_FACTORIES)}")
-    return STOCK_FACTORIES[name](**params)
+    try:
+        return STOCK_FACTORIES[name](**params)
+    except TypeError as exc:  # a parameter the factory does not take
+        raise ModelError(f"factory {name!r}: {exc}") from None
 
 
 # -- builders ------------------------------------------------------------------

@@ -9,7 +9,8 @@ stateful objects are the caller-owned random generators.  An operator's
 dtype follows its data (float64 or complex128) through all arithmetic.
 The private matrix functions also take stacks, shape (..., d, d), and give
 each matrix the LAPACK/BLAS call it gets alone, so results are bit-equal; only
-a lone reversal-symmetric matrix is solved as two blocks (`_reversal_blocks`).
+a lone reversal-symmetric matrix is solved as two blocks (`_reversal_blocks`),
+and its exp, log or Gibbs state is assembled from the blocks' functions.
 """
 
 from __future__ import annotations
@@ -348,25 +349,25 @@ def _partial_trace(
     return keep_layout, reduced.reshape(stack + (keep_layout.dim, keep_layout.dim))
 
 
-def _eigh_checked(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Ascending w and orthonormal V with M = V diag(w) V†, of a Hermitian
-    matrix or stack; see ``_reversal_blocks`` for the two-block path."""
+def _matrix_function(mat: np.ndarray, f) -> tuple[np.ndarray, np.ndarray]:
+    """f(M) and the ascending eigenvalues of a Hermitian matrix or stack M; ``f``
+    maps eigenvalues to weights, shape for shape.  A matrix ``_reversal_blocks``
+    splits is solved as its blocks B± (``f`` sees their (2, d/2) eigenvalues):
+    f(M) = [[A, C J], [J C, J A J]], A, C = (f(B+) ± f(B-))/2, equals f(M)† and J f(M) J exactly."""
     assert_hermitian(mat)
     blocks = _reversal_blocks(mat)
+    w, v = np.linalg.eigh(mat if blocks is None else blocks)
+    out = (v * f(w)[..., None, :]) @ _dagger(v)
+    del v  # d² fewer bytes live while hermitize makes its two temporaries
+    out = hermitize(out)
     if blocks is None:
-        return np.linalg.eigh(mat)
-    w, v = np.linalg.eigh(blocks)
-    h, order = len(w[0]), np.argsort(w, axis=None, kind="stable")
-    v *= np.sqrt(0.5)
-    out = np.empty(mat.shape, v.dtype)
-    rank = order.argsort()  # column of each block eigenvector in ``out``
-    out[:h, rank[:h]], out[h:, rank[:h]] = v[0], v[0, ::-1]
-    out[:h, rank[h:]], out[h:, rank[h:]] = v[1], -v[1, ::-1]
-    return w.ravel()[order], out
+        return out, w
+    a, c = (out[0] + out[1]) / 2.0, (out[0] - out[1]) / 2.0
+    return np.block([[a, c[:, ::-1]], [c[::-1], a[::-1, ::-1]]]), np.sort(w, axis=None)
 
 
 def _eigvalsh(mat: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues, by the same path as ``_eigh_checked``."""
+    """Ascending eigenvalues, from the blocks where ``_matrix_function`` uses them."""
     blocks = _reversal_blocks(mat)
     if blocks is None:
         return np.linalg.eigvalsh(mat)
@@ -374,8 +375,7 @@ def _eigvalsh(mat: np.ndarray) -> np.ndarray:
 
 
 def _exp_h(mat: np.ndarray) -> np.ndarray:
-    w, v = _eigh_checked(mat)
-    return hermitize((v * np.exp(w)[..., None, :]) @ _dagger(v))
+    return _matrix_function(mat, np.exp)[0]
 
 
 def matrix_exp_h(op: DenseOperator) -> DenseOperator:
@@ -389,21 +389,21 @@ def gibbs_state(ham: DenseOperator, beta: float) -> tuple[DenseOperator, float]:
     The Boltzmann weights are shifted by the smallest eigenvalue before
     exponentiating, so neither overflows.
     """
-    w, v = _eigh_checked(ham.mat)
-    p = np.exp(-beta * (w - w[0]))
-    mat = (v * (p / p.sum())) @ _dagger(v)
-    del v  # d² fewer bytes live while hermitize makes its two temporaries
-    return DenseOperator(ham.layout, hermitize(mat)), float(np.log(p.sum()) - beta * w[0])
+    def shifted(w):
+        return np.exp(-beta * (w - w.min()))
+    rho, w = _matrix_function(ham.mat, lambda w: shifted(w) / shifted(w).sum())
+    return DenseOperator(ham.layout, rho), float(np.log(shifted(w).sum()) - beta * w.min())
 
 
 def _log_pd(mat: np.ndarray, floor: float = LOG_EIG_FLOOR) -> np.ndarray:
-    w, v = _eigh_checked(mat)
-    lowest = w[..., 0].min()
-    if lowest <= floor:
-        raise SingularOperatorError(
-            f"eigenvalue {lowest} at or below floor {floor}", eigenvalue=float(lowest)
-        )
-    return hermitize((v * np.log(w)[..., None, :]) @ _dagger(v))
+    def log(w):
+        lowest = w.min()
+        if lowest <= floor:
+            raise SingularOperatorError(
+                f"eigenvalue {lowest} at or below floor {floor}", eigenvalue=float(lowest)
+            )
+        return np.log(w)
+    return _matrix_function(mat, log)[0]
 
 
 def matrix_log_pd(op: DenseOperator, floor: float = LOG_EIG_FLOOR) -> DenseOperator:

@@ -2,8 +2,8 @@
 
 Everything here deliberately avoids the package's own tensor plumbing:
 embeddings are built index by index, partial traces by explicit index
-summation, thermal marginals by enumerating classical configurations, and
-graph distances via networkx.
+summation, thermal marginals by enumerating classical configurations,
+matrix exponentials by scipy, and graph distances via networkx.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ from functools import reduce
 
 import networkx as nx
 import numpy as np
+from scipy.linalg import expm
 
 from qbp import (
     DenseOperator,
@@ -136,6 +137,50 @@ def partial_trace_by_sum(mat, dims, traced_axes):
                 ci = ci * d + x
             out[ri, ci] = acc
     return out
+
+
+def sliding_window_oracle(model, target, window):
+    """Sliding-window belief at the chain endpoint ``target``, from the edge
+    terms' raw matrices alone.
+
+    The chain is ordered from the far endpoint by networkx.  The first
+    ``window`` edges give exp(-beta H) / Z on their ``window + 1`` sites; each
+    later step traces out the oldest site, then absorbs the next edge term as
+    exp(-beta h + log rho) / Z; the last state is traced down to ``target``.
+    Hamiltonians come from ``kron_hamiltonian``, exponentials from
+    ``scipy.linalg.expm``, logs from ``numpy.linalg.eigh`` and partial traces
+    from ``partial_trace_by_sum``.
+    """
+    g = nx_graph(model)
+    far = next(v for v, deg in g.degree if deg == 1 and v != target)
+    order = nx.shortest_path(g, far, target)
+    dims = {s: model.layout.dim_of(s) for s in model.vertices}
+    terms = {e.key: e.term.mat for e in model.edges}
+
+    def term(i):  # the edge (order[i], order[i + 1]), on its ascending sites
+        key = tuple(sorted(order[i : i + 2]))
+        return model.beta * terms[key], key
+
+    def gibbs(h):
+        rho = expm(-h)
+        return rho / np.trace(rho)
+
+    def trace_out(rho, sites, gone):
+        axes = [sites.index(s) for s in gone]
+        return partial_trace_by_sum(rho, [dims[s] for s in sites], axes)
+
+    sites = sorted(order[: window + 1])
+    rho = gibbs(kron_hamiltonian([term(i) for i in range(window)], sites, dims))
+    for j in range(window, len(order) - 1):
+        oldest = order[j - window]
+        rho = trace_out(rho, sites, [oldest])
+        sites.remove(oldest)
+        w, v = np.linalg.eigh(rho)
+        log_rho = (v * np.log(w)) @ v.conj().T
+        new_sites = sorted(sites + [order[j + 1]])
+        rho = gibbs(kron_hamiltonian([term(j), (-log_rho, tuple(sites))], new_sites, dims))
+        sites = new_sites
+    return trace_out(rho, sites, [s for s in sites if s != target])
 
 
 def classical_energies(model):

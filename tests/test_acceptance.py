@@ -107,7 +107,7 @@ def test_criterion_04_bound_evaluator_consistency():
     m = build_chain(8, 2, transverse_ising(1.0, 1.0), beta=1.0)
     fit = fit_thermal_bound(cumulants(thermal_potential(m, {1}), m, {1}))
     assert fit.defined
-    consts = BoundConstants(1.0, 1.0, 1.0, 1.0, 1.0, fit.amplitude, fit.decay)
+    consts = BoundConstants(1.0, 1.0, 1.0, 1.0, fit.amplitude, fit.decay)
     records = [single_step_experiment(m, 1, r, consts) for r in range(1, 7)]
     print("    ell   lhs_normalized     rhs_total")
     for rec in records:

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -177,6 +178,17 @@ class TestOtherCommands:
         assert {"U", "ell", "deficiency", "degenerate", "beta"} <= set(audit[0])
 
 
+# a malformed stock model, by what is wrong with it
+BAD_STOCKS = {
+    "missing_n": {"kind": "chain", "factory": "tfim"},
+    "n_fraction": {"n": 4.7, "factory": "tfim"},
+    "n_str": {"n": "5", "factory": "tfim"},
+    "params_list": {"n": 5, "factory": "tfim", "params": [1]},
+    "params_unknown": {"n": 5, "factory": "tfim", "params": {"Jx": 1}},
+    "not_an_object": "chain",
+    "unknown_key": {"n": 5, "factroy": "tfim"},
+}
+
 BAD_VALUES = [
     # every (command, required field) pair, emptied
     ("window-sweep", "beta_values", []),
@@ -206,6 +218,9 @@ BAD_VALUES = [
     ("window-sweep", "bound_constants", {"trunc_rate": "x"}),
     ("window-sweep", "bound_constants", {"cumulant_amp": "x"}),
     ("window-sweep", "bound_constants", [1]),
+    # a bound constant that does not exist, misspelt or deleted
+    ("window-sweep", "bound_constants", {"trunc_rat": 2.0}),
+    ("window-sweep", "bound_constants", {"lr_amplitude": 1.0}),
     # a non-finite beta
     ("window-sweep", "beta_values", [float("inf")]),
     ("cumulant-decay", "beta_values", [float("inf")]),
@@ -216,13 +231,18 @@ BAD_VALUES = [
     ("window-sweep", "ell_values", [2.7]),
     ("window-sweep", "ell_values", [True]),
     ("window-sweep", "target", [4]),
+    *(("cumulant-decay", "model", {"stock": stock}) for stock in BAD_STOCKS.values()),
 ]
 
 
 def bad_value_id(command, field, value):
+    if field == "model":
+        return f"{command}-model-" + next(k for k, s in BAD_STOCKS.items() if value == {"stock": s})
     if isinstance(value, dict):  # one bound constant
         ((key, value),) = value.items()
         field = f"{field}.{key}"
+        if key not in {f.name for f in dataclasses.fields(cli.BoundConstants)}:
+            return f"{command}-{field}-unknown"
     elif field in ("bound_constants", "target"):  # a list where none belongs
         return f"{command}-{field}-list"
     values = value if isinstance(value, list) else [value]

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -54,7 +55,7 @@ TFIM8_STEP_ERRORS = [
 UNIT_BOUND1 = 52.0234289350552873654175837201
 UNIT_BOUND2 = 94.1764682836359861958048337077
 
-ONES = BoundConstants(1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0)
+ONES = BoundConstants(1.0, 1.0, 1.0, 1.0, 1.0, 1.0)
 
 
 class TestThermalPotential:
@@ -182,8 +183,15 @@ class TestErrorBudget:
         assert got.bound2 == pytest.approx(UNIT_BOUND2, rel=1e-14)
         assert got.total == pytest.approx(UNIT_BOUND1 + UNIT_BOUND2, rel=1e-14)
 
+    def test_every_constant_moves_the_bound(self):
+        # At radius 2 the truncation shift cancels and trunc_beta_scale drops out.
+        base = single_step_bound(ONES, 1.0, 1.0, 3).total
+        for field in dataclasses.fields(BoundConstants):
+            moved = dataclasses.replace(ONES, **{field.name: 2.0})
+            assert single_step_bound(moved, 1.0, 1.0, 3).total != base, field.name
+
     def test_positive_and_eventually_decreasing(self):
-        consts = BoundConstants(2.0, 1.5, 3.0, 1.2, 2.0, 5.0, 0.4)
+        consts = BoundConstants(2.0, 1.5, 1.2, 2.0, 5.0, 0.4)
         vals = [single_step_bound(consts, 1.0, 2.0, r).total for r in range(1, 60)]
         assert all(v > 0 for v in vals)
         b = single_step_bound(consts, 1.0, 2.0, 1)
@@ -192,7 +200,7 @@ class TestErrorBudget:
         assert all(b < a for a, b in zip(vals[start:], vals[start + 1 :]))
 
     def test_tiny_amplitude_limit(self):
-        consts = BoundConstants(1.0, 1.0, 1.0, 1.0, 1.0, 1e-14, 1.0)
+        consts = BoundConstants(1.0, 1.0, 1.0, 1.0, 1e-14, 1.0)
         got = single_step_bound(consts, 1.0, 1.0, 2)
         pi = np.pi
         survivor = (8.0 / pi) * np.exp(2.0 / pi) + 2.0 / np.sqrt(pi)
@@ -200,7 +208,7 @@ class TestErrorBudget:
         assert got.bound2 == pytest.approx(want, rel=1e-10)
 
     def test_decay_rate(self):
-        consts = BoundConstants(1.0, 1.0, 1.0, 2.0, 3.0, 1.0, 0.5)
+        consts = BoundConstants(1.0, 1.0, 2.0, 3.0, 1.0, 0.5)
         derived = single_step_bound(consts, 2.0, 1.0, 1)
         a_eff = 0.5
         assert derived.rate == pytest.approx(
@@ -209,7 +217,7 @@ class TestErrorBudget:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            BoundConstants(0.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0)
+            BoundConstants(0.0, 1.0, 1.0, 1.0, 1.0, 1.0)
         with pytest.raises(ValueError):
             single_step_bound(ONES, 1.0, 1.0, 0)
         with pytest.raises(ValueError):

@@ -31,9 +31,9 @@ from qbp import (
 from qbp import operators
 from qbp.operators import (
     _density,
-    _eigh_checked,
     _exp_h,
     _log_pd,
+    _matrix_function,
     _op_norm,
     _partial_trace,
     _trace_norm,
@@ -157,27 +157,37 @@ class TestPartialTrace:
 class TestEig:
     def test_diagonal(self):
         op = DenseOperator(Q1, np.diag([3.0, 1.0]))
-        w, u = _eigh_checked(op.mat)
-        assert np.allclose(w, [1.0, 3.0])
-        assert np.allclose(np.abs(u), [[0, 1], [1, 0]])
+        assert np.allclose(matrix_exp_h(op).mat, np.diag([np.exp(3.0), np.e]))
+        assert np.allclose(matrix_log_pd(op).mat, np.diag([np.log(3.0), 0.0]))
+        _, w = _matrix_function(op.mat, np.exp)
+        assert np.array_equal(w, [1.0, 3.0])
 
     def test_pauli_x(self):
-        w, _ = _eigh_checked(PAULI_X)
-        assert np.allclose(w, [-1.0, 1.0])
+        x = DenseOperator(Q1, PAULI_X)
+        want = np.cosh(1.0) * np.eye(2) + np.sinh(1.0) * PAULI_X
+        assert np.allclose(matrix_exp_h(x).mat, want)
+        rho, log_z = gibbs_state(x, 1.0)
+        assert log_z == pytest.approx(np.log(2.0 * np.cosh(1.0)))
+        assert np.allclose(rho.mat, np.linalg.inv(want) / np.trace(np.linalg.inv(want)))
 
     def test_reconstruction(self):
         lay = SiteLayout((1, 2, 3, 4), (2, 2, 2, 2))
         op = random_hermitian(42, lay)
-        # The full path, then the block path of a reversal-symmetric matrix.
+        # The full path, then the block path of a reversal-symmetric matrix:
+        # f(w) = w rebuilds M.
         for mat in (op.mat, op.mat + op.mat[::-1, ::-1]):
-            w, u = _eigh_checked(mat)
-            rebuilt = (u * w) @ u.conj().T
+            rebuilt, _ = _matrix_function(mat, lambda w: w)
             assert np.linalg.norm(rebuilt - mat, 2) <= 1e-9 * np.linalg.norm(mat, 2)
 
     def test_non_hermitian_rejected(self):
-        bad = DenseOperator(Q1, np.array([[0, 1], [0, 0]]))
-        with pytest.raises(NonHermitianError):
-            _eigh_checked(bad.mat)
+        g = np.random.default_rng(1).standard_normal((4, 4))
+        # Neither input is Hermitian; the second equals its index reversal,
+        # as a block-path input does.
+        for mat in (g, g + g[::-1, ::-1]):
+            bad = DenseOperator(Q12, mat)
+            for fn in (matrix_exp_h, matrix_log_pd, lambda op: gibbs_state(op, 1.0)):
+                with pytest.raises(NonHermitianError):
+                    fn(bad)
 
 
 class TestExpLog:
@@ -207,7 +217,7 @@ class TestExpLog:
         lay = Q12
         w = rng.uniform(-6, 6, size=lay.dim)
         h = random_hermitian(rng, lay)
-        _, u = _eigh_checked(h.mat)
+        _, u = np.linalg.eigh(h.mat)
         op = DenseOperator(lay, (u * 10.0**w) @ u.conj().T)
         back = matrix_exp_h(matrix_log_pd(op))
         assert op_norm(back - op) <= 1e-8 * op_norm(op)
@@ -282,12 +292,10 @@ class TestRealFastPath:
         g = np.random.default_rng(5).standard_normal((8, 8))
         op = DenseOperator(Q123, g + g.T)
         assert op.mat.dtype == np.float64
-        w, v = _eigh_checked(op.mat)
-        assert v.dtype == np.float64
+        got, w = _matrix_function(op.mat, np.tanh)
+        assert got.dtype == np.float64
         wc, vc = np.linalg.eigh(op.mat.astype(np.complex128))
         assert np.abs(w - wc).max() < 1e-12
-        # Compare a spectral function: eigenvectors are fixed only up to phase.
-        got = (v * np.tanh(w)) @ v.T
         want = (vc * np.tanh(wc)) @ vc.conj().T
         assert np.abs(got - want).max() < 1e-12
 
@@ -431,36 +439,29 @@ def _full_path_inputs() -> dict:
 
 class TestReversalBlocks:
     """A single even-dimension matrix equal to its index reversal J M J is
-    solved as the stack of its two half-size blocks, and agrees with the full
-    path within 1e-12 relative."""
+    solved as the stack of its two half-size blocks.  Its exp, log and Gibbs
+    state are assembled from the blocks' functions, equal their conjugate
+    transpose and index reversal exactly, and agree with the full path within
+    1e-12 relative; so do its eigenvalues and norms."""
 
     BLOCK = {f"tfim{n}": lambda n=n: _tfim_hamiltonian(n) for n in (6, 7, 8, 9)}
     BLOCK["complex"] = _complex_reversal_symmetric
-
-    @pytest.mark.parametrize("name", BLOCK)
-    def test_eigh_takes_blocks_and_agrees(self, solved_shapes, name):
-        op = self.BLOCK[name]()
-        d = op.dim
-        w, v = _eigh_checked(op.mat)
-        assert solved_shapes == [(2, d // 2, d // 2)]
-        w_full, _ = np.linalg.eigh(op.mat)
-        assert np.all(np.diff(w) >= 0)
-        assert np.abs(w - w_full).max() <= 1e-12 * np.abs(w_full).max()
-        assert np.abs(v.conj().T @ v - np.eye(d)).max() <= 1e-12
-        assert _rel((v * w) @ v.conj().T, op.mat) <= 1e-12
 
     @pytest.mark.parametrize("name", BLOCK)
     def test_matrix_functions_agree_with_full_path(self, monkeypatch, solved_shapes, name):
         op = self.BLOCK[name]()
         beta = 3.0 / op_norm(op)  # a spectrum the log resolves well in both paths
         rho, log_z = gibbs_state(op, beta)
-        rho_full, log_z_full = _full_path(monkeypatch, gibbs_state, op, beta)
-        assert _rel(rho.mat, rho_full.mat) <= 1e-12
+        _, log_z_full = _full_path(monkeypatch, gibbs_state, op, beta)
         assert abs(log_z - log_z_full) <= 1e-12 * abs(log_z_full)
+        assert np.all(np.diff(operators._eigvalsh(op.mat)) >= 0)
         solved_shapes.clear()
         for fn in (
+            lambda: matrix_exp_h(op).mat,
             lambda: matrix_log_pd(rho).mat,
+            lambda: gibbs_state(op, beta)[0].mat,
             lambda: assert_density(rho),
+            lambda: operators._eigvalsh(op.mat),
             lambda: trace_norm(op),
             lambda: op_norm(op),
         ):
@@ -468,12 +469,18 @@ class TestReversalBlocks:
             assert solved_shapes == [(2, op.dim // 2, op.dim // 2)]
             assert _rel(got, _full_path(monkeypatch, fn)) <= 1e-12
             solved_shapes.clear()
+            if np.ndim(got) == 2:
+                assert np.array_equal(got, got.conj().T)
+                assert np.array_equal(got, got[::-1, ::-1])
 
     @pytest.mark.parametrize("name", sorted(_full_path_inputs()))
     def test_full_path_kept(self, solved_shapes, name):
+        """Off the block path, exp is the plain eigendecomposition's, bit for bit."""
         mat = _full_path_inputs()[name]
         assert operators._reversal_blocks(mat) is None
-        w, _ = _eigh_checked(mat)
+        got = _exp_h(mat)
         _trace_norm(mat)
         assert solved_shapes == [mat.shape, mat.shape]
-        assert np.array_equal(w, np.linalg.eigh(mat)[0])
+        w, v = np.linalg.eigh(mat)
+        want = hermitize((v * np.exp(w)[..., None, :]) @ v.conj().swapaxes(-1, -2))
+        assert np.array_equal(got, want)

@@ -33,7 +33,12 @@ from qbp import (
     window_error_sweep,
 )
 
-from oracles import classical_chain_message, classical_marginal, round_based_exact_bp
+from oracles import (
+    classical_chain_message,
+    classical_marginal,
+    round_based_exact_bp,
+    sliding_window_oracle,
+)
 
 Q1 = SiteLayout((1,), (2,))
 
@@ -230,6 +235,27 @@ class TestSlidingWindow:
         for target in (1, 6):
             belief = run_sliding_window(m, target, 5)
             assert belief.mat.tobytes() == exact_reduced_density(m, {target}).mat.tobytes()
+
+    @pytest.mark.parametrize("name", ["tfim", "random"])
+    @pytest.mark.parametrize("n", [6, 7])
+    def test_matches_independent_oracle(self, name, n):
+        """Every window at both endpoints, against an oracle that shares no
+        qbp numerics; tfim runs on the block path, random2 on the full path.
+
+        Each of the at most n - 1 steps takes one exp and one log of an
+        exponent whose norm is at most beta * sum ||h_e|| + ln d, through a
+        backward-stable eigensolve of dimension at most d = 2**n, so the two
+        beliefs agree within (n - 1) d eps (beta * sum ||h_e|| + ln d) in trace
+        norm (Higham, Functions of Matrices, 2008, ch. 10-11)."""
+        m = build_chain(n, 2, FACTORIES[name], beta=1.0)
+        d = 2**n
+        exponent = m.beta * sum(op_norm(e.term) for e in m.edges) + np.log(d)
+        tol = (n - 1) * d * np.finfo(float).eps * exponent
+        for target in (1, n):
+            for window in range(1, n):
+                got = run_sliding_window(m, target, window).mat
+                want = sliding_window_oracle(m, target, window)
+                assert np.linalg.norm(got - want, "nuc") <= tol, (target, window)
 
     def test_window_one_classical_equals_exact_propagation(self):
         m = build_chain(6, 2, classical_ising(1.0), beta=1.0)
