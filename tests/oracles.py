@@ -345,3 +345,109 @@ def looped_suite(master_seed, instances):
             failures += 0 if result.passed else 1
         out[name] = (float(min_margin), failures)
     return out
+
+
+def _chain_parts(model, leaf, radius):
+    """(inner, away) edge keys in model order, from networkx distances to
+    ``leaf``: inner edges have both endpoints within ``radius``."""
+    dist = nx.single_source_shortest_path_length(nx_graph(model), leaf)
+    inner = [e.key for e in model.edges if max(dist[e.u], dist[e.v]) <= radius]
+    return inner, [e.key for e in model.edges if e.key not in inner]
+
+
+def _kron_terms(model, keys, scale=1.0):
+    terms = {e.key: e.term.mat for e in model.edges}
+    return [(scale * terms[k], k) for k in keys]
+
+
+def _eigh_log(mat):
+    w, v = np.linalg.eigh(mat)
+    return (v * np.log(w)) @ v.conj().T
+
+
+def _trace_out(mat, sites, dims, gone):
+    """Partial trace over the sites ``gone`` as a sum of diagonal blocks: the
+    traced row and column legs are moved to the front and the blocks at equal
+    traced indices are added up (``partial_trace_by_sum``, vectorized)."""
+    n, shape = len(sites), [dims[s] for s in sites]
+    axes = [sites.index(s) for s in gone]
+    tensor = np.moveaxis(mat.reshape(shape + shape), axes + [n + a for a in axes],
+                         list(range(2 * len(axes))))
+    keep = int(np.prod([d for i, d in enumerate(shape) if i not in axes]))
+    blocks = tensor.reshape(int(np.prod([shape[a] for a in axes])), -1, keep, keep)
+    return sum(blocks[t, t] for t in range(blocks.shape[0]))
+
+
+def single_step_oracle(model, leaf):
+    """{radius: (lhs_literal, lhs_normalized)} of one windowed step at
+    ``leaf``, for every radius from 1 to the leaf's eccentricity, from the
+    edge terms' raw matrices alone.
+
+    The exact once-traced state Tr_leaf exp(-beta H) / Z is compared with the
+    surrogate S = exp(-beta H_away + log Tr_leaf exp(-beta H_inner)), where
+    H_inner sums the edges with both endpoints within the radius of the leaf
+    and H_away every other edge: literally, as S / Z, and normalized, as
+    S / Tr S.  Hamiltonians come from ``kron_hamiltonian``, exponentials from
+    ``scipy.linalg.expm``, the log from ``numpy.linalg.eigh``, partial traces
+    from ``partial_trace_by_sum`` and trace norms from the nuclear norm.
+    """
+    dims = {s: model.layout.dim_of(s) for s in model.vertices}
+    sites = list(model.vertices)
+    reduced = [s for s in sites if s != leaf]
+    full = expm(kron_hamiltonian(_kron_terms(model, [e.key for e in model.edges], -model.beta), sites, dims))
+    z = np.trace(full).real
+    term1 = _trace_out(full, sites, dims, [leaf]) / z
+    out = {}
+    for radius in range(1, nx.eccentricity(nx_graph(model), leaf) + 1):
+        inner, away = _chain_parts(model, leaf, radius)
+        ball = sorted({s for key in inner for s in key})
+        near = expm(kron_hamiltonian(_kron_terms(model, inner, -model.beta), ball, dims))
+        log_near = _eigh_log(_trace_out(near, ball, dims, [leaf]))
+        terms = _kron_terms(model, away, -model.beta) + [(log_near, tuple(s for s in ball if s != leaf))]
+        surrogate = expm(kron_hamiltonian(terms, reduced, dims))
+        out[radius] = (np.linalg.norm(term1 - surrogate / z, "nuc"),
+                       np.linalg.norm(term1 - surrogate / np.trace(surrogate).real, "nuc"))
+    return out
+
+
+def thermal_potential_oracle(model, leaf):
+    """-(1/beta) log Tr_leaf exp(-beta H) / Z minus the edge terms away from
+    ``leaf``, on the other sites in ascending order; and the smallest
+    eigenvalue of the traced state, which sets how far roundoff in it
+    reaches the log."""
+    dims = {s: model.layout.dim_of(s) for s in model.vertices}
+    sites = list(model.vertices)
+    full = expm(kron_hamiltonian(_kron_terms(model, [e.key for e in model.edges], -model.beta), sites, dims))
+    reduced = _trace_out(full / np.trace(full).real, sites, dims, [leaf])
+    rest = [s for s in sites if s != leaf]
+    outside = [e.key for e in model.edges if leaf not in e.key]
+    h_out = kron_hamiltonian(_kron_terms(model, outside), rest, dims)
+    return -_eigh_log(reduced) / model.beta - h_out, np.linalg.eigvalsh(reduced)[0]
+
+
+def cumulant_norms_oracle(mat, sites, model, anchor):
+    """[(j, ||shell_j||)] of ``mat`` on ``sites`` (ascending) around ``anchor``.
+
+    With E_j the normalized partial trace onto the sites within distance j
+    (networkx), shell j is E_j(mat) - E_{j-1}(mat), E_0 = 0, taken on the
+    sites within distance j, up to the first j that keeps every site; its
+    norm is the largest singular value.
+    """
+    dims = {s: model.layout.dim_of(s) for s in sites}
+    dist = nx.multi_source_dijkstra_path_length(nx_graph(model), set(anchor))
+
+    def average(j):  # E_j(mat) on the sites within distance j
+        far = [s for s in sites if dist[s] > j]
+        near = [s for s in sites if dist[s] <= j]
+        if not far:
+            return mat, near
+        return _trace_out(mat, sites, dims, far) / np.prod([dims[s] for s in far]), near
+
+    out, previous, j = [], None, 1
+    while True:
+        avg, near = average(j)
+        shell = avg if previous is None else avg - kron_embed(previous[0], previous[1], near, dims)
+        out.append((j, np.linalg.norm(shell, 2)))
+        if len(near) == len(sites):
+            return out
+        previous, j = (avg, near), j + 1

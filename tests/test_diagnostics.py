@@ -23,6 +23,7 @@ from qbp import (
     op_norm,
     partial_trace,
     random_hermitian,
+    random_two_local,
     region_partition,
     single_step_bound,
     single_step_experiment,
@@ -34,7 +35,12 @@ from qbp import (
 from qbp.diagnostics import CumulantEntry, CumulantSeries
 from qbp.models import log_partition_function
 
-from oracles import partial_trace_by_sum
+from oracles import (
+    cumulant_norms_oracle,
+    partial_trace_by_sum,
+    single_step_oracle,
+    thermal_potential_oracle,
+)
 
 # Envelope fit of the full-Hamiltonian thermal potential at the first leaf of
 # the 6-site transverse-field chain, J = hx = beta = 1.
@@ -56,6 +62,10 @@ UNIT_BOUND1 = 52.0234289350552873654175837201
 UNIT_BOUND2 = 94.1764682836359861958048337077
 
 ONES = BoundConstants(1.0, 1.0, 1.0, 1.0, 1.0, 1.0)
+
+EPS = np.finfo(float).eps
+#: tfim runs on the reversal-block path, random2 on the full path.
+FACTORIES = {"tfim": transverse_ising(1.0, 1.0), "random": random_two_local(seed=11)}
 
 
 class TestThermalPotential:
@@ -125,6 +135,36 @@ class TestCumulants:
         m = build_chain(5, 2, classical_ising(1.0), beta=1.0)
         series = cumulants(thermal_potential(m, {1}), m, {1})
         assert all(e.norm <= 1e-10 for e in series.entries if e.j >= 2)
+
+    @pytest.mark.parametrize("name", sorted(FACTORIES))
+    @pytest.mark.parametrize("n", [6, 7])
+    def test_matches_independent_oracle(self, name, n):
+        """Shell norms of the thermal potential at either leaf, against an
+        oracle that shares no qbp numerics, twice.
+
+        On the same input matrix, each shell is a difference of normalized
+        partial traces, whose entries are sums of at most d entries of the
+        operator, so the shells agree within d eps ||op||_F per shell and the
+        norms within (n - 1) d eps ||op||_F over the n - 1 shells.  Against
+        the oracle's own potential, the two traced states differ by at most
+        d eps in norm, the log's Frechet derivative at a state with smallest
+        eigenvalue lam is bounded by 1 / lam, and each shell is a difference
+        of two contractions, so the norms agree within 2 d eps / (beta lam).
+        """
+        m = build_chain(n, 2, FACTORIES[name], beta=1.0)
+        d = 2 ** (n - 1)
+        for leaf in (1, n):
+            potential = thermal_potential(m, {leaf})
+            got = cumulants(potential, m, {leaf}).norms()
+            same = cumulant_norms_oracle(potential.mat, list(potential.sites), m, {leaf})
+            tol = (n - 1) * d * EPS * np.linalg.norm(potential.mat)
+            assert [j for j, _ in got] == [j for j, _ in same] == list(range(1, n))
+            for (j, a), (_, b) in zip(got, same):
+                assert abs(a - b) <= tol, (leaf, j)
+            oracle, lam = thermal_potential_oracle(m, leaf)
+            own = cumulant_norms_oracle(oracle, list(potential.sites), m, {leaf})
+            for (j, a), (_, b) in zip(got, own):
+                assert abs(a - b) <= 2 * d * EPS / (m.beta * lam), (leaf, j)
 
     def test_reduced_layout_inherits_model_distances(self):
         m = build_chain(5, 2, transverse_ising(), beta=1.0)
@@ -248,6 +288,30 @@ class TestSingleStepExperiment:
         assert slope < 0
         for got, want in zip(errs, TFIM8_STEP_ERRORS):
             assert got == pytest.approx(want, rel=1e-5)
+
+    @pytest.mark.parametrize("name", sorted(FACTORIES))
+    @pytest.mark.parametrize("n", [6, 7])
+    def test_matches_independent_oracle(self, name, n):
+        """Every radius at both leaves, against an oracle that shares no qbp
+        numerics.
+
+        Each side takes three matrix functions (the thermal exponential, the
+        ball's exponential and log, the surrogate's exponential), each of an
+        exponent of norm at most beta * sum ||h_e|| + ln d, through a
+        backward-stable solve of dimension at most d = 2**n, so each operator
+        compared is off by at most 3 d eps (beta * sum ||h_e|| + ln d) in trace
+        norm (Higham, Functions of Matrices, 2008, ch. 10-11); one more such
+        term covers the normalizations."""
+        m = build_chain(n, 2, FACTORIES[name], beta=1.0)
+        d = 2**n
+        tol = 4 * d * EPS * (m.beta * sum(op_norm(e.term) for e in m.edges) + np.log(d))
+        for leaf in (1, n):
+            want = single_step_oracle(m, leaf)
+            assert sorted(want) == list(range(1, n))
+            for radius, (literal, normalized) in want.items():
+                rec = single_step_experiment(m, leaf, radius)
+                assert abs(rec.lhs_literal - literal) <= tol, (leaf, radius)
+                assert abs(rec.lhs_normalized - normalized) <= tol, (leaf, radius)
 
     def test_ball_layout_matches_full_layout_formula(self):
         # Reference: the inner factor exponentiated on the full layout.
