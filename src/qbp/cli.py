@@ -274,9 +274,18 @@ def fitted_constants(model: GraphModel, leaf: int, base: dict) -> tuple[BoundCon
 # Each takes (cfg, index, beta) and returns the rows of every output of its
 # command, in the order ``COMMANDS`` lists the outputs.
 
+#: The running command's model: set here for in-process points, else by the pool's initializer.
+_command_model: GraphModel | None = None
+
+
+def _share(model: GraphModel | None) -> None:
+    global _command_model
+    _command_model = model
+
+
 def _window_sweep_point(args) -> tuple[list[list], list[list]]:
     cfg, _, beta = args
-    model = build_model(cfg, beta)
+    model = _command_model.at(beta)
     first, last = chain_endpoints(model)
     target = cfg.target if cfg.target is not None else last
     leaf = cfg.leaf if cfg.leaf is not None else (first if target != first else last)
@@ -290,27 +299,15 @@ def _window_sweep_point(args) -> tuple[list[list], list[list]]:
     step_rows = []
     for ell in cfg.ell_values:
         rec = single_step_experiment(model, leaf, ell, consts)
-        bound = rec.bound
-        step_rows.append(
-            [
-                cfg.model_id,
-                beta,
-                ell,
-                rec.lhs_literal,
-                rec.lhs_normalized,
-                bound.total if bound else math.nan,
-                bound.bound1 if bound else math.nan,
-                bound.bound2 if bound else math.nan,
-                amp,
-                decay,
-            ]
-        )
+        b = rec.bound
+        rhs = (b.total, b.bound1, b.bound2) if b else (math.nan,) * 3
+        step_rows.append([cfg.model_id, beta, ell, rec.lhs_literal, rec.lhs_normalized, *rhs, amp, decay])
     return sweep_rows, step_rows
 
 
 def _cumulant_point(args) -> tuple[list[list]]:
     cfg, _, beta = args
-    model = build_model(cfg, beta)
+    model = _command_model.at(beta)
     first, _ = chain_endpoints(model)
     leaf = cfg.leaf if cfg.leaf is not None else first
     series, fit = _cumulant_fit(model, leaf)
@@ -346,21 +343,13 @@ def _hastings_point(args) -> tuple[list[list]]:
 
 def _markov_point(args) -> tuple[list[list], list[dict]]:
     cfg, _, beta = args
-    model = build_model(cfg, beta)
+    model = _command_model.at(beta)
     csv_rows, json_rows = [], []
     entropies: dict = {}
     for ell in cfg.ell_values:
         for row in deficiency_rows(model, ell, entropies=entropies):
-            csv_rows.append(
-                [
-                    cfg.model_id,
-                    beta,
-                    ell,
-                    "+".join(str(s) for s in row.subset),
-                    row.value,
-                    int(row.degenerate),
-                ]
-            )
+            subset = "+".join(str(s) for s in row.subset)
+            csv_rows.append([cfg.model_id, beta, ell, subset, row.value, int(row.degenerate)])
             json_rows.append({"beta": beta, **row.as_json()})
     return csv_rows, json_rows
 
@@ -391,12 +380,14 @@ class Command:
     sees every call.  ``required`` lists the config fields that must be
     non-empty.  Each output pairs a file name with either its CSV header
     line or the JSON document type (``list`` or ``dict``) its rows form.
+    ``model`` says whether the worker reads the config's model.
     """
 
     worker: str
     required: tuple[str, ...]
     outputs: tuple[tuple[str, str | type], ...]
     per_beta: bool = True
+    model: bool = True
 
 
 COMMANDS = {
@@ -410,11 +401,11 @@ COMMANDS = {
     )),
     "hastings-verify": Command("_hastings_point", ("beta_values", "s_steps"), (
         ("hastings_verify.csv", "model_id,beta,s_steps,residual,o_norm,o_norm_cap"),
-    )),
+    ), model=False),
     "lemma-suite": Command("_lemma_suite", (), (
         ("lemma_suite.csv", "check,count,min_margin,failures"),
         ("lemma_suite.json", dict),
-    ), per_beta=False),
+    ), per_beta=False, model=False),
     "markov-audit": Command("_markov_point", ("beta_values", "ell_values"), (
         ("markov_audit.csv", "model_id,beta,ell,U,deficiency,degenerate"),
         ("markov_audit.json", list),
@@ -425,6 +416,7 @@ COMMANDS = {
 def run_command(name: str, cfg: ExperimentConfig, out_dir: Path, jobs: int) -> int:
     """Validate, run the worker over its points, and write every output.
 
+    A model is built, and its Hamiltonian decomposed, once before any worker starts.
     Returns the exit code: 4 when the lemma suite records a failure, else 0.
     """
     command = COMMANDS[name]
@@ -434,19 +426,27 @@ def run_command(name: str, cfg: ExperimentConfig, out_dir: Path, jobs: int) -> i
     worker = globals()[command.worker]
     betas = cfg.beta_values if command.per_beta else (None,)
     points = [(cfg, i, b) for i, b in enumerate(betas)]
-    if jobs <= 1 or len(points) <= 1:
-        results = [worker(p) for p in points]
-    else:
-        with ProcessPoolExecutor(max_workers=min(jobs, len(points))) as pool:
-            results = list(pool.map(worker, points))
+    model = None
+    if command.model:
+        model = build_model(cfg, betas[0])
+        model.spectra.views = len(points)
+        model._edge_spectrum(model.edges, model.layout)
+    _share(model)
+    try:
+        if jobs <= 1 or len(points) <= 1:
+            results = [worker(p) for p in points]
+        else:
+            with ProcessPoolExecutor(max_workers=min(jobs, len(points)),
+                                     initializer=_share, initargs=(model,)) as pool:
+                results = list(pool.map(worker, points))
+    finally:
+        _share(None)
     tables = [[row for part in parts for row in part] for parts in zip(*results)]
     for (filename, form), rows in zip(command.outputs, tables):
         if isinstance(form, str):
             write_csv(out_dir / filename, form.split(","), rows)
         else:
-            (out_dir / filename).write_text(
-                json.dumps(form(rows), indent=2) + "\n", encoding="utf-8"
-            )
+            (out_dir / filename).write_text(json.dumps(form(rows), indent=2) + "\n", encoding="utf-8")
     if name == "lemma-suite" and any(failures for *_, failures in tables[0]):
         return 4
     return 0

@@ -115,7 +115,7 @@ def cumulants(
         raise ModelError(f"operator sites {sorted(unknown)} are not model vertices")
     entries = []
     remainder = op
-    total = DenseOperator(op.layout, np.zeros_like(op.mat))
+    total = DenseOperator(op.layout, np.zeros_like(op.mat), True)
     j = 1
     while True:
         far = [s for s in sites if dm[s] > j]
@@ -306,12 +306,9 @@ def single_step_experiment(
     surrogate, log_s = gibbs_state(_sum_on_union(beta * away, -log_near), 1.0)
 
     # The surrogate exp(-beta H_away + log near) has trace t * exp(log_s).
-    # A literal scale of exactly 1.0 leaves its bytes, and so the norm, as is.
     scale = math.exp(log_t + log_s - log_partition_function(model))
     lhs_normalized = trace_norm(term1 - surrogate)
-    lhs_literal = (
-        lhs_normalized if scale == 1.0 else trace_norm(term1 - scale * surrogate)
-    )
+    lhs_literal = trace_norm(term1 - scale * surrogate)
     ends = frozenset().union(*(e.endpoints() for e in parts.buffer))
     buffer_norm = (
         op_norm(edge_hamiltonian(model, parts.buffer, model.layout.subset(ends)))

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence
@@ -25,8 +25,9 @@ from .operators import (
     DenseOperator,
     SiteLayout,
     _add_embedded,
+    _gibbs,
+    _spectrum,
     assert_hermitian,
-    gibbs_state,
     hermitize,
     partial_trace,
 )
@@ -82,6 +83,14 @@ class EdgeTerm:
         return frozenset((self.u, self.v))
 
 
+class SpectrumStore(dict):
+    """Spectra of edge sums by ordered edge keys, shared by the views of one
+    model (``GraphModel.at``).  A spectrum is stored only while ``views``,
+    the views still to build their thermal state, is positive."""
+
+    views = 1
+
+
 @dataclass(frozen=True, eq=False)
 class GraphModel:
     """A tree of sites, one Hermitian term per edge, at fixed temperature."""
@@ -89,6 +98,7 @@ class GraphModel:
     layout: SiteLayout
     edges: tuple[EdgeTerm, ...]
     beta: float
+    spectra: SpectrumStore = field(default_factory=SpectrumStore, repr=False)
 
     def __post_init__(self):
         if self.beta <= 0:
@@ -110,6 +120,10 @@ class GraphModel:
     def vertices(self) -> tuple[int, ...]:
         return self.layout.sites
 
+    def at(self, beta: float) -> "GraphModel":
+        """This model at inverse temperature ``beta``, sharing its spectra."""
+        return replace(self, beta=beta)
+
     def edge(self, key: tuple[int, int]) -> EdgeTerm:
         try:
             return self._edges_by_key[tuple(sorted(key))]
@@ -122,13 +136,24 @@ class GraphModel:
 
     @cached_property
     def _thermal(self) -> tuple[DenseOperator, float]:
-        """(rho, log Z): the thermal state and its log partition function.
+        """(rho, log Z): the thermal state and its log partition function, once
+        per view, from the shared spectrum of H.  The last view takes that out of
+        the store: at the dimension cap the eigenvectors alone hold 64 to 256 MB."""
+        self.spectra.views -= 1
+        take = self.spectra.views <= 0
+        return _gibbs(self.layout, self._edge_spectrum(self.edges, self.layout, take), self.beta)
 
-        Computed once, on first use, and released with the model.  The
-        eigenvectors are not kept: at the dimension cap they alone would
-        hold hundreds of megabytes.
-        """
-        return gibbs_state(edge_hamiltonian(self), self.beta)
+    def _edge_spectrum(self, edges: Sequence[EdgeTerm], layout: SiteLayout, take: bool = False) -> tuple:
+        """The spectrum of the edges' sum, in the given order, on ``layout``:
+        the store's (``take`` removes it), else decomposed and stored while
+        a view is still to come."""
+        key = tuple(e.key for e in edges)
+        spectrum = self.spectra.pop(key, None) if take else self.spectra.get(key)
+        if spectrum is None:
+            spectrum = _spectrum(edge_hamiltonian(self, edges, layout).mat, known=True)
+            if self.spectra.views > 0:
+                self.spectra[key] = spectrum
+        return spectrum
 
 
 def _require_tree(vertices: Sequence[int], edge_keys: Sequence[tuple[int, int]]):
@@ -266,7 +291,7 @@ def edge_hamiltonian(
     total = np.zeros(layout.dims + layout.dims, dtype=dtype)
     for e in edges:
         _add_embedded(total, e.term, layout)
-    return DenseOperator(layout, total.reshape(layout.dim, layout.dim))
+    return DenseOperator(layout, total.reshape(layout.dim, layout.dim), True)
 
 
 def thermal_state(model: GraphModel) -> DenseOperator:
@@ -283,12 +308,12 @@ def log_partition_function(model: GraphModel) -> float:
 
 def edge_gibbs_state(model: GraphModel, edges: Sequence[EdgeTerm]) -> tuple[DenseOperator, float]:
     """exp(-beta H) / Z and log Z of the edge terms, summed in the given order,
-    on the sites they touch; all of the model's edges, in any order, give the
-    model's own cached (thermal_state, log_partition_function) objects."""
+    on the sites they touch, from the shared spectra; all of the model's edges,
+    in any order, give its own cached (thermal_state, log_partition_function)."""
     if len(edges) == len(model.edges) and set(edges) == set(model.edges):
         return model._thermal
     layout = model.layout.subset(set().union(*(e.endpoints() for e in edges)))
-    return gibbs_state(edge_hamiltonian(model, edges, layout), model.beta)
+    return _gibbs(layout, model._edge_spectrum(edges, layout), model.beta)
 
 
 def exact_reduced_density(model: GraphModel, keep: Iterable[int]) -> DenseOperator:
@@ -416,7 +441,10 @@ def build_tree(
     for u, v, spec in edge_specs:
         u, v = sorted((u, v))
         ctx = EdgeContext(u, v, dims[u], dims[v], degree[u], degree[v])
-        mat = spec(ctx) if callable(spec) else spec
+        try:
+            mat = spec(ctx) if callable(spec) else spec
+        except (TypeError, ValueError) as exc:  # such as a parameter of the wrong type
+            raise ModelError(f"edge {(u, v)}: {exc}") from None
         term = DenseOperator(layout.subset((u, v)), mat)
         edges.append(EdgeTerm(u, v, term))
     return GraphModel(layout, tuple(edges), beta)

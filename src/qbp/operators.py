@@ -11,11 +11,12 @@ The private matrix functions also take stacks, shape (..., d, d), and give
 each matrix the LAPACK/BLAS call it gets alone, so results are bit-equal; only
 a lone reversal-symmetric matrix is solved as two blocks (`_reversal_blocks`),
 and its exp, log or Gibbs state is assembled from the blocks' functions.
+Arrays the package builds Hermitian are wrapped with no copy and no re-check.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import prod
 from string import ascii_letters
 from functools import reduce
@@ -144,10 +145,13 @@ class DenseOperator:
 
     layout: SiteLayout
     mat: np.ndarray
+    #: Set only for an array the package just built Hermitian: no copy, no re-test.
+    hermitian: bool = field(default=False, repr=False)
 
     def __post_init__(self):
         mat = np.asarray(self.mat)
-        mat = np.array(mat, dtype=np.promote_types(mat.dtype, np.float64))
+        if not self.hermitian:
+            mat = np.array(mat, dtype=np.promote_types(mat.dtype, np.float64))
         if mat.shape != (self.layout.dim, self.layout.dim):
             raise OperatorError(
                 f"matrix shape {mat.shape} does not match layout dimension "
@@ -176,17 +180,17 @@ class DenseOperator:
 
     def __add__(self, other: "DenseOperator") -> "DenseOperator":
         self._require_same_layout(other)
-        return DenseOperator(self.layout, self.mat + other.mat)
+        return DenseOperator(self.layout, self.mat + other.mat, self.hermitian and other.hermitian)
 
     def __sub__(self, other: "DenseOperator") -> "DenseOperator":
         self._require_same_layout(other)
-        return DenseOperator(self.layout, self.mat - other.mat)
+        return DenseOperator(self.layout, self.mat - other.mat, self.hermitian and other.hermitian)
 
     def __neg__(self) -> "DenseOperator":
-        return DenseOperator(self.layout, -self.mat)
+        return DenseOperator(self.layout, -self.mat, self.hermitian)
 
     def __mul__(self, scalar) -> "DenseOperator":
-        return DenseOperator(self.layout, self.mat * scalar)
+        return DenseOperator(self.layout, self.mat * scalar, self.hermitian and np.isrealobj(scalar))
 
     __rmul__ = __mul__
 
@@ -259,7 +263,8 @@ def assert_density(op: DenseOperator) -> np.ndarray:
     Returns the ascending spectrum the check computed, so callers that need
     it do not diagonalise the same matrix again.
     """
-    assert_hermitian(op.mat)
+    if not op.hermitian:
+        assert_hermitian(op.mat)
     tr = op.trace()
     if abs(tr - 1.0) > 1e-10:
         raise NonDensityError(f"trace {tr} is not 1 within 1e-10")
@@ -276,10 +281,10 @@ def embed(op: DenseOperator, full: SiteLayout) -> DenseOperator:
     ascending site order; the trace scales by the complement dimension.
     """
     if op.layout == full:
-        return DenseOperator(full, op.mat)
+        return op
     tensor = np.zeros(full.dims + full.dims, dtype=op.mat.dtype)
     _add_embedded(tensor, op, full)
-    return DenseOperator(full, tensor.reshape(full.dim, full.dim))
+    return DenseOperator(full, tensor.reshape(full.dim, full.dim), op.hermitian)
 
 
 def embed_on_union(*ops: DenseOperator) -> tuple[DenseOperator, ...]:
@@ -319,7 +324,7 @@ def partial_trace(op: DenseOperator, traced: Iterable[int]) -> DenseOperator:
     traced = frozenset(traced)
     if not traced:
         return op
-    return DenseOperator(*_partial_trace(op.mat, op.layout, traced))
+    return DenseOperator(*_partial_trace(op.mat, op.layout, traced), op.hermitian)
 
 
 def _partial_trace(
@@ -349,53 +354,61 @@ def _partial_trace(
     return keep_layout, reduced.reshape(stack + (keep_layout.dim, keep_layout.dim))
 
 
-def _matrix_function(mat: np.ndarray, f) -> tuple[np.ndarray, np.ndarray]:
-    """f(M) and the ascending eigenvalues of a Hermitian matrix or stack M; ``f``
-    maps eigenvalues to weights, shape for shape.  A matrix ``_reversal_blocks``
-    splits is solved as its blocks B± (``f`` sees their (2, d/2) eigenvalues):
-    f(M) = [[A, C J], [J C, J A J]], A, C = (f(B+) ± f(B-))/2, equals f(M)† and J f(M) J exactly."""
-    assert_hermitian(mat)
+def _spectrum(mat: np.ndarray, known: bool = False) -> tuple[np.ndarray, np.ndarray, bool]:
+    """(w, V, blocked): eigh of a Hermitian matrix or stack M (tested unless
+    ``known``), or of the blocks B± ``_reversal_blocks`` splits it into."""
+    if not known:
+        assert_hermitian(mat)
     blocks = _reversal_blocks(mat)
     w, v = np.linalg.eigh(mat if blocks is None else blocks)
+    return w, v, blocks is not None
+
+
+def _apply(spectrum: tuple, f) -> tuple[np.ndarray, np.ndarray]:
+    """f(M) and the ascending eigenvalues of M from ``_spectrum(M)``; ``f`` maps
+    eigenvalues to weights, shape for shape.  For blocks, f(M) = [[A, C J], [J C, J A J]],
+    A, C = (f(B+) ± f(B-))/2, which equals f(M)† and J f(M) J exactly."""
+    w, v, blocked = spectrum
     out = (v * f(w)[..., None, :]) @ _dagger(v)
-    del v  # d² fewer bytes live while hermitize makes its two temporaries
+    del v, spectrum  # unless kept by the caller, d² fewer bytes live in hermitize
     out = hermitize(out)
-    if blocks is None:
+    if not blocked:
         return out, w
     a, c = (out[0] + out[1]) / 2.0, (out[0] - out[1]) / 2.0
     return np.block([[a, c[:, ::-1]], [c[::-1], a[::-1, ::-1]]]), np.sort(w, axis=None)
 
 
 def _eigvalsh(mat: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues, from the blocks where ``_matrix_function`` uses them."""
+    """Ascending eigenvalues, from the blocks where ``_spectrum`` uses them."""
     blocks = _reversal_blocks(mat)
     if blocks is None:
         return np.linalg.eigvalsh(mat)
     return np.sort(np.linalg.eigvalsh(blocks), axis=None)
 
 
-def _exp_h(mat: np.ndarray) -> np.ndarray:
-    return _matrix_function(mat, np.exp)[0]
+def _exp_h(mat: np.ndarray, known: bool = False) -> np.ndarray:
+    return _apply(_spectrum(mat, known), np.exp)[0]
 
 
 def matrix_exp_h(op: DenseOperator) -> DenseOperator:
     """Matrix exponential of a Hermitian operator via eigendecomposition."""
-    return DenseOperator(op.layout, _exp_h(op.mat))
+    return DenseOperator(op.layout, _exp_h(op.mat, op.hermitian), True)
 
 
 def gibbs_state(ham: DenseOperator, beta: float) -> tuple[DenseOperator, float]:
-    """exp(-beta H) / Z and log Z, from one eigensolve.
+    """exp(-beta H) / Z and log Z, from one eigensolve."""
+    return _gibbs(ham.layout, _spectrum(ham.mat, ham.hermitian), beta)
 
-    The Boltzmann weights are shifted by the smallest eigenvalue before
-    exponentiating, so neither overflows.
-    """
+
+def _gibbs(layout: SiteLayout, spectrum: tuple, beta: float) -> tuple[DenseOperator, float]:
+    """``gibbs_state`` from ``_spectrum(H)``; weights shifted by min(w) so neither overflows."""
     def shifted(w):
         return np.exp(-beta * (w - w.min()))
-    rho, w = _matrix_function(ham.mat, lambda w: shifted(w) / shifted(w).sum())
-    return DenseOperator(ham.layout, rho), float(np.log(shifted(w).sum()) - beta * w.min())
+    rho, w = _apply(spectrum, lambda w: shifted(w) / shifted(w).sum())
+    return DenseOperator(layout, rho, True), float(np.log(shifted(w).sum()) - beta * w.min())
 
 
-def _log_pd(mat: np.ndarray, floor: float = LOG_EIG_FLOOR) -> np.ndarray:
+def _log_pd(mat: np.ndarray, floor: float = LOG_EIG_FLOOR, known: bool = False) -> np.ndarray:
     def log(w):
         lowest = w.min()
         if lowest <= floor:
@@ -403,7 +416,7 @@ def _log_pd(mat: np.ndarray, floor: float = LOG_EIG_FLOOR) -> np.ndarray:
                 f"eigenvalue {lowest} at or below floor {floor}", eigenvalue=float(lowest)
             )
         return np.log(w)
-    return _matrix_function(mat, log)[0]
+    return _apply(_spectrum(mat, known), log)[0]
 
 
 def matrix_log_pd(op: DenseOperator, floor: float = LOG_EIG_FLOOR) -> DenseOperator:
@@ -413,33 +426,33 @@ def matrix_log_pd(op: DenseOperator, floor: float = LOG_EIG_FLOOR) -> DenseOpera
     ``floor``; clamping here would silently corrupt every downstream
     effective-Hamiltonian combination, so failing loudly is deliberate.
     """
-    return DenseOperator(op.layout, _log_pd(op.mat, floor))
+    return DenseOperator(op.layout, _log_pd(op.mat, floor, op.hermitian), True)
 
 
-def _singular_values(mat: np.ndarray) -> np.ndarray:
+def _singular_values(mat: np.ndarray, known: bool = False) -> np.ndarray:
     """Singular values of each matrix, unordered; |eigenvalues| when every
-    matrix is Hermitian."""
-    if _hermitian(mat).all():
+    matrix is Hermitian (``known``: by construction)."""
+    if known or _hermitian(mat).all():
         return np.abs(_eigvalsh(mat))
     return np.linalg.svd(mat, compute_uv=False)
 
 
-def _trace_norm(mat: np.ndarray) -> np.ndarray:
-    return _singular_values(mat).sum(axis=-1)
+def _trace_norm(mat: np.ndarray, known: bool = False) -> np.ndarray:
+    return _singular_values(mat, known).sum(axis=-1)
 
 
-def _op_norm(mat: np.ndarray) -> np.ndarray:
-    return _singular_values(mat).max(axis=-1, initial=0.0)
+def _op_norm(mat: np.ndarray, known: bool = False) -> np.ndarray:
+    return _singular_values(mat, known).max(axis=-1, initial=0.0)
 
 
 def trace_norm(op: DenseOperator) -> float:
     """Sum of singular values (for Hermitian inputs, sum of |eigenvalues|)."""
-    return float(_trace_norm(op.mat))
+    return float(_trace_norm(op.mat, op.hermitian))
 
 
 def op_norm(op: DenseOperator) -> float:
     """Largest singular value (spectral norm)."""
-    return float(_op_norm(op.mat))
+    return float(_op_norm(op.mat, op.hermitian))
 
 
 def as_rng(seed) -> np.random.Generator:

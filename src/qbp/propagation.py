@@ -62,7 +62,8 @@ def log_linear_fit(points: Iterable[tuple[float, float]], floor: float) -> tuple
 def _sum_on_union(*ops: DenseOperator) -> DenseOperator:
     """Sum of the operators, each embedded on the union of their supports."""
     embedded = embed_on_union(*ops)
-    return DenseOperator(embedded[0].layout, reduce(np.add, (op.mat for op in embedded)))
+    mats, hermitian = (op.mat for op in embedded), all(op.hermitian for op in embedded)
+    return DenseOperator(embedded[0].layout, reduce(np.add, mats), hermitian)
 
 
 def circle_product(*ops: DenseOperator) -> DenseOperator:
@@ -133,7 +134,7 @@ def run_exact_bp(model: GraphModel, target: int) -> DenseOperator:
         return message_update(model, u, v, [toward(w, u) for w in adj[u] if w != v])
 
     belief = circle_product(*(toward(u, target).op for u in adj[target]))
-    return DenseOperator(belief.layout, belief.mat / belief.trace().real)
+    return DenseOperator(belief.layout, belief.mat / belief.trace().real, True)
 
 
 def chain_order(model: GraphModel, target: int) -> list[int]:

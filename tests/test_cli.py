@@ -187,6 +187,7 @@ BAD_STOCKS = {
     "params_unknown": {"n": 5, "factory": "tfim", "params": {"Jx": 1}},
     "not_an_object": "chain",
     "unknown_key": {"n": 5, "factroy": "tfim"},
+    "param_value_str": {"n": 4, "factory": "tfim", "params": {"J": "x"}},
 }
 
 BAD_VALUES = [
@@ -344,20 +345,25 @@ class TestExitCodes:
         assert run("window-sweep", bad, tmp_path / "out") == 2
 
 
+RANDOM2_CHAIN = {"stock": {"kind": "chain", "n": 5, "factory": "random2", "params": {"seed": 3}}}
+
+
 class TestParallelism:
     def test_jobs_flag_does_not_change_output(self, tmp_path):
-        cfg = write_config(tmp_path, beta_values=[0.5, 1.0], ell_values=[1, 2])
-        assert (
-            cli.main(
-                ["window-sweep", "--config", str(cfg), "--out", str(tmp_path / "p"),
-                 "--jobs", "2"]
-            )
-            == 0
-        )
-        run("window-sweep", cfg, tmp_path / "s")
-        assert (tmp_path / "p" / "window_sweep.csv").read_bytes() == (
-            tmp_path / "s" / "window_sweep.csv"
-        ).read_bytes()
+        """Workers that receive the model's shared spectrum from the pool's
+        initializer write every output byte for byte as one process does."""
+        for command, model in [
+            ("window-sweep", None),
+            ("cumulant-decay", RANDOM2_CHAIN),
+            ("markov-audit", RANDOM2_CHAIN),
+        ]:
+            overrides = {"model": model} if model else {}
+            cfg = write_config(tmp_path, beta_values=[0.5, 1.0], ell_values=[1, 2], **overrides)
+            p, s = tmp_path / command / "p", tmp_path / command / "s"
+            assert run(command, cfg, p, extra=["--jobs", "2"]) == 0
+            assert run(command, cfg, s) == 0
+            for filename, _ in cli.COMMANDS[command].outputs:
+                assert (p / filename).read_bytes() == (s / filename).read_bytes(), filename
 
 
 def test_console_entry_point(tmp_path):

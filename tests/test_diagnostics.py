@@ -68,6 +68,15 @@ EPS = np.finfo(float).eps
 FACTORIES = {"tfim": transverse_ising(1.0, 1.0), "random": random_two_local(seed=11)}
 
 
+def _warm_shared_spectra(model, run):
+    """Run ``run`` on a view of ``model`` at another beta first, so that the
+    model reads every spectrum that view decomposed from their shared store,
+    as a command's second beta does."""
+    model.spectra.views = 2
+    run(model.at(model.beta / 2))
+    assert model.spectra  # the model reads what the first view stored
+
+
 class TestThermalPotential:
     def test_single_edge_one_site_result(self):
         m = build_chain(2, 2, transverse_ising(1.0, 0.7), beta=1.3)
@@ -152,6 +161,7 @@ class TestCumulants:
         of two contractions, so the norms agree within 2 d eps / (beta lam).
         """
         m = build_chain(n, 2, FACTORIES[name], beta=1.0)
+        _warm_shared_spectra(m, lambda view: [thermal_potential(view, {1})])
         d = 2 ** (n - 1)
         for leaf in (1, n):
             potential = thermal_potential(m, {leaf})
@@ -303,6 +313,8 @@ class TestSingleStepExperiment:
         norm (Higham, Functions of Matrices, 2008, ch. 10-11); one more such
         term covers the normalizations."""
         m = build_chain(n, 2, FACTORIES[name], beta=1.0)
+        _warm_shared_spectra(m, lambda view: [
+            single_step_experiment(view, leaf, r) for leaf in (1, n) for r in range(1, n)])
         d = 2**n
         tol = 4 * d * EPS * (m.beta * sum(op_norm(e.term) for e in m.edges) + np.log(d))
         for leaf in (1, n):

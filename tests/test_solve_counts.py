@@ -13,16 +13,21 @@ window dimension and a single-step surrogate once at the reduced dimension.
 The lemma suite decomposes each stack of like instances in one call, so its
 solve count does not grow with the number of instances, and the ordered
 exponential decomposes all its midpoint steps in two stacked calls.
+Across the beta values of one command, the model's edge sums are decomposed
+once each: the views of the model at each beta share their spectra.
 Operators of a model that commutes with the global spin flip (TFIM) are
 solved as two half-size blocks, so each pin is taken at half the dimension
 for TFIM and, in a ``random2`` twin, at the full dimension.
 """
 
+import hashlib
+import json
 from collections import Counter
 
 import numpy as np
 import pytest
 
+from qbp import cli, models
 from qbp import (
     SiteLayout,
     build_chain,
@@ -202,3 +207,46 @@ def test_lemma_suite_solves_once_per_bucket(solves):
     solves.clear()
     run_suite(3, 400)
     assert solves["calls"] == small
+
+
+def _two_beta_window_sweep(monkeypatch, tmp_path, factory, params):
+    """Digests of the edge sums a model decomposed, with their counts, in
+    one ``window-sweep`` over two beta values of a 6-site chain, every window
+    and radius; and the model's dimension."""
+    decomposed: Counter = Counter()
+    spectrum = models._spectrum
+
+    def counted(mat, *args, **kwargs):
+        decomposed[hashlib.sha256(mat.tobytes()).hexdigest()] += 1
+        return spectrum(mat, *args, **kwargs)
+
+    monkeypatch.setattr(models, "_spectrum", counted)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "model": {"stock": {"n": 6, "factory": factory, "params": params}},
+        "beta_values": [0.5, 1.0], "ell_values": [1, 2, 3, 4, 5], "seed": 1,
+    }))
+    argv = ["window-sweep", "--config", str(cfg), "--out", str(tmp_path), "--jobs", "1"]
+    assert cli.main(argv) == 0
+    return decomposed, 2**6
+
+
+# The window sweep toward site 6 starts each window w from the first w edges,
+# and the single step at leaf 1 and radius r sums the same first r edges; both
+# reach all five at the widest window and radius: five distinct edge lists.
+DISTINCT_EDGE_LISTS = 5
+
+
+def test_each_edge_list_decomposed_once_across_betas(solves, monkeypatch, tmp_path):
+    decomposed, dim = _two_beta_window_sweep(monkeypatch, tmp_path, "tfim", {})
+    assert len(decomposed) == DISTINCT_EDGE_LISTS
+    assert set(decomposed.values()) == {1}
+    assert solves[dim] == 0
+    assert solves["eigh", dim // 2] == 2  # the full Hamiltonian, as two blocks
+
+
+def test_each_edge_list_decomposed_once_across_betas_random2(solves, monkeypatch, tmp_path):
+    decomposed, dim = _two_beta_window_sweep(monkeypatch, tmp_path, "random2", {"seed": 3})
+    assert len(decomposed) == DISTINCT_EDGE_LISTS
+    assert set(decomposed.values()) == {1}
+    assert solves[dim] == FULL_DIM_SOLVES
