@@ -28,7 +28,7 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -416,7 +416,8 @@ COMMANDS = {
 def run_command(name: str, cfg: ExperimentConfig, out_dir: Path, jobs: int) -> int:
     """Validate, run the worker over its points, and write every output.
 
-    A model is built, and its Hamiltonian decomposed, once before any worker starts.
+    A model is built once before any worker starts; with several beta values its
+    views share one store of spectra, filled with H's first for pool workers to inherit.
     Returns the exit code: 4 when the lemma suite records a failure, else 0.
     """
     command = COMMANDS[name]
@@ -429,8 +430,9 @@ def run_command(name: str, cfg: ExperimentConfig, out_dir: Path, jobs: int) -> i
     model = None
     if command.model:
         model = build_model(cfg, betas[0])
-        model.spectra.views = len(points)
-        model._edge_spectrum(model.edges, model.layout)
+        if len(points) > 1:
+            model = replace(model, spectra={})
+            model._edge_spectrum(model.edges, model.layout)
     _share(model)
     try:
         if jobs <= 1 or len(points) <= 1:

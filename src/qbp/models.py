@@ -83,22 +83,20 @@ class EdgeTerm:
         return frozenset((self.u, self.v))
 
 
-class SpectrumStore(dict):
-    """Spectra of edge sums by ordered edge keys, shared by the views of one
-    model (``GraphModel.at``).  A spectrum is stored only while ``views``,
-    the views still to build their thermal state, is positive."""
-
-    views = 1
-
-
 @dataclass(frozen=True, eq=False)
 class GraphModel:
-    """A tree of sites, one Hermitian term per edge, at fixed temperature."""
+    """A tree of sites, one Hermitian term per edge, at fixed temperature.
+
+    ``spectra`` is either None, and every spectrum is decomposed where it is
+    used and then let go, or a dict of the spectra of edge sums by ordered
+    edge keys, shared by every view ``at`` makes and kept until the model is
+    dropped.  The CLI gives a model one when its command evaluates more than
+    one beta."""
 
     layout: SiteLayout
     edges: tuple[EdgeTerm, ...]
     beta: float
-    spectra: SpectrumStore = field(default_factory=SpectrumStore, repr=False)
+    spectra: dict | None = field(default=None, repr=False)
 
     def __post_init__(self):
         if self.beta <= 0:
@@ -137,23 +135,18 @@ class GraphModel:
     @cached_property
     def _thermal(self) -> tuple[DenseOperator, float]:
         """(rho, log Z): the thermal state and its log partition function, once
-        per view, from the shared spectrum of H.  The last view takes that out of
-        the store: at the dimension cap the eigenvectors alone hold 64 to 256 MB."""
-        self.spectra.views -= 1
-        take = self.spectra.views <= 0
-        return _gibbs(self.layout, self._edge_spectrum(self.edges, self.layout, take), self.beta)
+        per view, from the spectrum of H.  Without a store that spectrum goes
+        when this returns: at the dimension cap its eigenvectors hold 64 to 256 MB."""
+        return _gibbs(self.layout, self._edge_spectrum(self.edges, self.layout), self.beta)
 
-    def _edge_spectrum(self, edges: Sequence[EdgeTerm], layout: SiteLayout, take: bool = False) -> tuple:
+    def _edge_spectrum(self, edges: Sequence[EdgeTerm], layout: SiteLayout) -> tuple:
         """The spectrum of the edges' sum, in the given order, on ``layout``:
-        the store's (``take`` removes it), else decomposed and stored while
-        a view is still to come."""
+        the store's, else decomposed and stored there."""
+        spectra = self.spectra if self.spectra is not None else {}
         key = tuple(e.key for e in edges)
-        spectrum = self.spectra.pop(key, None) if take else self.spectra.get(key)
-        if spectrum is None:
-            spectrum = _spectrum(edge_hamiltonian(self, edges, layout).mat, known=True)
-            if self.spectra.views > 0:
-                self.spectra[key] = spectrum
-        return spectrum
+        if key not in spectra:
+            spectra[key] = _spectrum(edge_hamiltonian(self, edges, layout).mat, known=True)
+        return spectra[key]
 
 
 def _require_tree(vertices: Sequence[int], edge_keys: Sequence[tuple[int, int]]):

@@ -69,12 +69,13 @@ FACTORIES = {"tfim": transverse_ising(1.0, 1.0), "random": random_two_local(seed
 
 
 def _warm_shared_spectra(model, run):
-    """Run ``run`` on a view of ``model`` at another beta first, so that the
-    model reads every spectrum that view decomposed from their shared store,
-    as a command's second beta does."""
-    model.spectra.views = 2
-    run(model.at(model.beta / 2))
-    assert model.spectra  # the model reads what the first view stored
+    """``model`` with a store of spectra that ``run`` filled on a view at
+    another beta first, so that the model reads every spectrum that view
+    decomposed, as a command's second beta does."""
+    shared = dataclasses.replace(model, spectra={})
+    run(shared.at(model.beta / 2))
+    assert shared.spectra  # the model reads what the first view stored
+    return shared
 
 
 class TestThermalPotential:
@@ -161,7 +162,7 @@ class TestCumulants:
         of two contractions, so the norms agree within 2 d eps / (beta lam).
         """
         m = build_chain(n, 2, FACTORIES[name], beta=1.0)
-        _warm_shared_spectra(m, lambda view: [thermal_potential(view, {1})])
+        m = _warm_shared_spectra(m, lambda view: [thermal_potential(view, {1})])
         d = 2 ** (n - 1)
         for leaf in (1, n):
             potential = thermal_potential(m, {leaf})
@@ -313,7 +314,7 @@ class TestSingleStepExperiment:
         norm (Higham, Functions of Matrices, 2008, ch. 10-11); one more such
         term covers the normalizations."""
         m = build_chain(n, 2, FACTORIES[name], beta=1.0)
-        _warm_shared_spectra(m, lambda view: [
+        m = _warm_shared_spectra(m, lambda view: [
             single_step_experiment(view, leaf, r) for leaf in (1, n) for r in range(1, n)])
         d = 2**n
         tol = 4 * d * EPS * (m.beta * sum(op_norm(e.term) for e in m.edges) + np.log(d))
