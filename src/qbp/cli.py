@@ -97,7 +97,7 @@ class ExperimentConfig:
         if "path" in self.model:
             return Path(self.model["path"]).stem
         stock = self.model["stock"]
-        return f"{stock.get('kind', 'chain')}-{stock.get('factory', 'classical_ising')}-n{stock.get('n')}"
+        return f"{stock['kind']}-{stock['factory']}-n{stock['n']}"
 
 
 def _integer(name: str, x) -> int:
@@ -114,32 +114,42 @@ def _positive(name: str, x) -> float:
     return float(x)
 
 
-def _check_stock(stock) -> None:
-    """Raise ConfigError, or ModelError for the factory and its parameters,
-    unless ``stock`` is a stock model spec that ``build_model`` builds as written."""
+def _reject_unknown(name: str, obj: dict, known) -> None:
+    """Raise ConfigError, naming the known keys, if ``obj`` holds any other."""
+    unknown = set(obj) - set(known)
+    if unknown:
+        raise ConfigError(f"unknown {name} keys {sorted(unknown)}; known: {sorted(known)}")
+
+
+def _check_stock(stock) -> dict:
+    """``stock`` with its defaults filled in, the spec that ``build_model`` and
+    ``model_id`` read.  Raises ConfigError, or ModelError for the factory and
+    its parameters, unless ``build_model`` builds it as written."""
     if not isinstance(stock, dict):
         raise ConfigError(f"model stock must be an object, got {stock!r}")
-    known = ["kind", "n", "local_dim", "factory", "params"]
-    if set(stock) - set(known):
-        raise ConfigError(f"unknown model stock keys {sorted(set(stock) - set(known))}; known: {known}")
-    if stock.get("kind", "chain") != "chain":
-        raise ConfigError(f"unknown stock model kind {stock['kind']!r}")
-    if "n" not in stock:
+    _reject_unknown("model stock", stock, ["kind", "n", "local_dim", "factory", "params"])
+    spec = {"kind": "chain", "local_dim": 2, "factory": "classical_ising", "params": {}} | stock
+    if spec["kind"] != "chain":
+        raise ConfigError(f"unknown stock model kind {spec['kind']!r}")
+    if "n" not in spec:
         raise ConfigError("model stock needs 'n'")
-    _integer("n", stock["n"])
-    _integer("local_dim", stock.get("local_dim", 2))
-    params = stock.get("params", {})
-    if not isinstance(params, dict):
-        raise ConfigError(f"model stock params must be an object, got {params!r}")
-    stock_factory(stock.get("factory", "classical_ising"), **params)
+    spec["n"] = _integer("n", spec["n"])
+    spec["local_dim"] = _integer("local_dim", spec["local_dim"])
+    if not isinstance(spec["params"], dict):
+        raise ConfigError(f"model stock params must be an object, got {spec['params']!r}")
+    stock_factory(spec["factory"], **spec["params"])
+    return spec
 
 
 def parse_config(raw: dict, seed_override=None, out_override=None, jobs_override=None) -> ExperimentConfig:
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
+    _reject_unknown("config", raw, [f.name for f in fields(ExperimentConfig)])
     model = raw.get("model")
-    if not isinstance(model, dict) or not ({"path", "stock"} & set(model)):
-        raise ConfigError("config needs a 'model' with either 'path' or 'stock'")
+    if not isinstance(model, dict) or set(model) not in ({"path"}, {"stock"}):
+        raise ConfigError("config needs a 'model' with exactly one of 'path' or 'stock'")
+    if not isinstance(model.get("path", ""), str):
+        raise ConfigError(f"model path must be a string, got {model['path']!r}")
     seed = seed_override if seed_override is not None else raw.get("seed")
     if seed is None:
         raise ConfigError("a master seed is required (config 'seed' or --seed)")
@@ -149,13 +159,11 @@ def parse_config(raw: dict, seed_override=None, out_override=None, jobs_override
     constants = raw.get("bound_constants", {})
     if not isinstance(constants, dict):
         raise ConfigError(f"bound_constants must be an object, got {constants!r}")
-    known = sorted(f.name for f in fields(BoundConstants))
-    if set(constants) - set(known):
-        raise ConfigError(f"unknown bound_constants {sorted(set(constants) - set(known))}; known: {known}")
+    _reject_unknown("bound_constants", constants, [f.name for f in fields(BoundConstants)])
     jobs = jobs_override if jobs_override is not None else raw.get("jobs", 0)
     try:
-        if "path" not in model:
-            _check_stock(model["stock"])
+        if "stock" in model:
+            model = {"stock": _check_stock(model["stock"])}
         cfg = ExperimentConfig(
             model=model,
             beta_values=tuple(_positive("beta_values", b) for b in raw.get("beta_values", [])),
@@ -192,10 +200,8 @@ def build_model(cfg: ExperimentConfig, beta: float) -> GraphModel:
         raw["beta"] = beta
         return model_from_config(raw)
     stock = cfg.model["stock"]
-    factory = stock_factory(stock.get("factory", "classical_ising"), **stock.get("params", {}))
-    return build_chain(
-        int(stock["n"]), int(stock.get("local_dim", 2)), factory, beta
-    )
+    factory = stock_factory(stock["factory"], **stock["params"])
+    return build_chain(stock["n"], stock["local_dim"], factory, beta)
 
 
 def chain_endpoints(model: GraphModel) -> tuple[int, int]:

@@ -465,10 +465,17 @@ def matrix_from_json(rows) -> np.ndarray:
     return mat if mat.imag.any() else mat.real
 
 
+def _reject_unknown(name: str, obj: Mapping, known: tuple[str, ...]) -> None:
+    """Raise ModelError, naming the known keys, if ``obj`` holds any other."""
+    unknown = set(obj) - set(known)
+    if unknown:
+        raise ModelError(f"unknown {name} keys {sorted(unknown)}; known: {sorted(known)}")
+
+
 def model_from_config(cfg: Mapping) -> GraphModel:
     """Build a model from the JSON config structure.
 
-    Expected shape::
+    Expected shape, where any other key raises ModelError::
 
         {"vertices": [{"id": 1, "dim": 2}, ...],
          "edges": [{"u": 1, "v": 2, "term": {"factory": "tfim", "params": {...}}},
@@ -476,14 +483,20 @@ def model_from_config(cfg: Mapping) -> GraphModel:
          "beta": 1.0}
     """
     try:
+        _reject_unknown("model", cfg, ("vertices", "edges", "beta"))
+        for v in cfg["vertices"]:
+            _reject_unknown("vertex", v, ("id", "dim"))
         dims = {int(v["id"]): int(v["dim"]) for v in cfg["vertices"]}
         beta = float(cfg["beta"])
         specs = []
         for e in cfg["edges"]:
+            _reject_unknown("edge", e, ("u", "v", "term"))
             term = e["term"]
             if "matrix" in term:
+                _reject_unknown("matrix term", term, ("matrix",))
                 spec: TermFactory | np.ndarray = matrix_from_json(term["matrix"])
             else:
+                _reject_unknown("factory term", term, ("factory", "params"))
                 spec = stock_factory(term["factory"], **term.get("params", {}))
             specs.append((int(e["u"]), int(e["v"]), spec))
     except (KeyError, TypeError) as exc:

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -70,6 +71,16 @@ class TestWindowSweep:
         rows = (tmp_path / "out" / "window_sweep.csv").read_text().splitlines()[1:]
         for row in rows:
             assert float(row.split(",")[4]) <= 1e-9
+
+    def test_stock_defaults_filled_in_and_model_id_prints_checked_n(self, tmp_path):
+        cfg = write_config(tmp_path, model={"stock": {"n": 4.0, "factory": "tfim"}})
+        parsed = cli.parse_config(json.loads(cfg.read_text()))
+        assert parsed.model == {"stock": {
+            "kind": "chain", "n": 4, "local_dim": 2, "factory": "tfim", "params": {}}}
+        assert run("window-sweep", cfg, tmp_path / "out") == 0
+        for name in ("window_sweep.csv", "single_step.csv"):
+            rows = (tmp_path / "out" / name).read_text().splitlines()[1:]
+            assert rows and all(r.startswith("chain-tfim-n4,") for r in rows)
 
     def test_model_file_ingestion(self, tmp_path):
         explicit = (-1.0 * np.kron(PAULI_Z, PAULI_Z)).real.tolist()
@@ -316,6 +327,35 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith(label) if label else err == ""
 
+    @pytest.mark.parametrize("key", ["s_step", "betas", "model_path"])
+    def test_unknown_config_key(self, tmp_path, capsys, key):
+        # "s_step", a typo for "s_steps", once ran with the default 64 steps.
+        cfg = write_config(tmp_path, **{key: [8]})
+        assert run("hastings-verify", cfg, tmp_path / "out") == 2
+        err = capsys.readouterr().err
+        assert f"unknown config keys ['{key}']" in err
+        assert "known: ['beta_values', 'bound_constants', 'ell_values', 'instances'," in err
+
+    @pytest.mark.parametrize("kind", ["path_and_stock", "extra_key", "empty", "path_list", "path_number"])
+    def test_model_needs_exactly_a_path_string_or_a_stock(self, tmp_path, kind):
+        stock = {"n": 4, "factory": "tfim"}
+        model_path = tmp_path / "model.json"
+        model_path.write_text(json.dumps({
+            "vertices": [{"id": 1, "dim": 2}, {"id": 2, "dim": 2}],
+            "edges": [{"u": 1, "v": 2, "term": {"factory": "tfim"}}],
+            "beta": 1.0,
+        }))
+        model = {
+            "path_and_stock": {"path": str(model_path), "stock": stock},
+            "extra_key": {"stock": stock, "kind": "chain"},
+            "empty": {},
+            "path_list": {"path": [str(model_path)]},
+            "path_number": {"path": 1.5},
+        }[kind]
+        cfg = write_config(tmp_path, model=model)
+        assert run("cumulant-decay", cfg, tmp_path / "out") == 2
+        assert not any((tmp_path / "out").glob("*.csv"))
+
     def test_missing_seed(self, tmp_path):
         cfg = write_config(tmp_path)
         raw = json.loads(cfg.read_text())
@@ -379,3 +419,12 @@ def test_console_entry_point(tmp_path):
     # The manifest reports the BLAS thread count the library itself sees.
     manifest = json.loads((tmp_path / "out" / "run_manifest.json").read_text())
     assert manifest["blas"]["threads"] in (1, None)
+
+
+def test_readme_example_config_parses():
+    """README's example config is a valid config for the current contract."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split("Example config:\n\n```json\n", 1)[1].split("```", 1)[0]
+    cfg = cli.parse_config(json.loads(block))
+    assert cfg.model_id == "chain-tfim-n8"
+    assert len(cli.build_model(cfg, cfg.beta_values[0]).vertices) == 8

@@ -323,6 +323,41 @@ class TestModelConfig:
         with pytest.raises(ModelError):
             model_from_config({"vertices": [], "beta": 1.0})
 
+    @staticmethod
+    def _two_sites(**edge):
+        return {
+            "vertices": [{"id": 1, "dim": 2}, {"id": 2, "dim": 2}],
+            "edges": [{"u": 1, "v": 2, "term": {"factory": "tfim"}} | edge],
+            "beta": 1.0,
+        }
+
+    def test_unknown_file_key(self):
+        with pytest.raises(ModelError, match="unknown model keys"):
+            model_from_config(self._two_sites() | {"betta": 2.0})
+
+    def test_unknown_vertex_key(self):
+        cfg = self._two_sites()
+        cfg["vertices"][0]["dims"] = 4
+        with pytest.raises(ModelError, match="unknown vertex keys"):
+            model_from_config(cfg)
+
+    def test_unknown_edge_key(self):
+        with pytest.raises(ModelError, match="unknown edge keys"):
+            model_from_config(self._two_sites(weight=2.0))
+
+    def test_unknown_term_key(self):
+        # "param" for "params": the term would silently build J = 1.
+        term = {"factory": "tfim", "param": {"J": 5.0}}
+        with pytest.raises(ModelError, match="unknown factory term keys"):
+            model_from_config(self._two_sites(term=term))
+
+    def test_term_with_matrix_and_factory(self):
+        matrix = [[[1.0, 0.0] if i == j else [0.0, 0.0] for j in range(4)] for i in range(4)]
+        term = {"matrix": matrix, "factory": "tfim"}
+        with pytest.raises(ModelError, match="unknown matrix term keys"):
+            model_from_config(self._two_sites(term=term))
+        assert len(model_from_config(self._two_sites(term={"matrix": matrix})).edges) == 1
+
 
 class TestDtypeFollowsData:
     @pytest.mark.parametrize(

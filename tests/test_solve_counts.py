@@ -14,7 +14,8 @@ The lemma suite decomposes each stack of like instances in one call, so its
 solve count does not grow with the number of instances, and the ordered
 exponential decomposes all its midpoint steps in two stacked calls.
 Across the beta values of one command, the model's edge sums are decomposed
-once each: the views of the model at each beta share their spectra.
+once each: the views of the model at each beta share their spectra.  A
+command with one beta keeps no spectra and solves the full dimension once.
 Operators of a model that commutes with the global spin flip (TFIM) are
 solved as two half-size blocks, so each pin is taken at half the dimension
 for TFIM and, in a ``random2`` twin, at the full dimension.
@@ -249,4 +250,29 @@ def test_each_edge_list_decomposed_once_across_betas_random2(solves, monkeypatch
     decomposed, dim = _two_beta_window_sweep(monkeypatch, tmp_path, "random2", {"seed": 3})
     assert len(decomposed) == DISTINCT_EDGE_LISTS
     assert set(decomposed.values()) == {1}
+    assert solves[dim] == FULL_DIM_SOLVES
+
+
+def _one_beta_command(tmp_path, command, factory, params):
+    """Run ``command`` at one beta on a 6-site chain; the model's dimension."""
+    cfg = tmp_path / f"{command}.json"
+    cfg.write_text(json.dumps({
+        "model": {"stock": {"n": 6, "factory": factory, "params": params}},
+        "beta_values": [1.0], "ell_values": [1, 2, 3, 4, 5], "seed": 1,
+    }))
+    argv = [command, "--config", str(cfg), "--out", str(tmp_path / command), "--jobs", "1"]
+    assert cli.main(argv) == 0
+    return 2**6
+
+
+@pytest.mark.parametrize("command", ["window-sweep", "cumulant-decay"])
+def test_one_beta_command_solves_full_dimension_once(solves, tmp_path, command):
+    dim = _one_beta_command(tmp_path, command, "tfim", {})
+    assert solves[dim] == 0
+    assert solves[dim // 2] == 2 * FULL_DIM_SOLVES  # as two half-size blocks
+
+
+@pytest.mark.parametrize("command", ["window-sweep", "cumulant-decay"])
+def test_one_beta_command_solves_full_dimension_once_random2(solves, tmp_path, command):
+    dim = _one_beta_command(tmp_path, command, "random2", {"seed": 3})
     assert solves[dim] == FULL_DIM_SOLVES
