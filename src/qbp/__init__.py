@@ -57,7 +57,6 @@ from .markov import (
     von_neumann_entropy,
 )
 from .propagation import (
-    WindowMessage,
     WindowSweep,
     circle_product,
     message_update,

@@ -50,7 +50,6 @@ from .models import (
     GraphModel,
     ModelError,
     build_chain,
-    degrees,
     model_from_config,
     stock_factory,
 )
@@ -63,7 +62,7 @@ from .operators import (
     op_norm,
     random_hermitian,
 )
-from .propagation import window_error_sweep
+from .propagation import chain_ends, window_error_sweep
 
 
 class ConfigError(ValueError):
@@ -160,7 +159,7 @@ def parse_config(raw: dict, seed_override=None, out_override=None, jobs_override
     if not isinstance(constants, dict):
         raise ConfigError(f"bound_constants must be an object, got {constants!r}")
     _reject_unknown("bound_constants", constants, [f.name for f in fields(BoundConstants)])
-    jobs = jobs_override if jobs_override is not None else raw.get("jobs", 0)
+    jobs = jobs_override if jobs_override is not None else raw.get("jobs", 1)
     try:
         if "stock" in model:
             model = {"stock": _check_stock(model["stock"])}
@@ -204,13 +203,6 @@ def build_model(cfg: ExperimentConfig, beta: float) -> GraphModel:
     return build_chain(stock["n"], stock["local_dim"], factory, beta)
 
 
-def chain_endpoints(model: GraphModel) -> tuple[int, int]:
-    ends = sorted(v for v, d in degrees(model).items() if d == 1)
-    if len(ends) != 2:
-        raise ConfigError("this experiment needs a chain model")
-    return ends[0], ends[-1]
-
-
 def fmt(value) -> str:
     if isinstance(value, float):
         return f"{value:.17g}"
@@ -235,7 +227,8 @@ def _blas_info() -> dict:
     return {"name": blas["name"], "version": blas["version"], "threads": threads}
 
 
-def write_manifest(out_dir: Path, command: str, cfg_raw: dict, cfg: ExperimentConfig, outputs: list[str], t0: float) -> None:
+def write_manifest(out_dir: Path, command: str, cfg_raw: dict, cfg: ExperimentConfig, outputs: list[str],
+                   jobs: int, t0: float) -> None:
     manifest = {
         "command": command,
         "config_sha256": hashlib.sha256(
@@ -248,6 +241,7 @@ def write_manifest(out_dir: Path, command: str, cfg_raw: dict, cfg: ExperimentCo
             "python": sys.version.split()[0],
         },
         "blas": _blas_info(),
+        "jobs": jobs,
         "wall_time_s": time.time() - t0,
         "outputs": outputs,
     }
@@ -292,7 +286,7 @@ def _share(model: GraphModel | None) -> None:
 def _window_sweep_point(args) -> tuple[list[list], list[list]]:
     cfg, _, beta = args
     model = _command_model.at(beta)
-    first, last = chain_endpoints(model)
+    first, last = chain_ends(model)
     target = cfg.target if cfg.target is not None else last
     leaf = cfg.leaf if cfg.leaf is not None else (first if target != first else last)
     n = len(model.vertices)
@@ -314,7 +308,7 @@ def _window_sweep_point(args) -> tuple[list[list], list[list]]:
 def _cumulant_point(args) -> tuple[list[list]]:
     cfg, _, beta = args
     model = _command_model.at(beta)
-    first, _ = chain_endpoints(model)
+    first, _ = chain_ends(model)
     leaf = cfg.leaf if cfg.leaf is not None else first
     series, fit = _cumulant_fit(model, leaf)
     rows = [
@@ -419,12 +413,14 @@ COMMANDS = {
 }
 
 
-def run_command(name: str, cfg: ExperimentConfig, out_dir: Path, jobs: int) -> int:
+def run_command(name: str, cfg: ExperimentConfig, out_dir: Path) -> tuple[int, int]:
     """Validate, run the worker over its points, and write every output.
 
     A model is built once before any worker starts; with several beta values its
     views share one store of spectra, filled with H's first for pool workers to inherit.
-    Returns the exit code: 4 when the lemma suite records a failure, else 0.
+    The points run in ``cfg.jobs`` worker processes (0: one per core), at most one per
+    point, or in this process when that is one.  Returns the exit code (4 when the lemma
+    suite records a failure, else 0) and the number of processes the points ran in.
     """
     command = COMMANDS[name]
     empty = [f for f in command.required if not getattr(cfg, f)]
@@ -439,13 +435,13 @@ def run_command(name: str, cfg: ExperimentConfig, out_dir: Path, jobs: int) -> i
         if len(points) > 1:
             model = replace(model, spectra={})
             model._edge_spectrum(model.edges, model.layout)
+    jobs = min(cfg.jobs or os.cpu_count() or 1, len(points))
     _share(model)
     try:
-        if jobs <= 1 or len(points) <= 1:
+        if jobs == 1:
             results = [worker(p) for p in points]
         else:
-            with ProcessPoolExecutor(max_workers=min(jobs, len(points)),
-                                     initializer=_share, initargs=(model,)) as pool:
+            with ProcessPoolExecutor(max_workers=jobs, initializer=_share, initargs=(model,)) as pool:
                 results = list(pool.map(worker, points))
     finally:
         _share(None)
@@ -455,9 +451,7 @@ def run_command(name: str, cfg: ExperimentConfig, out_dir: Path, jobs: int) -> i
             write_csv(out_dir / filename, form.split(","), rows)
         else:
             (out_dir / filename).write_text(json.dumps(form(rows), indent=2) + "\n", encoding="utf-8")
-    if name == "lemma-suite" and any(failures for *_, failures in tables[0]):
-        return 4
-    return 0
+    return (4 if name == "lemma-suite" and any(failures for *_, failures in tables[0]) else 0), jobs
 
 
 def main(argv=None) -> int:
@@ -471,7 +465,7 @@ def main(argv=None) -> int:
         p.add_argument("--config", required=True, help="experiment config JSON")
         p.add_argument("--seed", type=int, default=None, help="override master seed")
         p.add_argument("--out", default=None, help="override output directory")
-        p.add_argument("--jobs", type=int, default=None, help="worker pool size")
+        p.add_argument("--jobs", type=int, default=None, help="worker pool size (default 1; 0: one per core)")
     args = parser.parse_args(argv)
 
     t0 = time.time()
@@ -481,8 +475,7 @@ def main(argv=None) -> int:
         cfg = parse_config(raw, args.seed, args.out, args.jobs)
         out_dir = Path(cfg.out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
-        jobs = cfg.jobs if cfg.jobs > 0 else (os.cpu_count() or 1)
-        code = run_command(args.command, cfg, out_dir, jobs)
+        code, jobs = run_command(args.command, cfg, out_dir)
     except DimensionCapError as exc:
         print(f"dimension cap exceeded: {exc}", file=sys.stderr)
         return 3
@@ -493,7 +486,7 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     outputs = [filename for filename, _ in COMMANDS[args.command].outputs]
-    write_manifest(out_dir, args.command, raw, cfg, outputs, t0)
+    write_manifest(out_dir, args.command, raw, cfg, outputs, jobs, t0)
     return code
 
 

@@ -122,19 +122,16 @@ def connected_subsets(adj: Mapping[int, Iterable[int]]) -> list[tuple[int, ...]]
 
 
 def deficiency_rows(
-    model: GraphModel,
-    radius: int = 1,
-    state: DenseOperator | None = None,
-    entropies: dict | None = None,
+    model: GraphModel, radius: int = 1, entropies: dict | None = None
 ) -> list[DeficiencyRow]:
-    """Deficiencies of every vertex and every edge, the only subsets that
-    message passing conditions on.  ``entropies`` memoizes the state's
-    reduced entropies by traced-site set: pass one dict to every call on the
-    same state, and each entropy is computed once.
+    """Deficiencies of every vertex and every edge of the model's thermal
+    state, the only subsets that message passing conditions on.
+    ``entropies`` memoizes the state's reduced entropies by traced-site set:
+    pass one dict to every call on the same model, and each entropy is
+    computed once.
     """
-    state = state if state is not None else thermal_state(model)
     entropies = {} if entropies is None else entropies
-    return _deficiency_rows(state, adjacency(model), radius, entropies)
+    return _deficiency_rows(thermal_state(model), adjacency(model), radius, entropies)
 
 
 def _deficiency_rows(
@@ -182,8 +179,7 @@ def leaf_trace_preserves_markov(model: GraphModel, leaf: int) -> LeafTraceReport
     """
     if degrees(model).get(leaf) != 1:
         raise ModelError(f"vertex {leaf} is not a leaf")
-    state = thermal_state(model)
-    before = tuple(deficiency_rows(model, 1, state=state))
+    before = tuple(deficiency_rows(model, 1))
     input_markov = all(r.value <= MARKOV_TOL for r in before)
     after: tuple[DeficiencyRow, ...] = ()
     if input_markov:
@@ -192,6 +188,6 @@ def leaf_trace_preserves_markov(model: GraphModel, leaf: int) -> LeafTraceReport
             for v, ws in adjacency(model).items()
             if v != leaf
         }
-        reduced = partial_trace(state, {leaf})
+        reduced = partial_trace(thermal_state(model), {leaf})
         after = tuple(_deficiency_rows(reduced, adj, 1, {}))
     return LeafTraceReport(leaf, input_markov, before, after)

@@ -78,27 +78,10 @@ def circle_product(*ops: DenseOperator) -> DenseOperator:
     return matrix_exp_h(_sum_on_union(*(matrix_log_pd(op) for op in ops)))
 
 
-@dataclass(frozen=True, eq=False)
-class WindowMessage:
-    """A unit-trace positive operator supported on a window of sites."""
-
-    op: DenseOperator
-    window: tuple[int, ...]
-
-    def __post_init__(self):
-        if self.op.layout.sites != tuple(sorted(self.window)):
-            raise SiteMismatchError(
-                f"message support {self.op.layout.sites} != window {self.window}"
-            )
-        tr = self.op.trace()
-        if abs(tr - 1.0) > 1e-10:
-            raise ValueError(f"message trace {tr} is not 1")
-
-
 def message_update(
-    model: GraphModel, u: int, v: int, incoming: Sequence[WindowMessage] = ()
-) -> WindowMessage:
-    """One directed message u -> v.
+    model: GraphModel, u: int, v: int, incoming: Sequence[DenseOperator] = ()
+) -> DenseOperator:
+    """One directed message u -> v, a unit-trace density operator on ``v``.
 
     The belief exp(-beta h_(u,v) + sum of log m) / Z over all messages m
     flowing into ``u``, with ``u`` traced out.  With no incoming messages
@@ -106,18 +89,15 @@ def message_update(
     """
     edge = model.edge((u, v))
     for m in incoming:
-        if v in m.window:
-            raise SiteMismatchError(
-                f"incoming message on {m.window} already covers destination {v}"
-            )
-    k = _sum_on_union(model.beta * edge.term, *(-matrix_log_pd(m.op) for m in incoming))
-    op = partial_trace(gibbs_state(k, 1.0)[0], {u})
-    return WindowMessage(op, op.layout.sites)
+        if v in m.sites:
+            raise SiteMismatchError(f"incoming message on {m.sites} already covers destination {v}")
+    k = _sum_on_union(model.beta * edge.term, *(-matrix_log_pd(m) for m in incoming))
+    return partial_trace(gibbs_state(k, 1.0)[0], {u})
 
 
 def run_exact_bp(model: GraphModel, target: int) -> DenseOperator:
     """One pass of messages from the leaves toward the target, then the
-    belief combining everything flowing into the target.
+    belief exp(sum of log m) / Z over the messages m into the target.
 
     Each of the n - 1 edges carries exactly one message, computed once its
     subtree's messages are in; incoming messages are combined in ascending
@@ -130,24 +110,28 @@ def run_exact_bp(model: GraphModel, target: int) -> DenseOperator:
         return thermal_state(model)
     adj = adjacency(model)
 
-    def toward(u: int, v: int) -> WindowMessage:
+    def toward(u: int, v: int) -> DenseOperator:
         return message_update(model, u, v, [toward(w, u) for w in adj[u] if w != v])
 
-    belief = circle_product(*(toward(u, target).op for u in adj[target]))
-    return DenseOperator(belief.layout, belief.mat / belief.trace().real, True)
+    incoming = (-matrix_log_pd(toward(u, target)) for u in adj[target])
+    return gibbs_state(_sum_on_union(*incoming), 1.0)[0]
+
+
+def chain_ends(model: GraphModel) -> tuple[int, int]:
+    """The two endpoints of a chain model, in ascending order."""
+    ends = sorted(v for v, d in degrees(model).items() if d == 1)
+    if len(ends) != 2:  # a tree with two leaves is a chain
+        raise ModelError("model is not a chain")
+    return ends[0], ends[1]
 
 
 def chain_order(model: GraphModel, target: int) -> list[int]:
     """Vertices of a chain model ordered from the far endpoint to ``target``."""
-    degs = degrees(model)
-    if any(d > 2 for d in degs.values()):
-        raise ModelError("model is not a chain")
-    endpoints = [v for v, d in degs.items() if d == 1]
-    if target not in endpoints:
+    first, last = chain_ends(model)
+    if target not in (first, last):
         raise ModelError(f"target {target} is not a chain endpoint")
     adj = adjacency(model)
-    start = next(e for e in endpoints if e != target)
-    order = [start]
+    order = [last if target == first else first]
     while order[-1] != target:
         prev = order[-2] if len(order) > 1 else None
         order.append(next(w for w in adj[order[-1]] if w != prev))

@@ -26,13 +26,15 @@ from qbp import (
     check_telescoping,
     check_trace_norm_monotone,
     check_weyl,
-    circle_product,
+    matrix_log_pd,
     message_update,
     op_norm,
     random_density,
     random_hermitian,
 )
 from qbp.inequalities import CHECK_NAMES
+from qbp.operators import gibbs_state
+from qbp.propagation import _sum_on_union
 
 
 def kron_all(mats):
@@ -246,10 +248,10 @@ def round_based_exact_bp(model, target):
     """Reference schedule for exact propagation: every directed message is
     recomputed from the previous round's messages, for ecc(target) rounds
     after the base case, then the messages into the target are combined
-    and normalized.  Returns the belief matrix.
+    into one shifted exponential.  Returns the belief matrix.
 
     Unlike the rest of this module it uses the package's own
-    ``message_update`` and ``circle_product``: it checks the schedule, not
+    ``message_update`` and belief arithmetic: it checks the schedule, not
     the message arithmetic, so the two must agree bit for bit.
     """
     g = nx_graph(model)
@@ -263,8 +265,8 @@ def round_based_exact_bp(model, target):
             )
             for u, v in directed
         }
-    belief = circle_product(*(msgs[(u, target)].op for u in adj[target]))
-    return belief.mat / belief.trace().real
+    incoming = (-matrix_log_pd(msgs[(u, target)]) for u in adj[target])
+    return gibbs_state(_sum_on_union(*incoming), 1.0)[0].mat
 
 
 def _random_layout(rng):

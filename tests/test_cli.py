@@ -356,6 +356,19 @@ class TestExitCodes:
         assert run("cumulant-decay", cfg, tmp_path / "out") == 2
         assert not any((tmp_path / "out").glob("*.csv"))
 
+    @pytest.mark.parametrize("command", ["window-sweep", "cumulant-decay"])
+    def test_star_tree_model_file(self, tmp_path, capsys, command):
+        model_path = tmp_path / "star.json"
+        model_path.write_text(json.dumps({
+            "vertices": [{"id": k, "dim": 2} for k in (1, 2, 3, 4)],
+            "edges": [{"u": 1, "v": k, "term": {"factory": "tfim"}} for k in (2, 3, 4)],
+            "beta": 1.0,
+        }))
+        cfg = write_config(tmp_path, model={"path": str(model_path)}, ell_values=[1])
+        assert run(command, cfg, tmp_path / "out") == 2
+        assert "model is not a chain" in capsys.readouterr().err
+        assert not any((tmp_path / "out").glob("*.csv"))
+
     def test_missing_seed(self, tmp_path):
         cfg = write_config(tmp_path)
         raw = json.loads(cfg.read_text())
@@ -405,6 +418,22 @@ class TestParallelism:
             for filename, _ in cli.COMMANDS[command].outputs:
                 assert (p / filename).read_bytes() == (s / filename).read_bytes(), filename
 
+    def test_default_jobs_is_one_and_manifest_records_pool_size(self, tmp_path):
+        two_beta = write_config(tmp_path, model=RANDOM2_CHAIN, beta_values=[0.5, 1.0])
+        assert cli.parse_config(json.loads(two_beta.read_text())).jobs == 1
+        (tmp_path / "one").mkdir()
+        one_beta = write_config(tmp_path / "one", model=RANDOM2_CHAIN)
+        cases = [
+            (two_beta, [], 1),
+            (two_beta, ["--jobs", "2"], 2),
+            (two_beta, ["--jobs", "0"], min(os.cpu_count() or 1, 2)),
+            (one_beta, ["--jobs", "2"], 1),  # one point runs in this process
+        ]
+        for i, (cfg, flags, pool) in enumerate(cases):
+            out = tmp_path / f"out{i}"
+            assert cli.main(["cumulant-decay", "--config", str(cfg), "--out", str(out), *flags]) == 0
+            assert json.loads((out / "run_manifest.json").read_text())["jobs"] == pool
+
 
 def test_console_entry_point(tmp_path):
     cfg = write_config(tmp_path, ell_values=[1])
@@ -428,3 +457,14 @@ def test_readme_example_config_parses():
     cfg = cli.parse_config(json.loads(block))
     assert cfg.model_id == "chain-tfim-n8"
     assert len(cli.build_model(cfg, cfg.beta_values[0]).vertices) == 8
+
+
+def test_readme_library_quick_start_runs(capsys):
+    """README's library quick start runs and prints one falling error per window."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Library quick start\n\n```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md", "exec"), {})
+    rows = [line.split() for line in capsys.readouterr().out.splitlines()]
+    assert [int(window) for window, _ in rows] == list(range(1, 8))
+    errors = [float(err) for _, err in rows]
+    assert errors[3] < errors[0]

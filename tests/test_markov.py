@@ -16,7 +16,6 @@ from qbp import (
     heisenberg,
     leaf_trace_preserves_markov,
     random_density,
-    thermal_state,
     transverse_ising,
     von_neumann_entropy,
 )
@@ -92,9 +91,9 @@ class TestCmi:
             cmi(rho, TripartiteSplit({1}, {2}, set()))
 
 
-def leaf_deficiency(m, radius, state=None):
+def leaf_deficiency(m, radius):
     """Deficiency of the first leaf, the ``(1,)`` row of ``deficiency_rows``."""
-    (row,) = [r for r in deficiency_rows(m, radius, state=state) if r.subset == (1,)]
+    (row,) = [r for r in deficiency_rows(m, radius) if r.subset == (1,)]
     return row.value
 
 
@@ -116,8 +115,7 @@ class TestDeficiency:
     def test_monotone_in_radius_on_stock_chains(self):
         for factory in (transverse_ising(1.0, 1.0), heisenberg(1.0)):
             m = build_chain(6, 2, factory, beta=1.0)
-            state = thermal_state(m)
-            vals = [leaf_deficiency(m, r, state=state) for r in (1, 2, 3, 4)]
+            vals = [leaf_deficiency(m, r) for r in (1, 2, 3, 4)]
             for lo, hi in zip(vals[1:], vals[:-1]):
                 assert lo <= hi + 1e-10
 

@@ -13,7 +13,6 @@ from qbp import (
     PAULI_Z,
     SiteLayout,
     SiteMismatchError,
-    WindowMessage,
     build_chain,
     build_tree,
     circle_product,
@@ -103,8 +102,8 @@ class TestMessageUpdate:
         want = linalg.expm(-1.0 * m.edge((1, 2)).term.mat)
         want = want.reshape(2, 2, 2, 2).trace(axis1=0, axis2=2)
         want /= np.trace(want)
-        assert np.allclose(msg.op.mat, want, atol=1e-12)
-        assert msg.window == (2,)
+        assert np.allclose(msg.mat, want, atol=1e-12)
+        assert msg.sites == (2,)
 
     def test_leaf_message_matches_whole_state_construction(self):
         m = build_chain(3, 2, heisenberg(0.6), beta=0.9)
@@ -115,28 +114,28 @@ class TestMessageUpdate:
              [full[1, 0] + full[3, 2], full[1, 1] + full[3, 3]]]
         )
         hand /= np.trace(hand)
-        assert np.allclose(msg.op.mat, hand, atol=1e-12)
+        assert np.allclose(msg.mat, hand, atol=1e-12)
 
     def test_diagonal_model_matches_sum_product(self):
         m = build_chain(4, 2, classical_ising(0.8), beta=1.2)
         m01 = message_update(m, 1, 2)
         want01 = classical_chain_message(m, 1, 2)
-        assert np.allclose(np.diag(m01.op.mat).real, want01, atol=1e-12)
+        assert np.allclose(np.diag(m01.mat).real, want01, atol=1e-12)
         m12 = message_update(m, 2, 3, [m01])
         want12 = classical_chain_message(m, 2, 3, [want01])
-        assert np.allclose(np.diag(m12.op.mat).real, want12, atol=1e-12)
+        assert np.allclose(np.diag(m12.mat).real, want12, atol=1e-12)
 
     def test_messages_stay_positive_unit_trace(self):
         m = build_chain(5, 2, transverse_ising(1.0, 1.0), beta=1.5)
         msg = message_update(m, 1, 2)
         for u, v in ((2, 3), (3, 4), (4, 5)):
             msg = message_update(m, u, v, [msg])
-            assert abs(msg.op.trace() - 1.0) < 1e-10
-            assert np.linalg.eigvalsh(msg.op.mat)[0] > 0
+            assert abs(msg.trace() - 1.0) < 1e-10
+            assert np.linalg.eigvalsh(msg.mat)[0] > 0
 
     def test_destination_overlap_rejected(self):
         m = build_chain(3, 2, classical_ising(), beta=1.0)
-        bad = WindowMessage(random_density(0, SiteLayout((3,), (2,))), (3,))
+        bad = random_density(0, SiteLayout((3,), (2,)))
         with pytest.raises(SiteMismatchError):
             message_update(m, 2, 3, [bad])
 
@@ -144,16 +143,6 @@ class TestMessageUpdate:
         m = build_chain(3, 2, classical_ising(), beta=1.0)
         with pytest.raises(ModelError):
             message_update(m, 1, 3)
-
-
-class TestWindowMessage:
-    def test_support_mismatch(self):
-        with pytest.raises(SiteMismatchError):
-            WindowMessage(random_density(0, Q1), (2,))
-
-    def test_trace_validation(self):
-        with pytest.raises(ValueError):
-            WindowMessage(2.0 * random_density(0, Q1), (1,))
 
 
 class TestExactPropagation:
@@ -295,6 +284,13 @@ class TestSlidingWindow:
             run_sliding_window(chain, 2, 1)
         with pytest.raises(ModelError):
             run_sliding_window(chain, 4, 0)
+
+    def test_chain_ends(self):
+        star = build_tree({k: 2 for k in range(1, 5)},
+                          [(1, k, classical_ising()) for k in (2, 3, 4)], beta=1.0)
+        with pytest.raises(ModelError, match="not a chain"):
+            propagation.chain_ends(star)
+        assert propagation.chain_ends(build_chain(4, 2, classical_ising(), beta=1.0)) == (1, 4)
 
 
 class TestLargeBeta:

@@ -111,11 +111,11 @@ def test_deficiency_table_solves_whole_state_entropy_once(solves):
 def test_deficiency_table_solves_each_reduced_entropy_once(solves):
     n = 6
     m = build_chain(n, 2, random_two_local(seed=3), beta=1.0)
-    state = thermal_state(m)
+    thermal_state(m)
     solves.clear()
     entropies: dict = {}
     for radius in (1, 2):
-        deficiency_rows(m, radius, state=state, entropies=entropies)
+        deficiency_rows(m, radius, entropies=entropies)
     # Each nondegenerate split (U, blanket, rest) of the chain needs the
     # entropies with rest, U and U + rest traced out, and the whole state's.
     traced = {frozenset()}
