@@ -19,6 +19,7 @@ from .operators import (
     SiteLayout,
     SiteMismatchError,
     embed,
+    embed_sum,
     matrix_exp_h,
     matrix_log_pd,
     op_norm,

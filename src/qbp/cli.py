@@ -49,6 +49,7 @@ from .markov import deficiency_rows
 from .models import (
     GraphModel,
     ModelError,
+    as_integer,
     build_chain,
     model_from_config,
     stock_factory,
@@ -100,10 +101,11 @@ class ExperimentConfig:
 
 
 def _integer(name: str, x) -> int:
-    """``x`` as an int: a JSON integer or integral number, not a bool or a fraction."""
-    if isinstance(x, bool) or not (isinstance(x, int) or isinstance(x, float) and x.is_integer()):
-        raise ConfigError(f"{name} must be an integer, got {x!r}")
-    return int(x)
+    """``x`` as an int by the model files' rule (``models.as_integer``)."""
+    try:
+        return as_integer(name, x)
+    except ModelError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def _positive(name: str, x) -> float:
@@ -153,7 +155,7 @@ def parse_config(raw: dict, seed_override=None, out_override=None, jobs_override
     if seed is None:
         raise ConfigError("a master seed is required (config 'seed' or --seed)")
     s_steps = raw.get("s_steps", 64)
-    if isinstance(s_steps, int):
+    if not isinstance(s_steps, list):
         s_steps = [s_steps]
     constants = raw.get("bound_constants", {})
     if not isinstance(constants, dict):

@@ -36,13 +36,14 @@ from .operators import (
     DenseOperator,
     LOG_EIG_FLOOR,
     embed,
+    embed_sum,
     gibbs_state,
     matrix_log_pd,
     op_norm,
     partial_trace,
     trace_norm,
 )
-from .propagation import _sum_on_union, log_linear_fit
+from .propagation import log_linear_fit
 
 #: Cumulant norms at or below this floor are excluded from envelope fits.
 FIT_FLOOR = 1e-12
@@ -104,8 +105,9 @@ def cumulants(
 
     Each shell is held, and its norm taken, on its own support, since
     ||A (x) I|| = ||A||; it is embedded at ``op``'s full dimension only to
-    update the remainder and the telescoping residual, so only the last
-    shell and the residual are solved at that dimension.
+    update the remainder, and the telescoping residual adds every shell into
+    one tensor, so only the last shell and the residual are solved at that
+    dimension.
     """
     anchor = frozenset(anchor)
     dm = distance_map(model, anchor)
@@ -115,23 +117,19 @@ def cumulants(
         raise ModelError(f"operator sites {sorted(unknown)} are not model vertices")
     entries = []
     remainder = op
-    total = DenseOperator(op.layout, np.zeros_like(op.mat), True)
     j = 1
     while True:
         far = [s for s in sites if dm[s] > j]
+        shell = remainder
         if far:
             reduced = partial_trace(remainder, far)
             shell = (1.0 / (op.dim // reduced.dim)) * reduced
-            embedded = embed(shell, op.layout)
-        else:
-            shell = embedded = remainder
         entries.append(CumulantEntry(j, shell, op_norm(shell)))
-        total = total + embedded
         if not far:
             break
-        remainder = remainder - embedded
+        remainder = remainder - embed(shell, op.layout)
         j += 1
-    residual = trace_norm(total - op)
+    residual = trace_norm(embed_sum((e.op for e in entries), op.layout) - op)
     return CumulantSeries(anchor, tuple(entries), residual)
 
 
@@ -303,7 +301,7 @@ def single_step_experiment(
     # so the floor scales by 1/t and the same eigenvalues fall below it.
     near = partial_trace(near_ball, {leaf})
     log_near = matrix_log_pd(near, floor=LOG_EIG_FLOOR * math.exp(-log_t))
-    surrogate, log_s = gibbs_state(_sum_on_union(beta * away, -log_near), 1.0)
+    surrogate, log_s = gibbs_state(embed_sum([beta * away, -log_near]), 1.0)
 
     # The surrogate exp(-beta H_away + log near) has trace t * exp(log_s).
     scale = math.exp(log_t + log_s - log_partition_function(model))

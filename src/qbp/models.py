@@ -24,10 +24,10 @@ from .operators import (
     PAULI_Z,
     DenseOperator,
     SiteLayout,
-    _add_embedded,
     _gibbs,
     _spectrum,
     assert_hermitian,
+    embed_sum,
     hermitize,
     partial_trace,
 )
@@ -56,7 +56,8 @@ TermFactory = Callable[[EdgeContext], np.ndarray]
 class EdgeTerm:
     """An unordered edge (u, v) with its Hermitian interaction term.
 
-    The term lives on the two-site layout of {u, v} in ascending site order.
+    The term lives on the two-site layout of {u, v} in ascending site order;
+    it is tested for Hermiticity once, here, and stored flagged Hermitian.
     """
 
     u: int
@@ -74,6 +75,7 @@ class EdgeTerm:
                 f"edge term must live on sites {(u, v)}, got {self.term.layout.sites}"
             )
         assert_hermitian(self.term.mat)
+        object.__setattr__(self, "term", DenseOperator(self.term.layout, self.term.mat, True))
 
     @property
     def key(self) -> tuple[int, int]:
@@ -99,8 +101,8 @@ class GraphModel:
     spectra: dict | None = field(default=None, repr=False)
 
     def __post_init__(self):
-        if self.beta <= 0:
-            raise ModelError(f"inverse temperature must be positive, got {self.beta}")
+        if not 0 < self.beta < np.inf:
+            raise ModelError(f"inverse temperature must be positive and finite, got {self.beta}")
         object.__setattr__(self, "edges", tuple(self.edges))
         seen = set()
         for e in self.edges:
@@ -273,18 +275,9 @@ def edge_hamiltonian(
     edges: Iterable[EdgeTerm] | None = None,
     layout: SiteLayout | None = None,
 ) -> DenseOperator:
-    """Sum of the given edge terms embedded on ``layout`` (default: full).
-
-    Each term is added in place into one zeroed tensor, touching only the
-    entries where the identity on the other sites is nonzero.
-    """
-    layout = layout if layout is not None else model.layout
-    edges = model.edges if edges is None else tuple(edges)
-    dtype = np.result_type(np.float64, *{e.term.mat.dtype for e in edges})
-    total = np.zeros(layout.dims + layout.dims, dtype=dtype)
-    for e in edges:
-        _add_embedded(total, e.term, layout)
-    return DenseOperator(layout, total.reshape(layout.dim, layout.dim), True)
+    """Sum of the given edge terms, in order, embedded on ``layout`` (default: full)."""
+    edges = model.edges if edges is None else edges
+    return embed_sum((e.term for e in edges), layout if layout is not None else model.layout)
 
 
 def thermal_state(model: GraphModel) -> DenseOperator:
@@ -465,6 +458,13 @@ def matrix_from_json(rows) -> np.ndarray:
     return mat if mat.imag.any() else mat.real
 
 
+def as_integer(name: str, x) -> int:
+    """``x`` as an int: a JSON integer or integral number, not a bool or a fraction."""
+    if isinstance(x, bool) or not (isinstance(x, int) or isinstance(x, float) and x.is_integer()):
+        raise ModelError(f"{name} must be an integer, got {x!r}")
+    return int(x)
+
+
 def _reject_unknown(name: str, obj: Mapping, known: tuple[str, ...]) -> None:
     """Raise ModelError, naming the known keys, if ``obj`` holds any other."""
     unknown = set(obj) - set(known)
@@ -486,7 +486,7 @@ def model_from_config(cfg: Mapping) -> GraphModel:
         _reject_unknown("model", cfg, ("vertices", "edges", "beta"))
         for v in cfg["vertices"]:
             _reject_unknown("vertex", v, ("id", "dim"))
-        dims = {int(v["id"]): int(v["dim"]) for v in cfg["vertices"]}
+        dims = {as_integer("id", v["id"]): as_integer("dim", v["dim"]) for v in cfg["vertices"]}
         beta = float(cfg["beta"])
         specs = []
         for e in cfg["edges"]:
@@ -498,7 +498,7 @@ def model_from_config(cfg: Mapping) -> GraphModel:
             else:
                 _reject_unknown("factory term", term, ("factory", "params"))
                 spec = stock_factory(term["factory"], **term.get("params", {}))
-            specs.append((int(e["u"]), int(e["v"]), spec))
+            specs.append((as_integer("u", e["u"]), as_integer("v", e["v"]), spec))
     except (KeyError, TypeError) as exc:
         raise ModelError(f"malformed model config: {exc}") from exc
     return build_tree(dims, specs, beta)

@@ -2,8 +2,9 @@
 
 Everything downstream (graph models, message passing, spectral filters,
 bound evaluators) manipulates operators through this module: tensor
-embedding, partial traces, Hermitian matrix functions, norms, and seeded
-random ensembles.  Values are immutable once constructed and all
+embedding and every operator sum (`embed_sum`, each operand added in place
+into one zeroed tensor), partial traces, Hermitian matrix functions, norms,
+and seeded random ensembles.  Values are immutable once constructed and all
 functions are pure, so they are safe to share across threads; the only
 stateful objects are the caller-owned random generators.  An operator's
 dtype follows its data (float64 or complex128) through all arithmetic.
@@ -11,7 +12,8 @@ The private matrix functions also take stacks, shape (..., d, d), and give
 each matrix the LAPACK/BLAS call it gets alone, so results are bit-equal; only
 a lone reversal-symmetric matrix is solved as two blocks (`_reversal_blocks`),
 and its exp, log or Gibbs state is assembled from the blocks' functions.
-Arrays the package builds Hermitian are wrapped with no copy and no re-check.
+Arrays the package builds or has tested Hermitian are wrapped with no copy and
+no re-check; a sum is flagged Hermitian when every operand is.
 """
 
 from __future__ import annotations
@@ -280,11 +282,23 @@ def embed(op: DenseOperator, full: SiteLayout) -> DenseOperator:
     The result lives on ``full`` with axes permuted into the canonical
     ascending site order; the trace scales by the complement dimension.
     """
-    if op.layout == full:
-        return op
-    tensor = np.zeros(full.dims + full.dims, dtype=op.mat.dtype)
-    _add_embedded(tensor, op, full)
-    return DenseOperator(full, tensor.reshape(full.dim, full.dim), op.hermitian)
+    return op if op.layout == full else embed_sum([op], full)
+
+
+def embed_sum(ops: Iterable[DenseOperator], layout: SiteLayout | None = None) -> DenseOperator:
+    """Sum of the operators, each tensored with identity on ``layout``
+    (default: the union of their supports).
+
+    Each operand is added, in order, into one zeroed tensor of dtype
+    float64 or wider; the sum is flagged Hermitian when every operand is.
+    """
+    ops = tuple(ops)
+    layout = layout if layout is not None else reduce(union_layout, (op.layout for op in ops))
+    dtype = np.result_type(np.float64, *(op.mat.dtype for op in ops))
+    tensor = np.zeros(layout.dims + layout.dims, dtype=dtype)
+    for op in ops:
+        _add_embedded(tensor, op, layout)
+    return DenseOperator(layout, tensor.reshape(layout.dim, layout.dim), all(op.hermitian for op in ops))
 
 
 def embed_on_union(*ops: DenseOperator) -> tuple[DenseOperator, ...]:
@@ -466,7 +480,7 @@ def random_hermitian(seed, layout: SiteLayout) -> DenseOperator:
     rng = as_rng(seed)
     d = layout.dim
     g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    return DenseOperator(layout, hermitize(g))
+    return DenseOperator(layout, hermitize(g), True)
 
 
 def random_density(seed, layout: SiteLayout) -> DenseOperator:

@@ -15,7 +15,6 @@ incoming message, taken on its own support.  No exponential is logged back.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -32,7 +31,7 @@ from .models import (
 from .operators import (
     DenseOperator,
     SiteMismatchError,
-    embed_on_union,
+    embed_sum,
     gibbs_state,
     matrix_exp_h,
     matrix_log_pd,
@@ -59,13 +58,6 @@ def log_linear_fit(points: Iterable[tuple[float, float]], floor: float) -> tuple
     return usable, (float(slope), float(intercept), residual)
 
 
-def _sum_on_union(*ops: DenseOperator) -> DenseOperator:
-    """Sum of the operators, each embedded on the union of their supports."""
-    embedded = embed_on_union(*ops)
-    mats, hermitian = (op.mat for op in embedded), all(op.hermitian for op in embedded)
-    return DenseOperator(embedded[0].layout, reduce(np.add, mats), hermitian)
-
-
 def circle_product(*ops: DenseOperator) -> DenseOperator:
     """exp(log A + log B + ...) on the union of the supports, in one
     exponentiation.
@@ -75,7 +67,7 @@ def circle_product(*ops: DenseOperator) -> DenseOperator:
     """
     if not ops:
         raise ValueError("need at least one operand")
-    return matrix_exp_h(_sum_on_union(*(matrix_log_pd(op) for op in ops)))
+    return matrix_exp_h(embed_sum(matrix_log_pd(op) for op in ops))
 
 
 def message_update(
@@ -91,7 +83,7 @@ def message_update(
     for m in incoming:
         if v in m.sites:
             raise SiteMismatchError(f"incoming message on {m.sites} already covers destination {v}")
-    k = _sum_on_union(model.beta * edge.term, *(-matrix_log_pd(m) for m in incoming))
+    k = embed_sum([model.beta * edge.term, *(-matrix_log_pd(m) for m in incoming)])
     return partial_trace(gibbs_state(k, 1.0)[0], {u})
 
 
@@ -114,7 +106,7 @@ def run_exact_bp(model: GraphModel, target: int) -> DenseOperator:
         return message_update(model, u, v, [toward(w, u) for w in adj[u] if w != v])
 
     incoming = (-matrix_log_pd(toward(u, target)) for u in adj[target])
-    return gibbs_state(_sum_on_union(*incoming), 1.0)[0]
+    return gibbs_state(embed_sum(incoming), 1.0)[0]
 
 
 def chain_ends(model: GraphModel) -> tuple[int, int]:
@@ -155,7 +147,7 @@ def run_sliding_window(model: GraphModel, target: int, window: int) -> DenseOper
     current, _ = edge_gibbs_state(model, seq_edges[:window])
     for j in range(window, n - 1):
         traced = partial_trace(current, {order[j - window]})
-        k = _sum_on_union(model.beta * seq_edges[j].term, -matrix_log_pd(traced))
+        k = embed_sum([model.beta * seq_edges[j].term, -matrix_log_pd(traced)])
         current, _ = gibbs_state(k, 1.0)
     return partial_trace(current, set(current.sites) - {target})
 

@@ -33,8 +33,7 @@ from qbp import (
     random_hermitian,
 )
 from qbp.inequalities import CHECK_NAMES
-from qbp.operators import gibbs_state
-from qbp.propagation import _sum_on_union
+from qbp.operators import embed_sum, gibbs_state
 
 
 def kron_all(mats):
@@ -266,7 +265,7 @@ def round_based_exact_bp(model, target):
             for u, v in directed
         }
     incoming = (-matrix_log_pd(msgs[(u, target)]) for u in adj[target])
-    return gibbs_state(_sum_on_union(*incoming), 1.0)[0].mat
+    return gibbs_state(embed_sum(incoming), 1.0)[0].mat
 
 
 def _random_layout(rng):

@@ -369,6 +369,36 @@ class TestExitCodes:
         assert "model is not a chain" in capsys.readouterr().err
         assert not any((tmp_path / "out").glob("*.csv"))
 
+    @pytest.mark.parametrize(
+        "vertex_id, dim, edge", [(2.9, 2, (1, 2.9)), (2, 2.5, (1, 2)), (2, 2, (1, "2"))],
+        ids=["fractional_id", "fractional_dim", "string_endpoint"],
+    )
+    def test_model_file_ids_and_dims_must_be_integers(self, tmp_path, capsys, vertex_id, dim, edge):
+        # Each of these once loaded, truncated by int(), and the command ran.
+        model_path = tmp_path / "model.json"
+        model_path.write_text(json.dumps({
+            "vertices": [{"id": 1, "dim": 2}, {"id": vertex_id, "dim": dim}, {"id": 3, "dim": 2}],
+            "edges": [{"u": edge[0], "v": edge[1], "term": {"factory": "tfim"}},
+                      {"u": vertex_id, "v": 3.0, "term": {"factory": "tfim"}}],
+            "beta": 1.0,
+        }))
+        cfg = write_config(tmp_path, model={"path": str(model_path)}, ell_values=[1])
+        assert run("markov-audit", cfg, tmp_path / "out") == 2
+        assert "must be an integer" in capsys.readouterr().err
+        assert not any((tmp_path / "out").glob("*.csv"))
+
+    @pytest.mark.parametrize("s_steps, parsed", [(64, (64,)), (64.0, (64,)), ([16.0, 32], (16, 32))])
+    def test_scalar_s_steps_may_be_any_integral_number(self, tmp_path, s_steps, parsed):
+        raw = json.loads(write_config(tmp_path).read_text()) | {"s_steps": s_steps}
+        assert cli.parse_config(raw).s_steps == parsed
+
+    @pytest.mark.parametrize("s_steps", [64.5, "64", True, {"n": 64}])
+    def test_scalar_s_steps_must_be_an_integer(self, tmp_path, s_steps):
+        cfg = write_config(tmp_path, s_steps=s_steps)
+        assert run("hastings-verify", cfg, tmp_path / "out") == 2
+        with pytest.raises(cli.ConfigError, match="s_steps must be an integer"):
+            cli.parse_config(json.loads(cfg.read_text()))
+
     def test_missing_seed(self, tmp_path):
         cfg = write_config(tmp_path)
         raw = json.loads(cfg.read_text())

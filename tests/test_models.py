@@ -91,6 +91,13 @@ class TestBuilders:
         h_full = edge_hamiltonian(m_full).mat
         assert np.allclose(h_full, -2.0 * (x1 + x2 + x3))
 
+    @pytest.mark.parametrize("beta", [0.0, -1.0, math.nan, math.inf], ids=str)
+    def test_beta_must_be_positive_and_finite(self, beta):
+        with pytest.raises(ModelError, match=f"got {beta}"):
+            build_chain(4, 2, transverse_ising(), beta=beta)
+        with pytest.raises(ModelError, match=f"got {beta}"):
+            build_chain(4, 2, transverse_ising(), beta=1.0).at(beta)
+
     def test_random_factory_deterministic_and_order_free(self):
         f = random_two_local(seed=5, scale=0.7)
         a = build_chain(4, 2, f, beta=1.0)
@@ -330,6 +337,25 @@ class TestModelConfig:
             "edges": [{"u": 1, "v": 2, "term": {"factory": "tfim"}} | edge],
             "beta": 1.0,
         }
+
+    @pytest.mark.parametrize(
+        "where, key, value",
+        [("vertices", "id", 2.9), ("vertices", "dim", 2.5), ("edges", "u", 1.2),
+         ("edges", "v", "2"), ("vertices", "dim", True)],
+        ids=lambda x: repr(x) if not isinstance(x, str) else x,
+    )
+    def test_ids_and_dimensions_must_be_integers(self, where, key, value):
+        cfg = self._two_sites()
+        cfg[where][0][key] = value
+        with pytest.raises(ModelError, match=f"{key} must be an integer, got {value!r}"):
+            model_from_config(cfg)
+
+    def test_integral_numbers_count_as_integers(self):
+        cfg = self._two_sites(u=1.0, v=2.0)
+        cfg["vertices"] = [{"id": 1.0, "dim": 2.0}, {"id": 2, "dim": 2}]
+        m = model_from_config(cfg)
+        assert m.layout.sites == (1, 2) and m.layout.dims == (2, 2)
+        assert m.edges[0].key == (1, 2)
 
     def test_unknown_file_key(self):
         with pytest.raises(ModelError, match="unknown model keys"):

@@ -18,6 +18,7 @@ from qbp import (
     build_chain,
     edge_hamiltonian,
     embed,
+    embed_sum,
     matrix_exp_h,
     matrix_log_pd,
     op_norm,
@@ -43,7 +44,7 @@ from qbp.operators import (
     hermitize,
 )
 
-from oracles import embed_by_indices, kron_embed, partial_trace_by_sum
+from oracles import embed_by_indices, kron_embed, kron_hamiltonian, partial_trace_by_sum
 
 Q1 = SiteLayout((1,), (2,))
 Q12 = SiteLayout((1, 2), (2, 2))
@@ -120,6 +121,60 @@ class TestEmbed:
         fat = DenseOperator.identity(SiteLayout((1,), (3,)))
         with pytest.raises(SiteMismatchError):
             embed(fat, Q12)
+
+
+class TestEmbedSum:
+    DIMS = {1: 2, 2: 3, 4: 2, 7: 2}
+    FULL = SiteLayout(tuple(DIMS), tuple(DIMS.values()))
+
+    def _operands(self):
+        """Real and complex operands on overlapping, non-adjacent supports."""
+        rng = np.random.default_rng(17)
+        ops = []
+        for sites, is_complex in [((2,), False), ((1, 7), True), ((2, 4), False), ((1, 4, 7), True)]:
+            lay = self.FULL.subset(sites)
+            mat = rng.standard_normal((lay.dim, lay.dim))
+            if is_complex:
+                mat = mat + 1j * rng.standard_normal((lay.dim, lay.dim))
+            ops.append(DenseOperator(lay, mat))
+        return ops
+
+    @pytest.mark.parametrize("pick", [slice(None), slice(None, None, -1), slice(2, None, -2)],
+                             ids=["mixed", "reversed", "real"])
+    def test_bit_equal_to_added_embeds_and_kron_reference(self, pick):
+        ops = self._operands()[pick]
+        union = self.FULL.subset(set().union(*(op.sites for op in ops)))
+        got = embed_sum(ops)
+        assert got.layout == union
+        added = np.zeros((union.dim, union.dim))
+        for op in ops:
+            added = added + embed(op, union).mat
+        want = kron_hamiltonian([(op.mat, op.sites) for op in ops], union.sites, self.DIMS)
+        assert got.mat.dtype == added.dtype == want.dtype
+        assert got.mat.tobytes() == added.tobytes() == want.tobytes()
+
+    def test_operand_order_is_the_summation_order(self):
+        a, b, c = (DenseOperator(Q1, np.array([[x, 0.0], [0.0, 1.0]])) for x in (1.0, 1e-16, -1.0))
+        assert embed_sum([a, b, c]).mat[0, 0] == (1.0 + 1e-16) - 1.0
+        assert embed_sum([a, c, b]).mat[0, 0] == 1e-16
+
+    def test_empty_sum_on_a_layout_is_hermitian_real_zero(self):
+        got = embed_sum([], Q12)
+        assert got.mat.dtype == np.float64 and got.hermitian
+        assert got.mat.tobytes() == np.zeros((4, 4)).tobytes()
+
+    def test_hermitian_flag_is_the_and_of_the_operands(self):
+        h = random_hermitian(0, Q1)
+        plain = DenseOperator(Q12, np.eye(4))
+        assert h.hermitian and not plain.hermitian
+        assert embed_sum([h, h]).hermitian
+        assert not embed_sum([h, plain]).hermitian
+        assert not embed_sum([plain]).hermitian
+
+    def test_embed_is_the_one_operand_case(self):
+        op = self._operands()[1]
+        assert embed(op, self.FULL).mat.tobytes() == embed_sum([op], self.FULL).mat.tobytes()
+        assert embed(op, op.layout) is op
 
 
 class TestPartialTrace:

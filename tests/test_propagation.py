@@ -4,10 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import linalg
 
-from qbp import propagation
+from qbp import operators, propagation
 from qbp import (
     DenseOperator,
     ModelError,
+    NonHermitianError,
     OperatorError,
     PAULI_X,
     PAULI_Z,
@@ -291,6 +292,28 @@ class TestSlidingWindow:
         with pytest.raises(ModelError, match="not a chain"):
             propagation.chain_ends(star)
         assert propagation.chain_ends(build_chain(4, 2, classical_ising(), beta=1.0)) == (1, 4)
+
+
+class TestEdgeTermsFlaggedOnce:
+    """An edge term is tested for Hermiticity once, when the model is built;
+    every sum built from it after that is known Hermitian."""
+
+    @pytest.mark.parametrize("name", ["tfim", "random"])
+    def test_propagation_makes_no_hermiticity_test(self, name, monkeypatch):
+        m = build_chain(8, 2, FACTORIES[name], beta=1.0)
+        assert all(e.term.hermitian for e in m.edges)
+        tested = []
+        hermitian = operators._hermitian
+        monkeypatch.setattr(operators, "_hermitian", lambda mat: tested.append(mat.shape) or hermitian(mat))
+        for window in range(1, 8):
+            run_sliding_window(m, 8, window)
+        run_exact_bp(m, 8)
+        assert tested == []
+
+    def test_non_hermitian_edge_term_rejected(self):
+        skew = np.triu(np.ones((4, 4)))
+        with pytest.raises(NonHermitianError):
+            build_tree({1: 2, 2: 2}, [(1, 2, skew)], beta=1.0)
 
 
 class TestLargeBeta:
