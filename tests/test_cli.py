@@ -374,7 +374,6 @@ class TestExitCodes:
         ids=["fractional_id", "fractional_dim", "string_endpoint"],
     )
     def test_model_file_ids_and_dims_must_be_integers(self, tmp_path, capsys, vertex_id, dim, edge):
-        # Each of these once loaded, truncated by int(), and the command ran.
         model_path = tmp_path / "model.json"
         model_path.write_text(json.dumps({
             "vertices": [{"id": 1, "dim": 2}, {"id": vertex_id, "dim": dim}, {"id": 3, "dim": 2}],

@@ -37,7 +37,7 @@ def private_imports(source: str) -> list[str]:
 @pytest.mark.parametrize(
     "source, found",
     [
-        ("from .propagation import _sum_on_union, log_linear_fit", ["propagation._sum_on_union"]),
+        ("from .propagation import _helper, log_linear_fit", ["propagation._helper"]),
         ("from qbp.models import _require_tree", ["models._require_tree"]),
         ("from .operators import _spectrum", []),
         ("from numpy.linalg import _linalg", []),
