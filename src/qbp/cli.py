@@ -14,7 +14,8 @@ failure, 5 numerical limit (a computed operator too singular for its log, or
 no longer a density).  Re-running a command with the same config and seed
 reproduces byte-identical CSV output; floats are serialized with 17
 significant digits.  No plotting happens in-process: the CSVs are the
-interface.
+interface.  A config's values follow the input rules of ``operators``, as
+ConfigError; each list field reads a lone value as a list of one.
 """
 
 from __future__ import annotations
@@ -46,20 +47,16 @@ from .diagnostics import (
 from .hastings import conjugation_residual, hastings_operator
 from .inequalities import run_suite
 from .markov import deficiency_rows
-from .models import (
-    GraphModel,
-    ModelError,
-    as_integer,
-    build_chain,
-    model_from_config,
-    stock_factory,
-)
+from .models import GraphModel, ModelError, build_chain, model_from_config, stock_factory
 from .operators import (
     DimensionCapError,
     NonDensityError,
     OperatorError,
     SingularOperatorError,
     SiteLayout,
+    _as_integer,
+    _as_positive,
+    _require_known,
     op_norm,
     random_hermitian,
 )
@@ -100,42 +97,20 @@ class ExperimentConfig:
         return f"{stock['kind']}-{stock['factory']}-n{stock['n']}"
 
 
-def _integer(name: str, x) -> int:
-    """``x`` as an int by the model files' rule (``models.as_integer``)."""
-    try:
-        return as_integer(name, x)
-    except ModelError as exc:
-        raise ConfigError(str(exc)) from None
-
-
-def _positive(name: str, x) -> float:
-    """``x`` as a float: a finite JSON number above zero, not a bool."""
-    if isinstance(x, bool) or not isinstance(x, (int, float)) or not 0 < x < math.inf:
-        raise ConfigError(f"{name} must be a finite positive number, got {x!r}")
-    return float(x)
-
-
-def _reject_unknown(name: str, obj: dict, known) -> None:
-    """Raise ConfigError, naming the known keys, if ``obj`` holds any other."""
-    unknown = set(obj) - set(known)
-    if unknown:
-        raise ConfigError(f"unknown {name} keys {sorted(unknown)}; known: {sorted(known)}")
-
-
 def _check_stock(stock) -> dict:
     """``stock`` with its defaults filled in, the spec that ``build_model`` and
-    ``model_id`` read.  Raises ConfigError, or ModelError for the factory and
-    its parameters, unless ``build_model`` builds it as written."""
+    ``model_id`` read.  Raises ConfigError or OperatorError, or ModelError for
+    the factory and its parameters, unless ``build_model`` builds it as written."""
     if not isinstance(stock, dict):
         raise ConfigError(f"model stock must be an object, got {stock!r}")
-    _reject_unknown("model stock", stock, ["kind", "n", "local_dim", "factory", "params"])
+    _require_known("model stock", stock, ["kind", "n", "local_dim", "factory", "params"])
     spec = {"kind": "chain", "local_dim": 2, "factory": "classical_ising", "params": {}} | stock
     if spec["kind"] != "chain":
         raise ConfigError(f"unknown stock model kind {spec['kind']!r}")
     if "n" not in spec:
         raise ConfigError("model stock needs 'n'")
-    spec["n"] = _integer("n", spec["n"])
-    spec["local_dim"] = _integer("local_dim", spec["local_dim"])
+    spec["n"] = _as_integer("n", spec["n"])
+    spec["local_dim"] = _as_integer("local_dim", spec["local_dim"])
     if not isinstance(spec["params"], dict):
         raise ConfigError(f"model stock params must be an object, got {spec['params']!r}")
     stock_factory(spec["factory"], **spec["params"])
@@ -143,53 +118,53 @@ def _check_stock(stock) -> dict:
 
 
 def parse_config(raw: dict, seed_override=None, out_override=None, jobs_override=None) -> ExperimentConfig:
+    def listed(field, rule, default=()):  # a lone value is a list of one; a tuple is a list
+        values = raw.get(field, default)
+        return tuple(rule(field, x) for x in (values if isinstance(values, (list, tuple)) else [values]))
+
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
-    _reject_unknown("config", raw, [f.name for f in fields(ExperimentConfig)])
-    model = raw.get("model")
-    if not isinstance(model, dict) or set(model) not in ({"path"}, {"stock"}):
-        raise ConfigError("config needs a 'model' with exactly one of 'path' or 'stock'")
-    if not isinstance(model.get("path", ""), str):
-        raise ConfigError(f"model path must be a string, got {model['path']!r}")
-    seed = seed_override if seed_override is not None else raw.get("seed")
-    if seed is None:
-        raise ConfigError("a master seed is required (config 'seed' or --seed)")
-    s_steps = raw.get("s_steps", 64)
-    if not isinstance(s_steps, list):
-        s_steps = [s_steps]
-    constants = raw.get("bound_constants", {})
-    if not isinstance(constants, dict):
-        raise ConfigError(f"bound_constants must be an object, got {constants!r}")
-    _reject_unknown("bound_constants", constants, [f.name for f in fields(BoundConstants)])
-    jobs = jobs_override if jobs_override is not None else raw.get("jobs", 1)
     try:
+        _require_known("config", raw, [f.name for f in fields(ExperimentConfig)])
+        model = raw.get("model")
+        if not isinstance(model, dict) or set(model) not in ({"path"}, {"stock"}):
+            raise ConfigError("config needs a 'model' with exactly one of 'path' or 'stock'")
+        if not isinstance(model.get("path", ""), str):
+            raise ConfigError(f"model path must be a string, got {model['path']!r}")
+        seed = seed_override if seed_override is not None else raw.get("seed")
+        if seed is None:
+            raise ConfigError("a master seed is required (config 'seed' or --seed)")
+        constants = raw.get("bound_constants", {})
+        if not isinstance(constants, dict):
+            raise ConfigError(f"bound_constants must be an object, got {constants!r}")
+        _require_known("bound_constants", constants, [f.name for f in fields(BoundConstants)])
+        jobs = jobs_override if jobs_override is not None else raw.get("jobs", 1)
         if "stock" in model:
             model = {"stock": _check_stock(model["stock"])}
         cfg = ExperimentConfig(
             model=model,
-            beta_values=tuple(_positive("beta_values", b) for b in raw.get("beta_values", [])),
-            ell_values=tuple(_integer("ell_values", x) for x in raw.get("ell_values", [])),
-            bound_constants=DEFAULT_CONSTANTS | {k: _positive(k, v) for k, v in constants.items()},
-            s_steps=tuple(_integer("s_steps", s) for s in s_steps),
-            instances=_integer("instances", raw.get("instances", 500)),
-            seed=_integer("seed", seed),
+            beta_values=listed("beta_values", _as_positive),
+            ell_values=listed("ell_values", _as_integer),
+            bound_constants=DEFAULT_CONSTANTS | {k: _as_positive(k, v) for k, v in constants.items()},
+            s_steps=listed("s_steps", _as_integer, (64,)),
+            instances=_as_integer("instances", raw.get("instances", 500)),
+            seed=_as_integer("seed", seed),
             out_dir=str(out_override if out_override is not None else raw.get("out_dir", ".")),
-            jobs=_integer("jobs", jobs),
-            target=None if raw.get("target") is None else _integer("target", raw["target"]),
-            leaf=None if raw.get("leaf") is None else _integer("leaf", raw["leaf"]),
+            jobs=_as_integer("jobs", jobs),
+            target=None if raw.get("target") is None else _as_integer("target", raw["target"]),
+            leaf=None if raw.get("leaf") is None else _as_integer("leaf", raw["leaf"]),
         )
-    except (TypeError, OverflowError) as exc:
-        raise ConfigError(f"bad config value: {exc}") from exc
+    except OperatorError as exc:
+        raise ConfigError(str(exc)) from None
     for field in ("beta_values", "ell_values", "s_steps"):
         values = getattr(cfg, field)
         if not all(x > 0 for x in values):
             raise ConfigError(f"{field} must be positive, got {list(values)}")
         if len(set(values)) < len(values):
             raise ConfigError(f"{field} must not repeat a value, got {list(values)}")
-    if cfg.instances < 1:
-        raise ConfigError(f"instances must be at least 1, got {cfg.instances}")
-    if cfg.jobs < 0:
-        raise ConfigError(f"jobs must be non-negative (0: one per core), got {cfg.jobs}")
+    for field, least in (("instances", 1), ("seed", 0), ("jobs", 0)):  # jobs 0: one per core
+        if getattr(cfg, field) < least:
+            raise ConfigError(f"{field} must be at least {least}, got {getattr(cfg, field)}")
     return cfg
 
 

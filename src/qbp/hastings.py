@@ -22,6 +22,7 @@ from .operators import (
     DenseOperator,
     SiteMismatchError,
     _dagger,
+    _eigh,
     embed_on_union,
     hermitize,
     matrix_exp_h,
@@ -75,7 +76,7 @@ def _filtered(h_mat: np.ndarray, v_mat: np.ndarray, beta: float) -> np.ndarray:
     Entry (j, k) in that basis is V_jk damped by the profile at the gap
     E_j - E_k, so the result is Hermitian and never exceeds V in norm.
     """
-    w, u = np.linalg.eigh(hermitize(h_mat))
+    w, u = _eigh(hermitize(h_mat))
     v_tilde = _dagger(u) @ v_mat @ u
     gaps = w[..., :, None] - w[..., None, :]
     return hermitize(u @ (filter_hat(gaps, beta) * v_tilde) @ _dagger(u))
@@ -103,7 +104,7 @@ def hastings_operator(
         k = np.arange(first, min(first + chunk, s_steps + 1))
         s = (k - 0.5) / s_steps
         phi = _filtered(h.mat + s[:, None, None] * v.mat, v.mat, beta)
-        w, u = np.linalg.eigh(phi)
+        w, u = _eigh(phi)
         for factor in (u * np.exp(step * w)[..., None, :]) @ _dagger(u):
             result = factor @ result
     return DenseOperator(h.layout, result)

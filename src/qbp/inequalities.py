@@ -24,8 +24,11 @@ from .operators import (
     SiteLayout,
     _dagger,
     _density,
+    _eigh,
+    _eigvalsh,
     _exp_h,
     _log_pd,
+    _norm2,
     _op_norm,
     _partial_trace,
     _trace_norm,
@@ -70,10 +73,6 @@ def _trace(mat: np.ndarray) -> np.ndarray:
     return np.trace(mat, axis1=-2, axis2=-1).real
 
 
-def _norm2(mat: np.ndarray) -> np.ndarray:
-    return np.linalg.norm(mat, 2, axis=(-2, -1))
-
-
 #: Elementwise x ** y through the C library's pow, as for Python floats;
 #: numpy's vectorised power rounds some results differently.
 _libm_pow = np.vectorize(pow, otypes=[float])
@@ -91,7 +90,7 @@ def check_golden_thompson(a: DenseOperator, b: DenseOperator) -> CheckResult:
 def _weyl(n, r):
     assert_hermitian(n)
     assert_hermitian(r)
-    wn, wr, wm = (np.linalg.eigvalsh(x) for x in (n, r, n + r))
+    wn, wr, wm = (_eigvalsh(x) for x in (n, r, n + r))
     lhs = np.concatenate([wn + wr[..., :1], wm], axis=-1)
     rhs = np.concatenate([wm, wn + wr[..., -1:]], axis=-1)
     worst = (rhs - lhs).argmin(axis=-1)[..., None]
@@ -113,9 +112,9 @@ def _normalized_circle(a, b):
 
 
 def _circle_eig_lower_bound(a, b):
-    wa, wb = np.linalg.eigvalsh(a), np.linalg.eigvalsh(b)
+    wa, wb = _eigvalsh(a), _eigvalsh(b)
     lhs = wa[..., 0] * wb[..., 0] / wa[..., -1]
-    return lhs, np.linalg.eigvalsh(_normalized_circle(a, b))[..., 0]
+    return lhs, _eigvalsh(_normalized_circle(a, b))[..., 0]
 
 
 def check_circle_eig_lower_bound(a: DenseOperator, b: DenseOperator) -> CheckResult:
@@ -261,7 +260,7 @@ def _evaluate(name: str, layout: SiteLayout, param, z: np.ndarray):
     if name == "commutator_power":
         return _commutator_power(hermitize(z[:, 0]), hermitize(z[:, 1]), param)
     if name == "telescoping":  # U and V are exp(iH) of the first two
-        w, u = np.linalg.eigh(hermitize(z[:, :2]))
+        w, u = _eigh(hermitize(z[:, :2]))
         uv = (u * np.exp(1j * w)[..., None, :]) @ _dagger(u)
         return _telescoping(uv[:, 0], uv[:, 1], hermitize(z[:, 2]), param)
     if name == "exp_bound":

@@ -23,8 +23,13 @@ from .operators import (
     PAULI_Y,
     PAULI_Z,
     DenseOperator,
+    OperatorError,
     SiteLayout,
+    _as_integer,
+    _as_positive,
     _gibbs,
+    _norm2,
+    _require_known,
     _spectrum,
     assert_hermitian,
     embed_sum,
@@ -101,8 +106,10 @@ class GraphModel:
     spectra: dict | None = field(default=None, repr=False)
 
     def __post_init__(self):
-        if not 0 < self.beta < np.inf:
-            raise ModelError(f"inverse temperature must be positive and finite, got {self.beta}")
+        try:
+            object.__setattr__(self, "beta", _as_positive("beta", self.beta))
+        except OperatorError as exc:
+            raise ModelError(str(exc)) from None
         object.__setattr__(self, "edges", tuple(self.edges))
         seen = set()
         for e in self.edges:
@@ -384,7 +391,7 @@ def random_two_local(seed: int = 0, scale: float = 1.0) -> TermFactory:
         d = ctx.dim_u * ctx.dim_v
         g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
         h = hermitize(g)
-        return scale * h / np.linalg.norm(h, 2)
+        return scale * h / _norm2(h)
 
     return make
 
@@ -458,24 +465,10 @@ def matrix_from_json(rows) -> np.ndarray:
     return mat if mat.imag.any() else mat.real
 
 
-def as_integer(name: str, x) -> int:
-    """``x`` as an int: a JSON integer or integral number, not a bool or a fraction."""
-    if isinstance(x, bool) or not (isinstance(x, int) or isinstance(x, float) and x.is_integer()):
-        raise ModelError(f"{name} must be an integer, got {x!r}")
-    return int(x)
-
-
-def _reject_unknown(name: str, obj: Mapping, known: tuple[str, ...]) -> None:
-    """Raise ModelError, naming the known keys, if ``obj`` holds any other."""
-    unknown = set(obj) - set(known)
-    if unknown:
-        raise ModelError(f"unknown {name} keys {sorted(unknown)}; known: {sorted(known)}")
-
-
 def model_from_config(cfg: Mapping) -> GraphModel:
     """Build a model from the JSON config structure.
 
-    Expected shape, where any other key raises ModelError::
+    Expected shape, where any other key raises ModelError; ``GraphModel`` judges ``beta``::
 
         {"vertices": [{"id": 1, "dim": 2}, ...],
          "edges": [{"u": 1, "v": 2, "term": {"factory": "tfim", "params": {...}}},
@@ -483,24 +476,26 @@ def model_from_config(cfg: Mapping) -> GraphModel:
          "beta": 1.0}
     """
     try:
-        _reject_unknown("model", cfg, ("vertices", "edges", "beta"))
+        _require_known("model", cfg, ("vertices", "edges", "beta"))
         for v in cfg["vertices"]:
-            _reject_unknown("vertex", v, ("id", "dim"))
-        dims = {as_integer("id", v["id"]): as_integer("dim", v["dim"]) for v in cfg["vertices"]}
-        beta = float(cfg["beta"])
+            _require_known("vertex", v, ("id", "dim"))
+        dims = {_as_integer("id", v["id"]): _as_integer("dim", v["dim"]) for v in cfg["vertices"]}
+        beta = cfg["beta"]
         specs = []
         for e in cfg["edges"]:
-            _reject_unknown("edge", e, ("u", "v", "term"))
+            _require_known("edge", e, ("u", "v", "term"))
             term = e["term"]
             if "matrix" in term:
-                _reject_unknown("matrix term", term, ("matrix",))
+                _require_known("matrix term", term, ("matrix",))
                 spec: TermFactory | np.ndarray = matrix_from_json(term["matrix"])
             else:
-                _reject_unknown("factory term", term, ("factory", "params"))
+                _require_known("factory term", term, ("factory", "params"))
                 spec = stock_factory(term["factory"], **term.get("params", {}))
-            specs.append((as_integer("u", e["u"]), as_integer("v", e["v"]), spec))
+            specs.append((_as_integer("u", e["u"]), _as_integer("v", e["v"]), spec))
     except (KeyError, TypeError) as exc:
         raise ModelError(f"malformed model config: {exc}") from exc
+    except OperatorError as exc:
+        raise ModelError(str(exc)) from None
     return build_tree(dims, specs, beta)
 
 

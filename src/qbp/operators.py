@@ -13,11 +13,15 @@ each matrix the LAPACK/BLAS call it gets alone, so results are bit-equal; only
 a lone reversal-symmetric matrix is solved as two blocks (`_reversal_blocks`),
 and its exp, log or Gibbs state is assembled from the blocks' functions.
 Arrays the package builds or has tested Hermitian are wrapped with no copy and
-no re-check; a sum is flagged Hermitian when every operand is.
+no re-check; a sum is flagged Hermitian when every operand is.  No other module
+calls numpy.linalg's decompositions or norms.  The input rules live here too
+(`_as_integer`, `_as_positive`, `_require_known`): every door that reads input
+applies them, and raises its own error type in place of their OperatorError.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from math import prod
 from string import ascii_letters
@@ -75,6 +79,27 @@ class SingularOperatorError(OperatorError):
         return type(self), (str(self), self.eigenvalue)
 
 
+def _as_integer(name: str, x) -> int:
+    """``x`` as an int: an integer, numpy's too, or an integral float; not a bool or a string."""
+    if isinstance(x, float) and x.is_integer() or isinstance(x, (int, np.integer)) and not isinstance(x, bool):
+        return int(x)
+    raise OperatorError(f"{name} must be an integer, got {x!r}")
+
+
+def _as_positive(name: str, x) -> float:
+    """``x`` as a float: a number above zero, finite as a float; not a bool or a string."""
+    if isinstance(x, bool) or not (isinstance(x, (int, float, np.integer)) and 0 < x <= sys.float_info.max):
+        raise OperatorError(f"{name} must be a finite positive number, got {x!r}")
+    return float(x)
+
+
+def _require_known(name: str, obj, known) -> None:
+    """Raise OperatorError, naming the known keys, if ``obj`` holds any other."""
+    unknown = set(obj) - set(known)
+    if unknown:
+        raise OperatorError(f"unknown {name} keys {sorted(unknown)}; known: {sorted(known)}")
+
+
 @dataclass(frozen=True)
 class SiteLayout:
     """Ordered collection of site ids with their local dimensions.
@@ -87,8 +112,8 @@ class SiteLayout:
     dims: tuple[int, ...]
 
     def __post_init__(self):
-        sites = tuple(int(s) for s in self.sites)
-        dims = tuple(int(d) for d in self.dims)
+        sites = tuple(_as_integer("site id", s) for s in self.sites)
+        dims = tuple(_as_integer("local dimension", d) for d in self.dims)
         if len(sites) != len(dims):
             raise SiteMismatchError("sites and dims must have equal length")
         if len(set(sites)) != len(sites):
@@ -374,8 +399,13 @@ def _spectrum(mat: np.ndarray, known: bool = False) -> tuple[np.ndarray, np.ndar
     if not known:
         assert_hermitian(mat)
     blocks = _reversal_blocks(mat)
-    w, v = np.linalg.eigh(mat if blocks is None else blocks)
+    w, v = _eigh(mat if blocks is None else blocks)
     return w, v, blocks is not None
+
+
+def _eigh(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues and eigenvectors of a Hermitian matrix or stack, never split into blocks."""
+    return np.linalg.eigh(mat)
 
 
 def _apply(spectrum: tuple, f) -> tuple[np.ndarray, np.ndarray]:
@@ -449,6 +479,11 @@ def _singular_values(mat: np.ndarray, known: bool = False) -> np.ndarray:
     if known or _hermitian(mat).all():
         return np.abs(_eigvalsh(mat))
     return np.linalg.svd(mat, compute_uv=False)
+
+
+def _norm2(mat: np.ndarray) -> np.ndarray:
+    """Spectral norm of each matrix by SVD, even if Hermitian, unlike ``_op_norm``."""
+    return np.linalg.norm(mat, 2, axis=(-2, -1))
 
 
 def _trace_norm(mat: np.ndarray, known: bool = False) -> np.ndarray:

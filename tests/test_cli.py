@@ -243,6 +243,9 @@ BAD_VALUES = [
     ("window-sweep", "ell_values", [2.7]),
     ("window-sweep", "ell_values", [True]),
     ("window-sweep", "target", [4]),
+    # a negative seed, which numpy's SeedSequence refuses
+    ("lemma-suite", "seed", -1),
+    ("hastings-verify", "seed", -1),
     *(("cumulant-decay", "model", {"stock": stock}) for stock in BAD_STOCKS.values()),
 ]
 
@@ -397,6 +400,44 @@ class TestExitCodes:
         assert run("hastings-verify", cfg, tmp_path / "out") == 2
         with pytest.raises(cli.ConfigError, match="s_steps must be an integer"):
             cli.parse_config(json.loads(cfg.read_text()))
+
+    @pytest.mark.parametrize(
+        "field, value, parsed",
+        [("beta_values", 1.0, (1.0,)), ("beta_values", 2, (2.0,)), ("ell_values", 3, (3,)),
+         ("ell_values", 3.0, (3,))],
+    )
+    def test_lone_value_is_a_list_of_one(self, tmp_path, field, value, parsed):
+        # A lone beta or ell once exited 2 with "'float' object is not iterable".
+        raw = json.loads(write_config(tmp_path).read_text()) | {field: value}
+        assert getattr(cli.parse_config(raw), field) == parsed
+
+    def test_omitted_lists_are_empty_and_s_steps_defaults(self, tmp_path):
+        raw = json.loads(write_config(tmp_path).read_text())
+        for field in ("beta_values", "ell_values", "s_steps"):
+            del raw[field]
+        cfg = cli.parse_config(raw)
+        assert (cfg.beta_values, cfg.ell_values, cfg.s_steps) == ((), (), (64,))
+
+    @pytest.mark.parametrize("field, value", [("ell_values", "12"), ("beta_values", "1.5")])
+    def test_lone_string_is_named_whole(self, tmp_path, field, value):
+        # "12" was once read character by character and reported as '1'.
+        raw = json.loads(write_config(tmp_path).read_text()) | {field: value}
+        with pytest.raises(cli.ConfigError, match=f"{field} must be .*, got '{value}'$"):
+            cli.parse_config(raw)
+
+    def test_lone_beta_and_ell_run(self, tmp_path):
+        cfg = write_config(tmp_path, beta_values=1.0, ell_values=2)
+        assert run("window-sweep", cfg, tmp_path / "out") == 0
+        rows = (tmp_path / "out" / "window_sweep.csv").read_text().splitlines()[1:]
+        assert [r.split(",")[2:4] for r in rows] == [["1", "2"]]
+
+    @pytest.mark.parametrize("command", list(cli.COMMANDS))
+    def test_negative_seed_flag(self, tmp_path, capsys, command):
+        # lemma-suite and hastings-verify once exited 1 with a traceback.
+        cfg = write_config(tmp_path)
+        assert run(command, cfg, tmp_path / "out", extra=["--seed", "-1"]) == 2
+        assert "seed must be at least 0, got -1" in capsys.readouterr().err
+        assert not any((tmp_path / "out").glob("*"))
 
     def test_missing_seed(self, tmp_path):
         cfg = write_config(tmp_path)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy import integrate, linalg, special
 
-from qbp import hastings
+from qbp import hastings, operators
 from qbp import (
     DenseOperator,
     SiteLayout,
@@ -119,6 +119,14 @@ class TestFilteredPerturbation:
         h = random_hermitian(rng, Q12).mat
         got = _filtered(h, 0.5 * h, 1.0)
         assert spectral_norm(got - 0.5 * h) < 1e-12
+
+    def test_reversal_symmetric_h_takes_the_full_solve(self):
+        # A TFIM edge term equals its index reversal, so the block screen accepts
+        # it; the filter needs H's full eigenvectors, exactly as for a stack.
+        h = build_chain(2, 2, transverse_ising(hx=0.7), beta=1.0).edges[0].term.mat
+        v = random_hermitian(np.random.default_rng(4), Q12).mat
+        assert operators._reversal_blocks(h) is not None
+        assert np.array_equal(_filtered(h, v, 0.8), _filtered(h[None], v, 0.8)[0])
 
     def test_high_temperature_limit(self):
         rng = np.random.default_rng(1)

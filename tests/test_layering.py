@@ -1,7 +1,8 @@
 """Module layering: no ``qbp`` module imports a private (underscore) name from
 a sibling module, except from ``operators``, the algebra every layer builds
 on.  A private helper that a second module needs belongs in ``operators`` or
-in the public API."""
+in the public API.  Every decomposition and norm goes through ``operators``
+too: no other module calls ``numpy.linalg``'s."""
 
 import ast
 from pathlib import Path
@@ -52,3 +53,55 @@ def test_checker_finds_private_sibling_imports(source, found):
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_private_imports_across_modules(path):
     assert private_imports(path.read_text(encoding="utf-8")) == []
+
+
+#: ``numpy.linalg``'s decompositions and norms; ``matrix_power``, a product, is not one.
+DECOMPOSITIONS = {"eigh", "eigvalsh", "eig", "svd", "norm"}
+
+
+def linalg_calls(source: str) -> list[str]:
+    """``linalg.<name>`` for each name of ``DECOMPOSITIONS`` that ``source``
+    imports from a ``linalg`` module or reads from one, under any alias."""
+    tree = ast.parse(source)
+    aliases = {"linalg"}
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            aliases |= {a.asname for a in node.names if a.asname and a.name.endswith("linalg")}
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").endswith("linalg"):
+            found += [f"linalg.{a.name}" for a in node.names if a.name in DECOMPOSITIONS]
+        elif isinstance(node, ast.Attribute) and node.attr in DECOMPOSITIONS:
+            owner = node.value
+            if (owner.attr if isinstance(owner, ast.Attribute) else getattr(owner, "id", None)) in aliases:
+                found.append(f"linalg.{node.attr}")
+    return found
+
+
+@pytest.mark.parametrize(
+    "source, found",
+    [
+        ("w, v = np.linalg.eigh(m)", ["linalg.eigh"]),
+        ("numpy.linalg.norm(m, 2, axis=(-2, -1))", ["linalg.norm"]),
+        ("from numpy.linalg import svd, matrix_power", ["linalg.svd"]),
+        ("import numpy.linalg as la\nla.eigvalsh(m)", ["linalg.eigvalsh"]),
+        ("from numpy import linalg as nla\nnla.eig(m)", ["linalg.eig"]),
+        ("np.linalg.matrix_power(m, 3)", []),
+        ("w, v = _eigh(m)", []),
+        ("x.norm(m)", []),
+    ],
+)
+def test_checker_finds_linalg_calls(source, found):
+    assert linalg_calls(source) == found
+
+
+@pytest.mark.parametrize(
+    "path", sorted(p for p in SRC.glob("*.py") if p.stem != "operators"), ids=lambda p: p.name
+)
+def test_only_operators_decomposes(path):
+    assert linalg_calls(path.read_text(encoding="utf-8")) == []
+
+
+def test_operators_is_the_gateway():
+    found = linalg_calls((SRC / "operators.py").read_text(encoding="utf-8"))
+    assert {"linalg.eigh", "linalg.eigvalsh", "linalg.svd", "linalg.norm"} <= set(found)

@@ -10,6 +10,7 @@ from scipy import linalg
 from qbp import (
     DenseOperator,
     ModelError,
+    OperatorError,
     PAULI_X,
     PAULI_Z,
     build_chain,
@@ -97,6 +98,28 @@ class TestBuilders:
             build_chain(4, 2, transverse_ising(), beta=beta)
         with pytest.raises(ModelError, match=f"got {beta}"):
             build_chain(4, 2, transverse_ising(), beta=1.0).at(beta)
+
+    @pytest.mark.parametrize("beta", [True, "2", 10**400], ids=["bool", "str", "too_large"])
+    def test_beta_must_be_a_number_a_float_holds(self, beta):
+        # "2" once raised a bare TypeError, and True built a model at beta True.
+        with pytest.raises(ModelError, match="beta must be a finite positive number"):
+            build_chain(3, 2, transverse_ising(), beta=beta)
+        with pytest.raises(ModelError, match="beta must be a finite positive number"):
+            build_chain(3, 2, transverse_ising(), beta=1.0).at(beta)
+
+    @pytest.mark.parametrize("beta", [2, np.int64(2), np.float64(2.0)], ids=["int", "int64", "float64"])
+    def test_beta_is_stored_as_a_float(self, beta):
+        m = build_chain(3, 2, transverse_ising(), beta=beta)
+        assert type(m.beta) is float and m.beta == 2.0
+        assert type(m.at(beta).beta) is float
+
+    @pytest.mark.parametrize(
+        "dims, u, v", [({1: 2, 2.7: 2}, 1, 2.7), ({1: 2, 2: 2.5}, 1, 2)], ids=["site", "dim"]
+    )
+    def test_tree_sites_and_dims_must_be_integers(self, dims, u, v):
+        # Once truncated by int(): site 2.7 then failed as unknown, dim 2.5 built qubits.
+        with pytest.raises(OperatorError, match="must be an integer"):
+            build_tree(dims, [(u, v, transverse_ising())], beta=1.0)
 
     def test_random_factory_deterministic_and_order_free(self):
         f = random_two_local(seed=5, scale=0.7)
@@ -356,6 +379,17 @@ class TestModelConfig:
         m = model_from_config(cfg)
         assert m.layout.sites == (1, 2) and m.layout.dims == (2, 2)
         assert m.edges[0].key == (1, 2)
+
+    @pytest.mark.parametrize("beta", [True, "2", 10**400, 0, None], ids=["bool", "str", "too_large", "zero", "null"])
+    def test_beta_must_be_a_finite_positive_number(self, beta, tmp_path):
+        # true once loaded at beta = 1.0, "2" at 2.0, and 10**400 raised OverflowError.
+        cfg = self._two_sites() | {"beta": beta}
+        with pytest.raises(ModelError, match="beta must be a finite positive number"):
+            model_from_config(cfg)
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(cfg))
+        with pytest.raises(ModelError, match="beta must be a finite positive number"):
+            load_model(path)
 
     def test_unknown_file_key(self):
         with pytest.raises(ModelError, match="unknown model keys"):

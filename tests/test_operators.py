@@ -9,6 +9,7 @@ from qbp import (
     DenseOperator,
     DimensionCapError,
     NonHermitianError,
+    OperatorError,
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
@@ -65,6 +66,22 @@ class TestSiteLayout:
     def test_dim_cap(self):
         with pytest.raises(DimensionCapError):
             SiteLayout(tuple(range(13)), (2,) * 13)
+
+    @pytest.mark.parametrize(
+        "sites, dims",
+        [((1, 2.7), (2.5, 2)), ((1, 2.7), (2, 2)), ((1, 2), (2, 2.5)), ((1, True), (2, 2)),
+         ((1, 2), (2, "2"))],
+        ids=["both", "fractional_site", "fractional_dim", "bool_site", "str_dim"],
+    )
+    def test_sites_and_dims_must_be_integers(self, sites, dims):
+        # int() once truncated (1, 2.7), (2.5, 2) to sites (1, 2), dims (2, 2).
+        with pytest.raises(OperatorError, match="must be an integer"):
+            SiteLayout(sites, dims)
+
+    def test_integral_floats_and_numpy_integers_are_integers(self):
+        lay = SiteLayout((np.int64(2), 1.0), (2.0, np.int64(3)))
+        assert (lay.sites, lay.dims) == ((1, 2), (3, 2))
+        assert all(type(x) is int for x in lay.sites + lay.dims)
 
     def test_subset_and_drop(self):
         lay = SiteLayout((1, 2, 3), (2, 3, 4))
