@@ -56,7 +56,9 @@ from .operators import (
     SiteLayout,
     _as_integer,
     _as_positive,
+    _openblas,
     _require_known,
+    _zheevd_work,
     op_norm,
     random_hermitian,
 )
@@ -171,10 +173,7 @@ def parse_config(raw: dict, seed_override=None, out_override=None, jobs_override
 def build_model(cfg: ExperimentConfig, beta: float) -> GraphModel:
     if "path" in cfg.model:
         with open(cfg.model["path"], "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-        raw = dict(raw)
-        raw["beta"] = beta
-        return model_from_config(raw)
+            return model_from_config(json.load(fh)).at(beta)
     stock = cfg.model["stock"]
     factory = stock_factory(stock["factory"], **stock["params"])
     return build_chain(stock["n"], stock["local_dim"], factory, beta)
@@ -193,15 +192,18 @@ def write_csv(path: Path, header: list[str], rows: list[list]) -> None:
 
 
 def _blas_info() -> dict:
-    """Name, version and thread count (None when not exposed) of numpy's BLAS."""
+    """Name, version and thread count (None when not exposed) of numpy's BLAS,
+    and the routine behind complex eigendecompositions from ``ZHEEVD_MIN_DIM``."""
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    threads = None
-    for path in (Path(np.__file__).parent.parent / "numpy.libs").glob("*openblas*"):
-        get = getattr(ctypes.CDLL(str(path)), "scipy_openblas_get_num_threads64_", None)
-        if get is not None:
-            get.argtypes, get.restype = [], ctypes.c_int
-            threads = get()
-    return {"name": blas["name"], "version": blas["version"], "threads": threads}
+    get = getattr(_openblas(), "scipy_openblas_get_num_threads64_", None)
+    if get is not None:
+        get.argtypes, get.restype = [], ctypes.c_int
+    return {
+        "name": blas["name"],
+        "version": blas["version"],
+        "threads": None if get is None else get(),
+        "complex_eigh": "numpy" if _zheevd_work() is None else "zheevd-blocked",
+    }
 
 
 def write_manifest(out_dir: Path, command: str, cfg_raw: dict, cfg: ExperimentConfig, outputs: list[str],

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qbp import cli
+from qbp import cli, operators
 from qbp.operators import PAULI_Z
 
 
@@ -58,9 +58,10 @@ class TestWindowSweep:
         assert manifest["command"] == "window-sweep"
         assert "config_sha256" in manifest
         blas = manifest["blas"]
-        assert set(blas) == {"name", "version", "threads"}
+        assert set(blas) == {"name", "version", "threads", "complex_eigh"}
         assert blas["name"] == np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
         assert blas["threads"] is None or blas["threads"] >= 1
+        assert blas["complex_eigh"] == ("numpy" if operators._zheevd_work() is None else "zheevd-blocked")
 
     def test_classical_errors_at_noise_floor(self, tmp_path):
         cfg = write_config(
@@ -372,6 +373,19 @@ class TestExitCodes:
         assert "model is not a chain" in capsys.readouterr().err
         assert not any((tmp_path / "out").glob("*.csv"))
 
+    @pytest.mark.parametrize("beta", [True, "2", None], ids=["bool", "string", "missing"])
+    def test_model_file_beta_is_checked(self, tmp_path, capsys, beta):
+        # The file's beta was once replaced by each of beta_values unchecked.
+        model_path = tmp_path / "model.json"
+        model_path.write_text(json.dumps({
+            "vertices": [{"id": 1, "dim": 2}, {"id": 2, "dim": 2}],
+            "edges": [{"u": 1, "v": 2, "term": {"factory": "tfim"}}],
+        } | ({} if beta is None else {"beta": beta})))
+        cfg = write_config(tmp_path, model={"path": str(model_path)})
+        assert run("cumulant-decay", cfg, tmp_path / "out") == 2
+        assert "beta" in capsys.readouterr().err
+        assert not any((tmp_path / "out").glob("*.csv"))
+
     @pytest.mark.parametrize(
         "vertex_id, dim, edge", [(2.9, 2, (1, 2.9)), (2, 2.5, (1, 2)), (2, 2, (1, "2"))],
         ids=["fractional_id", "fractional_dim", "string_endpoint"],
@@ -453,11 +467,14 @@ class TestExitCodes:
         cfg.write_text(json.dumps(raw))
         assert run("window-sweep", cfg, tmp_path / "out", extra=["--seed", "7"]) == 0
 
-    def test_dimension_cap(self, tmp_path):
-        cfg = write_config(
-            tmp_path, model={"stock": {"kind": "chain", "n": 14, "factory": "tfim"}}
-        )
-        assert run("window-sweep", cfg, tmp_path / "out") == 3
+    def test_dimension_cap(self, tmp_path, capsys):
+        # 15000 sites once exited 1: the message held a product of 4516 digits.
+        for n in (14, 15000):
+            cfg = write_config(
+                tmp_path, model={"stock": {"kind": "chain", "n": n, "factory": "tfim"}}
+            )
+            assert run("window-sweep", cfg, tmp_path / "out") == 3
+            assert capsys.readouterr().err.startswith("dimension cap exceeded: ")
 
     def test_missing_config_file(self, tmp_path):
         assert run("window-sweep", tmp_path / "nope.json", tmp_path / "out") == 2

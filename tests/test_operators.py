@@ -64,8 +64,10 @@ class TestSiteLayout:
             SiteLayout((1, 1), (2, 2))
 
     def test_dim_cap(self):
-        with pytest.raises(DimensionCapError):
-            SiteLayout(tuple(range(13)), (2,) * 13)
+        # 15000 sites once raised a plain ValueError formatting a 4516-digit product.
+        for n in (13, 15000):
+            with pytest.raises(DimensionCapError, match=f"cap 4096: the first 13 of {n} sites give 8192$"):
+                SiteLayout(tuple(range(n)), (2,) * n)
 
     @pytest.mark.parametrize(
         "sites, dims",
@@ -467,16 +469,19 @@ def _complex_reversal_symmetric() -> DenseOperator:
 
 @pytest.fixture
 def solved_shapes(monkeypatch):
-    """Shapes of every matrix (or stack) handed to eigh and eigvalsh."""
+    """Shapes of every matrix (or stack) handed to eigh and eigvalsh: numpy's,
+    or ``operators._zheevd``, which solves one complex matrix as eigh."""
     shapes = []
-    for name in ("eigh", "eigvalsh"):
-        original = getattr(np.linalg, name)
 
-        def recorded(mat, *args, _original=original, **kwargs):
+    def recording(original):
+        def recorded(mat, *args, **kwargs):
             shapes.append(mat.shape)
-            return _original(mat, *args, **kwargs)
+            return original(mat, *args, **kwargs)
+        return recorded
 
-        monkeypatch.setattr(np.linalg, name, recorded)
+    for name in ("eigh", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, recording(getattr(np.linalg, name)))
+    monkeypatch.setattr(operators, "_zheevd", recording(operators._zheevd))
     return shapes
 
 
@@ -554,6 +559,66 @@ class TestReversalBlocks:
         got = _exp_h(mat)
         _trace_norm(mat)
         assert solved_shapes == [mat.shape, mat.shape]
-        w, v = np.linalg.eigh(mat)
+        w, v = operators._eigh(mat)
         want = hermitize((v * np.exp(w)[..., None, :]) @ v.conj().swapaxes(-1, -2))
         assert np.array_equal(got, want)
+
+
+def _complex_hermitian(d: int, stack: tuple = (), seed: int = 7) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    shape = stack + (d, d)
+    return hermitize(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+
+
+class TestZheevd:
+    """Complex matrices from ``ZHEEVD_MIN_DIM`` go to LAPACK zheevd with a
+    blocked workspace: eigenvalues bit-equal to numpy's, vectors orthonormal
+    and functions equal to numpy's at roundoff.  Everything else, and every
+    matrix when the routine is missing, is numpy's eigh bit for bit."""
+
+    @pytest.mark.parametrize("stack", [(), (2,)], ids=["lone", "stack2"])
+    @pytest.mark.parametrize("d", [64, 100, 512])
+    def test_agrees_with_numpy(self, d, stack):
+        mat = _complex_hermitian(d, stack)
+        w, v = operators._eigh(mat)
+        w_np, v_np = np.linalg.eigh(mat)
+        assert w.shape == w_np.shape and v.shape == v_np.shape
+        assert np.array_equal(w, w_np)
+        assert np.abs(v.conj().swapaxes(-1, -2) @ v - np.eye(d)).max() <= 1e-13
+        for k in np.ndindex(stack):
+            f = (v[k] * np.exp(-w[k])) @ v[k].conj().T
+            f_np = (v_np[k] * np.exp(-w_np[k])) @ v_np[k].conj().T
+            assert _rel(f, f_np) <= 1e-13
+            if stack:  # each matrix of a stack is solved as it is alone
+                lone_w, lone_v = operators._eigh(mat[k])
+                assert np.array_equal(w[k], lone_w) and np.array_equal(v[k], lone_v)
+
+    @pytest.mark.parametrize("mat", [
+        _complex_hermitian(16, (3,)),
+        _complex_hermitian(512).real.copy(),
+    ], ids=["complex16_stack", "real512"])
+    def test_small_complex_and_real_stay_numpy(self, mat):
+        for got, want in zip(operators._eigh(mat), np.linalg.eigh(mat)):
+            assert np.array_equal(got, want)
+
+    def test_without_the_routine_is_numpy(self, monkeypatch):
+        monkeypatch.setattr(operators, "_zheevd_work", lambda: None)
+        mat = _complex_hermitian(100, (2,))
+        for got, want in zip(operators._eigh(mat), np.linalg.eigh(mat)):
+            assert np.array_equal(got, want)
+
+    @pytest.mark.skipif(operators._zheevd_work() is None, reason="numpy's BLAS has no zheevd_work")
+    def test_routes_by_dtype_and_dimension(self, monkeypatch):
+        solved, original = [], operators._zheevd
+        monkeypatch.setattr(operators, "_zheevd", lambda mat: solved.append(mat.shape) or original(mat))
+        operators._eigh(_complex_hermitian(64, (2,)))
+        operators._eigh(_complex_hermitian(48))
+        operators._eigh(_complex_hermitian(64).real.copy())
+        assert solved == [(64, 64), (64, 64)]
+
+    def test_failure_is_linalg_error(self, monkeypatch):
+        monkeypatch.setattr(operators, "_zheevd_work", lambda: lambda *args: 3)
+        with pytest.raises(np.linalg.LinAlgError, match="info 3"):
+            operators._eigh(_complex_hermitian(64))
+        with pytest.raises(np.linalg.LinAlgError, match="square"):
+            operators._zheevd(np.zeros((64, 65), dtype=np.complex128))

@@ -1,7 +1,7 @@
 """Guard against repeated full-dimension eigensolves.
 
-Every matrix that ``numpy.linalg`` decomposes, each matrix of a stack
-included, is counted by dimension, and by routine and dimension.  When the window sweep and the single-step experiment
+Every matrix that ``numpy.linalg`` or ``operators._zheevd`` decomposes, each
+matrix of a stack included, is counted by dimension, and by routine and dimension.  When the window sweep and the single-step experiment
 run on one model, the full dimension is solved once, for the thermal state:
 the widest window and the radius ball that holds every edge reuse it.  The
 cumulants of an operator take each shell's norm on the shell's own support,
@@ -28,7 +28,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from qbp import cli, models
+from qbp import cli, models, operators
 from qbp import (
     SiteLayout,
     build_chain,
@@ -59,20 +59,24 @@ def solves(monkeypatch):
     """Counts every decomposed matrix by dimension, and by routine and
     dimension; a stack counts each of its matrices.  ``np.linalg.norm(x, 2)``
     calls the module-level ``svd`` of ``numpy.linalg._linalg``, so that is
-    patched too.  ``counts["calls"]`` counts numpy calls, a stack as one."""
+    patched too, and ``operators._zheevd``, which solves one complex matrix
+    outside numpy, counts as ``eigh``.  ``counts["calls"]`` counts calls to
+    these routines, a stack as one."""
     counts: Counter = Counter()
+
+    def counting(name, original):
+        def counted(mat, *args, **kwargs):
+            d, k = mat.shape[-1], int(np.prod(mat.shape[:-2]))
+            counts[d] += k
+            counts[name, d] += k
+            counts["calls"] += 1
+            return original(mat, *args, **kwargs)
+        return counted
+
     for module in (np.linalg, np.linalg._linalg):
         for name in ("eigh", "eigvalsh", "svd"):
-            original = getattr(module, name)
-
-            def counted(mat, *args, _original=original, _name=name, **kwargs):
-                d, k = mat.shape[-1], int(np.prod(mat.shape[:-2]))
-                counts[d] += k
-                counts[_name, d] += k
-                counts["calls"] += 1
-                return _original(mat, *args, **kwargs)
-
-            monkeypatch.setattr(module, name, counted)
+            monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+    monkeypatch.setattr(operators, "_zheevd", counting("eigh", operators._zheevd))
     return counts
 
 
