@@ -12,6 +12,7 @@ from .operators import (
     PAULI_Z,
     DenseOperator,
     DimensionCapError,
+    DynamicRangeError,
     NonDensityError,
     NonHermitianError,
     OperatorError,

@@ -10,12 +10,13 @@ Commands::
     qbp markov-audit    --config cfg.json ...
 
 Exit codes: 0 success, 2 config error, 3 dimension cap exceeded, 4 lemma
-failure, 5 numerical limit (a computed operator too singular for its log, or
-no longer a density).  Re-running a command with the same config and seed
-reproduces byte-identical CSV output; floats are serialized with 17
-significant digits.  No plotting happens in-process: the CSVs are the
-interface.  A config's values follow the input rules of ``operators``, as
-ConfigError; each list field reads a lone value as a list of one.
+failure, 5 numerical limit (a computed operator too singular for its log or
+no longer a density, or an exponential beyond the float range).  Re-running a
+command with the same config and seed reproduces byte-identical CSV output;
+floats are serialized with 17 significant digits.  No plotting happens
+in-process: the CSVs are the interface.  A config's values follow the input
+rules of ``operators``, as ConfigError; each list field reads a lone value as
+a list of one.
 """
 
 from __future__ import annotations
@@ -50,6 +51,7 @@ from .markov import deficiency_rows
 from .models import GraphModel, ModelError, build_chain, model_from_config, stock_factory
 from .operators import (
     DimensionCapError,
+    DynamicRangeError,
     NonDensityError,
     OperatorError,
     SingularOperatorError,
@@ -353,11 +355,11 @@ def _lemma_suite(args) -> tuple[list[list], list[tuple[str, dict]]]:
 class Command:
     """One CLI command.
 
-    ``worker`` names the worker in this module; it runs once per beta, or
-    once in all when ``per_beta`` is false.  It is looked up when the
-    command runs, so a wrapper or patch applied to the module attribute
-    sees every call.  ``required`` lists the config fields that must be
-    non-empty.  Each output pairs a file name with either its CSV header
+    ``worker`` names the worker in this module; it runs once per beta when
+    ``required``, the config fields that must be non-empty, lists
+    ``beta_values``, else once in all.  It is looked up when the command
+    runs, so a wrapper or patch applied to the module attribute sees every
+    call.  Each output pairs a file name with either its CSV header
     line or the JSON document type (``list`` or ``dict``) its rows form.
     ``model`` says whether the worker reads the config's model.
     """
@@ -365,7 +367,6 @@ class Command:
     worker: str
     required: tuple[str, ...]
     outputs: tuple[tuple[str, str | type], ...]
-    per_beta: bool = True
     model: bool = True
 
 
@@ -384,7 +385,7 @@ COMMANDS = {
     "lemma-suite": Command("_lemma_suite", (), (
         ("lemma_suite.csv", "check,count,min_margin,failures"),
         ("lemma_suite.json", dict),
-    ), per_beta=False, model=False),
+    ), model=False),
     "markov-audit": Command("_markov_point", ("beta_values", "ell_values"), (
         ("markov_audit.csv", "model_id,beta,ell,U,deficiency,degenerate"),
         ("markov_audit.json", list),
@@ -406,7 +407,7 @@ def run_command(name: str, cfg: ExperimentConfig, out_dir: Path) -> tuple[int, i
     if empty:
         raise ConfigError(f"{name} needs non-empty {' and '.join(empty)}")
     worker = globals()[command.worker]
-    betas = cfg.beta_values if command.per_beta else (None,)
+    betas = cfg.beta_values if "beta_values" in command.required else (None,)
     points = [(cfg, i, b) for i, b in enumerate(betas)]
     model = None
     if command.model:
@@ -458,7 +459,7 @@ def main(argv=None) -> int:
     except DimensionCapError as exc:
         print(f"dimension cap exceeded: {exc}", file=sys.stderr)
         return 3
-    except (SingularOperatorError, NonDensityError) as exc:  # raised on computed operators only
+    except (SingularOperatorError, NonDensityError, DynamicRangeError) as exc:  # on computed operators only
         print(f"numerical limit: {exc}", file=sys.stderr)
         return 5
     except (OSError, json.JSONDecodeError, ConfigError, ModelError, OperatorError) as exc:

@@ -16,10 +16,14 @@ kept only as a test oracle.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .operators import (
+    LOG_FLOAT_MAX,
     DenseOperator,
+    DynamicRangeError,
     SiteMismatchError,
     _dagger,
     _eigh,
@@ -82,6 +86,21 @@ def _filtered(h_mat: np.ndarray, v_mat: np.ndarray, beta: float) -> np.ndarray:
     return hermitize(u @ (filter_hat(gaps, beta) * v_tilde) @ _dagger(u))
 
 
+def _require_range(h: DenseOperator, v: DenseOperator, beta: float) -> None:
+    """Raise DynamicRangeError, before any exponential is taken, unless every
+    entry, product and sum that ``hastings_operator`` and
+    ``conjugation_residual`` form stays a float: each is at most
+    2d exp(beta (||H|| + ||V||)) in size.  The Frobenius norms bound the
+    spectral ones and cost no eigensolve; ``hypot`` keeps them from overflowing."""
+    norms = sum(float(np.hypot.reduce(np.abs(x.mat).ravel())) for x in (h, v))
+    exponent = beta * norms + math.log(2 * h.dim)
+    if exponent > LOG_FLOAT_MAX:
+        raise DynamicRangeError(
+            f"beta {beta:g} needs exp({exponent:.6g}) = 2d exp(beta (||H||_F + ||V||_F)), "
+            f"past ln(float max) = {LOG_FLOAT_MAX:.6g}"
+        )
+
+
 def hastings_operator(
     h: DenseOperator, v: DenseOperator, beta: float, s_steps: int = 64
 ) -> DenseOperator:
@@ -93,10 +112,12 @@ def hastings_operator(
     resolution, since each factor's exponent is bounded by ||V|| / 2n.  The
     factors do not depend on the running product, so the steps are
     decomposed in stacks of at most ``STACK_ENTRIES`` matrix entries.
+    Raises DynamicRangeError where a float cannot hold the product.
     """
     if s_steps < 1:
         raise ValueError(f"s_steps must be >= 1, got {s_steps}")
     h, v = embed_on_union(h, v)
+    _require_range(h, v, beta)
     result = np.eye(h.dim)
     step = -beta / (2.0 * s_steps)
     chunk = max(1, STACK_ENTRIES // h.dim**2)
@@ -114,10 +135,13 @@ def conjugation_residual(
     h: DenseOperator, v: DenseOperator, beta: float, o: DenseOperator
 ) -> float:
     """Relative trace-norm defect of the conjugation identity:
-    ||O exp(-beta H) O† - exp(-beta (H+V))||_1 / ||exp(-beta (H+V))||_1."""
+    ||O exp(-beta H) O† - exp(-beta (H+V))||_1 / ||exp(-beta (H+V))||_1,
+    for O within the cap ``hastings_operator`` meets, ||O|| <= exp(beta ||V|| / 2).
+    Raises DynamicRangeError where a float cannot hold the exponentials."""
     h, v = embed_on_union(h, v)
     if o.layout != h.layout:
         raise SiteMismatchError("conjugation operator layout does not match H, V")
+    _require_range(h, v, beta)
     target = matrix_exp_h(-beta * (h + v))
     base = matrix_exp_h(-beta * h)
     approx = o @ base @ o.dagger()

@@ -4,18 +4,23 @@ Everything downstream (graph models, message passing, spectral filters,
 bound evaluators) manipulates operators through this module: tensor
 embedding and every operator sum (`embed_sum`, each operand added in place
 into one zeroed tensor), partial traces, Hermitian matrix functions, norms,
-and seeded random ensembles.  Values are immutable once constructed and all
-functions are pure, so they are safe to share across threads; the only
-stateful objects are the caller-owned random generators.  An operator's
-dtype follows its data (float64 or complex128) through all arithmetic.
+and seeded random ensembles.  Embedding and the partial trace are adjoint and
+share one strided site map (``_diagonal``): an operand is added into its
+view, and a partial trace sums the view's diagonal axes away.  Values are
+immutable once constructed and all functions are pure, so they are safe to
+share across threads; the only stateful objects are the caller-owned random
+generators.  An operator's dtype follows its data (float64 or complex128)
+through all arithmetic.
 The private matrix functions also take stacks, shape (..., d, d), and give
 each matrix the LAPACK/BLAS call it gets alone, so results are bit-equal; only
 a lone reversal-symmetric matrix is solved as two blocks (`_reversal_blocks`),
 and its exp, log or Gibbs state is assembled from the blocks' functions.
 Arrays the package builds or has tested Hermitian are wrapped with no copy and
 no re-check; a sum is flagged Hermitian when every operand is.  No other module
-calls numpy.linalg's decompositions or norms.  Complex eigendecompositions from
-d = 64 call LAPACK's zheevd in numpy's own OpenBLAS, with room for its blocked
+calls numpy.linalg's decompositions or norms, ``np.einsum`` or ``as_strided``.
+A Frobenius-norm test past the float range is judged on the matrices scaled
+by a power of two (``_within``).  Complex eigendecompositions from d = 64 call
+LAPACK's zheevd in numpy's own OpenBLAS, with room for its blocked
 back-transformation (``_zheevd``).  The input rules live here too
 (`_as_integer`, `_as_positive`, `_require_known`): every door that reads input
 applies them, and raises its own error type in place of their OperatorError.
@@ -28,7 +33,6 @@ import sys
 from dataclasses import dataclass, field
 from math import prod
 from pathlib import Path
-from string import ascii_letters
 from functools import cache, reduce
 from itertools import accumulate
 from operator import mul
@@ -44,6 +48,9 @@ HERMITIAN_RTOL = 1e-12
 
 #: Eigenvalues at or below this floor make a matrix logarithm fail loudly.
 LOG_EIG_FLOOR = 1e-30
+
+#: ln of the largest float64, about 709.78: exp of a larger exponent overflows.
+LOG_FLOAT_MAX = float(np.log(sys.float_info.max))
 
 #: Complex matrices from this dimension up are solved by ``_zheevd``.  Measured
 #: crossover, one BLAS thread: numpy's eigh is faster up to d = 48 (304 against
@@ -74,6 +81,10 @@ class NonDensityError(OperatorError):
 
 class DimensionCapError(OperatorError):
     """A layout would exceed the configured total-dimension cap."""
+
+
+class DynamicRangeError(OperatorError):
+    """An exponential would leave the float range: its exponent exceeds ``LOG_FLOAT_MAX``."""
 
 
 class SingularOperatorError(OperatorError):
@@ -166,7 +177,7 @@ class SiteLayout:
         return SiteLayout(tuple(s for s, _ in pairs), tuple(d for _, d in pairs))
 
     def drop(self, sites: Iterable[int]) -> "SiteLayout":
-        gone = set(sites)
+        gone = self.subset(sites).sites  # raises SiteMismatchError on unknown sites
         return self.subset([s for s in self.sites if s not in gone])
 
 
@@ -263,9 +274,21 @@ def _squared_norm(x: np.ndarray) -> np.ndarray:
     return (v @ v.swapaxes(-1, -2))[..., 0, 0]
 
 
+def _within(defect: np.ndarray, ref: np.ndarray, rtol2: float) -> np.ndarray:
+    """Per matrix: ||defect||_F² <= rtol2 ||ref||_F².  Where ||ref||_F² is past
+    the float range, both sides are taken of the matrices scaled by the power
+    of two that brings ref's largest entry below 1, which is exact."""
+    with np.errstate(over="ignore"):
+        small, large = _squared_norm(defect), _squared_norm(ref)
+    if np.isinf(large).any():
+        scale = 2.0 ** -np.frexp(np.abs(ref).max(axis=(-2, -1)))[1][..., None, None]
+        small, large = _squared_norm(defect * scale), _squared_norm(ref * scale)
+    return small <= rtol2 * large
+
+
 def _hermitian(mat: np.ndarray) -> np.ndarray:
     """Per matrix: ||M - M†||_F <= HERMITIAN_RTOL ||M||_F."""
-    return _squared_norm(mat - _dagger(mat)) <= HERMITIAN_RTOL**2 * _squared_norm(mat)
+    return _within(mat - _dagger(mat), mat, HERMITIAN_RTOL**2)
 
 
 def _reversal_blocks(mat: np.ndarray) -> np.ndarray | None:
@@ -283,10 +306,9 @@ def _reversal_blocks(mat: np.ndarray) -> np.ndarray | None:
     if mat.ndim != 2 or d % 2:
         return None
     h, diag = d // 2, mat.diagonal().real[None]  # real: M is Hermitian
-    if _squared_norm(diag - diag[:, ::-1]) > HERMITIAN_RTOL**2 * _squared_norm(diag):
+    if not _within(diag - diag[:, ::-1], diag, HERMITIAN_RTOL**2):
         return None
-    defect = _squared_norm(mat[:h] - mat[:h - 1 : -1, ::-1])
-    if 2.0 * defect > HERMITIAN_RTOL**2 * _squared_norm(mat):
+    if not _within(mat[:h] - mat[:h - 1 : -1, ::-1], mat, HERMITIAN_RTOL**2 / 2.0):
         return None
     ends = mat[:h, :h - 1 : -1]
     return np.stack((mat[:h, :h] + ends, mat[:h, :h] - ends))
@@ -348,28 +370,33 @@ def embed_on_union(*ops: DenseOperator) -> tuple[DenseOperator, ...]:
 
 def _add_embedded(tensor: np.ndarray, op: DenseOperator, full: SiteLayout) -> None:
     """Add ``op`` tensored with identity into ``tensor``, shape
-    ``full.dims + full.dims``, in place.
-
-    The identity is nonzero only where each complement site's row and column
-    indices agree, so ``op`` is added through a strided view of exactly those
-    entries: one axis per support row, one per support column, and one
-    diagonal axis per complement site.  Every other entry is left untouched.
-    """
+    ``full.dims + full.dims``, in place, through ``_diagonal``: every entry
+    off the identity's diagonal is left untouched."""
     for s, d in zip(op.layout.sites, op.layout.dims):
         if full.dim_of(s) != d:  # raises SiteMismatchError on unknown site
             raise SiteMismatchError(f"site {s} has dimension {full.dim_of(s)} != {d}")
-    axes = [full.axis_of(s) for s in op.layout.sites]
-    rest = [i for i in range(len(full.sites)) if i not in axes]
-    n, shape, strides = len(full.sites), tensor.shape, tensor.strides
-    view = np.lib.stride_tricks.as_strided(
+    view = _diagonal(tensor, full, op.layout.sites)
+    view += op.mat.reshape(op.layout.dims * 2 + (1,) * (len(full.sites) - len(op.layout.sites)))
+
+
+def _diagonal(tensor: np.ndarray, layout: SiteLayout, sites: tuple[int, ...], lead: int = 0) -> np.ndarray:
+    """Strided view of ``tensor``, shape ``lead`` stack axes + ``layout.dims * 2``,
+    over the entries where each other site's row and column indices agree:
+    the stack axes, one axis per row of ``sites``, one per column, then one
+    diagonal axis per other site.  Embedding adds into it, and the partial
+    trace sums its diagonal axes away: the two maps are adjoint."""
+    n = len(layout.sites)
+    axes = [lead + layout.axis_of(s) for s in sites]
+    rest = [i for i in range(lead, lead + n) if i not in axes]
+    shape, strides = tensor.shape, tensor.strides
+    return np.lib.stride_tricks.as_strided(
         tensor,
-        shape=[shape[i] for i in axes + axes] + [shape[i] for i in rest],
-        strides=[strides[i] for i in axes]
+        shape=[shape[i] for i in [*range(lead), *axes, *axes, *rest]],
+        strides=[strides[i] for i in [*range(lead), *axes]]
         + [strides[n + i] for i in axes]
         + [strides[i] + strides[n + i] for i in rest],
-        writeable=True,
+        writeable=True,  # stays read-only over a read-only tensor
     )
-    view += op.mat.reshape(op.layout.dims + op.layout.dims + (1,) * len(rest))
 
 
 def partial_trace(op: DenseOperator, traced: Iterable[int]) -> DenseOperator:
@@ -384,27 +411,12 @@ def _partial_trace(
     mat: np.ndarray, layout: SiteLayout, traced: frozenset
 ) -> tuple[SiteLayout, np.ndarray]:
     """Layout and matrix (or stack) left after tracing out ``traced``."""
-    unknown = traced - set(layout.sites)
-    if unknown:
-        raise SiteMismatchError(f"sites {sorted(unknown)} not in layout")
-    sites, dims = layout.sites, layout.dims
-    n = len(sites)
-    row = ascii_letters[:n]
-    col = []
-    free = n
-    for i, s in enumerate(sites):
-        if s in traced:
-            col.append(row[i])
-        else:
-            col.append(ascii_letters[free])
-            free += 1
-    keep = [i for i, s in enumerate(sites) if s not in traced]
-    out_sub = "".join(row[i] for i in keep) + "".join(col[i] for i in keep)
+    keep = layout.drop(traced)
     stack = mat.shape[:-2]
-    tensor = mat.reshape(stack + dims + dims)
-    reduced = np.einsum(f"...{row}{''.join(col)}->...{out_sub}", tensor)
-    keep_layout = layout.subset([sites[i] for i in keep])
-    return keep_layout, reduced.reshape(stack + (keep_layout.dim, keep_layout.dim))
+    view = _diagonal(mat.reshape(stack + layout.dims * 2), layout, keep.sites, len(stack))
+    axes = list(range(view.ndim))
+    reduced = np.einsum(view, axes, axes[: len(stack) + 2 * len(keep.sites)])
+    return keep, reduced.reshape(stack + (keep.dim, keep.dim))
 
 
 def _spectrum(mat: np.ndarray, known: bool = False) -> tuple[np.ndarray, np.ndarray, bool]:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 from functools import reduce
+from string import ascii_letters
 
 import networkx as nx
 import numpy as np
@@ -138,6 +139,32 @@ def partial_trace_by_sum(mat, dims, traced_axes):
                 ci = ci * d + x
             out[ri, ci] = acc
     return out
+
+
+def letter_partial_trace(mat, layout, traced):
+    """Layout and matrix (or stack) left after tracing out ``traced``, by one
+    ``np.einsum`` whose subscripts give each site a row letter and each kept
+    site a column letter; a traced site's column reuses its row letter.  The
+    package's partial trace before it summed over one strided site map, kept
+    as the byte-equality reference for it."""
+    sites, dims = layout.sites, layout.dims
+    n = len(sites)
+    row = ascii_letters[:n]
+    col = []
+    free = n
+    for i, s in enumerate(sites):
+        if s in traced:
+            col.append(row[i])
+        else:
+            col.append(ascii_letters[free])
+            free += 1
+    keep = [i for i, s in enumerate(sites) if s not in traced]
+    out_sub = "".join(row[i] for i in keep) + "".join(col[i] for i in keep)
+    stack = mat.shape[:-2]
+    tensor = mat.reshape(stack + dims + dims)
+    reduced = np.einsum(f"...{row}{''.join(col)}->...{out_sub}", tensor)
+    keep_layout = layout.subset([sites[i] for i in keep])
+    return keep_layout, reduced.reshape(stack + (keep_layout.dim, keep_layout.dim))
 
 
 def sliding_window_oracle(model, target, window):

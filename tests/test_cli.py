@@ -485,6 +485,24 @@ class TestExitCodes:
         assert run("window-sweep", bad, tmp_path / "out") == 2
 
 
+    @pytest.mark.parametrize("beta", [100.0, 300.0, 1e6])
+    def test_hastings_verify_beyond_float_range(self, tmp_path, capsys, beta):
+        # beta = 100 once leaked an overflow warning from a Frobenius norm, and
+        # beta >= 300 exited 1 when exp overflowed and the SVD then failed.
+        cfg = write_config(tmp_path, beta_values=[beta])
+        code = run("hastings-verify", cfg, tmp_path / "out")
+        if code == 0:
+            rows = (tmp_path / "out" / "hastings_verify.csv").read_text().splitlines()[1:]
+            assert len(rows) == 2
+            assert all(math.isfinite(float(x)) for row in rows for x in row.split(",")[1:])
+        else:
+            assert code == 5
+            err = capsys.readouterr().err
+            assert err.startswith(f"numerical limit: beta {beta:g} needs exp(")
+            assert "ln(float max) = 709.783" in err
+            assert not any((tmp_path / "out").glob("*.csv"))
+
+
 RANDOM2_CHAIN = {"stock": {"kind": "chain", "n": 5, "factory": "random2", "params": {"seed": 3}}}
 
 

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from scipy import integrate, linalg, special
@@ -5,6 +7,7 @@ from scipy import integrate, linalg, special
 from qbp import hastings, operators
 from qbp import (
     DenseOperator,
+    DynamicRangeError,
     SiteLayout,
     build_chain,
     conjugation_residual,
@@ -238,6 +241,24 @@ class TestConjugationResidual:
         h = random_hermitian(rng, Q12)
         v = random_hermitian(rng, Q12)
         assert conjugation_residual(h, v, 1.0, DenseOperator.identity(Q12)) > 0
+
+
+class TestFloatRange:
+    def test_exponent_checked_before_exponentiating(self):
+        # beta (||H||_F + ||V||_F) + ln 2d against ln(float max) ≈ 709.78: the
+        # residual once overflowed in exp at beta = 300 and the SVD failed.
+        h = DenseOperator(Q12, np.diag([1.0, 2.0, -0.5, 0.3]))
+        v = DenseOperator(Q12, np.diag([0.2, -0.1, 0.4, 0.0]))
+        o = matrix_exp_h(-0.5 * v)
+        edge = (operators.LOG_FLOAT_MAX - np.log(8.0)) / (np.linalg.norm(h.mat) + np.linalg.norm(v.mat))
+        assert np.isfinite(conjugation_residual(h, v, 0.999 * edge, o))
+        assert np.all(np.isfinite(hastings_operator(h, v, 0.999 * edge, 4).mat))
+        for beta in (1.001 * edge, 1e6, 1e308):
+            limit = re.escape(f"beta {beta:g} needs exp(") + r".*ln\(float max\) = 709\.783"
+            with pytest.raises(DynamicRangeError, match=limit):
+                hastings_operator(h, v, beta, 4)
+            with pytest.raises(DynamicRangeError):
+                conjugation_residual(h, v, beta, DenseOperator.identity(Q12))
 
 
 @pytest.fixture(scope="module")

@@ -2,7 +2,8 @@
 a sibling module, except from ``operators``, the algebra every layer builds
 on.  A private helper that a second module needs belongs in ``operators`` or
 in the public API.  Every decomposition and norm goes through ``operators``
-too: no other module calls ``numpy.linalg``'s."""
+too: no other module calls ``numpy.linalg``'s.  So does every map between
+sites and tensor axes: no other module calls ``np.einsum`` or ``as_strided``."""
 
 import ast
 from pathlib import Path
@@ -105,3 +106,44 @@ def test_only_operators_decomposes(path):
 def test_operators_is_the_gateway():
     found = linalg_calls((SRC / "operators.py").read_text(encoding="utf-8"))
     assert {"linalg.eigh", "linalg.eigvalsh", "linalg.svd", "linalg.norm"} <= set(found)
+
+
+#: numpy routines that address a tensor's axes by site: the site map stays in ``operators``.
+SITE_MAP = {"einsum", "as_strided"}
+
+
+def site_map_calls(source: str) -> list[str]:
+    """Each name of ``SITE_MAP`` that ``source`` imports or reads as an attribute."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            found += [a.name for a in node.names if a.name in SITE_MAP]
+        elif isinstance(node, ast.Attribute) and node.attr in SITE_MAP:
+            found.append(node.attr)
+    return found
+
+
+@pytest.mark.parametrize(
+    "source, found",
+    [
+        ("np.einsum('ii->i', m)", ["einsum"]),
+        ("np.lib.stride_tricks.as_strided(m, (2,), (8,))", ["as_strided"]),
+        ("from numpy.lib.stride_tricks import as_strided", ["as_strided"]),
+        ("from numpy import einsum as es", ["einsum"]),
+        ("np.trace(m)", []),
+        ("_diagonal(t, layout, sites)", []),
+    ],
+)
+def test_checker_finds_site_map_calls(source, found):
+    assert site_map_calls(source) == found
+
+
+@pytest.mark.parametrize(
+    "path", sorted(p for p in SRC.glob("*.py") if p.stem != "operators"), ids=lambda p: p.name
+)
+def test_only_operators_maps_sites(path):
+    assert site_map_calls(path.read_text(encoding="utf-8")) == []
+
+
+def test_operators_holds_the_site_map():
+    assert set(site_map_calls((SRC / "operators.py").read_text(encoding="utf-8"))) == SITE_MAP

@@ -1,3 +1,4 @@
+import itertools
 import pickle
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from qbp import (
     DenseOperator,
     DimensionCapError,
+    DynamicRangeError,
     NonHermitianError,
     OperatorError,
     PAULI_X,
@@ -38,6 +40,7 @@ from qbp.operators import (
     _log_pd,
     _op_norm,
     _partial_trace,
+    _reversal_blocks,
     _spectrum,
     _trace_norm,
     assert_density,
@@ -45,7 +48,13 @@ from qbp.operators import (
     hermitize,
 )
 
-from oracles import embed_by_indices, kron_embed, kron_hamiltonian, partial_trace_by_sum
+from oracles import (
+    embed_by_indices,
+    kron_embed,
+    kron_hamiltonian,
+    letter_partial_trace,
+    partial_trace_by_sum,
+)
 
 Q1 = SiteLayout((1,), (2,))
 Q12 = SiteLayout((1, 2), (2, 2))
@@ -227,6 +236,116 @@ class TestPartialTrace:
         red = partial_trace(op, {1, 3})
         assert abs(red.trace() - op.trace()) < 1e-10
         assert np.allclose(red.mat, red.mat.conj().T)
+
+
+def complex_gaussian(rng, shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+class TestSiteMap:
+    """Embedding adds into one strided view and the partial trace sums over
+    it: byte-equal to the letter-einsum reference, and adjoint to embedding."""
+
+    @staticmethod
+    def assert_matches_reference(mat, layout, traced):
+        want_layout, want = letter_partial_trace(mat, layout, set(traced))
+        got_layout, got = _partial_trace(mat, layout, frozenset(traced))
+        assert got_layout == want_layout
+        assert (got.dtype, got.shape) == (want.dtype, want.shape)
+        assert got.tobytes() == want.tobytes()
+        if mat.ndim == 2:
+            op = DenseOperator(layout, mat)
+            assert partial_trace(op, traced).mat.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("dims", [(2, 2, 2, 2), (3, 3, 3, 3), (2, 3, 2, 3)],
+                             ids=["qubits", "qutrits", "mixed"])
+    def test_every_traced_subset_byte_equal(self, dims):
+        layout = SiteLayout((2, 5, 7, 11), dims)  # ids with gaps: no site is its axis
+        mat = complex_gaussian(np.random.default_rng(sum(dims)), (layout.dim, layout.dim))
+        for r in range(len(dims) + 1):
+            for traced in itertools.combinations(layout.sites, r):
+                self.assert_matches_reference(mat, layout, traced)
+
+    def test_real_input_and_non_adjacent_sites(self):
+        layout = SiteLayout((1, 2, 3, 4, 5), (2, 3, 2, 2, 3))
+        mat = np.random.default_rng(1).standard_normal((layout.dim, layout.dim))
+        for traced in [(1, 3), (2, 5), (1, 3, 5), (2, 4)]:
+            self.assert_matches_reference(mat, layout, traced)
+
+    def test_stacks_byte_equal(self):
+        layout = SiteLayout((1, 2, 3), (2, 3, 2))
+        stack = complex_gaussian(np.random.default_rng(2), (4, layout.dim, layout.dim))
+        for traced in [(1,), (2,), (1, 3), (1, 2, 3)]:
+            self.assert_matches_reference(stack, layout, traced)
+            _, got = _partial_trace(stack, layout, frozenset(traced))
+            for k in range(len(stack)):  # each matrix as it is traced alone
+                assert got[k].tobytes() == _partial_trace(stack[k], layout, frozenset(traced))[1].tobytes()
+
+    def test_fortran_ordered_and_read_only_input(self):
+        layout = SiteLayout((1, 2, 3), (2, 2, 3))
+        op = DenseOperator(layout, complex_gaussian(np.random.default_rng(3), (layout.dim, layout.dim)))
+        flipped = op.dagger()
+        assert flipped.mat.flags.f_contiguous and not flipped.mat.flags.c_contiguous
+        assert not op.mat.flags.writeable and not flipped.mat.flags.writeable
+        for mat in (op.mat, flipped.mat):
+            for traced in [(1,), (3,), (1, 3), (2, 3)]:
+                self.assert_matches_reference(mat, layout, traced)
+
+    def test_adjoint_to_embedding(self):
+        # Tr[(A ⊗ I) B] = Tr[A Tr_rest B]
+        rng = np.random.default_rng(4)
+        full = SiteLayout((2, 5, 7, 11), (2, 3, 2, 3))
+        b = DenseOperator(full, complex_gaussian(rng, (full.dim, full.dim)))
+        for r in (1, 2, 3):
+            for sites in itertools.combinations(full.sites, r):
+                lay = full.subset(sites)
+                a = DenseOperator(lay, complex_gaussian(rng, (lay.dim, lay.dim)))
+                lhs = np.trace(embed(a, full).mat @ b.mat)
+                rhs = np.trace(a.mat @ partial_trace(b, set(full.sites) - set(sites)).mat)
+                assert abs(lhs - rhs) <= 1e-12 * abs(lhs)
+
+    def test_unknown_sites_rejected(self):
+        op = random_hermitian(5, Q123)
+        with pytest.raises(SiteMismatchError, match=r"\[9\] not in layout"):
+            partial_trace(op, {9})
+        with pytest.raises(SiteMismatchError):
+            partial_trace(op, {1, 9})
+        with pytest.raises(SiteMismatchError, match=r"\[9\] not in layout"):
+            Q123.drop({9})
+
+
+class TestFloatRange:
+    """Frobenius-norm tests on matrices whose squared norm is past the float
+    range decide as they do on the same matrices scaled down, with no warning."""
+
+    def test_hermiticity_and_norms_of_huge_operators(self):
+        rng = np.random.default_rng(6)
+        herm = hermitize(complex_gaussian(rng, (8, 8)))
+        general = complex_gaussian(rng, (8, 8))
+        layout = SiteLayout((1, 2, 3), (2, 2, 2))
+        for scale in (1.0, 1e200, 2.0**1000):
+            big = DenseOperator(layout, scale * herm)
+            assert trace_norm(big) == pytest.approx(scale * trace_norm(DenseOperator(layout, herm)), rel=1e-12)
+            assert op_norm(big) == pytest.approx(scale * op_norm(DenseOperator(layout, herm)), rel=1e-12)
+            operators.assert_hermitian(big.mat)
+            with pytest.raises(NonHermitianError):
+                operators.assert_hermitian(scale * general)
+            assert op_norm(DenseOperator(layout, scale * general)) == pytest.approx(
+                scale * op_norm(DenseOperator(layout, general)), rel=1e-12)
+
+    def test_reversal_blocks_of_a_huge_matrix(self):
+        herm = random_hermitian(7, Q123).mat
+        symmetric = herm + herm[::-1, ::-1]
+        want = _reversal_blocks(symmetric)
+        got = _reversal_blocks(1e200 * symmetric)
+        assert want is not None and got is not None
+        assert np.allclose(got, 1e200 * want, rtol=1e-14, atol=0)
+        assert _reversal_blocks(1e200 * herm) is None
+
+    def test_dynamic_range_error_is_an_operator_error(self):
+        err = pickle.loads(pickle.dumps(DynamicRangeError("beta 300 needs exp(1550)")))
+        assert isinstance(err, OperatorError)
+        assert str(err) == "beta 300 needs exp(1550)"
 
 
 class TestEig:
