@@ -38,8 +38,6 @@ from .models import (
     build_chain,
     build_tree,
     classical_ising,
-    diameter,
-    distance,
     edge_hamiltonian,
     exact_reduced_density,
     heisenberg,

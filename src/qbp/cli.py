@@ -241,13 +241,15 @@ def _cumulant_fit(model: GraphModel, leaf: int) -> tuple[CumulantSeries, Thermal
 def fitted_constants(model: GraphModel, leaf: int, base: dict) -> tuple[BoundConstants | None, float, float]:
     """Bound constants with the cumulant envelope fitted from the full
     Hamiltonian's thermal potential at the traced leaf (one fit per beta,
-    used uniformly across radii)."""
+    used uniformly across radii); None in their place when ``BoundConstants``
+    rejects the fitted pair, so that run writes no bound."""
     _, fit = _cumulant_fit(model, leaf)
     amp = float(base.get("cumulant_amp", fit.amplitude))
     decay = float(base.get("cumulant_decay", fit.decay))
-    if math.isnan(amp) or math.isnan(decay) or amp <= 0 or decay <= 0:
+    try:
+        return BoundConstants(**(base | {"cumulant_amp": amp, "cumulant_decay": decay})), amp, decay
+    except OperatorError:
         return None, amp, decay
-    return BoundConstants(**(base | {"cumulant_amp": amp, "cumulant_decay": decay})), amp, decay
 
 
 # -- workers (top level so they pickle) -----------------------------------------

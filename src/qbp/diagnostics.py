@@ -35,6 +35,7 @@ from .models import (
 from .operators import (
     DenseOperator,
     LOG_EIG_FLOOR,
+    _as_positive,
     embed,
     embed_sum,
     gibbs_state,
@@ -168,7 +169,9 @@ class BoundConstants:
     operator can be truncated to a local ball; ``lr_decay`` and
     ``lr_velocity`` are the locality (light-cone) constants of the
     Hamiltonian; ``cumulant_amp`` and ``cumulant_decay`` are the
-    fitted envelope of the thermal-potential cumulants.
+    fitted envelope of the thermal-potential cumulants.  Each is stored as
+    a float by the rule of ``operators._as_positive``, whose ``OperatorError``
+    names the field.
     """
 
     trunc_rate: float
@@ -180,8 +183,7 @@ class BoundConstants:
 
     def __post_init__(self):
         for field in fields(self):
-            if not getattr(self, field.name) > 0:
-                raise ValueError(f"{field.name} must be strictly positive")
+            object.__setattr__(self, field.name, _as_positive(field.name, getattr(self, field.name)))
 
 
 @dataclass(frozen=True)

@@ -47,13 +47,16 @@ def filter_hat(omega, beta: float):
     """Frequency profile tanh(beta w / 2) / (beta w / 2); takes scalars or arrays.
 
     The removable singularity at w = 0 is filled with the series
-    1 - (beta w)^2 / 12, giving exactly 1 at zero frequency.
+    1 - (beta w)^2 / 12, giving exactly 1 at zero frequency; the series is
+    formed from the small entries alone.  A product beta w past the float
+    range is inf, where tanh(x) / x gives 0, the profile's limit.
     """
-    bw = beta * np.asarray(omega, dtype=float)
-    x = bw / 2.0
+    with np.errstate(over="ignore"):
+        bw = beta * np.asarray(omega, dtype=float)
     small = np.abs(bw) < SMALL_FREQ
-    safe = np.where(small, 1.0, x)
-    out = np.where(small, 1.0 - bw * bw / 12.0, np.tanh(safe) / safe)
+    series = np.where(small, bw, 0.0)
+    safe = np.where(small, 1.0, bw / 2.0)
+    out = np.where(small, 1.0 - series * series / 12.0, np.tanh(safe) / safe)
     return float(out) if np.isscalar(omega) else out
 
 

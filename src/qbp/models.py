@@ -10,7 +10,7 @@ qubit pair) and embedded lazily.
 from __future__ import annotations
 
 import json
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from pathlib import Path
@@ -121,7 +121,18 @@ class GraphModel:
             if e.key in seen:
                 raise ModelError(f"duplicate edge {e.key}")
             seen.add(e.key)
-        _require_tree(self.layout.sites, [e.key for e in self.edges])
+        n = len(self.vertices)
+        if n == 0:
+            raise ModelError("model has no vertices")
+        if len(self.edges) != n - 1:
+            raise ModelError(
+                f"{len(self.edges)} edges on {n} vertices cannot form a tree "
+                "(cyclic or disconnected specification)"
+            )
+        reached = bfs_distances(adjacency(self), self.vertices[:1])
+        dangling = [v for v in self.vertices if v not in reached]
+        if dangling:
+            raise ModelError(f"dangling vertices {dangling}: graph is disconnected")
 
     @property
     def vertices(self) -> tuple[int, ...]:
@@ -158,27 +169,6 @@ class GraphModel:
         return spectra[key]
 
 
-def _require_tree(vertices: Sequence[int], edge_keys: Sequence[tuple[int, int]]):
-    n = len(vertices)
-    if n == 0:
-        raise ModelError("model has no vertices")
-    if len(edge_keys) != n - 1:
-        raise ModelError(
-            f"{len(edge_keys)} edges on {n} vertices cannot form a tree "
-            "(cyclic or disconnected specification)"
-        )
-    if n == 1:
-        return
-    adj: dict[int, list[int]] = {v: [] for v in vertices}
-    for u, v in edge_keys:
-        adj[u].append(v)
-        adj[v].append(u)
-    dist = bfs_distances(adj, [vertices[0]])
-    dangling = [v for v in vertices if v not in dist]
-    if dangling:
-        raise ModelError(f"dangling vertices {dangling}: graph is disconnected")
-
-
 def bfs_distances(
     adj: Mapping[int, Iterable[int]], sources: Iterable[int]
 ) -> dict[int, int]:
@@ -207,6 +197,7 @@ def degrees(model: GraphModel) -> dict[int, int]:
 
 
 def distance_map(model: GraphModel, targets: Iterable[int]) -> dict[int, int]:
+    """Edges from every vertex to the nearest of ``targets``: one breadth-first walk."""
     targets = set(targets)
     if not targets:
         raise ModelError("distance to an empty vertex set is undefined")
@@ -214,27 +205,6 @@ def distance_map(model: GraphModel, targets: Iterable[int]) -> dict[int, int]:
     if unknown:
         raise ModelError(f"unknown vertices {sorted(unknown)}")
     return bfs_distances(adjacency(model), targets)
-
-
-def distance(model: GraphModel, v: int, targets: Iterable[int]) -> int:
-    """Shortest path length (in edges) from ``v`` to the nearest target."""
-    if v not in model.vertices:
-        raise ModelError(f"unknown vertex {v}")
-    return distance_map(model, targets)[v]
-
-
-def neighborhood(model: GraphModel, subset: Iterable[int], radius: int) -> frozenset[int]:
-    """All vertices within graph distance ``radius`` of the subset."""
-    dm = distance_map(model, subset)
-    return frozenset(v for v, d in dm.items() if d <= radius)
-
-
-def diameter(model: GraphModel) -> int:
-    verts = model.vertices
-    ecc = 0
-    for v in verts:
-        ecc = max(ecc, max(distance_map(model, [v]).values()))
-    return ecc
 
 
 # -- region partition ---------------------------------------------------------
@@ -343,10 +313,10 @@ def transverse_ising(
 ) -> TermFactory:
     """Transverse-field Ising edge term -J Z(x)Z - (hx/2)(X(x)I + I(x)X).
 
-    The field is split evenly over a site's incident edges, so interior chain
-    sites see the full ``hx`` while boundary sites get half weight.  With
-    ``full_boundary_fields`` the missing half is added back on degree-1
-    endpoints.
+    Each edge term puts ``hx/2`` on each of its endpoints, so a site of degree
+    k sees k hx/2: ``hx`` inside a chain, ``hx/2`` at its ends and ``1.5 hx``
+    at a degree-3 vertex of a tree.  With ``full_boundary_fields`` the missing
+    half is added back on degree-1 endpoints.
     """
 
     def make(ctx: EdgeContext) -> np.ndarray:
@@ -423,13 +393,10 @@ def build_tree(
     """Build a model from vertex dimensions and per-edge factories/matrices."""
     vertices = tuple(sorted(dims))
     layout = SiteLayout(vertices, tuple(dims[v] for v in vertices))
-    degree: dict[int, int] = {v: 0 for v in vertices}
-    for u, v, _ in edge_specs:
-        for s in (u, v):
-            if s not in degree:
-                raise ModelError(f"edge endpoint {s} has no declared dimension")
-        degree[u] += 1
-        degree[v] += 1
+    degree = Counter(s for u, v, _ in edge_specs for s in (u, v))
+    for s in degree:
+        if s not in dims:
+            raise ModelError(f"edge endpoint {s} has no declared dimension")
     edges = []
     for u, v, spec in edge_specs:
         u, v = sorted((u, v))

@@ -514,7 +514,15 @@ def _eigvalsh(mat: np.ndarray) -> np.ndarray:
 
 
 def _exp_h(mat: np.ndarray, known: bool = False) -> np.ndarray:
-    return _apply(_spectrum(mat, known), np.exp)[0]
+    """exp(M); ``DynamicRangeError`` when the largest eigenvalue passes
+    ``LOG_FLOAT_MAX`` - ln 2, since ``hermitize`` and the block assembly each
+    sum two entries as large as exp(w.max())."""
+    def exp(w):
+        top, bound = w.max(), LOG_FLOAT_MAX - np.log(2.0)
+        if top > bound:
+            raise DynamicRangeError(f"eigenvalue {top} past {bound:.4f}: exp would leave the float range")
+        return np.exp(w)
+    return _apply(_spectrum(mat, known), exp)[0]
 
 
 def matrix_exp_h(op: DenseOperator) -> DenseOperator:

@@ -24,6 +24,7 @@ from .models import (
     ModelError,
     adjacency,
     degrees,
+    distance_map,
     edge_gibbs_state,
     exact_reduced_density,
     thermal_state,
@@ -122,12 +123,8 @@ def chain_order(model: GraphModel, target: int) -> list[int]:
     first, last = chain_ends(model)
     if target not in (first, last):
         raise ModelError(f"target {target} is not a chain endpoint")
-    adj = adjacency(model)
-    order = [last if target == first else first]
-    while order[-1] != target:
-        prev = order[-2] if len(order) > 1 else None
-        order.append(next(w for w in adj[order[-1]] if w != prev))
-    return order
+    dist = distance_map(model, {last if target == first else first})
+    return sorted(model.vertices, key=dist.__getitem__)
 
 
 def run_sliding_window(model: GraphModel, target: int, window: int) -> DenseOperator:

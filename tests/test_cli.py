@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import numpy as np
@@ -148,6 +149,18 @@ class TestOtherCommands:
         assert run("cumulant-decay", cfg, tmp_path / "out") == 0
         rows = (tmp_path / "out" / "cumulant_decay.csv").read_text().splitlines()[1:]
         assert all(r.split(",")[4] == "nan" for r in rows)
+
+    @pytest.mark.parametrize("amp", [math.inf, math.nan, 0.0, -1.0, 2.0])
+    def test_fitted_constants_none_exactly_when_rejected(self, monkeypatch, amp):
+        # An infinite amplitude once passed the removed NaN-or-nonpositive test.
+        fit = types.SimpleNamespace(amplitude=amp, decay=0.5)
+        monkeypatch.setattr(cli, "_cumulant_fit", lambda model, leaf: (None, fit))
+        consts, got_amp, decay = cli.fitted_constants(None, 1, cli.DEFAULT_CONSTANTS)
+        assert decay == 0.5 and (got_amp == amp or math.isnan(got_amp))
+        if amp == 2.0:
+            assert consts.cumulant_amp == 2.0 and consts.cumulant_decay == 0.5
+        else:
+            assert consts is None
 
     def test_hastings_verify_monotone_residuals(self, tmp_path):
         cfg = write_config(tmp_path, s_steps=[8, 16, 32])

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 
+import networkx as nx
 import numpy as np
 import pytest
 from scipy import linalg
@@ -14,7 +15,6 @@ from qbp import (
     build_chain,
     classical_ising,
     cumulants,
-    diameter,
     circle_product,
     edge_hamiltonian,
     embed,
@@ -37,6 +37,7 @@ from qbp.models import log_partition_function
 
 from oracles import (
     cumulant_norms_oracle,
+    nx_graph,
     partial_trace_by_sum,
     single_step_oracle,
     thermal_potential_oracle,
@@ -266,6 +267,18 @@ class TestErrorBudget:
             min(a_eff / 2, np.pi * a_eff / (2 * 2 * 3 * 2.0))
         )
 
+    @pytest.mark.parametrize("bad", [math.inf, math.nan, True, "2"], ids=["inf", "nan", "bool", "str"])
+    def test_constants_follow_the_positive_rule(self, bad):
+        # inf and True were accepted, and "2" raised a bare TypeError.
+        for field in dataclasses.fields(BoundConstants):
+            with pytest.raises(OperatorError, match=f"^{field.name} must be a finite positive number"):
+                dataclasses.replace(ONES, **{field.name: bad})
+
+    def test_constants_are_stored_as_floats(self):
+        consts = BoundConstants(1, np.int64(2), 1.0, 1.0, np.float64(3.0), 1.0)
+        assert all(type(getattr(consts, f.name)) is float for f in dataclasses.fields(consts))
+        assert (consts.trunc_rate, consts.trunc_beta_scale, consts.cumulant_amp) == (1.0, 2.0, 3.0)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             BoundConstants(0.0, 1.0, 1.0, 1.0, 1.0, 1.0)
@@ -278,7 +291,7 @@ class TestErrorBudget:
 class TestSingleStepExperiment:
     def test_window_covering_everything_is_exact(self):
         m = build_chain(5, 2, transverse_ising(1.0, 1.0), beta=1.0)
-        rec = single_step_experiment(m, 1, diameter(m))
+        rec = single_step_experiment(m, 1, nx.diameter(nx_graph(m)))
         assert rec.lhs_literal <= 1e-9
         assert rec.lhs_normalized <= 1e-9
         assert rec.buffer_norm == 0.0

@@ -21,8 +21,8 @@ from qbp import (
     random_hermitian,
     transverse_ising,
 )
-from qbp.hastings import STACK_ENTRIES, _filtered
-from qbp.models import neighborhood
+from qbp.hastings import SMALL_FREQ, STACK_ENTRIES, _filtered
+from qbp.models import distance_map
 
 Q12 = SiteLayout((1, 2), (2, 2))
 
@@ -79,6 +79,23 @@ class TestFrequencyProfile:
         vals = filter_hat(omegas, 1.5)
         assert vals.shape == omegas.shape
         assert np.all(vals > 0) and np.all(vals <= 1.0)
+
+    def test_past_the_float_range(self):
+        # The series overflowed on large entries, and so did beta w past float max.
+        assert filter_hat(1e160, 1.0) == 1.0 / 5e159
+        assert filter_hat(1e200, 1e200) == 0.0 and filter_hat(-1e200, 1e200) == 0.0
+        got = filter_hat(np.array([0.0, 1e160, 1e200]), 1e200)
+        assert np.array_equal(got, [1.0, 0.0, 0.0])
+
+    def test_bit_equal_to_the_unmasked_series_where_it_is_finite(self):
+        omegas = np.concatenate([[0.0], np.geomspace(1e-14, 1e150, 400)])
+        omegas = np.concatenate([-omegas, omegas])
+        for beta in (0.5, 3.0):
+            bw = beta * omegas
+            small = np.abs(bw) < SMALL_FREQ
+            safe = np.where(small, 1.0, bw / 2.0)
+            want = np.where(small, 1.0 - bw * bw / 12.0, np.tanh(safe) / safe)
+            assert np.array_equal(filter_hat(omegas, beta), want)
 
 
 class TestTimeKernel:
@@ -269,7 +286,7 @@ def chain():
 def truncated(model, radius, s_steps):
     """Conjugation operator of the middle edge (3, 4) over the base terms
     inside its radius-``radius`` ball, embedded on the full layout."""
-    ball = neighborhood(model, {3, 4}, radius)
+    ball = {v for v, d in distance_map(model, {3, 4}).items() if d <= radius}
     ball_layout = model.layout.subset(ball)
     base = [e for e in model.edges if e.key != (3, 4) and e.endpoints() <= ball]
     h = edge_hamiltonian(model, base, ball_layout)

@@ -3,6 +3,7 @@ import json
 import math
 import weakref
 
+import networkx as nx
 import numpy as np
 import pytest
 from scipy import linalg
@@ -16,8 +17,6 @@ from qbp import (
     build_chain,
     build_tree,
     classical_ising,
-    diameter,
-    distance,
     edge_hamiltonian,
     exact_reduced_density,
     heisenberg,
@@ -33,10 +32,10 @@ from qbp import (
     transverse_ising,
 )
 
-from qbp.models import edge_gibbs_state, log_partition_function, matrix_from_json
+from qbp.models import distance_map, edge_gibbs_state, log_partition_function, matrix_from_json
 from qbp.operators import gibbs_state
 
-from oracles import kron_all, kron_hamiltonian, nx_distance, partial_trace_by_sum
+from oracles import kron_all, kron_hamiltonian, nx_distance, nx_graph, partial_trace_by_sum
 
 
 def commutator_norm(a, b):
@@ -77,6 +76,48 @@ class TestBuilders:
         specs = [(1, 2, classical_ising()), (3, 4, classical_ising())]
         with pytest.raises(ModelError):
             build_tree(dims, specs, beta=1.0)
+
+    def test_empty_model_rejected(self):
+        with pytest.raises(ModelError, match="^model has no vertices$"):
+            build_tree({}, [], beta=1.0)
+
+    def test_extra_edge_message(self):
+        dims = {1: 2, 2: 2, 3: 2}
+        specs = [(1, 2, classical_ising()), (2, 3, classical_ising()),
+                 (3, 1, classical_ising())]
+        with pytest.raises(ModelError) as info:
+            build_tree(dims, specs, beta=1.0)
+        assert str(info.value) == (
+            "3 edges on 3 vertices cannot form a tree (cyclic or disconnected specification)"
+        )
+
+    def test_disconnected_message(self):
+        # n - 1 edges, but a cycle leaves vertex 4 unreached.
+        dims = {1: 2, 2: 2, 3: 2, 4: 2}
+        specs = [(1, 2, classical_ising()), (2, 3, classical_ising()),
+                 (3, 1, classical_ising())]
+        with pytest.raises(ModelError) as info:
+            build_tree(dims, specs, beta=1.0)
+        assert str(info.value) == "dangling vertices [4]: graph is disconnected"
+
+    def test_undeclared_endpoint_named_in_edge_order(self):
+        dims = {1: 2, 2: 2, 3: 2}
+        specs = [(1, 2, classical_ising()), (9, 3, classical_ising()),
+                 (2, 7, classical_ising())]
+        with pytest.raises(ModelError) as info:
+            build_tree(dims, specs, beta=1.0)
+        assert str(info.value) == "edge endpoint 9 has no declared dimension"
+
+    def test_tfim_field_at_a_degree_3_vertex(self):
+        # Each edge puts hx/2 on each endpoint: the centre sees 1.5 hx, each leaf hx/2,
+        # and full_boundary_fields lifts only the degree-1 leaves to hx.
+        specs = [(1, k, transverse_ising(J=0.0, hx=2.0)) for k in (2, 3, 4)]
+        m = build_tree({k: 2 for k in (1, 2, 3, 4)}, specs, beta=1.0)
+        x = [kron_all([PAULI_X if k == site else np.eye(2) for k in range(4)]) for site in range(4)]
+        assert np.allclose(edge_hamiltonian(m).mat, -3.0 * x[0] - x[1] - x[2] - x[3])
+        full = [(1, k, transverse_ising(J=0.0, hx=2.0, full_boundary_fields=True)) for k in (2, 3, 4)]
+        m_full = build_tree({k: 2 for k in (1, 2, 3, 4)}, full, beta=1.0)
+        assert np.allclose(edge_hamiltonian(m_full).mat, -3.0 * x[0] - 2.0 * (x[1] + x[2] + x[3]))
 
     def test_tfim_boundary_field_convention(self):
         # interior sites collect hx from both incident edges, boundaries half
@@ -261,11 +302,11 @@ class TestExactReducedDensity:
 class TestDistance:
     def test_member_is_zero(self):
         m = build_chain(5, 2, classical_ising(), beta=1.0)
-        assert distance(m, 3, {3, 1}) == 0
+        assert distance_map(m, {3, 1}) == {1: 0, 2: 1, 3: 0, 4: 1, 5: 2}
 
     def test_chain_span(self):
         m = build_chain(5, 2, classical_ising(), beta=1.0)
-        assert distance(m, 5, {1}) == 4
+        assert distance_map(m, {1}) == {v: v - 1 for v in range(1, 6)}
 
     def test_against_networkx_on_tree(self):
         dims = {k: 2 for k in range(1, 9)}
@@ -274,14 +315,29 @@ class TestDistance:
                  (4, 6, classical_ising()), (1, 7, classical_ising()),
                  (7, 8, classical_ising())]
         m = build_tree(dims, specs, beta=1.0)
-        for v in m.vertices:
-            for targets in ({3}, {5, 8}, {1, 6}):
-                assert distance(m, v, targets) == nx_distance(m, v, targets)
+        for targets in ({3}, {5, 8}, {1, 6}):
+            assert distance_map(m, targets) == {v: nx_distance(m, v, targets) for v in m.vertices}
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_against_networkx_on_random_trees(self, seed):
+        # Each new vertex hangs off a random earlier one; ids are gapped and unordered.
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 11))
+        ids = [int(k) for k in rng.choice(100, n, replace=False)]
+        specs = [(ids[int(rng.integers(k))], ids[k], classical_ising()) for k in range(1, n)]
+        m = build_tree({v: 2 for v in ids}, specs, beta=1.0)
+        targets = {int(v) for v in rng.choice(ids, int(rng.integers(1, n + 1)), replace=False)}
+        assert distance_map(m, targets) == {v: nx_distance(m, v, targets) for v in ids}
 
     def test_empty_targets_rejected(self):
         m = build_chain(3, 2, classical_ising(), beta=1.0)
-        with pytest.raises(ModelError):
-            distance(m, 1, set())
+        with pytest.raises(ModelError, match="empty vertex set"):
+            distance_map(m, set())
+
+    def test_unknown_targets_rejected(self):
+        m = build_chain(3, 2, classical_ising(), beta=1.0)
+        with pytest.raises(ModelError, match=r"unknown vertices \[7, 9\]"):
+            distance_map(m, {1, 9, 7})
 
 
 class TestRegionPartition:
@@ -300,7 +356,7 @@ class TestRegionPartition:
 
     def test_radius_beyond_diameter(self):
         m = build_chain(4, 2, classical_ising(), beta=1.0)
-        parts = region_partition(m, {1}, diameter(m) + 1)
+        parts = region_partition(m, {1}, nx.diameter(nx_graph(m)) + 1)
         assert parts.outer == () and parts.buffer == ()
         assert len(parts.inner) == len(m.edges)
 

@@ -347,6 +347,15 @@ class TestFloatRange:
         assert isinstance(err, OperatorError)
         assert str(err) == "beta 300 needs exp(1550)"
 
+    def test_exp_stays_inside_the_float_range(self):
+        # exp(800) overflowed in np.exp; exp(709.5) is finite, but hermitize's M + M† was not.
+        assert matrix_exp_h(DenseOperator(Q1, np.diag([709.0, 0.0]))).mat[0, 0] == np.exp(709.0)
+        blocked = DenseOperator(Q12, np.diag([709.0, 1.0, 1.0, 709.0]))  # split by _reversal_blocks
+        assert np.isfinite(matrix_exp_h(blocked).mat).all()
+        for top in (709.5, 800.0):
+            with pytest.raises(DynamicRangeError, match=rf"eigenvalue {top} past 709\.0896"):
+                matrix_exp_h(DenseOperator(Q1, np.diag([top, 0.0])))
+
 
 class TestEig:
     def test_diagonal(self):

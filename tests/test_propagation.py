@@ -1,3 +1,4 @@
+import networkx as nx
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -36,6 +37,7 @@ from qbp import (
 from oracles import (
     classical_chain_message,
     classical_marginal,
+    nx_graph,
     round_based_exact_bp,
     sliding_window_oracle,
 )
@@ -292,6 +294,19 @@ class TestSlidingWindow:
         with pytest.raises(ModelError, match="not a chain"):
             propagation.chain_ends(star)
         assert propagation.chain_ends(build_chain(4, 2, classical_ising(), beta=1.0)) == (1, 4)
+
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_chain_order_is_the_path_from_the_far_end(self, n):
+        # Gapped ids laid along the chain out of numeric order.
+        ids = [int(k) for k in np.random.default_rng(n).permutation(np.arange(3, 3 + 5 * n, 5))]
+        specs = [(ids[k], ids[k + 1], classical_ising()) for k in range(n - 1)]
+        m = build_tree({v: 2 for v in ids}, specs, beta=1.0)
+        g = nx_graph(m)
+        for far, target in ((ids[0], ids[-1]), (ids[-1], ids[0])):
+            assert propagation.chain_order(m, target) == nx.shortest_path(g, far, target)
+        if n > 2:
+            with pytest.raises(ModelError, match="not a chain endpoint"):
+                propagation.chain_order(m, ids[1])
 
 
 class TestEdgeTermsFlaggedOnce:
