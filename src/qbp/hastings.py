@@ -25,6 +25,7 @@ from .operators import (
     DenseOperator,
     DynamicRangeError,
     SiteMismatchError,
+    _as_positive,
     _dagger,
     _eigh,
     embed_on_union,
@@ -49,8 +50,10 @@ def filter_hat(omega, beta: float):
     The removable singularity at w = 0 is filled with the series
     1 - (beta w)^2 / 12, giving exactly 1 at zero frequency; the series is
     formed from the small entries alone.  A product beta w past the float
-    range is inf, where tanh(x) / x gives 0, the profile's limit.
+    range is inf, where tanh(x) / x gives 0, the profile's limit.  beta must
+    be a finite positive number (OperatorError otherwise).
     """
+    beta = _as_positive("beta", beta)
     with np.errstate(over="ignore"):
         bw = beta * np.asarray(omega, dtype=float)
     small = np.abs(bw) < SMALL_FREQ
@@ -64,16 +67,26 @@ def filter_time(t, beta: float):
     """Closed-form time kernel (2 / beta pi) log coth(pi |t| / 2 beta).
 
     Positive with an integrable log singularity at t = 0, where it is
-    undefined; exactly zero total-variation mass 1.
+    undefined; exactly zero total-variation mass 1.  beta must be a finite
+    positive number (OperatorError otherwise); DynamicRangeError where the
+    kernel's value is past the float range, which takes t and beta below 1e-300.
     """
+    beta = _as_positive("beta", beta)
     t_arr = np.asarray(t, dtype=float)
-    if np.any(t_arr == 0.0):
-        raise ValueError("the time kernel is singular at t = 0")
-    x = np.pi * np.abs(t_arr) / (2.0 * beta)
-    # log(coth x) = log1p(2 / (e^{2x} - 1)); overflow of e^{2x} harmlessly
-    # drives the argument to zero.
-    with np.errstate(over="ignore"):
-        val = (2.0 / (beta * np.pi)) * np.log1p(2.0 / np.expm1(2.0 * x))
+    if not np.all(np.abs(t_arr) > 0.0):
+        raise ValueError("the time kernel is singular at t = 0 and undefined at nan")
+    # log(coth x) = log1p(2 / (e^{2x} - 1)).  Overflow of x or of e^{2x}
+    # harmlessly drives the argument to zero.  Where 2 / (e^{2x} - 1) overflows
+    # (x below about 1e-308), log coth x = -ln x within x², and ln x is taken
+    # as a sum of logs, since x itself may be 0 or subnormal.
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        x = np.pi * np.abs(t_arr) / (2.0 * beta)
+        log_coth = np.log1p(2.0 / np.expm1(2.0 * x))
+        minus_ln_x = np.log(2.0 / np.pi) + np.log(beta) - np.log(np.abs(t_arr))
+        log_coth = np.where(np.isinf(log_coth), minus_ln_x, log_coth)
+        val = np.where(log_coth == 0.0, 0.0, (2.0 / (beta * np.pi)) * log_coth)
+    if not np.isfinite(val).all():
+        raise DynamicRangeError(f"the time kernel at beta {beta:g} is past the float range")
     return float(val) if np.isscalar(t) else val
 
 

@@ -8,7 +8,9 @@ right-hand side.
 
 Each check is a private kernel from matrices or stacks of them, shape
 (..., d, d), to both sides per instance: ``check_*`` runs it on one
-instance and :func:`run_suite` on stacks, with bit-equal margins.
+instance and :func:`run_suite` on stacks, with bit-equal margins.  A kernel
+tests each Hermitian operand once and decomposes it at most once; its norms
+are of matrices Hermitian by construction, so they come from eigenvalues.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ from .operators import (
     _eigvalsh,
     _exp_h,
     _log_pd,
-    _norm2,
     _op_norm,
     _partial_trace,
     _trace_norm,
@@ -79,7 +80,8 @@ _libm_pow = np.vectorize(pow, otypes=[float])
 
 
 def _golden_thompson(a, b):
-    return _trace(_exp_h(a + b)), _trace(_exp_h(a) @ _exp_h(b))
+    assert_hermitian(a, b)
+    return _trace(_exp_h(a + b, True)[0]), _trace(_exp_h(a, True)[0] @ _exp_h(b, True)[0])
 
 
 def check_golden_thompson(a: DenseOperator, b: DenseOperator) -> CheckResult:
@@ -88,8 +90,7 @@ def check_golden_thompson(a: DenseOperator, b: DenseOperator) -> CheckResult:
 
 
 def _weyl(n, r):
-    assert_hermitian(n)
-    assert_hermitian(r)
+    assert_hermitian(n, r)
     wn, wr, wm = (_eigvalsh(x) for x in (n, r, n + r))
     lhs = np.concatenate([wn + wr[..., :1], wm], axis=-1)
     rhs = np.concatenate([wm, wn + wr[..., -1:]], axis=-1)
@@ -106,15 +107,14 @@ def check_weyl(n: DenseOperator, r: DenseOperator) -> CheckResult:
     return _check("weyl", _weyl, (n, r))
 
 
-def _normalized_circle(a, b):
-    prod = _exp_h(_log_pd(a) + _log_pd(b))
-    return prod / _trace(prod)[..., None, None]
-
-
 def _circle_eig_lower_bound(a, b):
-    wa, wb = _eigvalsh(a), _eigvalsh(b)
+    """min eig of exp(L) / Tr exp(L), L = log A + log B, is exp(w_0 - w_max) /
+    sum_i exp(w_i - w_max) over the eigenvalues w of L: no exponential is formed."""
+    assert_hermitian(a, b)
+    (log_a, wa), (log_b, wb) = _log_pd(a, known=True), _log_pd(b, known=True)
+    w = _eigvalsh(log_a + log_b)
     lhs = wa[..., 0] * wb[..., 0] / wa[..., -1]
-    return lhs, _eigvalsh(_normalized_circle(a, b))[..., 0]
+    return lhs, np.exp(w[..., 0] - w[..., -1]) / np.exp(w - w[..., -1:]).sum(axis=-1)
 
 
 def check_circle_eig_lower_bound(a: DenseOperator, b: DenseOperator) -> CheckResult:
@@ -126,13 +126,14 @@ def check_circle_eig_lower_bound(a: DenseOperator, b: DenseOperator) -> CheckRes
 def _commutator_power(a, b, n: int):
     if n < 1:
         raise ValueError(f"power must be >= 1, got {n}")
+    assert_hermitian(a, b)
     bn = np.linalg.matrix_power(b, n)
-    lhs = _norm2(a @ bn - bn @ a)
-    return lhs, n * _libm_pow(_op_norm(b), n - 1) * _norm2(a @ b - b @ a)
+    lhs = _op_norm(1j * (a @ bn - bn @ a), True)
+    return lhs, n * _libm_pow(_op_norm(b, True), n - 1) * _op_norm(1j * (a @ b - b @ a), True)
 
 
 def check_commutator_power(a: DenseOperator, b: DenseOperator, n: int) -> CheckResult:
-    """||[A, B^n]|| <= n ||B||^(n-1) ||[A, B]||."""
+    """||[A, B^n]|| <= n ||B||^(n-1) ||[A, B]|| for Hermitian A, B."""
     return _check("commutator_power", _commutator_power, (a, b), n)
 
 
@@ -140,17 +141,17 @@ def _telescoping(u, v, o, k: int):
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     for name, mat in (("U", u), ("V", v)):
-        if (_norm2(_dagger(mat) @ mat - np.eye(mat.shape[-1])) > 1e-9).any():
+        if (_op_norm(_dagger(mat) @ mat - np.eye(mat.shape[-1]), True) > 1e-9).any():
             raise ValueError(f"{name} is not unitary within tolerance")
     assert_hermitian(o)
     vk = np.linalg.matrix_power(v, k)
     uvk = np.linalg.matrix_power(u @ v, k)
-    lhs = _norm2(vk @ o @ _dagger(vk) - uvk @ o @ _dagger(uvk))
+    lhs = _op_norm(vk @ o @ _dagger(vk) - uvk @ o @ _dagger(uvk), True)
     rhs = 0.0
     for j in range(1, k + 1):
         vj = np.linalg.matrix_power(v, j)
         inner = vj @ o @ _dagger(vj)
-        rhs = rhs + _norm2(inner - u @ inner @ _dagger(u))
+        rhs = rhs + _op_norm(inner - u @ inner @ _dagger(u), True)
     return lhs, rhs
 
 
@@ -163,9 +164,10 @@ def check_telescoping(
 
 
 def _exp_bound(a, b):
-    lhs = _norm2(_exp_h(a) - _exp_h(b))
-    big_m = np.maximum(_op_norm(a), _op_norm(b))
-    return lhs, np.exp(big_m) * _norm2(a - b)
+    assert_hermitian(a, b)
+    (exp_a, wa), (exp_b, wb) = _exp_h(a, True), _exp_h(b, True)
+    big_m = np.maximum(np.abs(wa).max(axis=-1), np.abs(wb).max(axis=-1))
+    return _op_norm(exp_a - exp_b, True), np.exp(big_m) * _op_norm(a - b, True)
 
 
 def check_exp_bound(a: DenseOperator, b: DenseOperator) -> CheckResult:
@@ -175,7 +177,7 @@ def check_exp_bound(a: DenseOperator, b: DenseOperator) -> CheckResult:
 
 def _trace_norm_monotone(a, layout: SiteLayout, out: frozenset):
     assert_hermitian(a)
-    return _trace_norm(_partial_trace(a, layout, out)[1]), _trace_norm(a)
+    return _trace_norm(_partial_trace(a, layout, out)[1], True), _trace_norm(a, True)
 
 
 def check_trace_norm_monotone(a: DenseOperator, out: Iterable[int]) -> CheckResult:
@@ -184,14 +186,19 @@ def check_trace_norm_monotone(a: DenseOperator, out: Iterable[int]) -> CheckResu
 
 
 def _circle_perturbation(h_a, h_b, eps_a: float, eps_b: float, delta_a, delta_b):
-    def moved(h, eps, delta):  # h moved by eps in operator norm along delta
-        return h if eps == 0.0 else h + delta * (eps / _op_norm(delta))[..., None, None]
+    """The normalized circle product of exp(h_a) and exp(h_b) is exp(h_a + h_b) / Tr."""
+    assert_hermitian(h_a, h_b, *(x for x in (delta_a, delta_b) if x is not None))
 
-    base = _normalized_circle(_exp_h(h_a), _exp_h(h_b))
-    bumped = _normalized_circle(
-        _exp_h(moved(h_a, eps_a, delta_a)), _exp_h(moved(h_b, eps_b, delta_b))
-    )
-    return _norm2(base - bumped), 2.0 * (eps_a + eps_b)
+    def moved(h, eps, delta):  # h moved by eps in operator norm along delta
+        return h if eps == 0.0 else h + delta * (eps / _op_norm(delta, True))[..., None, None]
+
+    def normalized_exp(h):
+        prod = _exp_h(h, True)[0]
+        return prod / _trace(prod)[..., None, None]
+
+    base = normalized_exp(h_a + h_b)
+    bumped = normalized_exp(moved(h_a, eps_a, delta_a) + moved(h_b, eps_b, delta_b))
+    return _op_norm(base - bumped, True), 2.0 * (eps_a + eps_b)
 
 
 def check_circle_perturbation(
@@ -270,7 +277,7 @@ def _evaluate(name: str, layout: SiteLayout, param, z: np.ndarray):
     if name == "circle_perturbation":
         eps_a, eps_b = param
         h_a, h_b = hermitize(z[:, 0]), hermitize(z[:, 1])
-        scale = 1.0 / np.maximum(_op_norm(h_a), _op_norm(h_b))
+        scale = 1.0 / np.maximum(_op_norm(h_a, True), _op_norm(h_b, True))
         h_a, h_b = h_a * scale[:, None, None], h_b * scale[:, None, None]
         deltas = hermitize(z[:, 2]), hermitize(z[:, 3])
         return _circle_perturbation(h_a, h_b, eps_a, eps_b, *deltas)

@@ -314,9 +314,10 @@ def _reversal_blocks(mat: np.ndarray) -> np.ndarray | None:
     return np.stack((mat[:h, :h] + ends, mat[:h, :h] - ends))
 
 
-def assert_hermitian(mat: np.ndarray):
-    """Raise NonHermitianError unless every matrix of ``mat`` is Hermitian."""
-    if not _hermitian(mat).all():
+def assert_hermitian(*mats: np.ndarray):
+    """Raise NonHermitianError unless every matrix of each of ``mats`` (a matrix
+    or a stack) is Hermitian."""
+    if not all(_hermitian(mat).all() for mat in mats):
         raise NonHermitianError("operator is not Hermitian within tolerance")
 
 
@@ -513,21 +514,21 @@ def _eigvalsh(mat: np.ndarray) -> np.ndarray:
     return np.sort(np.linalg.eigvalsh(blocks), axis=None)
 
 
-def _exp_h(mat: np.ndarray, known: bool = False) -> np.ndarray:
-    """exp(M); ``DynamicRangeError`` when the largest eigenvalue passes
-    ``LOG_FLOAT_MAX`` - ln 2, since ``hermitize`` and the block assembly each
-    sum two entries as large as exp(w.max())."""
+def _exp_h(mat: np.ndarray, known: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """exp(M) and the ascending eigenvalues of M; ``DynamicRangeError`` when the
+    largest eigenvalue passes ``LOG_FLOAT_MAX`` - ln 2, since ``hermitize`` and
+    the block assembly each sum two entries as large as exp(w.max())."""
     def exp(w):
         top, bound = w.max(), LOG_FLOAT_MAX - np.log(2.0)
         if top > bound:
             raise DynamicRangeError(f"eigenvalue {top} past {bound:.4f}: exp would leave the float range")
         return np.exp(w)
-    return _apply(_spectrum(mat, known), exp)[0]
+    return _apply(_spectrum(mat, known), exp)
 
 
 def matrix_exp_h(op: DenseOperator) -> DenseOperator:
     """Matrix exponential of a Hermitian operator via eigendecomposition."""
-    return DenseOperator(op.layout, _exp_h(op.mat, op.hermitian), True)
+    return DenseOperator(op.layout, _exp_h(op.mat, op.hermitian)[0], True)
 
 
 def gibbs_state(ham: DenseOperator, beta: float) -> tuple[DenseOperator, float]:
@@ -543,7 +544,9 @@ def _gibbs(layout: SiteLayout, spectrum: tuple, beta: float) -> tuple[DenseOpera
     return DenseOperator(layout, rho, True), float(np.log(shifted(w).sum()) - beta * w.min())
 
 
-def _log_pd(mat: np.ndarray, floor: float = LOG_EIG_FLOOR, known: bool = False) -> np.ndarray:
+def _log_pd(mat: np.ndarray, floor: float = LOG_EIG_FLOOR, known: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """log(M) and the ascending eigenvalues of M; ``SingularOperatorError`` when
+    the smallest is at or below ``floor``."""
     def log(w):
         lowest = w.min()
         if lowest <= floor:
@@ -551,7 +554,7 @@ def _log_pd(mat: np.ndarray, floor: float = LOG_EIG_FLOOR, known: bool = False) 
                 f"eigenvalue {lowest} at or below floor {floor}", eigenvalue=float(lowest)
             )
         return np.log(w)
-    return _apply(_spectrum(mat, known), log)[0]
+    return _apply(_spectrum(mat, known), log)
 
 
 def matrix_log_pd(op: DenseOperator, floor: float = LOG_EIG_FLOOR) -> DenseOperator:
@@ -561,7 +564,7 @@ def matrix_log_pd(op: DenseOperator, floor: float = LOG_EIG_FLOOR) -> DenseOpera
     ``floor``; clamping here would silently corrupt every downstream
     effective-Hamiltonian combination, so failing loudly is deliberate.
     """
-    return DenseOperator(op.layout, _log_pd(op.mat, floor, op.hermitian), True)
+    return DenseOperator(op.layout, _log_pd(op.mat, floor, op.hermitian)[0], True)
 
 
 def _singular_values(mat: np.ndarray, known: bool = False) -> np.ndarray:
@@ -573,7 +576,9 @@ def _singular_values(mat: np.ndarray, known: bool = False) -> np.ndarray:
 
 
 def _norm2(mat: np.ndarray) -> np.ndarray:
-    """Spectral norm of each matrix by SVD, even if Hermitian, unlike ``_op_norm``."""
+    """Spectral norm of each matrix by SVD, even if Hermitian, unlike ``_op_norm``.
+    Only the ``random2`` normalisation uses it, so that its bytes do not move:
+    eigenvalues changed the last bit of 28 of 36 ``random2`` edge terms."""
     return np.linalg.norm(mat, 2, axis=(-2, -1))
 
 

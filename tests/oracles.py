@@ -375,6 +375,66 @@ def looped_suite(master_seed, instances):
     return out
 
 
+# -- lemma kernels by their first routes ---------------------------------------
+#
+# Each takes stacks like the package's kernel of the same name and returns
+# (lhs, rhs).  The circle product is formed as written, exp(log A + log B), and
+# every norm is the largest singular value by SVD, on numpy alone.
+
+
+def _hermitian_function(mat, f):
+    w, v = np.linalg.eigh(mat)
+    return (v * f(w)[..., None, :]) @ v.conj().swapaxes(-1, -2)
+
+
+def _norm2(mat):
+    return np.linalg.norm(mat, 2, axis=(-2, -1))
+
+
+def _normalized_circle(a, b):
+    prod = _hermitian_function(
+        _hermitian_function(a, np.log) + _hermitian_function(b, np.log), np.exp
+    )
+    return prod / np.trace(prod, axis1=-2, axis2=-1).real[..., None, None]
+
+
+def circle_eig_lower_bound_reference(a, b):
+    wa, wb = np.linalg.eigvalsh(a), np.linalg.eigvalsh(b)
+    lhs = wa[..., 0] * wb[..., 0] / wa[..., -1]
+    return lhs, np.linalg.eigvalsh(_normalized_circle(a, b))[..., 0]
+
+
+def commutator_power_reference(a, b, n):
+    bn = np.linalg.matrix_power(b, n)
+    return _norm2(a @ bn - bn @ a), n * _norm2(b) ** (n - 1) * _norm2(a @ b - b @ a)
+
+
+def telescoping_reference(u, v, o, k):
+    def conj(x, y):  # x y x†
+        return x @ y @ x.conj().swapaxes(-1, -2)
+
+    vk, uvk = np.linalg.matrix_power(v, k), np.linalg.matrix_power(u @ v, k)
+    lhs = _norm2(conj(vk, o) - conj(uvk, o))
+    inners = [conj(np.linalg.matrix_power(v, j), o) for j in range(1, k + 1)]
+    return lhs, sum(_norm2(inner - conj(u, inner)) for inner in inners)
+
+
+def exp_bound_reference(a, b):
+    lhs = _norm2(_hermitian_function(a, np.exp) - _hermitian_function(b, np.exp))
+    return lhs, np.exp(np.maximum(_norm2(a), _norm2(b))) * _norm2(a - b)
+
+
+def circle_perturbation_reference(h_a, h_b, eps_a, eps_b, delta_a, delta_b):
+    def circle(x, y):
+        return _normalized_circle(_hermitian_function(x, np.exp), _hermitian_function(y, np.exp))
+
+    def moved(h, eps, delta):
+        return h + delta * (eps / _norm2(delta))[..., None, None]
+
+    bumped = circle(moved(h_a, eps_a, delta_a), moved(h_b, eps_b, delta_b))
+    return _norm2(circle(h_a, h_b) - bumped), 2.0 * (eps_a + eps_b)
+
+
 def _chain_parts(model, leaf, radius):
     """(inner, away) edge keys in model order, from networkx distances to
     ``leaf``: inner edges have both endpoints within ``radius``."""
@@ -386,11 +446,6 @@ def _chain_parts(model, leaf, radius):
 def _kron_terms(model, keys, scale=1.0):
     terms = {e.key: e.term.mat for e in model.edges}
     return [(scale * terms[k], k) for k in keys]
-
-
-def _eigh_log(mat):
-    w, v = np.linalg.eigh(mat)
-    return (v * np.log(w)) @ v.conj().T
 
 
 def _trace_out(mat, sites, dims, gone):
@@ -430,7 +485,7 @@ def single_step_oracle(model, leaf):
         inner, away = _chain_parts(model, leaf, radius)
         ball = sorted({s for key in inner for s in key})
         near = expm(kron_hamiltonian(_kron_terms(model, inner, -model.beta), ball, dims))
-        log_near = _eigh_log(_trace_out(near, ball, dims, [leaf]))
+        log_near = _hermitian_function(_trace_out(near, ball, dims, [leaf]), np.log)
         terms = _kron_terms(model, away, -model.beta) + [(log_near, tuple(s for s in ball if s != leaf))]
         surrogate = expm(kron_hamiltonian(terms, reduced, dims))
         out[radius] = (np.linalg.norm(term1 - surrogate / z, "nuc"),
@@ -450,7 +505,7 @@ def thermal_potential_oracle(model, leaf):
     rest = [s for s in sites if s != leaf]
     outside = [e.key for e in model.edges if leaf not in e.key]
     h_out = kron_hamiltonian(_kron_terms(model, outside), rest, dims)
-    return -_eigh_log(reduced) / model.beta - h_out, np.linalg.eigvalsh(reduced)[0]
+    return -_hermitian_function(reduced, np.log) / model.beta - h_out, np.linalg.eigvalsh(reduced)[0]
 
 
 def cumulant_norms_oracle(mat, sites, model, anchor):

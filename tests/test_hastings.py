@@ -121,6 +121,38 @@ class TestTimeKernel:
         assert moment == pytest.approx(7 * special.zeta(3) / 16, abs=1e-6)
         assert moment < 9 / 16
 
+    def test_bit_equal_to_the_closed_form_where_it_is_finite(self):
+        ts = np.geomspace(1e-300, 1e3, 400)
+        for beta in (0.5, 3.0):
+            x = np.pi * ts / (2.0 * beta)
+            with np.errstate(over="ignore"):
+                want = (2.0 / (beta * np.pi)) * np.log1p(2.0 / np.expm1(2.0 * x))
+            assert np.array_equal(filter_time(ts, beta), want)
+            assert np.array_equal(filter_time(-ts, beta), want)
+
+    def test_past_the_float_range(self):
+        # Each leaked a RuntimeWarning: x or the prefactor overflowed, or x
+        # underflowed to 0 and 2 / expm1(0) divided by zero.
+        assert filter_time(1.0, 1e-320) == 0.0
+        assert filter_time(1e300, 1e-10) == 0.0
+        assert filter_time(np.inf, 1.0) == 0.0
+        # -ln x with x = pi t / 2 beta, the kernel's limit at small x.
+        got = filter_time(1e-300, 1e300)
+        want = 2.0 / (1e300 * np.pi) * (np.log(2.0 / np.pi) + np.log(1e300) - np.log(1e-300))
+        assert got == pytest.approx(want, rel=1e-14) and np.isfinite(got)
+        for t in (1e-310, 5e-324):  # x is subnormal
+            assert filter_time(t, 1.0) == pytest.approx(-2.0 / np.pi * (np.log(np.pi / 2.0) + np.log(t)), rel=1e-14)
+        with pytest.raises(DynamicRangeError, match="past the float range"):
+            filter_time(1e-320, 1e-320)
+        with pytest.raises(ValueError, match="nan"):
+            filter_time(np.nan, 1.0)
+
+    @pytest.mark.parametrize("beta", [0.0, -1.0, np.inf, np.nan, True, "1"])
+    def test_beta_must_be_finite_positive(self, beta):
+        for fn, arg in ((filter_time, 1.0), (filter_hat, 0.0)):
+            with pytest.raises(operators.OperatorError, match="beta must be a finite positive number"):
+                fn(arg, beta)
+
     def test_closed_form_matches_fourier_quadrature(self):
         for beta in (0.5, 1.0, 2.0):
             for t in (0.1, 1.0, 5.0):

@@ -3,6 +3,8 @@ import pytest
 
 from qbp import (
     DenseOperator,
+    NonHermitianError,
+    SingularOperatorError,
     SiteLayout,
     check_circle_eig_lower_bound,
     check_circle_perturbation,
@@ -19,13 +21,17 @@ from qbp import (
 from qbp.inequalities import (
     CHECK_NAMES,
     SUITE_BLOCK,
+    _circle_eig_lower_bound,
+    _circle_perturbation,
     _commutator_power,
     _exp_bound,
     _golden_thompson,
+    _telescoping,
     _weyl,
 )
-from qbp.operators import PAULI_X, PAULI_Z, hermitize
+from qbp.operators import PAULI_X, PAULI_Z, _density, hermitize
 
+import oracles
 from oracles import looped_suite, random_unitary
 
 Q1 = SiteLayout((1,), (2,))
@@ -208,3 +214,70 @@ def test_kernel_on_stack_equals_each_instance(kernel, check, params):
     for i in range(len(a)):
         single = check(DenseOperator(Q12, a[i]), DenseOperator(Q12, b[i]), *params)
         assert (lhs[i], rhs[i]) == (single.lhs, single.rhs)
+
+
+def _reference_operands(name, rng, d, count=40):
+    """A stack of ``count`` instances at dimension d, drawn as the suite draws them."""
+    def gaussian():
+        return rng.standard_normal((count, d, d)) + 1j * rng.standard_normal((count, d, d))
+
+    if name == "circle_eig_lower_bound":
+        return _density(gaussian()), _density(gaussian())
+    if name == "commutator_power":
+        return hermitize(gaussian()), hermitize(gaussian()), 5
+    if name == "telescoping":  # U and V are exp(iH)
+        w, v = np.linalg.eigh(hermitize(np.stack([gaussian(), gaussian()], axis=1)))
+        u = (v * np.exp(1j * w)[..., None, :]) @ v.conj().swapaxes(-1, -2)
+        return u[:, 0], u[:, 1], hermitize(gaussian()), 4
+    if name == "exp_bound":
+        return hermitize(gaussian()), hermitize(gaussian())
+    h_a, h_b = hermitize(gaussian()), hermitize(gaussian())
+    scale = 1.0 / np.maximum(*(np.linalg.norm(h, 2, axis=(-2, -1)) for h in (h_a, h_b)))
+    h_a, h_b = h_a * scale[:, None, None], h_b * scale[:, None, None]
+    return h_a, h_b, 1e-1, 1e-3, hermitize(gaussian()), hermitize(gaussian())
+
+
+@pytest.mark.parametrize("d", [4, 8, 16])
+@pytest.mark.parametrize("kernel,reference", [
+    (_circle_eig_lower_bound, oracles.circle_eig_lower_bound_reference),
+    (_commutator_power, oracles.commutator_power_reference),
+    (_telescoping, oracles.telescoping_reference),
+    (_exp_bound, oracles.exp_bound_reference),
+    (_circle_perturbation, oracles.circle_perturbation_reference),
+], ids=["circle_eig_lower_bound", "commutator_power", "telescoping", "exp_bound", "circle_perturbation"])
+def test_kernel_matches_first_route(kernel, reference, d):
+    """Kernels that read spectra and eigenvalue norms agree with the circle
+    product through log and exp and SVD norms, within 1e-12 max(1, |rhs|)."""
+    rng = np.random.default_rng(d)
+    operands = _reference_operands(kernel.__name__[1:], rng, d)
+    got, want = kernel(*operands), reference(*operands)
+    tol = 1e-12 * np.maximum(1.0, np.abs(want[1]))
+    for side in (0, 1):
+        assert np.all(np.abs(got[side] - want[side]) <= tol)
+
+
+def _bad():
+    return DenseOperator(Q12, np.triu(np.ones((4, 4))))
+
+
+@pytest.mark.parametrize("check", [
+    lambda h, rho, u: check_golden_thompson(_bad(), h),
+    lambda h, rho, u: check_weyl(h, _bad()),
+    lambda h, rho, u: check_circle_eig_lower_bound(rho, _bad()),
+    lambda h, rho, u: check_commutator_power(_bad(), h, 2),
+    lambda h, rho, u: check_telescoping(u, u, _bad(), 2),
+    lambda h, rho, u: check_exp_bound(h, _bad()),
+    lambda h, rho, u: check_trace_norm_monotone(_bad(), {2}),
+    lambda h, rho, u: check_circle_perturbation(h, _bad(), 0.1, 0.1, 3),
+], ids=CHECK_NAMES)
+def test_checks_reject_non_hermitian_operands(check):
+    h, rho = random_hermitian(0, Q12), random_density(1, Q12)
+    with pytest.raises(NonHermitianError):
+        check(h, rho, random_unitary(np.random.default_rng(2), Q12))
+
+
+def test_circle_eig_lower_bound_rejects_singular_density():
+    singular = DenseOperator(Q12, np.diag([1.0, 0.0, 0.0, 0.0]))
+    for a, b in ((singular, random_density(0, Q12)), (random_density(0, Q12), singular)):
+        with pytest.raises(SingularOperatorError):
+            check_circle_eig_lower_bound(a, b)

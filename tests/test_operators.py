@@ -562,8 +562,10 @@ class TestStacks:
             g += 1j * rng.standard_normal((6, 8, 8))
         herm, dens = hermitize(g), _density(g)
         helpers = [
-            (_exp_h, herm),
-            (_log_pd, dens),
+            (lambda m: _exp_h(m)[0], herm),
+            (lambda m: _exp_h(m)[1], herm),
+            (lambda m: _log_pd(m)[0], dens),
+            (lambda m: _log_pd(m)[1], dens),
             (lambda m: _partial_trace(m, Q123, frozenset({2}))[1], herm),
             (_trace_norm, herm),
             (_op_norm, g),
@@ -684,12 +686,12 @@ class TestReversalBlocks:
         """Off the block path, exp is the plain eigendecomposition's, bit for bit."""
         mat = _full_path_inputs()[name]
         assert operators._reversal_blocks(mat) is None
-        got = _exp_h(mat)
+        got, got_w = _exp_h(mat)
         _trace_norm(mat)
         assert solved_shapes == [mat.shape, mat.shape]
         w, v = operators._eigh(mat)
         want = hermitize((v * np.exp(w)[..., None, :]) @ v.conj().swapaxes(-1, -2))
-        assert np.array_equal(got, want)
+        assert np.array_equal(got, want) and np.array_equal(got_w, w)
 
 
 def _complex_hermitian(d: int, stack: tuple = (), seed: int = 7) -> np.ndarray:

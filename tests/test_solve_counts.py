@@ -11,7 +11,8 @@ however many subsets and radii share it.  A belief is one shifted exponential
 of summed effective Hamiltonians, so a sliding-window step solves once at the
 window dimension and a single-step surrogate once at the reduced dimension.
 The lemma suite decomposes each stack of like instances in one call, so its
-solve count does not grow with the number of instances, and the ordered
+solve count does not grow with the number of instances; each of its kernels
+decomposes an operand once and takes no SVD.  The ordered
 exponential decomposes all its midpoint steps in two stacked calls.
 Across the beta values of one command, the model's edge sums are decomposed
 once each: the views of the model at each beta share their spectra.  A
@@ -23,12 +24,12 @@ for TFIM and, in a ``random2`` twin, at the full dimension.
 
 import hashlib
 import json
-from collections import Counter
+from collections import Counter, defaultdict
 
 import numpy as np
 import pytest
 
-from qbp import cli, models, operators
+from qbp import cli, inequalities, models, operators
 from qbp import (
     SiteLayout,
     build_chain,
@@ -212,6 +213,38 @@ def test_lemma_suite_solves_once_per_bucket(solves):
     solves.clear()
     run_suite(3, 400)
     assert solves["calls"] == small
+
+
+#: Calls per bucket of the lemma suite, by routine, each on the bucket's whole
+#: stack.  The circle products are exp(h_a + h_b) / Tr and the lower bound's
+#: right-hand side comes from the spectrum of log A + log B; extreme
+#: eigenvalues come from the spectra already taken, and norms from eigenvalues.
+LEMMA_CALLS_PER_BUCKET = {
+    "circle_perturbation": {"eigh": 2, "eigvalsh": 5},
+    "circle_eig_lower_bound": {"eigh": 2, "eigvalsh": 1},
+    "exp_bound": {"eigh": 2, "eigvalsh": 2},
+}
+
+
+def test_lemma_suite_calls_per_bucket(solves, monkeypatch):
+    evaluate = inequalities._evaluate
+    seen = defaultdict(set)
+
+    def counted(name, layout, param, z):
+        before = solves.copy()
+        result = evaluate(name, layout, param, z)
+        made = Counter()
+        for key in solves:
+            if isinstance(key, tuple):
+                made[key[0]] += (solves[key] - before[key]) / len(z)
+        seen[name].add((solves["calls"] - before["calls"], frozenset((+made).items())))
+        return result
+
+    monkeypatch.setattr(inequalities, "_evaluate", counted)
+    run_suite(3, 400)
+    for name, calls in LEMMA_CALLS_PER_BUCKET.items():
+        assert seen[name] == {(sum(calls.values()), frozenset(calls.items()))}, name
+    assert not any(key[0] == "svd" for key in solves if isinstance(key, tuple))
 
 
 def _two_beta_window_sweep(monkeypatch, tmp_path, factory, params):

@@ -6,8 +6,9 @@ Runs the five CLI commands on the full-scale configs of
 from each tree's ``src`` for every seed and ``--jobs`` value, with one BLAS
 thread.  Every CSV and JSON a run writes is compared byte for byte, except
 that ``run_manifest.json`` is compared without its ``wall_time_s``, a timing.
-Prints each file that differs, and each command that fails, and exits 1 if
-there is any::
+Prints each file that differs, with the largest absolute and relative
+difference over the numeric fields the two files share, and each command that
+fails, and exits 1 if there is any::
 
     python tools/same_outputs.py OLD NEW [--seeds 42 7919] [--jobs 1 2]
 """
@@ -15,8 +16,10 @@ there is any::
 from __future__ import annotations
 
 import argparse
+import csv
 import filecmp
 import json
+import math
 import os
 import subprocess
 import sys
@@ -57,13 +60,58 @@ def run(tree: Path, name: str, config: Path, seed: int, jobs: int, out: Path) ->
     return subprocess.run(argv, env=env, capture_output=True, text=True, timeout=900)
 
 
+def load_json(path: Path):
+    data = json.loads(path.read_text(encoding="utf-8"))
+    if path.name == "run_manifest.json":
+        data.pop("wall_time_s")
+    return data
+
+
 def same(a: Path, b: Path) -> bool:
     if a.name != "run_manifest.json":
         return filecmp.cmp(a, b, shallow=False)
-    old, new = (json.loads(p.read_text(encoding="utf-8")) for p in (a, b))
-    old.pop("wall_time_s")
-    new.pop("wall_time_s")
-    return old == new
+    return load_json(a) == load_json(b)
+
+
+def numeric_fields(path: Path) -> dict:
+    """Every number in a CSV (keyed by row and column) or JSON file (by key path)."""
+    if path.suffix == ".csv":
+        found = {}
+        with path.open(newline="", encoding="utf-8") as f:
+            for i, row in enumerate(csv.reader(f)):
+                for j, cell in enumerate(row):
+                    try:
+                        found[i, j] = float(cell)
+                    except ValueError:
+                        pass
+        return found
+    found, todo = {}, [((), load_json(path))]
+    while todo:
+        key, x = todo.pop()
+        if isinstance(x, dict):
+            todo += [(key + (k,), v) for k, v in x.items()]
+        elif isinstance(x, list):
+            todo += [(key + (k,), v) for k, v in enumerate(x)]
+        elif isinstance(x, (int, float)) and not isinstance(x, bool):
+            found[key] = float(x)
+    return found
+
+
+def largest_difference(a: Path, b: Path) -> str:
+    """The largest absolute and relative difference between the numbers of two
+    files, over the fields both have; relative to the larger magnitude."""
+    old, new = numeric_fields(a), numeric_fields(b)
+    worst_abs = worst_rel = 0.0
+    for key in old.keys() & new.keys():
+        x, y = old[key], new[key]
+        if x == y or (math.isnan(x) and math.isnan(y)):
+            continue
+        diff = abs(x - y) if math.isfinite(x) and math.isfinite(y) else math.inf
+        worst_abs = max(worst_abs, diff)
+        worst_rel = max(worst_rel, diff / max(abs(x), abs(y)))
+    unshared = len(old.keys() ^ new.keys())
+    tail = f", {unshared} numeric field(s) in only one" if unshared else ""
+    return f"largest difference {worst_abs:.3g} absolute, {worst_rel:.3g} relative{tail}"
 
 
 def compare(old: Path, new: Path) -> list[str]:
@@ -97,7 +145,9 @@ def main(argv: list[str] | None = None) -> int:
                             failed = True
                     differ = [] if failed else compare(outs["old"], outs["new"])
                     for n in differ:
-                        print(f"{label}: {n} differs")
+                        both = (outs["old"] / n).exists() and (outs["new"] / n).exists()
+                        size = f" ({largest_difference(outs['old'] / n, outs['new'] / n)})" if both else ""
+                        print(f"{label}: {n} differs{size}")
                     problems += failed + len(differ)
                     if not failed and not differ:
                         print(f"{label}: same")
