@@ -28,13 +28,14 @@ from .models import (
     distance_map,
     edge_gibbs_state,
     edge_hamiltonian,
-    log_partition_function,
+    exact_reduced_density,
     region_partition,
-    thermal_state,
 )
 from .operators import (
     DenseOperator,
+    DynamicRangeError,
     LOG_EIG_FLOOR,
+    LOG_FLOAT_MAX,
     _as_positive,
     embed,
     embed_sum,
@@ -66,7 +67,7 @@ def thermal_potential(model: GraphModel, traced: Iterable[int]) -> DenseOperator
         raise ModelError(
             f"traced set {sorted(traced)} must be a nonempty proper subset of the vertices"
         )
-    reduced = partial_trace(thermal_state(model), traced)
+    reduced = exact_reduced_density(model, set(model.vertices) - traced)
     outside = [e for e in model.edges if not (e.endpoints() & traced)]
     h_out = edge_hamiltonian(model, outside, reduced.layout)
     return (-1.0 / model.beta) * matrix_log_pd(reduced) - h_out
@@ -212,6 +213,8 @@ def single_step_bound(
     (boundary) edges.  The first piece prices replacing the conjugation
     operator by its radius-local truncation; the second prices the drift
     between conjugating the true and the effective thermal backgrounds.
+    Raises ``DynamicRangeError`` where an exponent or the envelope leaves the
+    float range.
     """
     if radius < 1:
         raise ValueError(f"radius must be >= 1, got {radius}")
@@ -219,6 +222,12 @@ def single_step_bound(
         raise ValueError(f"beta must be positive, got {beta}")
     if buffer_norm < 0:
         raise ValueError(f"buffer_norm must be non-negative, got {buffer_norm}")
+
+    def exp(x: float) -> float:
+        if x > LOG_FLOAT_MAX:
+            raise DynamicRangeError(f"exponent {x} past {LOG_FLOAT_MAX:.4f}: the bound leaves the float range")
+        return math.exp(x)
+
     c = consts.trunc_rate
     alpha = consts.trunc_beta_scale
     a = consts.lr_decay
@@ -228,21 +237,21 @@ def single_step_bound(
     pi = math.pi
 
     denom = 1.0 + c * alpha * beta / pi
-    c_shifted = c * math.exp(2.0 * c / denom)
+    c_shifted = c * exp(2.0 * c / denom)
     bound1 = (
         2.0
         * c_shifted
         * beta
         * buffer_norm
-        * math.exp((4.0 + c) * beta * buffer_norm / 2.0)
-        * math.exp(-c * radius / denom)
+        * exp((4.0 + c) * beta * buffer_norm / 2.0)
+        * exp(-c * radius / denom)
     )
 
-    big_l = 2.0 * big_k / (1.0 - math.exp(-k))
+    big_l = 2.0 * big_k / (1.0 - exp(-k))
     a_eff = min(k, a)
     m_tilde = (
         9.0 * big_l * beta**2
-        + (8.0 * beta / pi) * math.exp(2.0 * beta * a * v / pi)
+        + (8.0 * beta / pi) * exp(2.0 * beta * a * v / pi)
         + 2.0 * math.sqrt(beta / (pi * a * v))
     )
     linear_coeff = 2.0 * big_l * beta * a_eff / (a * v)
@@ -250,10 +259,12 @@ def single_step_bound(
     rate = min(a_eff / 2.0, pi * a_eff / (2.0 * a * v * beta))
     bound2 = (
         (beta / 2.0)
-        * math.exp(2.0 * beta * buffer_norm)
+        * exp(2.0 * beta * buffer_norm)
         * (radius * linear_coeff + const_coeff)
-        * math.exp(-rate * radius)
+        * exp(-rate * radius)
     )
+    if not math.isfinite(bound1 + bound2):
+        raise DynamicRangeError(f"the bound leaves the float range at beta {beta}, buffer norm {buffer_norm}")
     return BoundBreakdown(
         bound1 + bound2, bound1, bound2, linear_coeff, const_coeff, rate
     )
@@ -292,21 +303,20 @@ def single_step_experiment(
         raise ModelError(f"radius must be >= 1, got {radius}")
     beta = model.beta
     parts = region_partition(model, {leaf}, radius)
-    term1 = partial_trace(thermal_state(model), {leaf})
+    term1, log_z = edge_gibbs_state(model, model.edges, {leaf})
     reduced_layout = model.layout.drop({leaf})
 
     away = edge_hamiltonian(model, parts.outer + parts.buffer, reduced_layout)
     # The inner terms touch exactly the radius ball, so exp(-beta H_inner) on
     # the full layout is the ball's exponential tensored with identity.
-    near_ball, log_t = edge_gibbs_state(model, parts.inner)
-    # near = Tr_leaf exp(-beta H_inner) is t times this unit-trace operator,
-    # so the floor scales by 1/t and the same eigenvalues fall below it.
-    near = partial_trace(near_ball, {leaf})
+    # near = Tr_leaf exp(-beta H_inner) is t times the unit-trace operator
+    # given here, so the floor scales by 1/t and the same eigenvalues fall below it.
+    near, log_t = edge_gibbs_state(model, parts.inner, {leaf})
     log_near = matrix_log_pd(near, floor=LOG_EIG_FLOOR * math.exp(-log_t))
     surrogate, log_s = gibbs_state(embed_sum([beta * away, -log_near]), 1.0)
 
     # The surrogate exp(-beta H_away + log near) has trace t * exp(log_s).
-    scale = math.exp(log_t + log_s - log_partition_function(model))
+    scale = math.exp(log_t + log_s - log_z)
     lhs_normalized = trace_norm(term1 - surrogate)
     lhs_literal = trace_norm(term1 - scale * surrogate)
     ends = frozenset().union(*(e.endpoints() for e in parts.buffer))

@@ -23,11 +23,13 @@ import numpy as np
 
 from .operators import (
     DenseOperator,
+    DynamicRangeError,
     SiteLayout,
     _dagger,
     _density,
     _eigh,
     _eigvalsh,
+    _exp_checked,
     _exp_h,
     _log_pd,
     _op_norm,
@@ -80,8 +82,10 @@ _libm_pow = np.vectorize(pow, otypes=[float])
 
 
 def _golden_thompson(a, b):
+    """Tr exp(A + B) is the sum of exp over the eigenvalues of A + B: no exponential is formed."""
     assert_hermitian(a, b)
-    return _trace(_exp_h(a + b, True)[0]), _trace(_exp_h(a, True)[0] @ _exp_h(b, True)[0])
+    lhs = _exp_checked(_eigvalsh(a + b)).sum(axis=-1)
+    return lhs, _trace(_exp_h(a, True)[0] @ _exp_h(b, True)[0])
 
 
 def check_golden_thompson(a: DenseOperator, b: DenseOperator) -> CheckResult:
@@ -164,10 +168,15 @@ def check_telescoping(
 
 
 def _exp_bound(a, b):
+    """``DynamicRangeError`` where the right-hand side leaves the float range."""
     assert_hermitian(a, b)
     (exp_a, wa), (exp_b, wb) = _exp_h(a, True), _exp_h(b, True)
     big_m = np.maximum(np.abs(wa).max(axis=-1), np.abs(wb).max(axis=-1))
-    return _op_norm(exp_a - exp_b, True), np.exp(big_m) * _op_norm(a - b, True)
+    with np.errstate(over="ignore", invalid="ignore"):
+        rhs = np.exp(big_m) * _op_norm(a - b, True)
+    if not np.isfinite(rhs).all():
+        raise DynamicRangeError(f"exp({big_m.max()}) ||A - B|| leaves the float range")
+    return _op_norm(exp_a - exp_b, True), rhs
 
 
 def check_exp_bound(a: DenseOperator, b: DenseOperator) -> CheckResult:

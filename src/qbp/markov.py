@@ -15,7 +15,16 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .models import GraphModel, ModelError, adjacency, bfs_distances, degrees, thermal_state
+from .models import (
+    GraphModel,
+    ModelError,
+    adjacency,
+    bfs_distances,
+    degrees,
+    exact_reduced_density,
+    gibbs_weights,
+    thermal_state,
+)
 from .operators import DenseOperator, assert_density, partial_trace
 
 #: Tiny negative CMI values above this floor are reported as zero.
@@ -43,9 +52,13 @@ class TripartiteSplit:
 
 def von_neumann_entropy(rho: DenseOperator) -> float:
     """-sum(p log p) over the spectrum, natural log, with 0 log 0 = 0."""
-    w = assert_density(rho)
-    w = w[w > 0.0]
-    return max(0.0, float(-(w * np.log(w)).sum()))
+    return _entropy(assert_density(rho))
+
+
+def _entropy(p: np.ndarray) -> float:
+    """-sum(p log p) over the eigenvalues p of a density operator, with 0 log 0 = 0."""
+    p = p[p > 0.0]
+    return max(0.0, float(-(p * np.log(p)).sum()))
 
 
 def cmi(rho: DenseOperator, split: TripartiteSplit) -> float:
@@ -128,9 +141,12 @@ def deficiency_rows(
     state, the only subsets that message passing conditions on.
     ``entropies`` memoizes the state's reduced entropies by traced-site set:
     pass one dict to every call on the same model, and each entropy is
-    computed once.
+    computed once.  The whole state's comes from its Gibbs weights, with no
+    eigensolve at the model's dimension.
     """
     entropies = {} if entropies is None else entropies
+    if frozenset() not in entropies:
+        entropies[frozenset()] = _entropy(gibbs_weights(model))
     return _deficiency_rows(thermal_state(model), adjacency(model), radius, entropies)
 
 
@@ -188,6 +204,6 @@ def leaf_trace_preserves_markov(model: GraphModel, leaf: int) -> LeafTraceReport
             for v, ws in adjacency(model).items()
             if v != leaf
         }
-        reduced = partial_trace(thermal_state(model), {leaf})
+        reduced = exact_reduced_density(model, set(model.vertices) - {leaf})
         after = tuple(_deficiency_rows(reduced, adj, 1, {}))
     return LeafTraceReport(leaf, input_markov, before, after)

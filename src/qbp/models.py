@@ -27,7 +27,10 @@ from .operators import (
     SiteLayout,
     _as_integer,
     _as_positive,
+    _embed_sum,
     _gibbs,
+    _gibbs_weights,
+    _log_partition,
     _norm2,
     _require_known,
     _spectrum,
@@ -153,19 +156,45 @@ class GraphModel:
         return {e.key: e for e in self.edges}
 
     @cached_property
-    def _thermal(self) -> tuple[DenseOperator, float]:
-        """(rho, log Z): the thermal state and its log partition function, once
-        per view, from the spectrum of H.  Without a store that spectrum goes
-        when this returns: at the dimension cap its eigenvectors hold 64 to 256 MB."""
-        return _gibbs(self.layout, self._edge_spectrum(self.edges, self.layout), self.beta)
+    def _thermal(self) -> tuple[DenseOperator | tuple, np.ndarray, float]:
+        """(source, w, log Z), once per view, from the spectrum of H: the source
+        of every state ``_reduced`` forms, H's ascending eigenvalues, and log Z
+        read from them alone.  An unblocked spectrum is kept as the source in
+        place of the d × d state, and each reduced state is formed from it
+        without the whole (``operators._gibbs``).  A reversal-blocked one gives
+        way to the whole state, which its reductions partial-trace, since the
+        blocks' function is assembled whole anyway; without a store it goes
+        when this returns (at the dimension cap its eigenvectors hold 64 MB)."""
+        spectrum = self._edge_spectrum(self.edges, self.layout)
+        w = np.sort(spectrum[0], axis=None)
+        source = _gibbs(self.layout, spectrum, self.beta)[0] if spectrum[2] else spectrum
+        return source, w, _log_partition(w, self.beta)
+
+    @cached_property
+    def _reductions(self) -> dict[frozenset, DenseOperator]:
+        return {}
+
+    def _reduced(self, traced: frozenset) -> DenseOperator:
+        """Tr_traced of the thermal state (the whole state when ``traced`` is
+        empty), once per view and traced set."""
+        if traced not in self._reductions:
+            source = self._thermal[0]
+            self._reductions[traced] = (
+                partial_trace(source, traced)
+                if isinstance(source, DenseOperator)
+                else _gibbs(self.layout, source, self.beta, traced)[0]
+            )
+        return self._reductions[traced]
 
     def _edge_spectrum(self, edges: Sequence[EdgeTerm], layout: SiteLayout) -> tuple:
         """The spectrum of the edges' sum, in the given order, on ``layout``:
-        the store's, else decomposed and stored there."""
+        the store's, else decomposed and stored there.  The sum is built in a
+        buffer nothing else holds, which the eigensolve may overwrite."""
         spectra = self.spectra if self.spectra is not None else {}
         key = tuple(e.key for e in edges)
         if key not in spectra:
-            spectra[key] = _spectrum(edge_hamiltonian(self, edges, layout).mat, known=True)
+            h = _embed_sum(tuple(e.term for e in edges), layout)
+            spectra[key] = _spectrum(h, known=True, overwrite=True)
         return spectra[key]
 
 
@@ -260,23 +289,35 @@ def edge_hamiltonian(
 def thermal_state(model: GraphModel) -> DenseOperator:
     """exp(-beta H) / Z, computed with a spectral shift for stability.
 
+    The whole d × d state, for consumers that read all of it; a reduced state
+    comes from ``exact_reduced_density`` or ``edge_gibbs_state`` without it.
     The same object is returned on every call for a given model.
     """
-    return model._thermal[0]
+    return model._reduced(frozenset())
 
 
 def log_partition_function(model: GraphModel) -> float:
-    return model._thermal[1]
+    return model._thermal[2]
 
 
-def edge_gibbs_state(model: GraphModel, edges: Sequence[EdgeTerm]) -> tuple[DenseOperator, float]:
-    """exp(-beta H) / Z and log Z of the edge terms, summed in the given order,
-    on the sites they touch, from the shared spectra; all of the model's edges,
-    in any order, give its own cached (thermal_state, log_partition_function)."""
+def gibbs_weights(model: GraphModel) -> np.ndarray:
+    """The thermal state's eigenvalues exp(-beta w) / Z over H's ascending
+    eigenvalues w, shifted by the smallest so none overflows."""
+    return _gibbs_weights(model._thermal[1], model.beta)
+
+
+def edge_gibbs_state(
+    model: GraphModel, edges: Sequence[EdgeTerm], traced: Iterable[int] = ()
+) -> tuple[DenseOperator, float]:
+    """Tr_traced exp(-beta H) / Z and log Z of the edge terms, summed in the
+    given order, on the sites they touch, from the shared spectra; all of the
+    model's edges, in any order, give its own cached reduction and
+    log_partition_function."""
+    traced = frozenset(traced)
     if len(edges) == len(model.edges) and set(edges) == set(model.edges):
-        return model._thermal
+        return model._reduced(traced), log_partition_function(model)
     layout = model.layout.subset(set().union(*(e.endpoints() for e in edges)))
-    return _gibbs(layout, model._edge_spectrum(edges, layout), model.beta)
+    return _gibbs(layout, model._edge_spectrum(edges, layout), model.beta, traced)
 
 
 def exact_reduced_density(model: GraphModel, keep: Iterable[int]) -> DenseOperator:
@@ -287,8 +328,7 @@ def exact_reduced_density(model: GraphModel, keep: Iterable[int]) -> DenseOperat
     unknown = keep - set(model.vertices)
     if unknown:
         raise ModelError(f"unknown vertices {sorted(unknown)}")
-    rho = thermal_state(model)
-    return partial_trace(rho, set(model.vertices) - keep)
+    return model._reduced(frozenset(model.vertices) - keep)
 
 
 # -- stock term factories ------------------------------------------------------

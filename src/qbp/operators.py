@@ -14,14 +14,17 @@ through all arithmetic.
 The private matrix functions also take stacks, shape (..., d, d), and give
 each matrix the LAPACK/BLAS call it gets alone, so results are bit-equal; only
 a lone reversal-symmetric matrix is solved as two blocks (`_reversal_blocks`),
-and its exp, log or Gibbs state is assembled from the blocks' functions.
+and its exp, log or Gibbs state is assembled from the blocks' functions.  A
+reduced Gibbs state of any other spectrum is formed from the eigenvectors
+without the whole state (`_gibbs`).
 Arrays the package builds or has tested Hermitian are wrapped with no copy and
 no re-check; a sum is flagged Hermitian when every operand is.  No other module
 calls numpy.linalg's decompositions or norms, ``np.einsum`` or ``as_strided``.
 A Frobenius-norm test past the float range is judged on the matrices scaled
 by a power of two (``_within``).  Complex eigendecompositions from d = 64 call
 LAPACK's zheevd in numpy's own OpenBLAS, with room for its blocked
-back-transformation (``_zheevd``).  The input rules live here too
+back-transformation, in the caller's buffer where the caller gives it up
+(``_zheevd``).  The input rules live here too
 (`_as_integer`, `_as_positive`, `_require_known`): every door that reads input
 applies them, and raises its own error type in place of their OperatorError.
 """
@@ -356,11 +359,16 @@ def embed_sum(ops: Iterable[DenseOperator], layout: SiteLayout | None = None) ->
     """
     ops = tuple(ops)
     layout = layout if layout is not None else reduce(union_layout, (op.layout for op in ops))
+    return DenseOperator(layout, _embed_sum(ops, layout), all(op.hermitian for op in ops))
+
+
+def _embed_sum(ops: tuple[DenseOperator, ...], layout: SiteLayout) -> np.ndarray:
+    """``embed_sum``'s matrix, in a new writable array that nothing else holds."""
     dtype = np.result_type(np.float64, *(op.mat.dtype for op in ops))
     tensor = np.zeros(layout.dims + layout.dims, dtype=dtype)
     for op in ops:
         _add_embedded(tensor, op, layout)
-    return DenseOperator(layout, tensor.reshape(layout.dim, layout.dim), all(op.hermitian for op in ops))
+    return tensor.reshape(layout.dim, layout.dim)
 
 
 def embed_on_union(*ops: DenseOperator) -> tuple[DenseOperator, ...]:
@@ -420,28 +428,30 @@ def _partial_trace(
     return keep, reduced.reshape(stack + (keep.dim, keep.dim))
 
 
-def _spectrum(mat: np.ndarray, known: bool = False) -> tuple[np.ndarray, np.ndarray, bool]:
+def _spectrum(mat: np.ndarray, known: bool = False, overwrite: bool = False) -> tuple[np.ndarray, np.ndarray, bool]:
     """(w, V, blocked): eigh of a Hermitian matrix or stack M (tested unless
-    ``known``), or of the blocks B± ``_reversal_blocks`` splits it into."""
+    ``known``), or of the blocks B± ``_reversal_blocks`` splits it into.
+    ``overwrite``: a lone M is the caller's own buffer, which ``_eigh`` may destroy."""
     if not known:
         assert_hermitian(mat)
     blocks = _reversal_blocks(mat)
-    w, v = _eigh(mat if blocks is None else blocks)
+    w, v = _eigh(mat, overwrite) if blocks is None else _eigh(blocks)
     return w, v, blocks is not None
 
 
-def _eigh(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _eigh(mat: np.ndarray, overwrite: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues and eigenvectors of a Hermitian matrix or stack, never split into blocks.
 
     Complex matrices of dimension ``ZHEEVD_MIN_DIM`` or more go one at a time
     to ``_zheevd`` when numpy's OpenBLAS exports it; all else to numpy's eigh.
     A lone matrix's vectors are ``_zheevd``'s own column-major array, so no
-    second d × d array is held, as numpy's eigh holds one.
+    second d × d array is held, as numpy's eigh holds one; with ``overwrite``
+    that array is the lone matrix's own buffer.
     """
     if mat.dtype != np.complex128 or mat.shape[-1] < ZHEEVD_MIN_DIM or _zheevd_work() is None:
         return np.linalg.eigh(mat)
     if mat.ndim == 2:
-        return _zheevd(mat)
+        return _zheevd(mat, overwrite)
     w, v = np.empty(mat.shape[:-1]), np.empty(mat.shape, dtype=np.complex128)
     for k in np.ndindex(mat.shape[:-2]):
         w[k], v[k] = _zheevd(mat[k])
@@ -467,18 +477,26 @@ def _zheevd_work():
     return fn
 
 
-def _zheevd(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _zheevd(mat: np.ndarray, overwrite: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """eigh of one complex128 Hermitian matrix by LAPACK zheevd, as numpy calls
     it (a column-major copy, lower triangle), but with n·64 + 4160 more work
     entries.  numpy gives the minimum 2n + n², which leaves the eigenvector
     back-transformation (zunmtr) n entries, so it runs unblocked; the extra
     entries fit its largest block (64) and T matrix (65 × 64), which halves the
     time at d = 1024.  Eigenvalues are bit-equal to numpy's; vectors move at
-    roundoff."""
+    roundoff.
+
+    With ``overwrite`` a writable C-order complex128 M is decomposed in its own
+    buffer, and no d × d copy is made: LAPACK reads that buffer column-major
+    as M^T = conj(M), whose eigenvectors are M's conjugated, and exactly so,
+    since rounding is symmetric under conjugation.  They are conjugated back
+    in place, so w and V are bit-equal to the copying call's, and V is a
+    column-major view of M's buffer."""
     n = mat.shape[-1]
     if mat.shape != (n, n):
         raise np.linalg.LinAlgError("Last 2 dimensions of the array must be square")
-    a = np.array(mat, dtype=np.complex128, order="F")
+    conjugated = overwrite and mat.dtype == np.complex128 and mat.flags.c_contiguous and mat.flags.writeable
+    a = mat.T if conjugated else np.array(mat, dtype=np.complex128, order="F")
     w = np.empty(n)
     work = np.empty(n * n + 66 * n + 4160, dtype=np.complex128)
     rwork = np.empty(2 * n * n + 5 * n + 1)
@@ -489,6 +507,8 @@ def _zheevd(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     )
     if info:
         raise np.linalg.LinAlgError(f"zheevd failed with info {info}")
+    if conjugated:
+        np.conjugate(a, out=a)
     return w, a
 
 
@@ -514,16 +534,19 @@ def _eigvalsh(mat: np.ndarray) -> np.ndarray:
     return np.sort(np.linalg.eigvalsh(blocks), axis=None)
 
 
+def _exp_checked(w: np.ndarray) -> np.ndarray:
+    """exp of eigenvalues w; ``DynamicRangeError`` when the largest passes
+    ``LOG_FLOAT_MAX`` - ln 2, since ``hermitize`` and the block assembly each
+    sum two entries as large as exp(w.max())."""
+    top, bound = w.max(), LOG_FLOAT_MAX - np.log(2.0)
+    if top > bound:
+        raise DynamicRangeError(f"eigenvalue {top} past {bound:.4f}: exp would leave the float range")
+    return np.exp(w)
+
+
 def _exp_h(mat: np.ndarray, known: bool = False) -> tuple[np.ndarray, np.ndarray]:
-    """exp(M) and the ascending eigenvalues of M; ``DynamicRangeError`` when the
-    largest eigenvalue passes ``LOG_FLOAT_MAX`` - ln 2, since ``hermitize`` and
-    the block assembly each sum two entries as large as exp(w.max())."""
-    def exp(w):
-        top, bound = w.max(), LOG_FLOAT_MAX - np.log(2.0)
-        if top > bound:
-            raise DynamicRangeError(f"eigenvalue {top} past {bound:.4f}: exp would leave the float range")
-        return np.exp(w)
-    return _apply(_spectrum(mat, known), exp)
+    """exp(M) and the ascending eigenvalues of M, by the range rule of ``_exp_checked``."""
+    return _apply(_spectrum(mat, known), _exp_checked)
 
 
 def matrix_exp_h(op: DenseOperator) -> DenseOperator:
@@ -532,16 +555,59 @@ def matrix_exp_h(op: DenseOperator) -> DenseOperator:
 
 
 def gibbs_state(ham: DenseOperator, beta: float) -> tuple[DenseOperator, float]:
-    """exp(-beta H) / Z and log Z, from one eigensolve."""
+    """exp(-beta H) / Z and log Z, from one eigensolve; beta by the rule of ``_as_positive``."""
+    beta = _as_positive("beta", beta)
     return _gibbs(ham.layout, _spectrum(ham.mat, ham.hermitian), beta)
 
 
-def _gibbs(layout: SiteLayout, spectrum: tuple, beta: float) -> tuple[DenseOperator, float]:
-    """``gibbs_state`` from ``_spectrum(H)``; weights shifted by min(w) so neither overflows."""
-    def shifted(w):
-        return np.exp(-beta * (w - w.min()))
-    rho, w = _apply(spectrum, lambda w: shifted(w) / shifted(w).sum())
-    return DenseOperator(layout, rho, True), float(np.log(shifted(w).sum()) - beta * w.min())
+#: Eigenvectors per product in ``_gibbs``'s reduction: temporaries of d × 256
+#: entries, with an inner dimension long enough for BLAS's full speed.
+GIBBS_BLOCK = 256
+
+
+def _gibbs(
+    layout: SiteLayout, spectrum: tuple, beta: float, traced: frozenset = frozenset()
+) -> tuple[DenseOperator, float]:
+    """Tr_traced exp(-beta H) / Z on the other sites, and log Z, from
+    ``_spectrum(H)``; the spectrum selects the path, as in ``_apply``.
+
+    A blocked spectrum, or an empty ``traced``, forms the whole state with
+    ``_apply`` and traces it.  Otherwise, with p the Gibbs weights, the
+    reduced state is Y Y† for Y = V diag(√p) with the traced sites' axes
+    folded into Y's columns: d_K² d_S d work on a d_K-dimensional result, not
+    the d³ of the whole state, formed ``GIBBS_BLOCK`` eigenvectors at a time
+    so that no temporary is d × d.
+    """
+    beta = _as_positive("beta", beta)
+    w, v, blocked = spectrum
+    log_z = _log_partition(w, beta)
+    if blocked or not traced:
+        rho = _apply(spectrum, lambda w: _gibbs_weights(w, beta))[0]
+        keep, rho = _partial_trace(rho, layout, traced) if traced else (layout, rho)
+        return DenseOperator(keep, rho, True), log_z
+    keep = layout.drop(traced)
+    axes = [layout.axis_of(s) for s in keep.sites + layout.subset(traced).sites]
+    folded = v.reshape(layout.dims + (-1,)).transpose(axes + [len(axes)])
+    roots = np.sqrt(_gibbs_weights(w, beta))
+    rho = np.zeros((keep.dim, keep.dim), dtype=v.dtype)
+    for k in range(0, len(w), GIBBS_BLOCK):
+        y = (folded[..., k : k + GIBBS_BLOCK] * roots[k : k + GIBBS_BLOCK]).reshape(keep.dim, -1)
+        rho += y @ _dagger(y)
+    return DenseOperator(keep, hermitize(rho), True), log_z
+
+
+def _gibbs_weights(w: np.ndarray, beta: float) -> np.ndarray:
+    """exp(-beta w) / Z over eigenvalues w, shifted by min(w) so neither overflows."""
+    shifted = np.exp(-beta * (w - w.min()))
+    return shifted / shifted.sum()
+
+
+def _log_partition(w: np.ndarray, beta: float) -> float:
+    """log of Z = sum exp(-beta w) over eigenvalues w (a blocked spectrum's of
+    both blocks), summed in ascending order and shifted by the smallest so no
+    term overflows."""
+    w = np.sort(w, axis=None)
+    return float(np.log(np.exp(-beta * (w - w[0])).sum()) - beta * w[0])
 
 
 def _log_pd(mat: np.ndarray, floor: float = LOG_EIG_FLOOR, known: bool = False) -> tuple[np.ndarray, np.ndarray]:

@@ -134,14 +134,15 @@ def run_sliding_window(model: GraphModel, target: int, window: int) -> DenseOper
     ``window`` edges, then alternates tracing the lowest site with absorbing
     the next edge term, exp(-beta h_j + log window) / Z, keeping at most
     ``window + 1`` sites alive.  ``window = n_sites - 1`` spans the whole
-    chain, so it is the exact reduced state of the model's own thermal state.
+    chain, so it is the exact reduced state of the model's own thermal state,
+    reduced to the target without forming the whole.
     """
     order = chain_order(model, target)
     n = len(order)
     if not 1 <= window <= n - 1:
         raise ModelError(f"window must be in [1, {n - 1}], got {window}")
     seq_edges = [model.edge((order[i], order[i + 1])) for i in range(n - 1)]
-    current, _ = edge_gibbs_state(model, seq_edges[:window])
+    current, _ = edge_gibbs_state(model, seq_edges[:window], order[:-1] if window == n - 1 else ())
     for j in range(window, n - 1):
         traced = partial_trace(current, {order[j - window]})
         k = embed_sum([model.beta * seq_edges[j].term, -matrix_log_pd(traced)])

@@ -9,6 +9,7 @@ from scipy import linalg
 from qbp import (
     BoundConstants,
     DenseOperator,
+    DynamicRangeError,
     ModelError,
     OperatorError,
     SiteLayout,
@@ -286,6 +287,15 @@ class TestErrorBudget:
             single_step_bound(ONES, 1.0, 1.0, 0)
         with pytest.raises(ValueError):
             single_step_bound(ONES, -1.0, 1.0, 1)
+
+    def test_past_the_float_range(self):
+        # exp((4 + c) beta |h_buffer| / 2) = exp(2000) raised a bare OverflowError.
+        with pytest.raises(DynamicRangeError, match="float range"):
+            single_step_bound(ONES, 400.0, 2.0, 3)
+        # Every exponent is finite here, but their product is not.
+        with pytest.raises(DynamicRangeError, match="float range"):
+            single_step_bound(dataclasses.replace(ONES, cumulant_amp=1e300), 100.0, 2.0, 3)
+        assert math.isfinite(single_step_bound(ONES, 100.0, 2.0, 3).total)
 
 
 class TestSingleStepExperiment:

@@ -3,6 +3,7 @@ import pytest
 
 from qbp import (
     DenseOperator,
+    DynamicRangeError,
     NonHermitianError,
     SingularOperatorError,
     SiteLayout,
@@ -39,6 +40,15 @@ Q12 = SiteLayout((1, 2), (2, 2))
 
 
 class TestGoldenThompson:
+    def test_trace_from_eigenvalues_keeps_the_exp_range(self):
+        # Tr exp(A + B) is a sum over eigenvalues, under matrix_exp_h's range rule.
+        a = DenseOperator(Q1, np.diag([3.0, -1.0]))
+        r = check_golden_thompson(a, DenseOperator(Q1, PAULI_X))
+        assert r.lhs == pytest.approx(np.exp(1.0 + np.sqrt(5.0)) + np.exp(1.0 - np.sqrt(5.0)), rel=1e-14)
+        half = DenseOperator(Q1, np.diag([400.0, 0.0]))  # exp(A) is finite, exp(A + A) is not
+        with pytest.raises(DynamicRangeError, match=r"eigenvalue 800\.0 past 709\.0896"):
+            check_golden_thompson(half, half)
+
     def test_commuting_equality(self):
         a = DenseOperator(Q1, np.diag([0.3, -0.7]))
         b = DenseOperator(Q1, np.diag([1.1, 0.2]))
@@ -139,6 +149,13 @@ class TestExpBound:
         r = check_exp_bound(a, b)
         assert r.lhs == pytest.approx(np.e - 1.0)
         assert r.rhs == pytest.approx(np.e)
+
+    def test_right_hand_side_past_the_float_range(self):
+        # exp(800) overflowed with a RuntimeWarning; exp(-800) alone is fine.
+        zero = DenseOperator(Q1, np.zeros((2, 2)))
+        with pytest.raises(DynamicRangeError, match="float range"):
+            check_exp_bound(DenseOperator(Q1, np.diag([-800.0, 0.0])), zero)
+        assert check_exp_bound(DenseOperator(Q1, np.diag([-700.0, 0.0])), zero).passed
 
 
 class TestTraceNormMonotone:

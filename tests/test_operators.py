@@ -3,7 +3,7 @@ import pickle
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qbp import (
@@ -393,6 +393,74 @@ class TestEig:
                     fn(bad)
 
 
+class TestGibbsBeta:
+    """``gibbs_state`` and the reduced ``_gibbs`` take beta by the positive rule:
+    NaN gave an all-NaN state, -1 gave exp(+H) / Z, and inf leaked a warning."""
+
+    @pytest.mark.parametrize("beta", [float("nan"), -1.0, float("inf"), 0.0, True, "1"],
+                             ids=["nan", "negative", "inf", "zero", "bool", "str"])
+    def test_beta_follows_the_positive_rule(self, beta):
+        ham = DenseOperator(Q12, np.diag([1.0, 0.0, 2.0, 3.0]))
+        with pytest.raises(OperatorError, match="beta must be a finite positive number"):
+            gibbs_state(ham, beta)
+        with pytest.raises(OperatorError, match="beta must be a finite positive number"):
+            operators._gibbs(Q12, _spectrum(ham.mat), beta, frozenset({1}))
+
+
+def _chain_hamiltonian(factory: str, n: int) -> DenseOperator:
+    term = transverse_ising(1.0, 0.7) if factory == "tfim" else random_two_local(seed=n)
+    return edge_hamiltonian(build_chain(n, 2, term, beta=1.0))
+
+
+class TestReducedGibbs:
+    """``operators._gibbs`` reduces a Gibbs state straight from the spectrum:
+    a blocked spectrum (TFIM) through the whole state, an unblocked one
+    (random2) as Y Y† with the traced axes folded into Y's columns.  Both equal
+    the partial trace of ``gibbs_state``'s whole state within 1e-13."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        factory=st.sampled_from(["tfim", "random2"]),
+        n=st.integers(min_value=2, max_value=6),
+        beta=st.floats(min_value=0.05, max_value=4.0),
+        picks=st.lists(st.booleans(), min_size=6, max_size=6),
+    )
+    @example(factory="random2", n=6, beta=1.0, picks=[False] * 6)  # nothing traced
+    @example(factory="random2", n=6, beta=1.0, picks=[True] * 5 + [False])  # all but one
+    @example(factory="random2", n=6, beta=1.0, picks=[True, False, True, False, False, True])
+    @example(factory="tfim", n=6, beta=1.0, picks=[False, True, True, True, True, True])
+    @example(factory="tfim", n=6, beta=1.0, picks=[True, False, True, False, False, True])
+    def test_equals_partial_trace_of_the_whole_state(self, factory, n, beta, picks):
+        traced = frozenset(s for s, pick in zip(range(1, n + 1), picks) if pick)
+        if len(traced) == n:
+            traced -= {n}
+        ham = _chain_hamiltonian(factory, n)
+        spectrum = _spectrum(ham.mat, True)
+        assert spectrum[2] == (factory == "tfim")
+        got, log_z = operators._gibbs(ham.layout, spectrum, beta, traced)
+        whole, want_log_z = gibbs_state(ham, beta)
+        want = partial_trace(whole, traced)
+        assert got.layout == want.layout
+        assert np.abs(got.mat - want.mat).max() <= 1e-13
+        assert np.array_equal(got.mat, got.mat.conj().T)
+        assert log_z == want_log_z
+
+    def test_blocked_and_untraced_are_the_whole_state_bit_for_bit(self):
+        for factory, traced in (("tfim", frozenset({2, 5})), ("random2", frozenset())):
+            ham = _chain_hamiltonian(factory, 6)
+            got, _ = operators._gibbs(ham.layout, _spectrum(ham.mat, True), 1.3, traced)
+            assert got.mat.tobytes() == partial_trace(gibbs_state(ham, 1.3)[0], traced).mat.tobytes()
+
+    def test_blocks_of_eigenvectors_sum_to_one_product(self, monkeypatch):
+        ham = _chain_hamiltonian("random2", 6)
+        spectrum = _spectrum(ham.mat, True)
+        traced = frozenset({1, 4})
+        whole, _ = operators._gibbs(ham.layout, spectrum, 0.8, traced)
+        monkeypatch.setattr(operators, "GIBBS_BLOCK", 7)  # ten blocks, the last of one vector
+        blocked, _ = operators._gibbs(ham.layout, spectrum, 0.8, traced)
+        assert np.abs(blocked.mat - whole.mat).max() <= 1e-15
+
+
 class TestExpLog:
     def test_exp_zero(self):
         zero = DenseOperator(Q1, np.zeros((2, 2)))
@@ -745,6 +813,24 @@ class TestZheevd:
         operators._eigh(_complex_hermitian(48))
         operators._eigh(_complex_hermitian(64).real.copy())
         assert solved == [(64, 64), (64, 64)]
+
+    @pytest.mark.skipif(operators._zheevd_work() is None, reason="numpy's BLAS has no zheevd_work")
+    @pytest.mark.parametrize("d", [64, 300])
+    def test_overwrite_is_bit_equal_in_the_input_buffer(self, d):
+        mat = _complex_hermitian(d)
+        kept = mat.copy()
+        w, v = operators._zheevd(mat)
+        assert np.array_equal(mat, kept)  # the copying call leaves its input alone
+        w_in, v_in = operators._zheevd(mat, overwrite=True)
+        assert np.array_equal(w_in, w) and np.array_equal(v_in, v)
+        assert np.shares_memory(v_in, mat) and v_in.flags.f_contiguous
+        read_only = kept.copy()
+        read_only.setflags(write=False)  # not the caller's to give: copied
+        w_ro, v_ro = operators._zheevd(read_only, overwrite=True)
+        assert np.array_equal(read_only, kept) and np.array_equal(v_ro, v)
+        f_order = np.asfortranarray(kept)
+        operators._zheevd(f_order, overwrite=True)
+        assert np.array_equal(f_order, kept)
 
     def test_failure_is_linalg_error(self, monkeypatch):
         monkeypatch.setattr(operators, "_zheevd_work", lambda: lambda *args: 3)

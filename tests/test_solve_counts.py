@@ -7,7 +7,8 @@ the widest window and the radius ball that holds every edge reuse it.  The
 cumulants of an operator take each shell's norm on the shell's own support,
 so only the last shell and the telescoping residual are solved at the
 operator's dimension.  A deficiency table computes each reduced entropy once,
-however many subsets and radii share it.  A belief is one shifted exponential
+however many subsets and radii share it, and the whole state's from its Gibbs
+weights, with no solve.  A belief is one shifted exponential
 of summed effective Hamiltonians, so a sliding-window step solves once at the
 window dimension and a single-step surrogate once at the reduced dimension.
 The lemma suite decomposes each stack of like instances in one call, so its
@@ -110,7 +111,7 @@ def test_full_dimension_solved_once_per_consumer_random2(solves):
 def test_deficiency_table_solves_whole_state_entropy_once(solves):
     m = build_chain(6, 2, random_two_local(seed=3), beta=1.0)
     deficiency_rows(m)
-    assert solves["eigvalsh", m.layout.dim] == 1
+    assert solves["eigvalsh", m.layout.dim] == 0  # from the Gibbs weights
 
 
 def test_deficiency_table_solves_each_reduced_entropy_once(solves):
@@ -132,8 +133,9 @@ def test_deficiency_table_solves_each_reduced_entropy_once(solves):
             if rest:
                 traced |= {frozenset(rest), frozenset(u), frozenset(u | rest)}
     assert set(entropies) == traced
-    assert sum(solves[key] for key in solves if isinstance(key, tuple)) == len(traced)
-    assert solves["eigvalsh", m.layout.dim] == 1
+    # Every entropy but the whole state's, which comes from its Gibbs weights.
+    assert sum(solves[key] for key in solves if isinstance(key, tuple)) == len(traced) - 1
+    assert solves["eigvalsh", m.layout.dim] == 0
 
 
 def _cumulant_solves(solves, factory) -> int:
@@ -216,10 +218,12 @@ def test_lemma_suite_solves_once_per_bucket(solves):
 
 
 #: Calls per bucket of the lemma suite, by routine, each on the bucket's whole
-#: stack.  The circle products are exp(h_a + h_b) / Tr and the lower bound's
-#: right-hand side comes from the spectrum of log A + log B; extreme
-#: eigenvalues come from the spectra already taken, and norms from eigenvalues.
+#: stack.  The circle products are exp(h_a + h_b) / Tr; Tr exp(A + B) and the
+#: lower bound's right-hand side come from the eigenvalues of A + B and of
+#: log A + log B; extreme eigenvalues come from the spectra already taken, and
+#: norms from eigenvalues.
 LEMMA_CALLS_PER_BUCKET = {
+    "golden_thompson": {"eigh": 2, "eigvalsh": 1},
     "circle_perturbation": {"eigh": 2, "eigvalsh": 5},
     "circle_eig_lower_bound": {"eigh": 2, "eigvalsh": 1},
     "exp_bound": {"eigh": 2, "eigvalsh": 2},
@@ -313,3 +317,21 @@ def test_one_beta_command_solves_full_dimension_once(solves, tmp_path, command):
 def test_one_beta_command_solves_full_dimension_once_random2(solves, tmp_path, command):
     dim = _one_beta_command(tmp_path, command, "random2", {"seed": 3})
     assert solves[dim] == FULL_DIM_SOLVES
+
+
+@pytest.mark.parametrize("command", ["window-sweep", "cumulant-decay"])
+def test_reduced_states_never_form_the_whole_state_random2(monkeypatch, tmp_path, command):
+    """An unblocked model's reductions come from its spectrum: no Gibbs state,
+    exponential or log is assembled at the model's dimension."""
+    shapes = []
+    apply = operators._apply
+
+    def recorded(spectrum, f):
+        out = apply(spectrum, f)
+        shapes.append(out[0].shape)
+        return out
+
+    monkeypatch.setattr(operators, "_apply", recorded)
+    dim = _one_beta_command(tmp_path, command, "random2", {"seed": 3})
+    assert shapes  # the reduced states' logs, at least
+    assert max(shape[-1] for shape in shapes) < dim
