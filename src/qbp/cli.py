@@ -22,7 +22,6 @@ a list of one.
 from __future__ import annotations
 
 import argparse
-import ctypes
 import hashlib
 import json
 import math
@@ -58,9 +57,9 @@ from .operators import (
     SiteLayout,
     _as_integer,
     _as_positive,
-    _openblas,
+    _blas_threads,
+    _lapack,
     _require_known,
-    _zheevd_work,
     op_norm,
     random_hermitian,
 )
@@ -197,14 +196,11 @@ def _blas_info() -> dict:
     """Name, version and thread count (None when not exposed) of numpy's BLAS,
     and the routine behind complex eigendecompositions from ``ZHEEVD_MIN_DIM``."""
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    get = getattr(_openblas(), "scipy_openblas_get_num_threads64_", None)
-    if get is not None:
-        get.argtypes, get.restype = [], ctypes.c_int
     return {
         "name": blas["name"],
         "version": blas["version"],
-        "threads": None if get is None else get(),
-        "complex_eigh": "numpy" if _zheevd_work() is None else "zheevd-blocked",
+        "threads": _blas_threads(),
+        "complex_eigh": "numpy" if _lapack() is None else "zheevd-staged",
     }
 
 

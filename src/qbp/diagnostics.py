@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+from functools import cached_property
 from typing import Iterable
 
 import numpy as np
@@ -85,12 +86,21 @@ class CumulantEntry:
 
 @dataclass(frozen=True)
 class CumulantSeries:
+    """The shells of ``op`` around ``anchor``, nearest first."""
+
     anchor: frozenset[int]
     entries: tuple[CumulantEntry, ...]
-    reconstruction_residual: float
+    op: DenseOperator
 
     def norms(self) -> list[tuple[int, float]]:
         return [(e.j, e.norm) for e in self.entries]
+
+    @cached_property
+    def reconstruction_residual(self) -> float:
+        """Trace norm of the shells' sum minus ``op``, formed on first read: every
+        shell is added into one tensor, and the difference solved at ``op``'s
+        dimension."""
+        return trace_norm(embed_sum((e.op for e in self.entries), self.op.layout) - self.op)
 
 
 def cumulants(
@@ -107,9 +117,8 @@ def cumulants(
 
     Each shell is held, and its norm taken, on its own support, since
     ||A (x) I|| = ||A||; it is embedded at ``op``'s full dimension only to
-    update the remainder, and the telescoping residual adds every shell into
-    one tensor, so only the last shell and the residual are solved at that
-    dimension.
+    update the remainder, so only the last shell is solved at that dimension;
+    the telescoping residual is solved there too, but only when read.
     """
     anchor = frozenset(anchor)
     dm = distance_map(model, anchor)
@@ -131,8 +140,7 @@ def cumulants(
             break
         remainder = remainder - embed(shell, op.layout)
         j += 1
-    residual = trace_norm(embed_sum((e.op for e in entries), op.layout) - op)
-    return CumulantSeries(anchor, tuple(entries), residual)
+    return CumulantSeries(anchor, tuple(entries), op)
 
 
 @dataclass(frozen=True)

@@ -22,9 +22,13 @@ no re-check; a sum is flagged Hermitian when every operand is.  No other module
 calls numpy.linalg's decompositions or norms, ``np.einsum`` or ``as_strided``.
 A Frobenius-norm test past the float range is judged on the matrices scaled
 by a power of two (``_within``).  Complex eigendecompositions from d = 64 call
-LAPACK's zheevd in numpy's own OpenBLAS, with room for its blocked
-back-transformation, in the caller's buffer where the caller gives it up
-(``_zheevd``).  The input rules live here too
+LAPACK zheevd's stages in numpy's own OpenBLAS (``_zheevd``): zhetrd reduces
+the matrix, in the caller's buffer where the caller gives it up; dstedc
+writes the real eigenvectors into one output buffer that also holds its
+workspace, and they are widened in place for zunmtr's blocked
+back-transformation.  The result is zheevd's bit for bit, with d² complex
+entries of extra memory where zheevd takes 2d².  This module holds the one
+lookup of that library (``_openblas``).  The input rules live here too
 (`_as_integer`, `_as_positive`, `_require_known`): every door that reads input
 applies them, and raises its own error type in place of their OperatorError.
 """
@@ -196,7 +200,9 @@ def union_layout(a: SiteLayout, b: SiteLayout) -> SiteLayout:
 
 @dataclass(frozen=True, eq=False)
 class DenseOperator:
-    """A dense float64 or complex128 square matrix annotated with its site support."""
+    """A dense float64 or complex128 square matrix annotated with its site support.
+
+    The matrix is copied, and its entries must be finite, unless ``hermitian``."""
 
     layout: SiteLayout
     mat: np.ndarray
@@ -207,6 +213,8 @@ class DenseOperator:
         mat = np.asarray(self.mat)
         if not self.hermitian:
             mat = np.array(mat, dtype=np.promote_types(mat.dtype, np.float64))
+            if not np.isfinite(mat).all():
+                raise OperatorError("matrix entries must be finite")
         if mat.shape != (self.layout.dim, self.layout.dim):
             raise OperatorError(
                 f"matrix shape {mat.shape} does not match layout dimension "
@@ -303,16 +311,18 @@ def _reversal_blocks(mat: np.ndarray) -> np.ndarray | None:
     The diagonal must first meet the rule on its own, which turns most other
     input away after O(d) work; a matrix that passes only as a whole takes the
     full path, which is correct for it too.  M - J M J is minus its own
-    reversal, so its top half carries half its squared norm.
+    reversal, so its top half carries half its squared norm.  A defect past
+    the float range is infinite and fails the test.
     """
     d = mat.shape[-1]
     if mat.ndim != 2 or d % 2:
         return None
     h, diag = d // 2, mat.diagonal().real[None]  # real: M is Hermitian
-    if not _within(diag - diag[:, ::-1], diag, HERMITIAN_RTOL**2):
-        return None
-    if not _within(mat[:h] - mat[:h - 1 : -1, ::-1], mat, HERMITIAN_RTOL**2 / 2.0):
-        return None
+    with np.errstate(over="ignore"):
+        if not _within(diag - diag[:, ::-1], diag, HERMITIAN_RTOL**2):
+            return None
+        if not _within(mat[:h] - mat[:h - 1 : -1, ::-1], mat, HERMITIAN_RTOL**2 / 2.0):
+            return None
     ends = mat[:h, :h - 1 : -1]
     return np.stack((mat[:h, :h] + ends, mat[:h, :h] - ends))
 
@@ -443,12 +453,13 @@ def _eigh(mat: np.ndarray, overwrite: bool = False) -> tuple[np.ndarray, np.ndar
     """Eigenvalues and eigenvectors of a Hermitian matrix or stack, never split into blocks.
 
     Complex matrices of dimension ``ZHEEVD_MIN_DIM`` or more go one at a time
-    to ``_zheevd`` when numpy's OpenBLAS exports it; all else to numpy's eigh.
-    A lone matrix's vectors are ``_zheevd``'s own column-major array, so no
-    second d × d array is held, as numpy's eigh holds one; with ``overwrite``
-    that array is the lone matrix's own buffer.
+    to ``_zheevd`` when numpy's OpenBLAS exports its stages; all else to
+    numpy's eigh.  A lone matrix's vectors are ``_zheevd``'s own column-major
+    array, so no second d × d array is held, as numpy's eigh holds one; with
+    ``overwrite`` the lone matrix's own buffer holds the reduction instead of
+    a copy.
     """
-    if mat.dtype != np.complex128 or mat.shape[-1] < ZHEEVD_MIN_DIM or _zheevd_work() is None:
+    if mat.dtype != np.complex128 or mat.shape[-1] < ZHEEVD_MIN_DIM or _lapack() is None:
         return np.linalg.eigh(mat)
     if mat.ndim == 2:
         return _zheevd(mat, overwrite)
@@ -466,50 +477,110 @@ def _openblas() -> ctypes.CDLL | None:
     return None
 
 
+def _blas_threads() -> int | None:
+    """The thread count of ``_openblas()``, or None where it is not exposed."""
+    get = getattr(_openblas(), "scipy_openblas_get_num_threads64_", None)
+    if get is None:
+        return None
+    get.argtypes, get.restype = [], ctypes.c_int
+    return get()
+
+
+_I64, _PTR, _CHAR, _DOUBLE = ctypes.c_int64, ctypes.c_void_p, ctypes.c_char, ctypes.c_double
+
+#: zheevd's stages as LAPACKE column-major ``_work`` routines: (restype, argtypes).
+_STAGES = {
+    "zlanhe": (_DOUBLE, [ctypes.c_int, _CHAR, _CHAR, _I64, _PTR, _I64, _PTR]),
+    "zlascl": (_I64, [ctypes.c_int, _CHAR, _I64, _I64, _DOUBLE, _DOUBLE, _I64, _I64, _PTR, _I64]),
+    "zhetrd": (_I64, [ctypes.c_int, _CHAR, _I64, _PTR, _I64, _PTR, _PTR, _PTR, _PTR, _I64]),
+    "dstedc": (_I64, [ctypes.c_int, _CHAR, _I64, _PTR, _PTR, _PTR, _I64, _PTR, _I64, _PTR, _I64]),
+    "zunmtr": (_I64, [ctypes.c_int, _CHAR, _CHAR, _CHAR, _I64, _I64, _PTR, _I64, _PTR, _PTR, _I64, _PTR, _I64]),
+}
+
+
 @cache
-def _zheevd_work():
-    """LAPACKE's zheevd_work in ``_openblas()``, prototype declared, or None."""
-    fn = getattr(_openblas(), "scipy_LAPACKE_zheevd_work64_", None)
-    if fn is not None:
-        i64, ptr = ctypes.c_int64, ctypes.c_void_p
-        fn.argtypes = [ctypes.c_int, ctypes.c_char, ctypes.c_char, i64, ptr, i64, ptr, ptr, i64, ptr, i64, ptr, i64]
-        fn.restype = i64
-    return fn
+def _lapack() -> dict | None:
+    """``_STAGES``' routines in ``_openblas()``, prototypes declared, or None if any is missing."""
+    found = {}
+    for name, (restype, argtypes) in _STAGES.items():
+        fn = getattr(_openblas(), f"scipy_LAPACKE_{name}_work64_", None)
+        if fn is None:
+            return None
+        fn.restype, fn.argtypes = restype, argtypes
+        found[name] = fn
+    return found
+
+
+#: zheevd's range for the max-norm of its input: sqrt(SMLNUM) and sqrt(1/SMLNUM), SMLNUM = SAFMIN/EPS.
+_SMLNUM = np.finfo(float).smallest_normal / np.finfo(float).eps
+_ZHEEVD_RMIN, _ZHEEVD_RMAX = float(np.sqrt(_SMLNUM)), float(np.sqrt(1.0 / _SMLNUM))
 
 
 def _zheevd(mat: np.ndarray, overwrite: bool = False) -> tuple[np.ndarray, np.ndarray]:
-    """eigh of one complex128 Hermitian matrix by LAPACK zheevd, as numpy calls
-    it (a column-major copy, lower triangle), but with n·64 + 4160 more work
-    entries.  numpy gives the minimum 2n + n², which leaves the eigenvector
-    back-transformation (zunmtr) n entries, so it runs unblocked; the extra
-    entries fit its largest block (64) and T matrix (65 × 64), which halves the
-    time at d = 1024.  Eigenvalues are bit-equal to numpy's; vectors move at
-    roundoff.
+    """eigh of one complex128 Hermitian matrix by LAPACK zheevd's own stages,
+    bit-equal to zheevd on the column-major copy and lower triangle numpy
+    passes it, but with 64n + 4160 more work entries than numpy's minimum:
+    the back-transformation (zunmtr) gets 65n + 4160, room for its largest
+    block (64) and T matrix (65 × 64), where the minimum leaves it n and it
+    runs unblocked, at twice the time at d = 1024.  Eigenvalues are bit-equal
+    to numpy's; vectors move at roundoff.  zheevd takes the dstedc route
+    below from n = 26 (zsteqr under it): every matrix ``_eigh`` sends here.
 
-    With ``overwrite`` a writable C-order complex128 M is decomposed in its own
+    As in zheevd, a max-norm (zlanhe) outside [``_ZHEEVD_RMIN``,
+    ``_ZHEEVD_RMAX``] is scaled into it (zlascl) and w scaled back.  zhetrd
+    reduces the matrix to a real tridiagonal T, leaving its reflectors in
+    place.  dstedc writes T's eigenvectors, real, into the tail of one output
+    buffer of 2n² + 4n + 1 doubles, whose head is its 1 + 4n + n² workspace;
+    they are widened, column by column in ascending order, into the buffer's
+    leading n × n complex array, which never overwrites a column still to be
+    read; zunmtr back-transforms that array in place.  zheevd instead holds
+    the real and a complex copy of them next to each other: n² more complex
+    entries.
+
+    With ``overwrite`` a writable C-order complex128 M is reduced in its own
     buffer, and no d × d copy is made: LAPACK reads that buffer column-major
     as M^T = conj(M), whose eigenvectors are M's conjugated, and exactly so,
     since rounding is symmetric under conjugation.  They are conjugated back
-    in place, so w and V are bit-equal to the copying call's, and V is a
-    column-major view of M's buffer."""
+    in place, so w and V are bit-equal to the copying call's."""
     n = mat.shape[-1]
     if mat.shape != (n, n):
         raise np.linalg.LinAlgError("Last 2 dimensions of the array must be square")
     conjugated = overwrite and mat.dtype == np.complex128 and mat.flags.c_contiguous and mat.flags.writeable
     a = mat.T if conjugated else np.array(mat, dtype=np.complex128, order="F")
-    w = np.empty(n)
-    work = np.empty(n * n + 66 * n + 4160, dtype=np.complex128)
-    rwork = np.empty(2 * n * n + 5 * n + 1)
+    lapack, col_major, lower = _lapack(), 102, b"L"
+
+    def check(stage, info):
+        if info:
+            raise np.linalg.LinAlgError(f"{stage} failed with info {info}")
+
+    norm = lapack["zlanhe"](col_major, b"M", lower, n, a.ctypes.data, n, None)
+    sigma = _ZHEEVD_RMIN / norm if 0 < norm < _ZHEEVD_RMIN else _ZHEEVD_RMAX / norm if norm > _ZHEEVD_RMAX else 1.0
+    if sigma != 1.0:
+        check("zlascl", lapack["zlascl"](col_major, lower, 0, 0, 1.0, sigma, n, n, a.ctypes.data, n))
+    w, e, tau = np.empty(n), np.empty(n), np.empty(n, dtype=np.complex128)
+    work = np.empty(65 * n + 4160, dtype=np.complex128)
+    check("zhetrd", lapack["zhetrd"](
+        col_major, lower, n, a.ctypes.data, n, w.ctypes.data, e.ctypes.data, tau.ctypes.data, work.ctypes.data, work.size,
+    ))
+    out, head = np.empty(2 * n * n + 4 * n + 1), n * n + 4 * n + 1
+    real = out[head:].reshape((n, n), order="F")
     iwork = np.empty(5 * n + 3, dtype=np.int64)
-    info = _zheevd_work()(
-        102, b"V", b"L", n, a.ctypes.data, n, w.ctypes.data,  # 102: column-major
-        work.ctypes.data, work.size, rwork.ctypes.data, rwork.size, iwork.ctypes.data, iwork.size,
-    )
-    if info:
-        raise np.linalg.LinAlgError(f"zheevd failed with info {info}")
+    check("dstedc", lapack["dstedc"](
+        col_major, b"I", n, w.ctypes.data, e.ctypes.data, real.ctypes.data, n,
+        out.ctypes.data, head, iwork.ctypes.data, iwork.size,
+    ))
+    v = out[: 2 * n * n].view(np.complex128).reshape((n, n), order="F")
+    for j in range(n):  # column j ends at 16 n (j + 1) bytes, before real column j + 1 starts
+        v[:, j] = real[:, j]
+    check("zunmtr", lapack["zunmtr"](
+        col_major, b"L", lower, b"N", n, n, a.ctypes.data, n, tau.ctypes.data, v.ctypes.data, n,
+        work.ctypes.data, work.size,
+    ))
+    if sigma != 1.0:
+        w *= 1.0 / sigma
     if conjugated:
-        np.conjugate(a, out=a)
-    return w, a
+        np.conjugate(v, out=v)
+    return w, v
 
 
 def _apply(spectrum: tuple, f) -> tuple[np.ndarray, np.ndarray]:
@@ -598,7 +669,7 @@ def _gibbs(
 
 def _gibbs_weights(w: np.ndarray, beta: float) -> np.ndarray:
     """exp(-beta w) / Z over eigenvalues w, shifted by min(w) so neither overflows."""
-    shifted = np.exp(-beta * (w - w.min()))
+    shifted = np.exp(_exponents(w, beta, w.min()))
     return shifted / shifted.sum()
 
 
@@ -607,7 +678,16 @@ def _log_partition(w: np.ndarray, beta: float) -> float:
     both blocks), summed in ascending order and shifted by the smallest so no
     term overflows."""
     w = np.sort(w, axis=None)
-    return float(np.log(np.exp(-beta * (w - w[0])).sum()) - beta * w[0])
+    return float(np.log(np.exp(_exponents(w, beta, w[0])).sum()) - beta * w[0])
+
+
+def _exponents(w: np.ndarray, beta: float, lowest: float) -> np.ndarray:
+    """-beta (w - lowest); ``DynamicRangeError`` where beta times the spread of w
+    is past the float range."""
+    spread = float(w.max()) - float(lowest)  # Python floats: inf, not a warning
+    if not np.isfinite(beta * spread):
+        raise DynamicRangeError(f"beta {beta} times eigenvalue spread {spread} is past the float range")
+    return -beta * (w - lowest)
 
 
 def _log_pd(mat: np.ndarray, floor: float = LOG_EIG_FLOOR, known: bool = False) -> tuple[np.ndarray, np.ndarray]:

@@ -8,6 +8,7 @@ matrix exponentials by scipy, and graph distances via networkx.
 
 from __future__ import annotations
 
+import ctypes
 import itertools
 from functools import reduce
 from string import ascii_letters
@@ -34,7 +35,7 @@ from qbp import (
     random_hermitian,
 )
 from qbp.inequalities import CHECK_NAMES
-from qbp.operators import embed_sum, gibbs_state
+from qbp.operators import _openblas, embed_sum, gibbs_state
 
 
 def kron_all(mats):
@@ -534,3 +535,33 @@ def cumulant_norms_oracle(mat, sites, model, anchor):
         if len(near) == len(sites):
             return out
         previous, j = (avg, near), j + 1
+
+
+def zheevd(mat, overwrite=False):
+    """eigh of one complex128 Hermitian matrix by LAPACK's monolithic zheevd
+    in numpy's OpenBLAS, with 64n + 4160 work entries more than its minimum,
+    in ``mat``'s own buffer (read as conj(M), vectors conjugated back) when
+    ``overwrite`` and ``mat`` is writable C-order complex128, else in a
+    column-major copy; the staged ``operators._zheevd`` must equal it bit for
+    bit.  None when the library does not export zheevd."""
+    fn = getattr(_openblas(), "scipy_LAPACKE_zheevd_work64_", None)
+    if fn is None:
+        return None
+    i64, ptr = ctypes.c_int64, ctypes.c_void_p
+    fn.argtypes = [ctypes.c_int, ctypes.c_char, ctypes.c_char, i64, ptr, i64, ptr, ptr, i64, ptr, i64, ptr, i64]
+    fn.restype = i64
+    n = mat.shape[-1]
+    conjugated = overwrite and mat.dtype == np.complex128 and mat.flags.c_contiguous and mat.flags.writeable
+    a = mat.T if conjugated else np.array(mat, dtype=np.complex128, order="F")
+    w = np.empty(n)
+    work = np.empty(n * n + 66 * n + 4160, dtype=np.complex128)
+    rwork = np.empty(2 * n * n + 5 * n + 1)
+    iwork = np.empty(5 * n + 3, dtype=np.int64)
+    info = fn(
+        102, b"V", b"L", n, a.ctypes.data, n, w.ctypes.data,  # 102: column-major
+        work.ctypes.data, work.size, rwork.ctypes.data, rwork.size, iwork.ctypes.data, iwork.size,
+    )
+    assert info == 0, f"zheevd failed with info {info}"
+    if conjugated:
+        np.conjugate(a, out=a)
+    return w, a

@@ -62,7 +62,7 @@ class TestWindowSweep:
         assert set(blas) == {"name", "version", "threads", "complex_eigh"}
         assert blas["name"] == np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
         assert blas["threads"] is None or blas["threads"] >= 1
-        assert blas["complex_eigh"] == ("numpy" if operators._zheevd_work() is None else "zheevd-blocked")
+        assert blas["complex_eigh"] == ("numpy" if operators._lapack() is None else "zheevd-staged")
 
     def test_classical_errors_at_noise_floor(self, tmp_path):
         cfg = write_config(

@@ -193,7 +193,7 @@ class TestEnvelopeFit:
         entries = tuple(
             CumulantEntry(j, None, amp * math.exp(-decay * j)) for j in range(1, 7)
         )
-        fit = fit_thermal_bound(CumulantSeries(frozenset({1}), entries, 0.0))
+        fit = fit_thermal_bound(CumulantSeries(frozenset({1}), entries, None))  # the fit reads only norms
         assert fit.defined
         assert fit.amplitude == pytest.approx(amp, abs=1e-9)
         assert fit.decay == pytest.approx(decay, abs=1e-9)

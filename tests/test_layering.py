@@ -3,7 +3,9 @@ a sibling module, except from ``operators``, the algebra every layer builds
 on.  A private helper that a second module needs belongs in ``operators`` or
 in the public API.  Every decomposition and norm goes through ``operators``
 too: no other module calls ``numpy.linalg``'s.  So does every map between
-sites and tensor axes: no other module calls ``np.einsum`` or ``as_strided``."""
+sites and tensor axes: no other module calls ``np.einsum`` or ``as_strided``.
+And ``operators`` holds the one lookup of numpy's BLAS library: no other
+module imports ``ctypes``."""
 
 import ast
 from pathlib import Path
@@ -147,3 +149,38 @@ def test_only_operators_maps_sites(path):
 
 def test_operators_holds_the_site_map():
     assert set(site_map_calls((SRC / "operators.py").read_text(encoding="utf-8"))) == SITE_MAP
+
+
+def imported_modules(source: str) -> list[str]:
+    """The top-level package of every module ``source`` imports."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found += [a.name.split(".")[0] for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.append(node.module.split(".")[0])
+    return found
+
+
+@pytest.mark.parametrize(
+    "source, found",
+    [
+        ("import ctypes", ["ctypes"]),
+        ("import ctypes.util as cu", ["ctypes"]),
+        ("from ctypes import CDLL", ["ctypes"]),
+        ("from .operators import _blas_threads", []),
+    ],
+)
+def test_checker_finds_imported_modules(source, found):
+    assert imported_modules(source) == found
+
+
+@pytest.mark.parametrize(
+    "path", sorted(p for p in SRC.glob("*.py") if p.stem != "operators"), ids=lambda p: p.name
+)
+def test_only_operators_loads_the_blas_library(path):
+    assert "ctypes" not in imported_modules(path.read_text(encoding="utf-8"))
+
+
+def test_operators_holds_the_blas_library():
+    assert "ctypes" in imported_modules((SRC / "operators.py").read_text(encoding="utf-8"))

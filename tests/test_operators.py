@@ -1,5 +1,6 @@
 import itertools
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -54,6 +55,7 @@ from oracles import (
     kron_hamiltonian,
     letter_partial_trace,
     partial_trace_by_sum,
+    zheevd,
 )
 
 Q1 = SiteLayout((1,), (2,))
@@ -405,6 +407,34 @@ class TestGibbsBeta:
             gibbs_state(ham, beta)
         with pytest.raises(OperatorError, match="beta must be a finite positive number"):
             operators._gibbs(Q12, _spectrum(ham.mat), beta, frozenset({1}))
+
+
+class TestFiniteEntries:
+    """A matrix the package did not build is copied, and its entries must be
+    finite: a NaN sent ``trace_norm`` to an SVD that did not converge, an inf
+    leaked a subtraction warning.  A Gibbs state whose beta times spread is
+    past the float range raises ``DynamicRangeError``: diag(1e308, -1e308)
+    leaked an overflow warning."""
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)], ids=["nan", "inf", "-inf", "nanj"])
+    def test_copying_door_refuses_non_finite_entries(self, bad):
+        mat = np.eye(4, dtype=np.result_type(bad, float))
+        mat[1, 2] = bad
+        with pytest.raises(OperatorError, match="finite"):
+            DenseOperator(Q12, mat)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_trace_norm_never_sees_non_finite_entries(self, bad):
+        with pytest.raises(OperatorError, match="finite"):
+            trace_norm(DenseOperator(Q1, np.array([[1.0, 0.0], [bad, 1.0]])))
+
+    @pytest.mark.parametrize("w, beta", [([1e308, -1e308], 1.0), ([1e10, 0.0], 1e300)],
+                             ids=["spread", "beta_times_spread"])
+    def test_gibbs_state_past_the_float_range(self, w, beta):
+        with pytest.raises(DynamicRangeError, match="past the float range"):
+            gibbs_state(DenseOperator(Q1, np.diag(w)), beta)
+        with pytest.raises(DynamicRangeError, match="past the float range"):
+            operators._gibbs_weights(np.array(w), beta)
 
 
 def _chain_hamiltonian(factory: str, n: int) -> DenseOperator:
@@ -768,11 +798,55 @@ def _complex_hermitian(d: int, stack: tuple = (), seed: int = 7) -> np.ndarray:
     return hermitize(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
 
 
+def _allocated(fn, *args):
+    """fn(*args), and the peak bytes allocated while it ran beyond those live before."""
+    tracemalloc.start()
+    try:
+        live = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        out = fn(*args)
+        return out, tracemalloc.get_traced_memory()[1] - live
+    finally:
+        tracemalloc.stop()
+
+
+def _staged_bound(d: int) -> float:
+    """Bytes ``_zheevd`` may allocate beyond its input: d² complex and 5 %,
+    plus O(d), the output buffer's 4d + 1 extra doubles, zunmtr's 65d + 4160
+    entries, w, e, tau and iwork (1144d + 66592 bytes), and 16 kB of Python objects."""
+    return 16 * d * d * 1.05 + 16 * (72 * d + 4160) + 2**14
+
+
+def _repeated_eigenvalues(d: int = 256) -> np.ndarray:
+    """A complex Hermitian matrix with four d/4-fold eigenvalues."""
+    rng = np.random.default_rng(12)
+    u = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))[0]
+    return hermitize((u * np.repeat([-1.0, 0.5, 2.0, 3.0], d // 4)) @ u.conj().T)
+
+
+STAGED = pytest.mark.skipif(
+    operators._lapack() is None or zheevd(np.eye(1, dtype=np.complex128)) is None,
+    reason="numpy's BLAS lacks zheevd or one of its stages",
+)
+
+#: Inputs on which the staged solve must equal the monolithic zheevd.
+ZHEEVD_CASES = {
+    "lone64": lambda: _complex_hermitian(64),
+    "lone100": lambda: _complex_hermitian(100),
+    "lone512": lambda: _complex_hermitian(512),
+    "stack3": lambda: _complex_hermitian(80, (3,)),
+    "repeated": _repeated_eigenvalues,
+    "scaled_1e-150": lambda: _complex_hermitian(100) * 1e-150,
+    "scaled_1e150": lambda: _complex_hermitian(100) * 1e150,
+}
+
+
 class TestZheevd:
-    """Complex matrices from ``ZHEEVD_MIN_DIM`` go to LAPACK zheevd with a
-    blocked workspace: eigenvalues bit-equal to numpy's, vectors orthonormal
-    and functions equal to numpy's at roundoff.  Everything else, and every
-    matrix when the routine is missing, is numpy's eigh bit for bit."""
+    """Complex matrices from ``ZHEEVD_MIN_DIM`` go to zheevd's stages with a
+    blocked workspace: eigenvalues and vectors bit-equal to the monolithic
+    zheevd (``oracles.zheevd``), eigenvalues bit-equal to numpy's, vectors
+    orthonormal and functions equal to numpy's at roundoff.  Everything else,
+    and every matrix when a stage is missing, is numpy's eigh bit for bit."""
 
     @pytest.mark.parametrize("stack", [(), (2,)], ids=["lone", "stack2"])
     @pytest.mark.parametrize("d", [64, 100, 512])
@@ -791,6 +865,48 @@ class TestZheevd:
                 lone_w, lone_v = operators._eigh(mat[k])
                 assert np.array_equal(w[k], lone_w) and np.array_equal(v[k], lone_v)
 
+    @STAGED
+    @pytest.mark.parametrize("name", ZHEEVD_CASES)
+    def test_bit_equal_to_monolithic_zheevd(self, name):
+        mat = ZHEEVD_CASES[name]()
+        w, v = operators._eigh(mat)
+        for k in np.ndindex(mat.shape[:-2]):
+            w_want, v_want = zheevd(mat[k])
+            assert np.array_equal(w[k], w_want) and np.array_equal(v[k], v_want)
+            w_in, v_in = operators._eigh(mat[k].copy(), True)
+            assert np.array_equal(w_in, w_want) and np.array_equal(v_in, v_want)
+
+    @STAGED
+    @pytest.mark.parametrize("d", [64, 300])
+    def test_overwrite_is_bit_equal_in_the_input_buffer(self, d):
+        mat = _complex_hermitian(d)
+        kept = mat.copy()
+        w_want, v_want = zheevd(kept.copy(), overwrite=True)
+        w, v = operators._zheevd(mat)
+        assert np.array_equal(mat, kept)  # the copying call leaves its input alone
+        assert np.array_equal(w, w_want) and np.array_equal(v, v_want)
+        (w_in, v_in), extra = _allocated(operators._zheevd, mat, True)
+        assert np.array_equal(w_in, w) and np.array_equal(v_in, v) and v_in.flags.f_contiguous
+        assert extra <= _staged_bound(d)  # the vectors' array and O(d): the input holds the reflectors
+        read_only = kept.copy()
+        read_only.setflags(write=False)  # not the caller's to give: copied
+        w_ro, v_ro = operators._zheevd(read_only, overwrite=True)
+        assert np.array_equal(read_only, kept) and np.array_equal(w_ro, w) and np.array_equal(v_ro, v)
+        f_order = np.asfortranarray(kept)
+        w_f, v_f = operators._zheevd(f_order, overwrite=True)
+        assert np.array_equal(f_order, kept) and np.array_equal(w_f, w) and np.array_equal(v_f, v)
+
+    @STAGED
+    def test_overwrite_allocates_one_complex_square(self):
+        """Beyond its input, d² complex entries and O(d); the monolithic
+        zheevd's workspace alone is 2d² complex."""
+        d = 512
+        (w, v), extra = _allocated(operators._eigh, _complex_hermitian(d), True)
+        assert extra <= _staged_bound(d)
+        (w_want, v_want), extra_want = _allocated(zheevd, _complex_hermitian(d), True)
+        assert extra_want > 2 * 16 * d * d
+        assert np.array_equal(w, w_want) and np.array_equal(v, v_want)
+
     @pytest.mark.parametrize("mat", [
         _complex_hermitian(16, (3,)),
         _complex_hermitian(512).real.copy(),
@@ -800,12 +916,23 @@ class TestZheevd:
             assert np.array_equal(got, want)
 
     def test_without_the_routine_is_numpy(self, monkeypatch):
-        monkeypatch.setattr(operators, "_zheevd_work", lambda: None)
+        monkeypatch.setattr(operators, "_lapack", lambda: None)
         mat = _complex_hermitian(100, (2,))
         for got, want in zip(operators._eigh(mat), np.linalg.eigh(mat)):
             assert np.array_equal(got, want)
 
-    @pytest.mark.skipif(operators._zheevd_work() is None, reason="numpy's BLAS has no zheevd_work")
+    def test_one_missing_stage_is_numpy(self, monkeypatch):
+        library = operators._openblas()
+
+        class WithoutDstedc:
+            def __getattr__(self, name):
+                if "dstedc" in name:
+                    raise AttributeError(name)
+                return getattr(library, name)
+        monkeypatch.setattr(operators, "_openblas", WithoutDstedc)
+        assert operators._lapack.__wrapped__() is None
+
+    @STAGED
     def test_routes_by_dtype_and_dimension(self, monkeypatch):
         solved, original = [], operators._zheevd
         monkeypatch.setattr(operators, "_zheevd", lambda mat: solved.append(mat.shape) or original(mat))
@@ -814,27 +941,13 @@ class TestZheevd:
         operators._eigh(_complex_hermitian(64).real.copy())
         assert solved == [(64, 64), (64, 64)]
 
-    @pytest.mark.skipif(operators._zheevd_work() is None, reason="numpy's BLAS has no zheevd_work")
-    @pytest.mark.parametrize("d", [64, 300])
-    def test_overwrite_is_bit_equal_in_the_input_buffer(self, d):
-        mat = _complex_hermitian(d)
-        kept = mat.copy()
-        w, v = operators._zheevd(mat)
-        assert np.array_equal(mat, kept)  # the copying call leaves its input alone
-        w_in, v_in = operators._zheevd(mat, overwrite=True)
-        assert np.array_equal(w_in, w) and np.array_equal(v_in, v)
-        assert np.shares_memory(v_in, mat) and v_in.flags.f_contiguous
-        read_only = kept.copy()
-        read_only.setflags(write=False)  # not the caller's to give: copied
-        w_ro, v_ro = operators._zheevd(read_only, overwrite=True)
-        assert np.array_equal(read_only, kept) and np.array_equal(v_ro, v)
-        f_order = np.asfortranarray(kept)
-        operators._zheevd(f_order, overwrite=True)
-        assert np.array_equal(f_order, kept)
-
+    @STAGED
     def test_failure_is_linalg_error(self, monkeypatch):
-        monkeypatch.setattr(operators, "_zheevd_work", lambda: lambda *args: 3)
-        with pytest.raises(np.linalg.LinAlgError, match="info 3"):
-            operators._eigh(_complex_hermitian(64))
+        for stage in ("zlascl", "zhetrd", "dstedc", "zunmtr"):
+            stages = dict(operators._lapack(), **{stage: lambda *args: 3})
+            with monkeypatch.context() as m:
+                m.setattr(operators, "_lapack", lambda: stages)
+                with pytest.raises(np.linalg.LinAlgError, match=f"{stage} failed with info 3"):
+                    operators._eigh(_complex_hermitian(64) * 1e150)  # scaled, so zlascl runs
         with pytest.raises(np.linalg.LinAlgError, match="square"):
             operators._zheevd(np.zeros((64, 65), dtype=np.complex128))

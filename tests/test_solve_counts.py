@@ -5,8 +5,8 @@ matrix of a stack included, is counted by dimension, and by routine and dimensio
 run on one model, the full dimension is solved once, for the thermal state:
 the widest window and the radius ball that holds every edge reuse it.  The
 cumulants of an operator take each shell's norm on the shell's own support,
-so only the last shell and the telescoping residual are solved at the
-operator's dimension.  A deficiency table computes each reduced entropy once,
+so only the last shell is solved at the operator's dimension, and the
+telescoping residual once more, on its first read.  A deficiency table computes each reduced entropy once,
 however many subsets and radii share it, and the whole state's from its Gibbs
 weights, with no solve.  A belief is one shifted exponential
 of summed effective Hamiltonians, so a sliding-window step solves once at the
@@ -138,23 +138,29 @@ def test_deficiency_table_solves_each_reduced_entropy_once(solves):
     assert solves["eigvalsh", m.layout.dim] == 0
 
 
-def _cumulant_solves(solves, factory) -> int:
+def _cumulant_solves(solves, factory) -> tuple[int, Counter]:
+    """The potential's dimension, and the solves before the residual is read;
+    ``solves`` then holds those after it is read twice."""
     m = build_chain(6, 2, factory, beta=1.0)
     potential = thermal_potential(m, {1})
     solves.clear()
     series = cumulants(potential, m, {1})
     assert len(series.entries) == 5
-    return potential.dim
+    unread = Counter(solves)
+    assert series.reconstruction_residual == series.reconstruction_residual <= 1e-10
+    return potential.dim, unread
 
 
 def test_cumulants_solve_only_last_shell_and_residual_at_full_dimension(solves):
-    dim = _cumulant_solves(solves, TFIM)
+    dim, unread = _cumulant_solves(solves, TFIM)
     assert solves[dim] == 0
-    assert solves[dim // 2] == 4  # two solves, each as two half-size blocks
+    assert unread[dim // 2] == 2  # the last shell, as two half-size blocks
+    assert solves[dim // 2] == 4  # and the residual
 
 
 def test_cumulants_solve_only_last_shell_and_residual_at_full_dimension_random2(solves):
-    assert solves[_cumulant_solves(solves, RANDOM2)] == 2
+    dim, unread = _cumulant_solves(solves, RANDOM2)
+    assert unread[dim] == 1 and solves[dim] == 2
 
 
 def test_hastings_operator_decomposes_all_steps_in_two_calls(solves):
