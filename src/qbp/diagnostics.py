@@ -35,8 +35,8 @@ from .models import (
 from .operators import (
     DenseOperator,
     DynamicRangeError,
-    LOG_EIG_FLOOR,
     LOG_FLOAT_MAX,
+    _as_integer,
     _as_positive,
     embed,
     embed_sum,
@@ -221,15 +221,17 @@ def single_step_bound(
     (boundary) edges.  The first piece prices replacing the conjugation
     operator by its radius-local truncation; the second prices the drift
     between conjugating the true and the effective thermal backgrounds.
+    ``radius`` is an integer and ``beta`` and a nonzero ``buffer_norm`` are
+    positive by the rules of ``operators._as_integer`` and ``_as_positive``.
     Raises ``DynamicRangeError`` where an exponent or the envelope leaves the
     float range.
     """
+    radius = _as_integer("radius", radius)
     if radius < 1:
         raise ValueError(f"radius must be >= 1, got {radius}")
-    if beta <= 0:
-        raise ValueError(f"beta must be positive, got {beta}")
-    if buffer_norm < 0:
-        raise ValueError(f"buffer_norm must be non-negative, got {buffer_norm}")
+    beta = _as_positive("beta", beta)
+    if buffer_norm != 0 or isinstance(buffer_norm, bool):  # no buffer edges: 0
+        buffer_norm = _as_positive("buffer_norm", buffer_norm)
 
     def exp(x: float) -> float:
         if x > LOG_FLOAT_MAX:
@@ -303,10 +305,12 @@ def single_step_experiment(
     Hamiltonian.  Both a shared-normalization (literal, the surrogate over
     the model's Z) and a unit-trace variant are reported, since either
     reading of the normalizations is defensible; the normalized one is the
-    operationally meaningful density-to-density distance.
+    operationally meaningful density-to-density distance.  ``radius`` is an
+    integer by the rule of ``operators._as_integer``.
     """
     if degrees(model).get(leaf) != 1:
         raise ModelError(f"vertex {leaf} is not a leaf")
+    radius = _as_integer("radius", radius)
     if radius < 1:
         raise ModelError(f"radius must be >= 1, got {radius}")
     beta = model.beta
@@ -317,10 +321,8 @@ def single_step_experiment(
     away = edge_hamiltonian(model, parts.outer + parts.buffer, reduced_layout)
     # The inner terms touch exactly the radius ball, so exp(-beta H_inner) on
     # the full layout is the ball's exponential tensored with identity.
-    # near = Tr_leaf exp(-beta H_inner) is t times the unit-trace operator
-    # given here, so the floor scales by 1/t and the same eigenvalues fall below it.
     near, log_t = edge_gibbs_state(model, parts.inner, {leaf})
-    log_near = matrix_log_pd(near, floor=LOG_EIG_FLOOR * math.exp(-log_t))
+    log_near = matrix_log_pd(near)
     surrogate, log_s = gibbs_state(embed_sum([beta * away, -log_near]), 1.0)
 
     # The surrogate exp(-beta H_away + log near) has trace t * exp(log_s).

@@ -25,9 +25,11 @@ from .operators import (
     DenseOperator,
     DynamicRangeError,
     SiteMismatchError,
+    _as_integer,
     _as_positive,
     _dagger,
     _eigh,
+    assert_hermitian,
     embed_on_union,
     hermitize,
     matrix_exp_h,
@@ -128,10 +130,16 @@ def hastings_operator(
     resolution, since each factor's exponent is bounded by ||V|| / 2n.  The
     factors do not depend on the running product, so the steps are
     decomposed in stacks of at most ``STACK_ENTRIES`` matrix entries.
-    Raises DynamicRangeError where a float cannot hold the product.
+    H and V must be Hermitian (tested unless flagged), beta positive and
+    ``s_steps`` an integer by the rules of ``operators._as_positive`` and
+    ``_as_integer``.  Raises DynamicRangeError where a float cannot hold the
+    product.
     """
+    beta = _as_positive("beta", beta)
+    s_steps = _as_integer("s_steps", s_steps)
     if s_steps < 1:
         raise ValueError(f"s_steps must be >= 1, got {s_steps}")
+    assert_hermitian(*(x.mat for x in (h, v) if not x.hermitian))
     h, v = embed_on_union(h, v)
     _require_range(h, v, beta)
     result = np.eye(h.dim)
@@ -153,7 +161,9 @@ def conjugation_residual(
     """Relative trace-norm defect of the conjugation identity:
     ||O exp(-beta H) O† - exp(-beta (H+V))||_1 / ||exp(-beta (H+V))||_1,
     for O within the cap ``hastings_operator`` meets, ||O|| <= exp(beta ||V|| / 2).
-    Raises DynamicRangeError where a float cannot hold the exponentials."""
+    beta is positive by the rule of ``operators._as_positive``.  Raises
+    DynamicRangeError where a float cannot hold the exponentials."""
+    beta = _as_positive("beta", beta)
     h, v = embed_on_union(h, v)
     if o.layout != h.layout:
         raise SiteMismatchError("conjugation operator layout does not match H, V")

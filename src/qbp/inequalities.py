@@ -25,6 +25,7 @@ from .operators import (
     DenseOperator,
     DynamicRangeError,
     SiteLayout,
+    _as_integer,
     _dagger,
     _density,
     _eigh,
@@ -137,8 +138,8 @@ def _commutator_power(a, b, n: int):
 
 
 def check_commutator_power(a: DenseOperator, b: DenseOperator, n: int) -> CheckResult:
-    """||[A, B^n]|| <= n ||B||^(n-1) ||[A, B]|| for Hermitian A, B."""
-    return _check("commutator_power", _commutator_power, (a, b), n)
+    """||[A, B^n]|| <= n ||B||^(n-1) ||[A, B]|| for Hermitian A, B; n an integer."""
+    return _check("commutator_power", _commutator_power, (a, b), _as_integer("n", n))
 
 
 def _telescoping(u, v, o, k: int):
@@ -163,8 +164,8 @@ def check_telescoping(
     u: DenseOperator, v: DenseOperator, o: DenseOperator, k: int
 ) -> CheckResult:
     """Conjugation by V^k versus (UV)^k differs by at most the sum of the
-    single-slot swap errors, for unitary U, V and Hermitian O."""
-    return _check("telescoping", _telescoping, (u, v, o), k)
+    single-slot swap errors, for unitary U, V and Hermitian O; k an integer."""
+    return _check("telescoping", _telescoping, (u, v, o), _as_integer("k", k))
 
 
 def _exp_bound(a, b):

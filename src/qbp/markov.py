@@ -25,7 +25,7 @@ from .models import (
     gibbs_weights,
     thermal_state,
 )
-from .operators import DenseOperator, assert_density, partial_trace
+from .operators import DenseOperator, _as_integer, assert_density, partial_trace
 
 #: Tiny negative CMI values above this floor are reported as zero.
 CMI_CLAMP = -1e-8
@@ -142,8 +142,10 @@ def deficiency_rows(
     ``entropies`` memoizes the state's reduced entropies by traced-site set:
     pass one dict to every call on the same model, and each entropy is
     computed once.  The whole state's comes from its Gibbs weights, with no
-    eigensolve at the model's dimension.
+    eigensolve at the model's dimension.  ``radius`` is an integer by the rule
+    of ``operators._as_integer``.
     """
+    radius = _as_integer("radius", radius)
     entropies = {} if entropies is None else entropies
     if frozenset() not in entropies:
         entropies[frozenset()] = _entropy(gibbs_weights(model))

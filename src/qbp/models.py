@@ -31,7 +31,7 @@ from .operators import (
     _gibbs,
     _gibbs_weights,
     _log_partition,
-    _norm2,
+    _op_norm,
     _require_known,
     _spectrum,
     assert_hermitian,
@@ -258,6 +258,9 @@ class RegionPartition:
 def region_partition(
     model: GraphModel, anchor: Iterable[int], radius: int
 ) -> RegionPartition:
+    """The model's edges split around ``anchor``; ``radius`` is an integer by
+    the rule of ``operators._as_integer``."""
+    radius = _as_integer("radius", radius)
     if radius < 0:
         raise ModelError(f"radius must be non-negative, got {radius}")
     anchor = frozenset(anchor)
@@ -389,7 +392,8 @@ def heisenberg(J: float = 1.0) -> TermFactory:
 
 
 def random_two_local(seed: int = 0, scale: float = 1.0) -> TermFactory:
-    """Seeded random Hermitian term, normalized to operator norm ``scale``.
+    """Seeded random Hermitian term, normalized to operator norm ``scale``
+    (its largest |eigenvalue|).
 
     Each edge draws from an independent stream keyed by (seed, u, v), so
     the model is reproducible and insensitive to edge construction order.
@@ -401,7 +405,7 @@ def random_two_local(seed: int = 0, scale: float = 1.0) -> TermFactory:
         d = ctx.dim_u * ctx.dim_v
         g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
         h = hermitize(g)
-        return scale * h / _norm2(h)
+        return scale * h / _op_norm(h, True)
 
     return make
 

@@ -19,7 +19,8 @@ reduced Gibbs state of any other spectrum is formed from the eigenvectors
 without the whole state (`_gibbs`).
 Arrays the package builds or has tested Hermitian are wrapped with no copy and
 no re-check; a sum is flagged Hermitian when every operand is.  No other module
-calls numpy.linalg's decompositions or norms, ``np.einsum`` or ``as_strided``.
+calls numpy.linalg's decompositions, ``np.einsum`` or ``as_strided``, and no
+module calls its norm: a Hermitian matrix's norms come from its eigenvalues.
 A Frobenius-norm test past the float range is judged on the matrices scaled
 by a power of two (``_within``).  Complex eigendecompositions from d = 64 call
 LAPACK zheevd's stages in numpy's own OpenBLAS (``_zheevd``): zhetrd reduces
@@ -298,8 +299,10 @@ def _within(defect: np.ndarray, ref: np.ndarray, rtol2: float) -> np.ndarray:
 
 
 def _hermitian(mat: np.ndarray) -> np.ndarray:
-    """Per matrix: ||M - M†||_F <= HERMITIAN_RTOL ||M||_F."""
-    return _within(mat - _dagger(mat), mat, HERMITIAN_RTOL**2)
+    """Per matrix: ||M - M†||_F <= HERMITIAN_RTOL ||M||_F.  A defect past the
+    float range is infinite and fails the test."""
+    with np.errstate(over="ignore"):
+        return _within(mat - _dagger(mat), mat, HERMITIAN_RTOL**2)
 
 
 def _reversal_blocks(mat: np.ndarray) -> np.ndarray | None:
@@ -690,27 +693,27 @@ def _exponents(w: np.ndarray, beta: float, lowest: float) -> np.ndarray:
     return -beta * (w - lowest)
 
 
-def _log_pd(mat: np.ndarray, floor: float = LOG_EIG_FLOOR, known: bool = False) -> tuple[np.ndarray, np.ndarray]:
+def _log_pd(mat: np.ndarray, known: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """log(M) and the ascending eigenvalues of M; ``SingularOperatorError`` when
-    the smallest is at or below ``floor``."""
+    the smallest is at or below ``LOG_EIG_FLOOR``."""
     def log(w):
         lowest = w.min()
-        if lowest <= floor:
+        if lowest <= LOG_EIG_FLOOR:
             raise SingularOperatorError(
-                f"eigenvalue {lowest} at or below floor {floor}", eigenvalue=float(lowest)
+                f"eigenvalue {lowest} at or below floor {LOG_EIG_FLOOR}", eigenvalue=float(lowest)
             )
         return np.log(w)
     return _apply(_spectrum(mat, known), log)
 
 
-def matrix_log_pd(op: DenseOperator, floor: float = LOG_EIG_FLOOR) -> DenseOperator:
+def matrix_log_pd(op: DenseOperator) -> DenseOperator:
     """Matrix logarithm of a Hermitian positive definite operator.
 
     Raises :class:`SingularOperatorError` if any eigenvalue is at or below
-    ``floor``; clamping here would silently corrupt every downstream
+    ``LOG_EIG_FLOOR``; clamping here would silently corrupt every downstream
     effective-Hamiltonian combination, so failing loudly is deliberate.
     """
-    return DenseOperator(op.layout, _log_pd(op.mat, floor, op.hermitian)[0], True)
+    return DenseOperator(op.layout, _log_pd(op.mat, op.hermitian)[0], True)
 
 
 def _singular_values(mat: np.ndarray, known: bool = False) -> np.ndarray:
@@ -721,15 +724,13 @@ def _singular_values(mat: np.ndarray, known: bool = False) -> np.ndarray:
     return np.linalg.svd(mat, compute_uv=False)
 
 
-def _norm2(mat: np.ndarray) -> np.ndarray:
-    """Spectral norm of each matrix by SVD, even if Hermitian, unlike ``_op_norm``.
-    Only the ``random2`` normalisation uses it, so that its bytes do not move:
-    eigenvalues changed the last bit of 28 of 36 ``random2`` edge terms."""
-    return np.linalg.norm(mat, 2, axis=(-2, -1))
-
-
 def _trace_norm(mat: np.ndarray, known: bool = False) -> np.ndarray:
-    return _singular_values(mat, known).sum(axis=-1)
+    """Sum of each matrix's singular values; ``DynamicRangeError`` where a sum is past the float range."""
+    with np.errstate(over="ignore"):
+        total = _singular_values(mat, known).sum(axis=-1)
+    if np.isinf(total).any():
+        raise DynamicRangeError("the trace norm is past the float range")
+    return total
 
 
 def _op_norm(mat: np.ndarray, known: bool = False) -> np.ndarray:

@@ -32,6 +32,7 @@ from .models import (
 from .operators import (
     DenseOperator,
     SiteMismatchError,
+    _as_integer,
     embed_sum,
     gibbs_state,
     matrix_exp_h,
@@ -135,8 +136,10 @@ def run_sliding_window(model: GraphModel, target: int, window: int) -> DenseOper
     the next edge term, exp(-beta h_j + log window) / Z, keeping at most
     ``window + 1`` sites alive.  ``window = n_sites - 1`` spans the whole
     chain, so it is the exact reduced state of the model's own thermal state,
-    reduced to the target without forming the whole.
+    reduced to the target without forming the whole.  ``window`` is an integer
+    by the rule of ``operators._as_integer``.
     """
+    window = _as_integer("window", window)
     order = chain_order(model, target)
     n = len(order)
     if not 1 <= window <= n - 1:
@@ -162,9 +165,12 @@ class WindowSweep:
 def window_error_sweep(
     model: GraphModel, target: int, windows: Iterable[int]
 ) -> WindowSweep:
+    """The sliding-window error at each window, an integer by the rule of
+    ``operators._as_integer``, in ascending order, and its fitted slope."""
+    windows = sorted({_as_integer("window", w) for w in windows})
     oracle = exact_reduced_density(model, {target})
     entries = []
-    for w in sorted(set(windows)):
+    for w in windows:
         belief = run_sliding_window(model, target, w)
         entries.append((w, trace_norm(belief - oracle)))
     _, fit = log_linear_fit(entries, ERROR_FLOOR)

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from qbp import cli, operators
-from qbp.operators import PAULI_Z
+from qbp.operators import PAULI_X, PAULI_Z
 
 
 def write_config(tmp_path, **overrides):
@@ -288,6 +288,47 @@ def bad_value_id(command, field, value):
     else:
         kind = "fraction" if any(v % 1 for v in values) else "above_range"
     return f"{command}-{field}-{kind}"
+
+
+def shifted_tfim_file(tmp_path, c: float) -> Path:
+    """A 6-site TFIM chain model file whose edge terms carry c I."""
+    eye = np.eye(2)
+    term = -np.kron(PAULI_Z, PAULI_Z) - 0.5 * (np.kron(PAULI_X, eye) + np.kron(eye, PAULI_X)) + c * np.eye(4)
+    matrix = [[[x, 0.0] for x in row] for row in term.tolist()]
+    path = tmp_path / f"tfim-shift-{c:g}.json"
+    path.write_text(json.dumps({
+        "vertices": [{"id": k, "dim": 2} for k in range(1, 7)],
+        "edges": [{"u": k, "v": k + 1, "term": {"matrix": matrix}} for k in range(1, 6)],
+        "beta": 1.0,
+    }))
+    return path
+
+
+class TestEnergyZero:
+    """A constant added to every edge term gives the same thermal states.  The
+    +30 I file once exited 5 ("eigenvalue 0.0017 at or below floor 9722744"),
+    and +1000 I exited 1 on a bare OverflowError."""
+
+    def test_shift_keeps_every_measured_error(self, tmp_path):
+        tables = {}
+        for c in (0.0, 30.0):
+            cfg = write_config(tmp_path, model={"path": str(shifted_tfim_file(tmp_path, c))}, ell_values=[1, 2, 3, 4])
+            assert run("window-sweep", cfg, tmp_path / f"out{c:g}") == 0
+            sweep = (tmp_path / f"out{c:g}" / "window_sweep.csv").read_text().splitlines()[1:]
+            step = (tmp_path / f"out{c:g}" / "single_step.csv").read_text().splitlines()[1:]
+            tables[c] = [
+                [float(row.split(",")[4]) for row in sweep],
+                [float(x) for row in step for x in row.split(",")[3:5]],
+            ]
+        for got, want in zip(tables[30.0], tables[0.0]):
+            assert len(got) == len(want) >= 4
+            assert max(abs(a - b) for a, b in zip(got, want)) <= 1e-12
+
+    def test_large_shift_is_a_numerical_limit(self, tmp_path, capsys):
+        # buffer_norm carries the constant, so the predicted envelope leaves the float range.
+        cfg = write_config(tmp_path, model={"path": str(shifted_tfim_file(tmp_path, 1000.0))}, ell_values=[1, 2])
+        assert run("window-sweep", cfg, tmp_path / "out") == 5
+        assert capsys.readouterr().err.startswith("numerical limit: ")
 
 
 class TestExitCodes:

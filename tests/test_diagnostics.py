@@ -14,6 +14,7 @@ from qbp import (
     OperatorError,
     SiteLayout,
     build_chain,
+    build_tree,
     classical_ising,
     cumulants,
     circle_product,
@@ -32,6 +33,7 @@ from qbp import (
     thermal_state,
     trace_norm,
     transverse_ising,
+    window_error_sweep,
 )
 from qbp.diagnostics import CumulantEntry, CumulantSeries
 from qbp.models import log_partition_function
@@ -387,3 +389,36 @@ class TestSingleStepExperiment:
             single_step_experiment(m, 2, 1)
         with pytest.raises(ModelError):
             single_step_experiment(m, 1, 0)
+
+
+def _shifted(model, c):
+    """``model`` with c I added to every edge term: the same thermal states."""
+    dims = dict(zip(model.layout.sites, model.layout.dims))
+    specs = [(e.u, e.v, e.term.mat + c * np.eye(e.term.dim)) for e in model.edges]
+    return build_tree(dims, specs, model.beta)
+
+
+class TestEnergyZero:
+    """exp(-beta H) / Z does not depend on the zero of energy, and neither may
+    any measured error.  The log of the ball's state once had a floor scaled by
+    its partition function, so c = 50 raised SingularOperatorError (floor 8.8e9)
+    and c = 1000 a bare OverflowError."""
+
+    @pytest.fixture(scope="class", params=["tfim", "random2"])
+    def unshifted(self, request):
+        factory = {"tfim": transverse_ising(), "random2": random_two_local()}[request.param]
+        m = build_chain(6, 2, factory, beta=1.0)
+        steps = [single_step_experiment(m, 1, r) for r in range(1, 6)]
+        return m, steps, window_error_sweep(m, 6, range(1, 6)).entries
+
+    @pytest.mark.parametrize("c", [-1000.0, 50.0, 400.0, 1000.0])
+    def test_constant_shift_moves_no_error(self, unshifted, c):
+        m, steps, sweep = unshifted
+        shifted = _shifted(m, c)
+        for r, want in zip(range(1, 6), steps):
+            got = single_step_experiment(shifted, 1, r)
+            assert abs(got.lhs_literal - want.lhs_literal) <= 1e-12
+            assert abs(got.lhs_normalized - want.lhs_normalized) <= 1e-12
+        got_sweep = window_error_sweep(shifted, 6, range(1, 6)).entries
+        assert [w for w, _ in got_sweep] == [w for w, _ in sweep]
+        assert all(abs(a - b) <= 1e-12 for (_, a), (_, b) in zip(got_sweep, sweep))

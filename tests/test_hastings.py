@@ -8,6 +8,7 @@ from qbp import hastings, operators
 from qbp import (
     DenseOperator,
     DynamicRangeError,
+    NonHermitianError,
     SiteLayout,
     build_chain,
     conjugation_residual,
@@ -290,6 +291,33 @@ class TestConjugationResidual:
         h = random_hermitian(rng, Q12)
         v = random_hermitian(rng, Q12)
         assert conjugation_residual(h, v, 1.0, DenseOperator.identity(Q12)) > 0
+
+
+Q1 = SiteLayout((1,), (2,))
+
+
+class TestHermitianInputs:
+    """H and V are tested for Hermiticity at the door unless flagged; the
+    Hermitian part of an unflagged [[0, 1], [0, 0]] once gave an O of norm 1.23."""
+
+    @pytest.mark.parametrize("which", ["h", "v"])
+    def test_unflagged_non_hermitian_input_refused(self, which):
+        ops = {"h": random_hermitian(1, Q1), "v": random_hermitian(2, Q1)}
+        ops[which] = DenseOperator(Q1, np.array([[0.0, 1.0], [0.0, 0.0]]))
+        with pytest.raises(NonHermitianError):
+            hastings_operator(ops["h"], ops["v"], 1.0)
+        with pytest.raises(NonHermitianError):
+            conjugation_residual(ops["h"], ops["v"], 1.0, DenseOperator.identity(Q1))
+
+    def test_flagged_inputs_skip_the_test(self, monkeypatch):
+        tested = []
+        monkeypatch.setattr(hastings, "assert_hermitian", lambda *mats: tested.extend(mats))
+        h, v = random_hermitian(1, Q12), random_hermitian(2, Q12)
+        flagged = hastings_operator(h, v, 1.0, 8)
+        assert tested == []
+        copied = hastings_operator(DenseOperator(Q12, h.mat), v, 1.0, 8)
+        assert len(tested) == 1 and np.array_equal(tested[0], h.mat)
+        assert np.array_equal(copied.mat, flagged.mat)
 
 
 class TestFloatRange:

@@ -1,0 +1,110 @@
+"""Every exported integer or positive argument follows the input rules of
+``operators`` (``_as_integer``, ``_as_positive``): a non-integer, a bool or a
+non-finite value raises ``OperatorError``, while an integral float is taken as
+its integer.  Range violations keep each door's own error type."""
+
+import math
+
+import numpy as np
+import pytest
+
+from qbp import (
+    BoundConstants,
+    DenseOperator,
+    ModelError,
+    OperatorError,
+    SiteLayout,
+    build_chain,
+    check_commutator_power,
+    check_telescoping,
+    conjugation_residual,
+    deficiency_rows,
+    hastings_operator,
+    random_hermitian,
+    region_partition,
+    run_sliding_window,
+    single_step_bound,
+    single_step_experiment,
+    transverse_ising,
+    window_error_sweep,
+)
+
+Q12 = SiteLayout((1, 2), (2, 2))
+ONES = BoundConstants(1.0, 1.0, 1.0, 1.0, 1.0, 1.0)
+CHAIN = build_chain(4, 2, transverse_ising(), beta=1.0)
+H, V = random_hermitian(1, Q12), random_hermitian(2, Q12)
+IDENTITY = DenseOperator.identity(Q12)
+
+#: Each door called with one integer argument x.
+INTEGER_DOORS = {
+    "single_step_experiment": lambda x: single_step_experiment(CHAIN, 1, x),
+    "region_partition": lambda x: region_partition(CHAIN, {1}, x),
+    "run_sliding_window": lambda x: run_sliding_window(CHAIN, 4, x),
+    "window_error_sweep": lambda x: window_error_sweep(CHAIN, 4, [x]),
+    "deficiency_rows": lambda x: deficiency_rows(CHAIN, x),
+    "hastings_operator": lambda x: hastings_operator(H, V, 1.0, x),
+    "check_commutator_power": lambda x: check_commutator_power(H, V, x),
+    "check_telescoping": lambda x: check_telescoping(IDENTITY, IDENTITY, H, x),
+    "single_step_bound": lambda x: single_step_bound(ONES, 1.0, 1.0, x),
+}
+
+#: Each door called with one positive argument x.
+POSITIVE_DOORS = {
+    "single_step_bound.beta": lambda x: single_step_bound(ONES, x, 1.0, 1),
+    "single_step_bound.buffer_norm": lambda x: single_step_bound(ONES, 1.0, x, 1),
+    "hastings_operator.beta": lambda x: hastings_operator(H, V, x, 2),
+    "conjugation_residual.beta": lambda x: conjugation_residual(H, V, x, IDENTITY),
+}
+
+
+@pytest.mark.parametrize("door", sorted(INTEGER_DOORS))
+@pytest.mark.parametrize("bad", [2.5, True, math.nan, math.inf, "2"], ids=["fraction", "bool", "nan", "inf", "string"])
+def test_integer_door_refuses(door, bad):
+    # 2.5 once acted as 2 or raised a bare TypeError; True acted as 1; NaN gave an empty ball.
+    with pytest.raises(OperatorError, match="must be an integer"):
+        INTEGER_DOORS[door](bad)
+
+
+@pytest.mark.parametrize("door", sorted(INTEGER_DOORS))
+def test_integer_door_takes_integral_numbers(door):
+    want = repr(INTEGER_DOORS[door](2))
+    assert repr(INTEGER_DOORS[door](2.0)) == want
+    assert repr(INTEGER_DOORS[door](np.int64(2))) == want
+
+
+def test_integral_window_is_one_integer_window():
+    windows = [w for w, _ in window_error_sweep(CHAIN, 4, [2.0, 2]).entries]
+    assert windows == [2] and type(windows[0]) is int
+
+
+@pytest.mark.parametrize("door", sorted(POSITIVE_DOORS))
+@pytest.mark.parametrize("bad", [True, math.nan, math.inf, -1.0, "1"], ids=["bool", "nan", "inf", "negative", "string"])
+def test_positive_door_refuses(door, bad):
+    # beta True was taken as 1; a NaN beta or buffer norm was reported as leaving the float range.
+    with pytest.raises(OperatorError, match="must be a finite positive number"):
+        POSITIVE_DOORS[door](bad)
+
+
+@pytest.mark.parametrize("door", sorted(POSITIVE_DOORS))
+def test_positive_door_takes_positive_numbers(door):
+    assert repr(POSITIVE_DOORS[door](2.5)) == repr(POSITIVE_DOORS[door](np.float64(2.5)))
+
+
+def test_range_violations_keep_their_error_types():
+    with pytest.raises(ModelError):
+        single_step_experiment(CHAIN, 1, 0)
+    with pytest.raises(ModelError):
+        region_partition(CHAIN, {1}, -1)
+    with pytest.raises(ModelError):
+        run_sliding_window(CHAIN, 4, 4)
+    with pytest.raises(ModelError):
+        deficiency_rows(CHAIN, 0)
+    with pytest.raises(ValueError, match="s_steps must be >= 1"):
+        hastings_operator(H, V, 1.0, 0)
+    with pytest.raises(ValueError, match="power must be >= 1"):
+        check_commutator_power(H, V, 0)
+    with pytest.raises(ValueError, match="k must be >= 1"):
+        check_telescoping(IDENTITY, IDENTITY, H, 0)
+    with pytest.raises(ValueError, match="radius must be >= 1"):
+        single_step_bound(ONES, 1.0, 1.0, 0)
+    assert math.isfinite(single_step_bound(ONES, 1.0, 0.0, 1).total)  # no buffer edges

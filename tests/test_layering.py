@@ -1,8 +1,9 @@
 """Module layering: no ``qbp`` module imports a private (underscore) name from
 a sibling module, except from ``operators``, the algebra every layer builds
 on.  A private helper that a second module needs belongs in ``operators`` or
-in the public API.  Every decomposition and norm goes through ``operators``
-too: no other module calls ``numpy.linalg``'s.  So does every map between
+in the public API.  Every decomposition goes through ``operators`` too: no
+other module calls ``numpy.linalg``'s, and no module calls its norm, since a
+Hermitian norm comes from eigenvalues.  So does every map between
 sites and tensor axes: no other module calls ``np.einsum`` or ``as_strided``.
 And ``operators`` holds the one lookup of numpy's BLAS library: no other
 module imports ``ctypes``."""
@@ -107,7 +108,12 @@ def test_only_operators_decomposes(path):
 
 def test_operators_is_the_gateway():
     found = linalg_calls((SRC / "operators.py").read_text(encoding="utf-8"))
-    assert {"linalg.eigh", "linalg.eigvalsh", "linalg.svd", "linalg.norm"} <= set(found)
+    assert {"linalg.eigh", "linalg.eigvalsh", "linalg.svd"} <= set(found)
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_module_takes_numpy_norms(path):
+    assert "linalg.norm" not in linalg_calls(path.read_text(encoding="utf-8"))
 
 
 #: numpy routines that address a tensor's axes by site: the site map stays in ``operators``.

@@ -35,6 +35,7 @@ from qbp import (
 )
 from qbp import operators
 from qbp.operators import (
+    LOG_EIG_FLOOR,
     _density,
     _exp_h,
     _apply,
@@ -524,8 +525,10 @@ class TestExpLog:
         assert op_norm(back - op) <= 1e-8 * op_norm(op)
 
     def test_density_round_trip_with_floor(self):
+        """A density's log round-trips at the one floor every log applies."""
         rho = random_density(7, Q12)
-        back = matrix_exp_h(matrix_log_pd(rho, floor=1e-6))
+        assert assert_density(rho)[0] > LOG_EIG_FLOOR
+        back = matrix_exp_h(matrix_log_pd(rho))
         assert op_norm(back - rho) <= 1e-8 * op_norm(rho)
 
     def test_singularity_carries_eigenvalue(self):
@@ -562,6 +565,22 @@ class TestNorms:
         for _ in range(1000):
             op = random_hermitian(rng, Q12)
             assert trace_norm(partial_trace(op, {2})) <= trace_norm(op) + 1e-9
+
+
+    def test_infinite_hermiticity_defect_fails_without_a_warning(self):
+        # M - M† overflowed: RuntimeWarning "overflow encountered in subtract".
+        mat = np.array([[0.0, 1e308], [-1e308, 0.0]])
+        assert not operators._hermitian(mat).any()
+        assert operators._hermitian(np.array([[0.0, 1e308], [1e308, 0.0]])).all()
+
+    @pytest.mark.parametrize("mat", [[[0.0, 1e308], [-1e308, 0.0]], [[1e308, 0.0], [0.0, -1e308]]],
+                             ids=["non_hermitian", "hermitian"])
+    def test_trace_norm_past_the_float_range(self, mat):
+        # The singular values' sum overflowed: "overflow encountered in reduce".
+        op = DenseOperator(Q1, mat)
+        with pytest.raises(DynamicRangeError, match="past the float range"):
+            trace_norm(op)
+        assert op_norm(op) == 1e308
 
 
 class TestRandomGenerators:
@@ -783,6 +802,7 @@ class TestReversalBlocks:
     def test_full_path_kept(self, solved_shapes, name):
         """Off the block path, exp is the plain eigendecomposition's, bit for bit."""
         mat = _full_path_inputs()[name]
+        solved_shapes.clear()  # random2's edge normalisations solve 4 x 4 terms
         assert operators._reversal_blocks(mat) is None
         got, got_w = _exp_h(mat)
         _trace_norm(mat)
