@@ -26,6 +26,7 @@ import hashlib
 import json
 import math
 import os
+import resource
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -204,6 +205,13 @@ def _blas_info() -> dict:
     }
 
 
+def _peak_rss_mb() -> float:
+    """The larger peak resident set of this process and of its reaped children
+    (the pool workers), in MiB; ``ru_maxrss`` counts KiB on Linux, bytes on macOS."""
+    peak = max(resource.getrusage(who).ru_maxrss for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN))
+    return peak / (2.0**20 if sys.platform == "darwin" else 2.0**10)
+
+
 def write_manifest(out_dir: Path, command: str, cfg_raw: dict, cfg: ExperimentConfig, outputs: list[str],
                    jobs: int, t0: float) -> None:
     manifest = {
@@ -220,6 +228,7 @@ def write_manifest(out_dir: Path, command: str, cfg_raw: dict, cfg: ExperimentCo
         "blas": _blas_info(),
         "jobs": jobs,
         "wall_time_s": time.time() - t0,
+        "peak_rss_mb": _peak_rss_mb(),
         "outputs": outputs,
     }
     (out_dir / "run_manifest.json").write_text(

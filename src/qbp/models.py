@@ -189,12 +189,13 @@ class GraphModel:
     def _edge_spectrum(self, edges: Sequence[EdgeTerm], layout: SiteLayout) -> tuple:
         """The spectrum of the edges' sum, in the given order, on ``layout``:
         the store's, else decomposed and stored there.  The sum is built in a
-        buffer nothing else holds, which the eigensolve may overwrite."""
+        buffer nothing else holds, not even a name here: the eigensolve may
+        overwrite it, and a blocked solve frees it first."""
         spectra = self.spectra if self.spectra is not None else {}
         key = tuple(e.key for e in edges)
         if key not in spectra:
-            h = _embed_sum(tuple(e.term for e in edges), layout)
-            spectra[key] = _spectrum(h, known=True, overwrite=True)
+            terms = tuple(e.term for e in edges)
+            spectra[key] = _spectrum(_embed_sum(terms, layout), known=True, overwrite=True)
         return spectra[key]
 
 

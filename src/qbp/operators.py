@@ -15,6 +15,8 @@ The private matrix functions also take stacks, shape (..., d, d), and give
 each matrix the LAPACK/BLAS call it gets alone, so results are bit-equal; only
 a lone reversal-symmetric matrix is solved as two blocks (`_reversal_blocks`),
 and its exp, log or Gibbs state is assembled from the blocks' functions.  A
+matrix function holds its result and one scaled copy of the eigenvectors
+(``_apply``), and a model Hamiltonian solved as blocks is freed first.  A
 reduced Gibbs state of any other spectrum is formed from the eigenvectors
 without the whole state (`_gibbs`).
 Arrays the package builds or has tested Hermitian are wrapped with no copy and
@@ -65,6 +67,12 @@ LOG_FLOAT_MAX = float(np.log(sys.float_info.max))
 #: 337 µs), the two are within 3 % at d = 64 and 72, and ``_zheevd`` wins from
 #: d = 80 (921 against 962 µs) to d = 1024 (0.58 against 1.24 s).
 ZHEEVD_MIN_DIM = 64
+
+#: Eigenvectors per product in ``_gibbs``'s reduction: temporaries of d × 256
+#: entries, with an inner dimension long enough for BLAS's full speed.  Also
+#: the rows per block of ``_within``'s differences and the side of
+#: ``_symmetrize``'s tiles.
+GIBBS_BLOCK = 256
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]])
 PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=np.complex128)
@@ -286,48 +294,55 @@ def _squared_norm(x: np.ndarray) -> np.ndarray:
     return (v @ v.swapaxes(-1, -2))[..., 0, 0]
 
 
-def _within(defect: np.ndarray, ref: np.ndarray, rtol2: float) -> np.ndarray:
-    """Per matrix: ||defect||_F² <= rtol2 ||ref||_F².  Where ||ref||_F² is past
-    the float range, both sides are taken of the matrices scaled by the power
-    of two that brings ref's largest entry below 1, which is exact."""
+def _within(a: np.ndarray, b: np.ndarray, ref: np.ndarray, rtol2: float) -> np.ndarray:
+    """Per matrix: ||A - B||_F² <= rtol2 ||ref||_F², the difference formed
+    ``GIBBS_BLOCK`` rows at a time.  Where ||ref||_F² is past the float range,
+    both sides are taken of the matrices scaled by the power of two that brings
+    ref's largest entry below 1, which is exact.  A difference past the float
+    range is infinite and fails the test."""
     with np.errstate(over="ignore"):
-        small, large = _squared_norm(defect), _squared_norm(ref)
-    if np.isinf(large).any():
-        scale = 2.0 ** -np.frexp(np.abs(ref).max(axis=(-2, -1)))[1][..., None, None]
-        small, large = _squared_norm(defect * scale), _squared_norm(ref * scale)
+        large, scale = _squared_norm(ref), None
+        if np.isinf(large).any():
+            scale = 2.0 ** -np.frexp(np.abs(ref).max(axis=(-2, -1)))[1][..., None, None]
+            large = _squared_norm(ref * scale)
+        small = 0.0
+        for r in range(0, a.shape[-2], GIBBS_BLOCK):
+            part = a[..., r : r + GIBBS_BLOCK, :] - b[..., r : r + GIBBS_BLOCK, :]
+            small = small + _squared_norm(part if scale is None else part * scale)
     return small <= rtol2 * large
 
 
 def _hermitian(mat: np.ndarray) -> np.ndarray:
-    """Per matrix: ||M - M†||_F <= HERMITIAN_RTOL ||M||_F.  A defect past the
-    float range is infinite and fails the test."""
-    with np.errstate(over="ignore"):
-        return _within(mat - _dagger(mat), mat, HERMITIAN_RTOL**2)
+    """Per matrix: ||M - M†||_F <= HERMITIAN_RTOL ||M||_F."""
+    return _within(mat, _dagger(mat), mat, HERMITIAN_RTOL**2)
 
 
 def _reversal_blocks(mat: np.ndarray) -> np.ndarray | None:
-    """The blocks M[s, t] ± M[s, d-1-t], s, t < d/2, stacked, when ``mat`` is
-    one even-dimension Hermitian matrix equal to its index reversal J M J
-    within ``HERMITIAN_RTOL`` (a global spin flip reverses the computational
-    basis); else None.  In the basis (e_s ± e_{d-1-s})/√2, M is their direct sum.
+    """The blocks M[s, t] ± M[s, d-1-t], s, t < d/2, in one (2, d/2, d/2) array,
+    when ``mat`` is one even-dimension Hermitian matrix equal to its index
+    reversal J M J within ``HERMITIAN_RTOL`` (a global spin flip reverses the
+    computational basis); else None.  In the basis (e_s ± e_{d-1-s})/√2, M is
+    their direct sum.
 
     The diagonal must first meet the rule on its own, which turns most other
     input away after O(d) work; a matrix that passes only as a whole takes the
     full path, which is correct for it too.  M - J M J is minus its own
-    reversal, so its top half carries half its squared norm.  A defect past
-    the float range is infinite and fails the test.
+    reversal, so its top half carries half its squared norm; ``_within`` forms
+    it by row blocks.
     """
     d = mat.shape[-1]
     if mat.ndim != 2 or d % 2:
         return None
     h, diag = d // 2, mat.diagonal().real[None]  # real: M is Hermitian
-    with np.errstate(over="ignore"):
-        if not _within(diag - diag[:, ::-1], diag, HERMITIAN_RTOL**2):
-            return None
-        if not _within(mat[:h] - mat[:h - 1 : -1, ::-1], mat, HERMITIAN_RTOL**2 / 2.0):
-            return None
+    if not _within(diag, diag[:, ::-1], diag, HERMITIAN_RTOL**2):
+        return None
+    if not _within(mat[:h], mat[:h - 1 : -1, ::-1], mat, HERMITIAN_RTOL**2 / 2.0):
+        return None
+    blocks = np.empty((2, h, h), dtype=mat.dtype)
     ends = mat[:h, :h - 1 : -1]
-    return np.stack((mat[:h, :h] + ends, mat[:h, :h] - ends))
+    np.add(mat[:h, :h], ends, out=blocks[0])
+    np.subtract(mat[:h, :h], ends, out=blocks[1])
+    return blocks
 
 
 def assert_hermitian(*mats: np.ndarray):
@@ -444,12 +459,16 @@ def _partial_trace(
 def _spectrum(mat: np.ndarray, known: bool = False, overwrite: bool = False) -> tuple[np.ndarray, np.ndarray, bool]:
     """(w, V, blocked): eigh of a Hermitian matrix or stack M (tested unless
     ``known``), or of the blocks B± ``_reversal_blocks`` splits it into.
-    ``overwrite``: a lone M is the caller's own buffer, which ``_eigh`` may destroy."""
+    ``overwrite``: a lone M is the caller's own buffer, which ``_eigh`` may
+    destroy; a caller that passes it holding no other reference has it freed
+    before the blocks' solve."""
     if not known:
         assert_hermitian(mat)
     blocks = _reversal_blocks(mat)
-    w, v = _eigh(mat, overwrite) if blocks is None else _eigh(blocks)
-    return w, v, blocks is not None
+    if blocks is None:
+        return (*_eigh(mat, overwrite), False)
+    del mat  # the blocks are copies: H need not outlive their solve
+    return (*_eigh(blocks), True)
 
 
 def _eigh(mat: np.ndarray, overwrite: bool = False) -> tuple[np.ndarray, np.ndarray]:
@@ -589,15 +608,50 @@ def _zheevd(mat: np.ndarray, overwrite: bool = False) -> tuple[np.ndarray, np.nd
 def _apply(spectrum: tuple, f) -> tuple[np.ndarray, np.ndarray]:
     """f(M) and the ascending eigenvalues of M from ``_spectrum(M)``; ``f`` maps
     eigenvalues to weights, shape for shape.  For blocks, f(M) = [[A, C J], [J C, J A J]],
-    A, C = (f(B+) ± f(B-))/2, which equals f(M)† and J f(M) J exactly."""
+    A, C = (f(B+) ± f(B-))/2, which equals f(M)† and J f(M) J exactly.
+
+    f(M) is ``hermitize``((V f(w)) V†), formed with one scaled copy of V beside
+    the result: X = conj(V f(w)) in place, then conj(X Vᵀ) in place, which
+    is (V f(w)) V† exactly, since rounding is symmetric under conjugation; the
+    result is symmetrized in place (``_symmetrize``)."""
     w, v, blocked = spectrum
-    out = (v * f(w)[..., None, :]) @ _dagger(v)
-    del v, spectrum  # unless kept by the caller, d² fewer bytes live in hermitize
-    out = hermitize(out)
+    x = v * f(w)[..., None, :]
+    if np.iscomplexobj(x):
+        np.conjugate(x, out=x)
+    out = x @ v.swapaxes(-1, -2)
+    del x, v, spectrum  # unless kept by the caller, only the result stays live
+    if np.iscomplexobj(out):
+        np.conjugate(out, out=out)
+    _symmetrize(out)
     if not blocked:
         return out, w
-    a, c = (out[0] + out[1]) / 2.0, (out[0] - out[1]) / 2.0
-    return np.block([[a, c[:, ::-1]], [c[::-1], a[::-1, ::-1]]]), np.sort(w, axis=None)
+    h = out.shape[-1]
+    whole = np.empty((2 * h, 2 * h), dtype=out.dtype)  # A and C written straight into their quadrants
+    a, c = whole[:h, :h], whole[h:, :h][::-1]
+    np.add(out[0], out[1], out=a)
+    a /= 2.0
+    np.subtract(out[0], out[1], out=c)
+    c /= 2.0
+    whole[h:, h:], whole[:h, h:] = a[::-1, ::-1], c[:, ::-1]
+    return whole, np.sort(w, axis=None)
+
+
+def _symmetrize(mat: np.ndarray) -> None:
+    """``hermitize`` a matrix or stack in place, one pair of mirrored
+    ``GIBBS_BLOCK``-square tiles at a time: each entry is formed from the
+    same two entries, in the same operations, so the result is bit-equal."""
+    d = mat.shape[-1]
+    for r in range(0, d, GIBBS_BLOCK):
+        for c in range(r, d, GIBBS_BLOCK):
+            rows, cols = slice(r, r + GIBBS_BLOCK), slice(c, c + GIBBS_BLOCK)
+            tile, mirror = mat[..., rows, cols], mat[..., cols, rows]
+            upper = np.conjugate(mirror).swapaxes(-1, -2)  # a copy, for real input too
+            upper += tile
+            if c != r:
+                lower = np.conjugate(tile).swapaxes(-1, -2)
+                lower += mirror
+                np.divide(lower, 2.0, out=mirror)
+            np.divide(upper, 2.0, out=tile)
 
 
 def _eigvalsh(mat: np.ndarray) -> np.ndarray:
@@ -610,8 +664,8 @@ def _eigvalsh(mat: np.ndarray) -> np.ndarray:
 
 def _exp_checked(w: np.ndarray) -> np.ndarray:
     """exp of eigenvalues w; ``DynamicRangeError`` when the largest passes
-    ``LOG_FLOAT_MAX`` - ln 2, since ``hermitize`` and the block assembly each
-    sum two entries as large as exp(w.max())."""
+    ``LOG_FLOAT_MAX`` - ln 2, since ``_symmetrize`` and the block assembly
+    each sum two entries as large as exp(w.max())."""
     top, bound = w.max(), LOG_FLOAT_MAX - np.log(2.0)
     if top > bound:
         raise DynamicRangeError(f"eigenvalue {top} past {bound:.4f}: exp would leave the float range")
@@ -632,11 +686,6 @@ def gibbs_state(ham: DenseOperator, beta: float) -> tuple[DenseOperator, float]:
     """exp(-beta H) / Z and log Z, from one eigensolve; beta by the rule of ``_as_positive``."""
     beta = _as_positive("beta", beta)
     return _gibbs(ham.layout, _spectrum(ham.mat, ham.hermitian), beta)
-
-
-#: Eigenvectors per product in ``_gibbs``'s reduction: temporaries of d × 256
-#: entries, with an inner dimension long enough for BLAS's full speed.
-GIBBS_BLOCK = 256
 
 
 def _gibbs(
@@ -667,6 +716,9 @@ def _gibbs(
     for k in range(0, len(w), GIBBS_BLOCK):
         y = (folded[..., k : k + GIBBS_BLOCK] * roots[k : k + GIBBS_BLOCK]).reshape(keep.dim, -1)
         rho += y @ _dagger(y)
+    # A new array, not ``_symmetrize``: the d_K × d_K hole the sum leaves is
+    # where a log of the state lands, and in place the 10-site cumulant-decay
+    # worker's heap peaked 3 MB higher.
     return DenseOperator(keep, hermitize(rho), True), log_z
 
 

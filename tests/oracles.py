@@ -565,3 +565,15 @@ def zheevd(mat, overwrite=False):
     if conjugated:
         np.conjugate(a, out=a)
     return w, a
+
+
+def apply(spectrum, f):
+    """``operators._apply`` as first written: (V f(w)) V†, then (M + M†)/2 of
+    the product, and for a blocked spectrum A and C assembled by ``np.block``."""
+    w, v, blocked = spectrum
+    prod = (v * f(w)[..., None, :]) @ v.conj().swapaxes(-1, -2)
+    out = (prod + prod.conj().swapaxes(-1, -2)) / 2.0
+    if not blocked:
+        return out, w
+    a, c = (out[0] + out[1]) / 2.0, (out[0] - out[1]) / 2.0
+    return np.block([[a, c[:, ::-1]], [c[::-1], a[::-1, ::-1]]]), np.sort(w, axis=None)

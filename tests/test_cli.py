@@ -591,7 +591,8 @@ class TestParallelism:
         for i, (cfg, flags, pool) in enumerate(cases):
             out = tmp_path / f"out{i}"
             assert cli.main(["cumulant-decay", "--config", str(cfg), "--out", str(out), *flags]) == 0
-            assert json.loads((out / "run_manifest.json").read_text())["jobs"] == pool
+            manifest = json.loads((out / "run_manifest.json").read_text())
+            assert manifest["jobs"] == pool and manifest["peak_rss_mb"] > 0
 
 
 def test_console_entry_point(tmp_path):
@@ -607,6 +608,7 @@ def test_console_entry_point(tmp_path):
     # The manifest reports the BLAS thread count the library itself sees.
     manifest = json.loads((tmp_path / "out" / "run_manifest.json").read_text())
     assert manifest["blas"]["threads"] in (1, None)
+    assert isinstance(manifest["peak_rss_mb"], float) and manifest["peak_rss_mb"] > 0
 
 
 def test_readme_example_config_parses():

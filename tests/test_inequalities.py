@@ -19,6 +19,7 @@ from qbp import (
     random_hermitian,
     run_suite,
 )
+from qbp import inequalities
 from qbp.inequalities import (
     CHECK_NAMES,
     SUITE_BLOCK,
@@ -135,6 +136,29 @@ class TestTelescoping:
                 random_hermitian(rng, Q12), random_unitary(rng, Q12),
                 random_hermitian(rng, Q12), 2,
             )
+
+    def test_unitarity_decomposes_only_a_large_frobenius_defect(self, monkeypatch):
+        """||U†U - I||_F bounds the operator norm, so only a matrix whose
+        Frobenius defect passes 1e-9 has its defect's eigenvalues taken."""
+        rng = np.random.default_rng(8)
+        u = np.stack([random_unitary(rng, Q12).mat for _ in range(3)])
+        o = np.stack([random_hermitian(rng, Q12).mat for _ in range(3)])
+        # c² - 1 = t: a defect t I, of operator norm t and Frobenius norm 2t on d = 4
+        near = u * np.array([1.0, np.sqrt(1 + 0.8e-9), 1.0])[:, None, None]
+        far = u * np.array([1.0, 1.0, np.sqrt(1 + 2e-9)])[:, None, None]
+        solved = []
+        op_norm = inequalities._op_norm
+        monkeypatch.setattr(inequalities, "_op_norm",
+                            lambda mat, known: solved.append(mat.shape) or op_norm(mat, known))
+        _telescoping(u, u, o, 2)
+        assert solved == [(3, 4, 4)] * 3  # the two sides alone
+        solved.clear()
+        _telescoping(near, u, o, 2)
+        assert solved == [(1, 4, 4)] + [(3, 4, 4)] * 3
+        with pytest.raises(ValueError, match="V is not unitary"):
+            _telescoping(u, far, o, 2)
+        with pytest.raises(ValueError, match="U is not unitary"):
+            _telescoping(np.stack([random_hermitian(rng, Q12).mat] * 3), u, o, 2)
 
 
 class TestExpBound:

@@ -33,6 +33,7 @@ from qbp import (
 )
 
 from qbp.models import distance_map, edge_gibbs_state, log_partition_function, matrix_from_json
+from qbp import models, operators
 from qbp.operators import gibbs_state
 
 from oracles import kron_all, kron_hamiltonian, nx_distance, nx_graph, partial_trace_by_sum
@@ -237,6 +238,26 @@ class TestThermalState:
         del rho, m
         gc.collect()
         assert alive() is None
+
+    def test_edge_sum_freed_before_a_blocked_solve(self, monkeypatch):
+        """``_edge_spectrum`` keeps no reference to the sum it builds, and
+        ``_spectrum`` lets it go once the blocks are copied out."""
+        sums, solves = [], []
+        embed_sum, eigh = models._embed_sum, operators._eigh
+
+        def recorded_sum(*args):
+            out = embed_sum(*args)
+            sums.append(weakref.ref(out))
+            return out
+
+        def recorded_solve(mat, *args):
+            solves.append((mat.shape, sums[-1]() is None))
+            return eigh(mat, *args)
+
+        monkeypatch.setattr(models, "_embed_sum", recorded_sum)
+        monkeypatch.setattr(operators, "_eigh", recorded_solve)
+        log_partition_function(build_chain(8, 2, transverse_ising(1.0, 0.7), beta=1.0))
+        assert solves == [((2, 128, 128), True)]
 
     def test_edge_gibbs_state(self):
         m = build_chain(5, 2, random_two_local(7), beta=1.5)

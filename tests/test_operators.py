@@ -51,6 +51,7 @@ from qbp.operators import (
 )
 
 from oracles import (
+    apply,
     embed_by_indices,
     kron_embed,
     kron_hamiltonian,
@@ -971,3 +972,53 @@ class TestZheevd:
                     operators._eigh(_complex_hermitian(64) * 1e150)  # scaled, so zlascl runs
         with pytest.raises(np.linalg.LinAlgError, match="square"):
             operators._zheevd(np.zeros((64, 65), dtype=np.complex128))
+
+
+def _apply_input(d: int, shape: str, dtype: str) -> np.ndarray:
+    mat = _complex_hermitian(d, (2,) if shape == "stack2" else (), seed=d)
+    mat = mat.real.copy() if dtype == "real" else mat
+    return mat + mat[::-1, ::-1] if shape == "blocked" else mat
+
+
+class TestApplyInOneBuffer:
+    """``_apply`` holds its result and one scaled copy of the eigenvectors,
+    symmetrizes in place and assembles a blocked result in place, and is
+    bit-equal to the product-then-hermitize route (``oracles.apply``)."""
+
+    @pytest.mark.parametrize("dtype", ["real", "complex"])
+    @pytest.mark.parametrize("d, shape", [
+        (d, shape) for d in (1, 2, 3, 64, 255, 256, 257, 300)
+        for shape in ("lone", "stack2", "blocked") if shape != "blocked" or d % 2 == 0
+    ])
+    def test_bit_equal_to_hermitized_product(self, d, shape, dtype):
+        spectrum = _spectrum(_apply_input(d, shape, dtype), True)
+        assert spectrum[2] == (shape == "blocked")
+        got, got_w = _apply(spectrum, np.exp)
+        want, want_w = apply(spectrum, np.exp)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == np.ascontiguousarray(want).tobytes()
+        assert np.array_equal(got_w, want_w)
+
+    def test_lone_allocates_result_and_one_copy(self):
+        d = 512
+        spectrum = _spectrum(_complex_hermitian(d), True)
+        _, extra = _allocated(_apply, spectrum, np.exp)
+        assert extra <= 2 * 16 * d * d * 1.05
+        _, extra_want = _allocated(apply, spectrum, np.exp)
+        assert extra_want > 3 * 16 * d * d
+
+    def test_blocked_allocates_result_and_one_stack(self):
+        d, h = 512, 256
+        spectrum = _spectrum(_apply_input(d, "blocked", "complex"), True)
+        assert spectrum[2]
+        _, extra = _allocated(_apply, spectrum, np.exp)
+        assert extra <= 16 * (d * d + 2 * h * h) * 1.05
+        _, extra_want = _allocated(apply, spectrum, np.exp)
+        assert extra_want > 2 * 16 * d * d
+
+    def test_blocks_allocate_one_stack(self):
+        """The reversal screen forms M - J M J by row blocks, not in a d/2 × d temporary."""
+        d, h = 1024, 512
+        blocks, extra = _allocated(_reversal_blocks, _apply_input(d, "blocked", "complex"))
+        assert blocks.shape == (2, h, h)
+        assert extra <= 16 * 2 * h * h * 1.05

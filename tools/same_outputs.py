@@ -5,7 +5,8 @@ Runs the five CLI commands on the full-scale configs of
 ``markov-audit`` on a star-shaped model file with a degree-3 vertex, once
 from each tree's ``src`` for every seed and ``--jobs`` value, with one BLAS
 thread.  Every CSV and JSON a run writes is compared byte for byte, except
-that ``run_manifest.json`` is compared without its ``wall_time_s``, a timing.
+that ``run_manifest.json`` is compared without its ``wall_time_s`` and
+``peak_rss_mb``, a timing and a memory reading.
 Prints each file that differs, with the largest absolute and relative
 difference over the numeric fields the two files share, and each command that
 fails, and exits 1 if there is any::
@@ -64,6 +65,7 @@ def load_json(path: Path):
     data = json.loads(path.read_text(encoding="utf-8"))
     if path.name == "run_manifest.json":
         data.pop("wall_time_s")
+        data.pop("peak_rss_mb", None)  # absent from manifests written before the field
     return data
 
 
