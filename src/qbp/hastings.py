@@ -29,7 +29,7 @@ from .operators import (
     _as_positive,
     _dagger,
     _eigh,
-    assert_hermitian,
+    _hermitian_mats,
     embed_on_union,
     hermitize,
     matrix_exp_h,
@@ -104,12 +104,16 @@ def _filtered(h_mat: np.ndarray, v_mat: np.ndarray, beta: float) -> np.ndarray:
     return hermitize(u @ (filter_hat(gaps, beta) * v_tilde) @ _dagger(u))
 
 
-def _require_range(h: DenseOperator, v: DenseOperator, beta: float) -> None:
-    """Raise DynamicRangeError, before any exponential is taken, unless every
-    entry, product and sum that ``hastings_operator`` and
-    ``conjugation_residual`` form stays a float: each is at most
-    2d exp(beta (||H|| + ||V||)) in size.  The Frobenius norms bound the
+def _operands(h: DenseOperator, v: DenseOperator, beta) -> tuple[float, DenseOperator, DenseOperator]:
+    """beta by the rule of ``operators._as_positive``, and H and V, tested
+    Hermitian unless flagged, flagged and embedded on their union.  Raises DynamicRangeError,
+    before any exponential is taken, unless every entry, product and sum that
+    ``hastings_operator`` and ``conjugation_residual`` form stays a float: each
+    is at most 2d exp(beta (||H|| + ||V||)).  The Frobenius norms bound the
     spectral ones and cost no eigensolve; ``hypot`` keeps them from overflowing."""
+    beta = _as_positive("beta", beta)
+    h, v = (DenseOperator(x.layout, mat, True) for x, mat in zip((h, v), _hermitian_mats(h, v)))
+    h, v = embed_on_union(h, v)
     norms = sum(float(np.hypot.reduce(np.abs(x.mat).ravel())) for x in (h, v))
     exponent = beta * norms + math.log(2 * h.dim)
     if exponent > LOG_FLOAT_MAX:
@@ -117,6 +121,7 @@ def _require_range(h: DenseOperator, v: DenseOperator, beta: float) -> None:
             f"beta {beta:g} needs exp({exponent:.6g}) = 2d exp(beta (||H||_F + ||V||_F)), "
             f"past ln(float max) = {LOG_FLOAT_MAX:.6g}"
         )
+    return beta, h, v
 
 
 def hastings_operator(
@@ -135,13 +140,10 @@ def hastings_operator(
     ``_as_integer``.  Raises DynamicRangeError where a float cannot hold the
     product.
     """
-    beta = _as_positive("beta", beta)
     s_steps = _as_integer("s_steps", s_steps)
     if s_steps < 1:
         raise ValueError(f"s_steps must be >= 1, got {s_steps}")
-    assert_hermitian(*(x.mat for x in (h, v) if not x.hermitian))
-    h, v = embed_on_union(h, v)
-    _require_range(h, v, beta)
+    beta, h, v = _operands(h, v, beta)
     result = np.eye(h.dim)
     step = -beta / (2.0 * s_steps)
     chunk = max(1, STACK_ENTRIES // h.dim**2)
@@ -161,14 +163,16 @@ def conjugation_residual(
     """Relative trace-norm defect of the conjugation identity:
     ||O exp(-beta H) O† - exp(-beta (H+V))||_1 / ||exp(-beta (H+V))||_1,
     for O within the cap ``hastings_operator`` meets, ||O|| <= exp(beta ||V|| / 2).
-    beta is positive by the rule of ``operators._as_positive``.  Raises
-    DynamicRangeError where a float cannot hold the exponentials."""
-    beta = _as_positive("beta", beta)
-    h, v = embed_on_union(h, v)
+    H and V must be Hermitian (tested unless flagged), beta positive by the rule
+    of ``operators._as_positive``.  Raises DynamicRangeError where a float
+    cannot hold the exponentials or O exp(-beta H) O†."""
+    beta, h, v = _operands(h, v, beta)
     if o.layout != h.layout:
         raise SiteMismatchError("conjugation operator layout does not match H, V")
-    _require_range(h, v, beta)
     target = matrix_exp_h(-beta * (h + v))
-    base = matrix_exp_h(-beta * h)
-    approx = o @ base @ o.dagger()
-    return trace_norm(approx - target) / trace_norm(target)
+    base = matrix_exp_h(-beta * h).mat
+    with np.errstate(over="ignore", invalid="ignore"):  # an O far past its cap
+        approx = hermitize(o.mat @ base @ _dagger(o.mat))  # Hermitian by construction
+    if not np.isfinite(approx).all():
+        raise DynamicRangeError("O exp(-beta H) O† is past the float range")
+    return trace_norm(DenseOperator(h.layout, approx, True) - target) / trace_norm(target)

@@ -9,8 +9,8 @@ right-hand side.
 Each check is a private kernel from matrices or stacks of them, shape
 (..., d, d), to both sides per instance: ``check_*`` runs it on one
 instance and :func:`run_suite` on stacks, with bit-equal margins.  A kernel
-tests each Hermitian operand once and decomposes it at most once; its norms
-are of matrices Hermitian by construction, so they come from eigenvalues.
+reads its operands as Hermitian (``check_*`` tests them, ``run_suite`` builds
+them so), decomposes each at most once, and takes every norm from eigenvalues.
 """
 
 from __future__ import annotations
@@ -32,13 +32,13 @@ from .operators import (
     _eigvalsh,
     _exp_checked,
     _exp_h,
+    _hermitian_mats,
     _log_pd,
     _op_norm,
     _partial_trace,
     _squared_norm,
     _trace_norm,
     as_rng,
-    assert_hermitian,
     embed_on_union,
     hermitize,
     random_hermitian,
@@ -68,8 +68,9 @@ class CheckResult:
         return bool(_passed(self.lhs, self.rhs))
 
 
-def _check(name: str, kernel, ops: tuple[DenseOperator, ...], *params) -> CheckResult:
-    """``kernel`` on the operands, each embedded on the union of their supports."""
+def _check(name: str, kernel, ops: tuple[DenseOperator, ...], *params, unitary: int = 0) -> CheckResult:
+    """``kernel`` on the operands embedded on their supports' union; all but the first ``unitary`` tested Hermitian."""
+    _hermitian_mats(*ops[unitary:])
     lhs, rhs = kernel(*(op.mat for op in embed_on_union(*ops)), *params)
     return CheckResult(name, float(lhs), float(rhs))
 
@@ -85,9 +86,8 @@ _libm_pow = np.vectorize(pow, otypes=[float])
 
 def _golden_thompson(a, b):
     """Tr exp(A + B) is the sum of exp over the eigenvalues of A + B: no exponential is formed."""
-    assert_hermitian(a, b)
     lhs = _exp_checked(_eigvalsh(a + b)).sum(axis=-1)
-    return lhs, _trace(_exp_h(a, True)[0] @ _exp_h(b, True)[0])
+    return lhs, _trace(_exp_h(a)[0] @ _exp_h(b)[0])
 
 
 def check_golden_thompson(a: DenseOperator, b: DenseOperator) -> CheckResult:
@@ -96,7 +96,6 @@ def check_golden_thompson(a: DenseOperator, b: DenseOperator) -> CheckResult:
 
 
 def _weyl(n, r):
-    assert_hermitian(n, r)
     wn, wr, wm = (_eigvalsh(x) for x in (n, r, n + r))
     lhs = np.concatenate([wn + wr[..., :1], wm], axis=-1)
     rhs = np.concatenate([wm, wn + wr[..., -1:]], axis=-1)
@@ -116,8 +115,7 @@ def check_weyl(n: DenseOperator, r: DenseOperator) -> CheckResult:
 def _circle_eig_lower_bound(a, b):
     """min eig of exp(L) / Tr exp(L), L = log A + log B, is exp(w_0 - w_max) /
     sum_i exp(w_i - w_max) over the eigenvalues w of L: no exponential is formed."""
-    assert_hermitian(a, b)
-    (log_a, wa), (log_b, wb) = _log_pd(a, known=True), _log_pd(b, known=True)
+    (log_a, wa), (log_b, wb) = _log_pd(a), _log_pd(b)
     w = _eigvalsh(log_a + log_b)
     lhs = wa[..., 0] * wb[..., 0] / wa[..., -1]
     return lhs, np.exp(w[..., 0] - w[..., -1]) / np.exp(w - w[..., -1:]).sum(axis=-1)
@@ -130,12 +128,16 @@ def check_circle_eig_lower_bound(a: DenseOperator, b: DenseOperator) -> CheckRes
 
 
 def _commutator_power(a, b, n: int):
+    """``DynamicRangeError`` where a commutator or the right-hand side leaves the float range."""
     if n < 1:
         raise ValueError(f"power must be >= 1, got {n}")
-    assert_hermitian(a, b)
-    bn = np.linalg.matrix_power(b, n)
-    lhs = _op_norm(1j * (a @ bn - bn @ a), True)
-    return lhs, n * _libm_pow(_op_norm(b, True), n - 1) * _op_norm(1j * (a @ b - b @ a), True)
+    with np.errstate(over="ignore", invalid="ignore"):
+        bn = np.linalg.matrix_power(b, n)
+        sides = 1j * (a @ bn - bn @ a), 1j * (a @ b - b @ a)
+        rhs = n * _libm_pow(_op_norm(b), n - 1) * _op_norm(sides[1]) if np.isfinite(sides).all() else np.inf
+    if not np.isfinite(rhs).all():
+        raise DynamicRangeError("n ||B||^(n-1) ||[A, B]|| or a commutator leaves the float range")
+    return _op_norm(sides[0]), rhs
 
 
 def check_commutator_power(a: DenseOperator, b: DenseOperator, n: int) -> CheckResult:
@@ -149,17 +151,16 @@ def _telescoping(u, v, o, k: int):
     for name, mat in (("U", u), ("V", v)):  # ||U†U - I|| <= 1e-9, per matrix
         defect = _dagger(mat) @ mat - np.eye(mat.shape[-1])
         over = ~(_squared_norm(defect) <= 1e-18)  # the Frobenius norm bounds the operator norm
-        if over.any() and (_op_norm(defect[over], True) > 1e-9).any():
+        if over.any() and (_op_norm(defect[over]) > 1e-9).any():
             raise ValueError(f"{name} is not unitary within tolerance")
-    assert_hermitian(o)
     vk = np.linalg.matrix_power(v, k)
     uvk = np.linalg.matrix_power(u @ v, k)
-    lhs = _op_norm(vk @ o @ _dagger(vk) - uvk @ o @ _dagger(uvk), True)
+    lhs = _op_norm(vk @ o @ _dagger(vk) - uvk @ o @ _dagger(uvk))
     rhs = 0.0
     for j in range(1, k + 1):
         vj = np.linalg.matrix_power(v, j)
         inner = vj @ o @ _dagger(vj)
-        rhs = rhs + _op_norm(inner - u @ inner @ _dagger(u), True)
+        rhs = rhs + _op_norm(inner - u @ inner @ _dagger(u))
     return lhs, rhs
 
 
@@ -168,19 +169,18 @@ def check_telescoping(
 ) -> CheckResult:
     """Conjugation by V^k versus (UV)^k differs by at most the sum of the
     single-slot swap errors, for unitary U, V and Hermitian O; k an integer."""
-    return _check("telescoping", _telescoping, (u, v, o), _as_integer("k", k))
+    return _check("telescoping", _telescoping, (u, v, o), _as_integer("k", k), unitary=2)
 
 
 def _exp_bound(a, b):
     """``DynamicRangeError`` where the right-hand side leaves the float range."""
-    assert_hermitian(a, b)
-    (exp_a, wa), (exp_b, wb) = _exp_h(a, True), _exp_h(b, True)
+    (exp_a, wa), (exp_b, wb) = _exp_h(a), _exp_h(b)
     big_m = np.maximum(np.abs(wa).max(axis=-1), np.abs(wb).max(axis=-1))
     with np.errstate(over="ignore", invalid="ignore"):
-        rhs = np.exp(big_m) * _op_norm(a - b, True)
+        rhs = np.exp(big_m) * _op_norm(a - b)
     if not np.isfinite(rhs).all():
         raise DynamicRangeError(f"exp({big_m.max()}) ||A - B|| leaves the float range")
-    return _op_norm(exp_a - exp_b, True), rhs
+    return _op_norm(exp_a - exp_b), rhs
 
 
 def check_exp_bound(a: DenseOperator, b: DenseOperator) -> CheckResult:
@@ -189,8 +189,7 @@ def check_exp_bound(a: DenseOperator, b: DenseOperator) -> CheckResult:
 
 
 def _trace_norm_monotone(a, layout: SiteLayout, out: frozenset):
-    assert_hermitian(a)
-    return _trace_norm(_partial_trace(a, layout, out)[1], True), _trace_norm(a, True)
+    return _trace_norm(_partial_trace(a, layout, out)[1]), _trace_norm(a)
 
 
 def check_trace_norm_monotone(a: DenseOperator, out: Iterable[int]) -> CheckResult:
@@ -200,18 +199,20 @@ def check_trace_norm_monotone(a: DenseOperator, out: Iterable[int]) -> CheckResu
 
 def _circle_perturbation(h_a, h_b, eps_a: float, eps_b: float, delta_a, delta_b):
     """The normalized circle product of exp(h_a) and exp(h_b) is exp(h_a + h_b) / Tr."""
-    assert_hermitian(h_a, h_b, *(x for x in (delta_a, delta_b) if x is not None))
 
     def moved(h, eps, delta):  # h moved by eps in operator norm along delta
-        return h if eps == 0.0 else h + delta * (eps / _op_norm(delta, True))[..., None, None]
+        return h if eps == 0.0 else h + delta * (eps / _op_norm(delta))[..., None, None]
 
     def normalized_exp(h):
-        prod = _exp_h(h, True)[0]
-        return prod / _trace(prod)[..., None, None]
+        prod = _exp_h(h)[0]
+        trace = _trace(prod)
+        if not (trace > 0.0).all():
+            raise DynamicRangeError("exp of every eigenvalue underflows: Tr exp(H) is 0")
+        return prod / trace[..., None, None]
 
     base = normalized_exp(h_a + h_b)
     bumped = normalized_exp(moved(h_a, eps_a, delta_a) + moved(h_b, eps_b, delta_b))
-    return _op_norm(base - bumped, True), 2.0 * (eps_a + eps_b)
+    return _op_norm(base - bumped), 2.0 * (eps_a + eps_b)
 
 
 def check_circle_perturbation(
@@ -270,31 +271,22 @@ def _draw_parameter(name: str, rng: np.random.Generator, layout: SiteLayout):
 
 def _evaluate(name: str, layout: SiteLayout, param, z: np.ndarray):
     """(lhs, rhs) per instance of a bucket; ``z[i, j]`` is instance i's j-th
-    complex Gaussian matrix."""
-    if name == "golden_thompson":
-        return _golden_thompson(hermitize(z[:, 0]), hermitize(z[:, 1]))
-    if name == "weyl":
-        return _weyl(hermitize(z[:, 0]), hermitize(z[:, 1]))
+    complex Gaussian matrix, made Hermitian (or a density) here."""
     if name == "circle_eig_lower_bound":
         return _circle_eig_lower_bound(_density(z[:, 0]), _density(z[:, 1]))
-    if name == "commutator_power":
-        return _commutator_power(hermitize(z[:, 0]), hermitize(z[:, 1]), param)
+    h = [hermitize(z[:, j]) for j in range(z.shape[1])]
     if name == "telescoping":  # U and V are exp(iH) of the first two
-        w, u = _eigh(hermitize(z[:, :2]))
+        w, u = _eigh(np.stack(h[:2], axis=1))
         uv = (u * np.exp(1j * w)[..., None, :]) @ _dagger(u)
-        return _telescoping(uv[:, 0], uv[:, 1], hermitize(z[:, 2]), param)
-    if name == "exp_bound":
-        return _exp_bound(hermitize(z[:, 0]), hermitize(z[:, 1]))
+        return _telescoping(uv[:, 0], uv[:, 1], h[2], param)
     if name == "trace_norm_monotone":
-        return _trace_norm_monotone(hermitize(z[:, 0]), layout, param)
-    if name == "circle_perturbation":
-        eps_a, eps_b = param
-        h_a, h_b = hermitize(z[:, 0]), hermitize(z[:, 1])
-        scale = 1.0 / np.maximum(_op_norm(h_a, True), _op_norm(h_b, True))
-        h_a, h_b = h_a * scale[:, None, None], h_b * scale[:, None, None]
-        deltas = hermitize(z[:, 2]), hermitize(z[:, 3])
-        return _circle_perturbation(h_a, h_b, eps_a, eps_b, *deltas)
-    raise ValueError(f"unknown check {name!r}")
+        return _trace_norm_monotone(h[0], layout, param)
+    if name == "circle_perturbation":  # h_a and h_b scaled to a largest operator norm of 1
+        scale = 1.0 / np.maximum(_op_norm(h[0]), _op_norm(h[1]))[:, None, None]
+        return _circle_perturbation(h[0] * scale, h[1] * scale, *param, h[2], h[3])
+    pairs = {"golden_thompson": _golden_thompson, "weyl": _weyl, "commutator_power": _commutator_power,
+             "exp_bound": _exp_bound}
+    return pairs[name](h[0], h[1], *(() if param is None else (param,)))  # and commutator_power's power
 
 
 @dataclass(frozen=True)

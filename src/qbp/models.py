@@ -30,11 +30,11 @@ from .operators import (
     _embed_sum,
     _gibbs,
     _gibbs_weights,
+    _hermitian_mats,
     _log_partition,
     _op_norm,
     _require_known,
     _spectrum,
-    assert_hermitian,
     embed_sum,
     hermitize,
     partial_trace,
@@ -82,8 +82,7 @@ class EdgeTerm:
             raise ModelError(
                 f"edge term must live on sites {(u, v)}, got {self.term.layout.sites}"
             )
-        assert_hermitian(self.term.mat)
-        object.__setattr__(self, "term", DenseOperator(self.term.layout, self.term.mat, True))
+        object.__setattr__(self, "term", DenseOperator(self.term.layout, *_hermitian_mats(self.term), True))
 
     @property
     def key(self) -> tuple[int, int]:
@@ -195,7 +194,7 @@ class GraphModel:
         key = tuple(e.key for e in edges)
         if key not in spectra:
             terms = tuple(e.term for e in edges)
-            spectra[key] = _spectrum(_embed_sum(terms, layout), known=True, overwrite=True)
+            spectra[key] = _spectrum(_embed_sum(terms, layout), overwrite=True)
         return spectra[key]
 
 
@@ -406,7 +405,7 @@ def random_two_local(seed: int = 0, scale: float = 1.0) -> TermFactory:
         d = ctx.dim_u * ctx.dim_v
         g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
         h = hermitize(g)
-        return scale * h / _op_norm(h, True)
+        return scale * h / _op_norm(h)
 
     return make
 

@@ -19,21 +19,21 @@ matrix function holds its result and one scaled copy of the eigenvectors
 (``_apply``), and a model Hamiltonian solved as blocks is freed first.  A
 reduced Gibbs state of any other spectrum is formed from the eigenvectors
 without the whole state (`_gibbs`).
-Arrays the package builds or has tested Hermitian are wrapped with no copy and
-no re-check; a sum is flagged Hermitian when every operand is.  No other module
-calls numpy.linalg's decompositions, ``np.einsum`` or ``as_strided``, and no
-module calls its norm: a Hermitian matrix's norms come from its eigenvalues.
-A Frobenius-norm test past the float range is judged on the matrices scaled
-by a power of two (``_within``).  Complex eigendecompositions from d = 64 call
-LAPACK zheevd's stages in numpy's own OpenBLAS (``_zheevd``): zhetrd reduces
-the matrix, in the caller's buffer where the caller gives it up; dstedc
-writes the real eigenvectors into one output buffer that also holds its
-workspace, and they are widened in place for zunmtr's blocked
-back-transformation.  The result is zheevd's bit for bit, with d² complex
-entries of extra memory where zheevd takes 2d².  This module holds the one
-lookup of that library (``_openblas``).  The input rules live here too
-(`_as_integer`, `_as_positive`, `_require_known`): every door that reads input
-applies them, and raises its own error type in place of their OperatorError.
+Hermiticity is judged once, at the door: a public routine that reads an
+operator as Hermitian tests it there (``_hermitian_mats``) unless it is
+flagged, and the private functions below read their input as Hermitian.  An
+array the package builds or has tested Hermitian is flagged, with no copy; a
+sum is flagged when every operand is.  No other module calls numpy.linalg's
+decompositions, ``np.einsum`` or ``as_strided``, and no module calls its
+norm: a Hermitian matrix's norms come from its eigenvalues.
+A Frobenius-norm test past the float range, or below its normal floats, is
+judged on the matrices scaled by a power of two (``_within``).  Complex
+eigendecompositions from d = 64 call LAPACK zheevd's stages in numpy's own
+OpenBLAS (``_zheevd``): zheevd's result bit for bit, with d² complex entries of
+extra memory where zheevd takes 2d².  This module holds the one lookup of that
+library (``_openblas``).  The input rules live here too (`_as_integer`,
+`_as_positive`, `_require_known`): every door that reads input applies them,
+and raises its own error type in place of their OperatorError.
 """
 
 from __future__ import annotations
@@ -244,9 +244,6 @@ class DenseOperator:
     def sites(self) -> tuple[int, ...]:
         return self.layout.sites
 
-    def dagger(self) -> "DenseOperator":
-        return DenseOperator(self.layout, self.mat.conj().T)
-
     def trace(self) -> complex:
         return complex(np.trace(self.mat))
 
@@ -265,10 +262,6 @@ class DenseOperator:
         return DenseOperator(self.layout, self.mat * scalar, self.hermitian and np.isrealobj(scalar))
 
     __rmul__ = __mul__
-
-    def __matmul__(self, other: "DenseOperator") -> "DenseOperator":
-        self._require_same_layout(other)
-        return DenseOperator(self.layout, self.mat @ other.mat)
 
     def _require_same_layout(self, other: "DenseOperator"):
         if self.layout != other.layout:
@@ -294,27 +287,29 @@ def _squared_norm(x: np.ndarray) -> np.ndarray:
     return (v @ v.swapaxes(-1, -2))[..., 0, 0]
 
 
-def _within(a: np.ndarray, b: np.ndarray, ref: np.ndarray, rtol2: float) -> np.ndarray:
+def _within(a: np.ndarray, b: np.ndarray, ref: np.ndarray, rtol2: float, conj: bool = False) -> np.ndarray:
     """Per matrix: ||A - B||_F² <= rtol2 ||ref||_F², the difference formed
-    ``GIBBS_BLOCK`` rows at a time.  Where ||ref||_F² is past the float range,
-    both sides are taken of the matrices scaled by the power of two that brings
-    ref's largest entry below 1, which is exact.  A difference past the float
-    range is infinite and fails the test."""
+    ``GIBBS_BLOCK`` rows at a time (B's rows conjugated as taken, if ``conj``).
+    Where ||ref||_F² is past the float range, or rtol2 ||ref||_F² below normal
+    floats, both sides are of the matrices scaled exactly by the power of two
+    (at most 2^1000) that brings ref's largest entry below 1.  A difference
+    past the float range fails the test."""
     with np.errstate(over="ignore"):
         large, scale = _squared_norm(ref), None
-        if np.isinf(large).any():
-            scale = 2.0 ** -np.frexp(np.abs(ref).max(axis=(-2, -1)))[1][..., None, None]
+        if not ((rtol2 * large >= np.finfo(float).smallest_normal) & (large < np.inf)).all():
+            scale = 2.0 ** np.minimum(-np.frexp(np.abs(ref).max(axis=(-2, -1)))[1], 1000)[..., None, None]
             large = _squared_norm(ref * scale)
         small = 0.0
         for r in range(0, a.shape[-2], GIBBS_BLOCK):
-            part = a[..., r : r + GIBBS_BLOCK, :] - b[..., r : r + GIBBS_BLOCK, :]
+            part = b[..., r : r + GIBBS_BLOCK, :]  # frees the last block's difference first
+            part = a[..., r : r + GIBBS_BLOCK, :] - (part.conj() if conj else part)
             small = small + _squared_norm(part if scale is None else part * scale)
     return small <= rtol2 * large
 
 
 def _hermitian(mat: np.ndarray) -> np.ndarray:
-    """Per matrix: ||M - M†||_F <= HERMITIAN_RTOL ||M||_F."""
-    return _within(mat, _dagger(mat), mat, HERMITIAN_RTOL**2)
+    """Per matrix: ||M - M†||_F <= HERMITIAN_RTOL ||M||_F, with no conjugated copy of M."""
+    return _within(mat, mat.swapaxes(-1, -2), mat, HERMITIAN_RTOL**2, conj=True)
 
 
 def _reversal_blocks(mat: np.ndarray) -> np.ndarray | None:
@@ -352,14 +347,19 @@ def assert_hermitian(*mats: np.ndarray):
         raise NonHermitianError("operator is not Hermitian within tolerance")
 
 
+def _hermitian_mats(*ops: DenseOperator) -> tuple[np.ndarray, ...]:
+    """The operators' matrices, those not flagged Hermitian tested first: the door to Hermitian-only code."""
+    assert_hermitian(*(op.mat for op in ops if not op.hermitian))
+    return tuple(op.mat for op in ops)
+
+
 def assert_density(op: DenseOperator) -> np.ndarray:
     """Check unit trace and non-negative spectrum, each within 1e-10.
 
     Returns the ascending spectrum the check computed, so callers that need
     it do not diagonalise the same matrix again.
     """
-    if not op.hermitian:
-        assert_hermitian(op.mat)
+    _hermitian_mats(op)
     tr = op.trace()
     if abs(tr - 1.0) > 1e-10:
         raise NonDensityError(f"trace {tr} is not 1 within 1e-10")
@@ -456,14 +456,11 @@ def _partial_trace(
     return keep, reduced.reshape(stack + (keep.dim, keep.dim))
 
 
-def _spectrum(mat: np.ndarray, known: bool = False, overwrite: bool = False) -> tuple[np.ndarray, np.ndarray, bool]:
-    """(w, V, blocked): eigh of a Hermitian matrix or stack M (tested unless
-    ``known``), or of the blocks B± ``_reversal_blocks`` splits it into.
-    ``overwrite``: a lone M is the caller's own buffer, which ``_eigh`` may
-    destroy; a caller that passes it holding no other reference has it freed
-    before the blocks' solve."""
-    if not known:
-        assert_hermitian(mat)
+def _spectrum(mat: np.ndarray, overwrite: bool = False) -> tuple[np.ndarray, np.ndarray, bool]:
+    """(w, V, blocked): eigh of a Hermitian matrix or stack M, or of the blocks
+    B± ``_reversal_blocks`` splits it into.  ``overwrite``: a lone M is the
+    caller's own buffer, which ``_eigh`` may destroy; a caller that passes it
+    holding no other reference has it freed before the blocks' solve."""
     blocks = _reversal_blocks(mat)
     if blocks is None:
         return (*_eigh(mat, overwrite), False)
@@ -672,20 +669,20 @@ def _exp_checked(w: np.ndarray) -> np.ndarray:
     return np.exp(w)
 
 
-def _exp_h(mat: np.ndarray, known: bool = False) -> tuple[np.ndarray, np.ndarray]:
+def _exp_h(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """exp(M) and the ascending eigenvalues of M, by the range rule of ``_exp_checked``."""
-    return _apply(_spectrum(mat, known), _exp_checked)
+    return _apply(_spectrum(mat), _exp_checked)
 
 
 def matrix_exp_h(op: DenseOperator) -> DenseOperator:
     """Matrix exponential of a Hermitian operator via eigendecomposition."""
-    return DenseOperator(op.layout, _exp_h(op.mat, op.hermitian)[0], True)
+    return DenseOperator(op.layout, _exp_h(*_hermitian_mats(op))[0], True)
 
 
 def gibbs_state(ham: DenseOperator, beta: float) -> tuple[DenseOperator, float]:
     """exp(-beta H) / Z and log Z, from one eigensolve; beta by the rule of ``_as_positive``."""
     beta = _as_positive("beta", beta)
-    return _gibbs(ham.layout, _spectrum(ham.mat, ham.hermitian), beta)
+    return _gibbs(ham.layout, _spectrum(*_hermitian_mats(ham)), beta)
 
 
 def _gibbs(
@@ -745,7 +742,7 @@ def _exponents(w: np.ndarray, beta: float, lowest: float) -> np.ndarray:
     return -beta * (w - lowest)
 
 
-def _log_pd(mat: np.ndarray, known: bool = False) -> tuple[np.ndarray, np.ndarray]:
+def _log_pd(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """log(M) and the ascending eigenvalues of M; ``SingularOperatorError`` when
     the smallest is at or below ``LOG_EIG_FLOOR``."""
     def log(w):
@@ -755,7 +752,7 @@ def _log_pd(mat: np.ndarray, known: bool = False) -> tuple[np.ndarray, np.ndarra
                 f"eigenvalue {lowest} at or below floor {LOG_EIG_FLOOR}", eigenvalue=float(lowest)
             )
         return np.log(w)
-    return _apply(_spectrum(mat, known), log)
+    return _apply(_spectrum(mat), log)
 
 
 def matrix_log_pd(op: DenseOperator) -> DenseOperator:
@@ -765,38 +762,45 @@ def matrix_log_pd(op: DenseOperator) -> DenseOperator:
     ``LOG_EIG_FLOOR``; clamping here would silently corrupt every downstream
     effective-Hamiltonian combination, so failing loudly is deliberate.
     """
-    return DenseOperator(op.layout, _log_pd(op.mat, op.hermitian)[0], True)
+    return DenseOperator(op.layout, _log_pd(*_hermitian_mats(op))[0], True)
 
 
-def _singular_values(mat: np.ndarray, known: bool = False) -> np.ndarray:
-    """Singular values of each matrix, unordered; |eigenvalues| when every
-    matrix is Hermitian (``known``: by construction)."""
-    if known or _hermitian(mat).all():
-        return np.abs(_eigvalsh(mat))
-    return np.linalg.svd(mat, compute_uv=False)
+def _singular_values(mat: np.ndarray) -> np.ndarray:
+    """|eigenvalues| of each Hermitian matrix: its singular values, unordered."""
+    return np.abs(_eigvalsh(mat))
 
 
-def _trace_norm(mat: np.ndarray, known: bool = False) -> np.ndarray:
-    """Sum of each matrix's singular values; ``DynamicRangeError`` where a sum is past the float range."""
+def _summed(values: np.ndarray) -> np.ndarray:
+    """Each row of singular values summed; ``DynamicRangeError`` where a sum is past the float range."""
     with np.errstate(over="ignore"):
-        total = _singular_values(mat, known).sum(axis=-1)
+        total = values.sum(axis=-1)
     if np.isinf(total).any():
         raise DynamicRangeError("the trace norm is past the float range")
     return total
 
 
-def _op_norm(mat: np.ndarray, known: bool = False) -> np.ndarray:
-    return _singular_values(mat, known).max(axis=-1, initial=0.0)
+def _trace_norm(mat: np.ndarray) -> np.ndarray:
+    return _summed(_singular_values(mat))
+
+
+def _op_norm(mat: np.ndarray) -> np.ndarray:
+    return _singular_values(mat).max(axis=-1, initial=0.0)
+
+
+def _operator_singular_values(op: DenseOperator) -> np.ndarray:
+    """|eigenvalues| of an operator flagged or tested Hermitian, else its SVD's singular values."""
+    hermitian = op.hermitian or _hermitian(op.mat)
+    return _singular_values(op.mat) if hermitian else np.linalg.svd(op.mat, compute_uv=False)
 
 
 def trace_norm(op: DenseOperator) -> float:
     """Sum of singular values (for Hermitian inputs, sum of |eigenvalues|)."""
-    return float(_trace_norm(op.mat, op.hermitian))
+    return float(_summed(_operator_singular_values(op)))
 
 
 def op_norm(op: DenseOperator) -> float:
     """Largest singular value (spectral norm)."""
-    return float(_op_norm(op.mat, op.hermitian))
+    return float(_operator_singular_values(op).max(initial=0.0))
 
 
 def as_rng(seed) -> np.random.Generator:

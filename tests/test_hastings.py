@@ -1,10 +1,11 @@
+import json
 import re
 
 import numpy as np
 import pytest
 from scipy import integrate, linalg, special
 
-from qbp import hastings, operators
+from qbp import cli, hastings, operators
 from qbp import (
     DenseOperator,
     DynamicRangeError,
@@ -311,13 +312,32 @@ class TestHermitianInputs:
 
     def test_flagged_inputs_skip_the_test(self, monkeypatch):
         tested = []
-        monkeypatch.setattr(hastings, "assert_hermitian", lambda *mats: tested.extend(mats))
+        monkeypatch.setattr(operators, "assert_hermitian", lambda *mats: tested.extend(mats))
         h, v = random_hermitian(1, Q12), random_hermitian(2, Q12)
         flagged = hastings_operator(h, v, 1.0, 8)
         assert tested == []
         copied = hastings_operator(DenseOperator(Q12, h.mat), v, 1.0, 8)
         assert len(tested) == 1 and np.array_equal(tested[0], h.mat)
         assert np.array_equal(copied.mat, flagged.mat)
+
+
+def test_hastings_verify_decomposes_only_o(tmp_path, monkeypatch):
+    """The residual's O exp(-beta H) O† is Hermitian by construction, so its
+    trace norm comes from eigenvalues: ``hastings-verify``'s only SVDs, at the
+    benchmark's seed and steps, are ``op_norm(o)``'s, one per row."""
+    cfg = tmp_path / "cfg.json"
+    unused = {"stock": {"kind": "chain", "n": 2, "local_dim": 2, "factory": "tfim",
+                        "params": {"J": 1.0, "hx": 1.0}}}
+    cfg.write_text(json.dumps({"model": unused, "beta_values": [0.5, 1.0, 2.0, 4.0],
+                               "s_steps": [64, 256, 1024], "seed": 42}))
+    built, decomposed = [], []
+    svd, make = np.linalg.svd, cli.hastings_operator
+    monkeypatch.setattr(np.linalg, "svd", lambda mat, **kw: decomposed.append(mat) or svd(mat, **kw))
+    monkeypatch.setattr(cli, "hastings_operator", lambda *args: built.append(make(*args)) or built[-1])
+    argv = ["hastings-verify", "--config", str(cfg), "--out", str(tmp_path / "out"), "--jobs", "1"]
+    assert cli.main(argv) == 0
+    assert len(built) == len(decomposed) == 12
+    assert all(mat is o.mat for mat, o in zip(decomposed, built))
 
 
 class TestFloatRange:

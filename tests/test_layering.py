@@ -6,7 +6,8 @@ other module calls ``numpy.linalg``'s, and no module calls its norm, since a
 Hermitian norm comes from eigenvalues.  So does every map between
 sites and tensor axes: no other module calls ``np.einsum`` or ``as_strided``.
 And ``operators`` holds the one lookup of numpy's BLAS library: no other
-module imports ``ctypes``."""
+module imports ``ctypes``.  Hermiticity is judged at ``operators``' doors:
+no other module calls ``assert_hermitian`` or ``_hermitian``."""
 
 import ast
 from pathlib import Path
@@ -190,3 +191,46 @@ def test_only_operators_loads_the_blas_library(path):
 
 def test_operators_holds_the_blas_library():
     assert "ctypes" in imported_modules((SRC / "operators.py").read_text(encoding="utf-8"))
+
+
+#: The Hermiticity test and its raising form: only ``operators``' doors call them.
+HERMITICITY_TESTS = {"assert_hermitian", "_hermitian"}
+
+
+def hermiticity_tests(source: str) -> list[str]:
+    """Each name of ``HERMITICITY_TESTS`` that ``source`` imports, or calls by name or attribute."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            found += [a.name for a in node.names if a.name in HERMITICITY_TESTS]
+        elif isinstance(node, ast.Call):
+            name = getattr(node.func, "attr", getattr(node.func, "id", None))
+            if name in HERMITICITY_TESTS:
+                found.append(name)
+    return found
+
+
+@pytest.mark.parametrize(
+    "source, found",
+    [
+        ("assert_hermitian(a, b)", ["assert_hermitian"]),
+        ("from .operators import _hermitian", ["_hermitian"]),
+        ("operators.assert_hermitian(m)", ["assert_hermitian"]),
+        ("ok = _hermitian(m).all()", ["_hermitian"]),
+        ("_hermitian_mats(h, v)", []),
+        ("op.hermitian", []),
+    ],
+)
+def test_checker_finds_hermiticity_tests(source, found):
+    assert hermiticity_tests(source) == found
+
+
+@pytest.mark.parametrize(
+    "path", sorted(p for p in SRC.glob("*.py") if p.stem != "operators"), ids=lambda p: p.name
+)
+def test_only_operators_tests_hermiticity(path):
+    assert hermiticity_tests(path.read_text(encoding="utf-8")) == []
+
+
+def test_operators_holds_the_hermiticity_test():
+    assert set(hermiticity_tests((SRC / "operators.py").read_text(encoding="utf-8"))) == HERMITICITY_TESTS
