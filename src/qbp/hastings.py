@@ -24,6 +24,7 @@ from .operators import (
     LOG_FLOAT_MAX,
     DenseOperator,
     DynamicRangeError,
+    OperatorError,
     SiteMismatchError,
     _as_integer,
     _as_positive,
@@ -53,11 +54,13 @@ def filter_hat(omega, beta: float):
     1 - (beta w)^2 / 12, giving exactly 1 at zero frequency; the series is
     formed from the small entries alone.  A product beta w past the float
     range is inf, where tanh(x) / x gives 0, the profile's limit.  beta must
-    be a finite positive number (OperatorError otherwise).
+    be a finite positive number, and no omega NaN (OperatorError otherwise).
     """
     beta = _as_positive("beta", beta)
     with np.errstate(over="ignore"):
         bw = beta * np.asarray(omega, dtype=float)
+    if np.isnan(bw).any():
+        raise OperatorError("the frequency profile is undefined at nan")
     small = np.abs(bw) < SMALL_FREQ
     series = np.where(small, bw, 0.0)
     safe = np.where(small, 1.0, bw / 2.0)

@@ -25,6 +25,7 @@ from .operators import (
     DenseOperator,
     DynamicRangeError,
     SiteLayout,
+    _apply,
     _as_integer,
     _dagger,
     _density,
@@ -36,6 +37,7 @@ from .operators import (
     _log_pd,
     _op_norm,
     _partial_trace,
+    _spectrum,
     _squared_norm,
     _trace_norm,
     as_rng,
@@ -203,12 +205,12 @@ def _circle_perturbation(h_a, h_b, eps_a: float, eps_b: float, delta_a, delta_b)
     def moved(h, eps, delta):  # h moved by eps in operator norm along delta
         return h if eps == 0.0 else h + delta * (eps / _op_norm(delta))[..., None, None]
 
-    def normalized_exp(h):
-        prod = _exp_h(h)[0]
-        trace = _trace(prod)
-        if not (trace > 0.0).all():
-            raise DynamicRangeError("exp of every eigenvalue underflows: Tr exp(H) is 0")
-        return prod / trace[..., None, None]
+    def normalized_exp(h):  # exp(h - top) / Tr, top each matrix's largest eigenvalue: Tr >= 1
+        def shifted(w):  # a lone matrix's blocks give w of shape (2, d/2), with one top
+            return np.exp(w - w.max(axis=None if w.ndim == h.ndim else -1, keepdims=True))
+        with np.errstate(over="ignore"):  # w - top below the float range: exp gives 0
+            prod = _apply(_spectrum(h), shifted)[0]
+        return prod / _trace(prod)[..., None, None]
 
     base = normalized_exp(h_a + h_b)
     bumped = normalized_exp(moved(h_a, eps_a, delta_a) + moved(h_b, eps_b, delta_b))

@@ -25,6 +25,7 @@ from .operators import (
     DenseOperator,
     OperatorError,
     SiteLayout,
+    _as_finite,
     _as_integer,
     _as_positive,
     _embed_sum,
@@ -37,7 +38,6 @@ from .operators import (
     _spectrum,
     embed_sum,
     hermitize,
-    partial_trace,
 )
 
 
@@ -155,19 +155,15 @@ class GraphModel:
         return {e.key: e for e in self.edges}
 
     @cached_property
-    def _thermal(self) -> tuple[DenseOperator | tuple, np.ndarray, float]:
-        """(source, w, log Z), once per view, from the spectrum of H: the source
-        of every state ``_reduced`` forms, H's ascending eigenvalues, and log Z
-        read from them alone.  An unblocked spectrum is kept as the source in
-        place of the d × d state, and each reduced state is formed from it
-        without the whole (``operators._gibbs``).  A reversal-blocked one gives
-        way to the whole state, which its reductions partial-trace, since the
-        blocks' function is assembled whole anyway; without a store it goes
-        when this returns (at the dimension cap its eigenvectors hold 64 MB)."""
+    def _thermal(self) -> tuple[tuple, np.ndarray, float]:
+        """(spectrum, w, log Z), once per view: the spectrum of H, the source
+        of every state ``_reduced`` forms, its ascending eigenvalues, and log Z
+        read from them alone.  Blocked or not, the spectrum is kept in place of
+        the d × d state (at the dimension cap a real blocked one holds 64 MB,
+        half the state)."""
         spectrum = self._edge_spectrum(self.edges, self.layout)
         w = np.sort(spectrum[0], axis=None)
-        source = _gibbs(self.layout, spectrum, self.beta)[0] if spectrum[2] else spectrum
-        return source, w, _log_partition(w, self.beta)
+        return spectrum, w, _log_partition(w, self.beta)
 
     @cached_property
     def _reductions(self) -> dict[frozenset, DenseOperator]:
@@ -175,14 +171,10 @@ class GraphModel:
 
     def _reduced(self, traced: frozenset) -> DenseOperator:
         """Tr_traced of the thermal state (the whole state when ``traced`` is
-        empty), once per view and traced set."""
+        empty), from the spectrum by ``operators._gibbs``, once per view and
+        traced set."""
         if traced not in self._reductions:
-            source = self._thermal[0]
-            self._reductions[traced] = (
-                partial_trace(source, traced)
-                if isinstance(source, DenseOperator)
-                else _gibbs(self.layout, source, self.beta, traced)[0]
-            )
+            self._reductions[traced] = _gibbs(self.layout, self._thermal[0], self.beta, traced)[0]
         return self._reductions[traced]
 
     def _edge_spectrum(self, edges: Sequence[EdgeTerm], layout: SiteLayout) -> tuple:
@@ -343,6 +335,7 @@ def _require_qubits(ctx: EdgeContext, name: str):
 
 def classical_ising(J: float = 1.0) -> TermFactory:
     """Diagonal Ising coupling -J Z(x)Z; every term commutes with every other."""
+    J = _as_finite("J", J)
 
     def make(ctx: EdgeContext) -> np.ndarray:
         _require_qubits(ctx, "classical_ising")
@@ -361,6 +354,7 @@ def transverse_ising(
     at a degree-3 vertex of a tree.  With ``full_boundary_fields`` the missing
     half is added back on degree-1 endpoints.
     """
+    J, hx = _as_finite("J", J), _as_finite("hx", hx)
 
     def make(ctx: EdgeContext) -> np.ndarray:
         _require_qubits(ctx, "transverse_ising")
@@ -379,6 +373,7 @@ def transverse_ising(
 
 def heisenberg(J: float = 1.0) -> TermFactory:
     """Isotropic exchange J (XX + YY + ZZ); Y(x)Y is real, so the term is too."""
+    J = _as_finite("J", J)
 
     def make(ctx: EdgeContext) -> np.ndarray:
         _require_qubits(ctx, "heisenberg")
@@ -398,6 +393,7 @@ def random_two_local(seed: int = 0, scale: float = 1.0) -> TermFactory:
     Each edge draws from an independent stream keyed by (seed, u, v), so
     the model is reproducible and insensitive to edge construction order.
     """
+    seed, scale = _as_integer("seed", seed), _as_finite("scale", scale)
 
     def make(ctx: EdgeContext) -> np.ndarray:
         ss = np.random.SeedSequence(entropy=seed, spawn_key=(ctx.u, ctx.v))
@@ -446,7 +442,8 @@ def build_tree(
         u, v = sorted((u, v))
         ctx = EdgeContext(u, v, dims[u], dims[v], degree[u], degree[v])
         try:
-            mat = spec(ctx) if callable(spec) else spec
+            with np.errstate(over="ignore", invalid="ignore"):  # DenseOperator refuses what leaves the float range
+                mat = spec(ctx) if callable(spec) else spec
         except (TypeError, ValueError) as exc:  # such as a parameter of the wrong type
             raise ModelError(f"edge {(u, v)}: {exc}") from None
         term = DenseOperator(layout.subset((u, v)), mat)
@@ -457,7 +454,8 @@ def build_tree(
 def build_chain(
     n: int, local_dim: int = 2, factory: TermFactory | None = None, beta: float = 1.0
 ) -> GraphModel:
-    """Chain on vertices 1..n with edges (k, k+1)."""
+    """Chain on vertices 1..n with edges (k, k+1); ``n`` by the rule of ``operators._as_integer``."""
+    n = _as_integer("n", n)
     if n < 2:
         raise ModelError(f"a chain needs at least 2 vertices, got {n}")
     factory = factory if factory is not None else classical_ising()

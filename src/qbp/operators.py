@@ -14,10 +14,10 @@ through all arithmetic.
 The private matrix functions also take stacks, shape (..., d, d), and give
 each matrix the LAPACK/BLAS call it gets alone, so results are bit-equal; only
 a lone reversal-symmetric matrix is solved as two blocks (`_reversal_blocks`),
-and its exp, log or Gibbs state is assembled from the blocks' functions.  A
-matrix function holds its result and one scaled copy of the eigenvectors
-(``_apply``), and a model Hamiltonian solved as blocks is freed first.  A
-reduced Gibbs state of any other spectrum is formed from the eigenvectors
+and its exp, log or whole Gibbs state is assembled from the blocks' functions.
+A matrix function holds its result and one scaled copy of the eigenvectors
+(``_apply``), and a model Hamiltonian solved as blocks is freed first.  Every
+reduced Gibbs state, of blocks or not, is formed from the eigenvectors
 without the whole state (`_gibbs`).
 Hermiticity is judged once, at the door: a public routine that reads an
 operator as Hermitian tests it there (``_hermitian_mats``) unless it is
@@ -32,8 +32,8 @@ eigendecompositions from d = 64 call LAPACK zheevd's stages in numpy's own
 OpenBLAS (``_zheevd``): zheevd's result bit for bit, with d² complex entries of
 extra memory where zheevd takes 2d².  This module holds the one lookup of that
 library (``_openblas``).  The input rules live here too (`_as_integer`,
-`_as_positive`, `_require_known`): every door that reads input applies them,
-and raises its own error type in place of their OperatorError.
+`_as_positive`, `_as_finite`, `_require_known`): every door that reads input
+applies them, and raises its own error type in place of their OperatorError.
 """
 
 from __future__ import annotations
@@ -68,10 +68,10 @@ LOG_FLOAT_MAX = float(np.log(sys.float_info.max))
 #: d = 80 (921 against 962 µs) to d = 1024 (0.58 against 1.24 s).
 ZHEEVD_MIN_DIM = 64
 
-#: Eigenvectors per product in ``_gibbs``'s reduction: temporaries of d × 256
-#: entries, with an inner dimension long enough for BLAS's full speed.  Also
-#: the rows per block of ``_within``'s differences and the side of
-#: ``_symmetrize``'s tiles.
+#: Eigenvectors per product in ``_gibbs``'s reduction (twice as many where half
+#: of each is folded): temporaries of d × 256 entries, with an inner dimension
+#: long enough for BLAS's full speed.  Also the rows per block of ``_within``'s
+#: differences and the side of ``_symmetrize``'s tiles.
 GIBBS_BLOCK = 256
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -129,6 +129,13 @@ def _as_positive(name: str, x) -> float:
     """``x`` as a float: a number above zero, finite as a float; not a bool or a string."""
     if isinstance(x, bool) or not (isinstance(x, (int, float, np.integer)) and 0 < x <= sys.float_info.max):
         raise OperatorError(f"{name} must be a finite positive number, got {x!r}")
+    return float(x)
+
+
+def _as_finite(name: str, x) -> float:
+    """``x`` as a float: a number finite as a float; not a bool or a string."""
+    if isinstance(x, bool) or not (isinstance(x, (int, float, np.integer)) and abs(x) <= sys.float_info.max):
+        raise OperatorError(f"{name} must be a finite number, got {x!r}")
     return float(x)
 
 
@@ -292,19 +299,24 @@ def _within(a: np.ndarray, b: np.ndarray, ref: np.ndarray, rtol2: float, conj: b
     ``GIBBS_BLOCK`` rows at a time (B's rows conjugated as taken, if ``conj``).
     Where ||ref||_F² is past the float range, or rtol2 ||ref||_F² below normal
     floats, both sides are of the matrices scaled exactly by the power of two
-    (at most 2^1000) that brings ref's largest entry below 1.  A difference
-    past the float range fails the test."""
+    (at most 2^1000) that brings ref's largest entry below 1, ref too by row
+    blocks.  A difference past the float range fails the test."""
     with np.errstate(over="ignore"):
         large, scale = _squared_norm(ref), None
         if not ((rtol2 * large >= np.finfo(float).smallest_normal) & (large < np.inf)).all():
-            scale = 2.0 ** np.minimum(-np.frexp(np.abs(ref).max(axis=(-2, -1)))[1], 1000)[..., None, None]
-            large = _squared_norm(ref * scale)
+            top = reduce(np.maximum, (np.abs(part).max(axis=(-2, -1)) for part in _rows(ref)))
+            scale = 2.0 ** np.minimum(-np.frexp(top)[1], 1000)[..., None, None]
+            large = sum(_squared_norm(part * scale) for part in _rows(ref))
         small = 0.0
-        for r in range(0, a.shape[-2], GIBBS_BLOCK):
-            part = b[..., r : r + GIBBS_BLOCK, :]  # frees the last block's difference first
-            part = a[..., r : r + GIBBS_BLOCK, :] - (part.conj() if conj else part)
+        for part, other in zip(_rows(a), _rows(b)):  # frees the last block's difference first
+            part = part - (other.conj() if conj else other)
             small = small + _squared_norm(part if scale is None else part * scale)
     return small <= rtol2 * large
+
+
+def _rows(x: np.ndarray):
+    """Views of ``GIBBS_BLOCK`` rows of each matrix at a time."""
+    return (x[..., r : r + GIBBS_BLOCK, :] for r in range(0, x.shape[-2], GIBBS_BLOCK))
 
 
 def _hermitian(mat: np.ndarray) -> np.ndarray:
@@ -689,30 +701,36 @@ def _gibbs(
     layout: SiteLayout, spectrum: tuple, beta: float, traced: frozenset = frozenset()
 ) -> tuple[DenseOperator, float]:
     """Tr_traced exp(-beta H) / Z on the other sites, and log Z, from
-    ``_spectrum(H)``; the spectrum selects the path, as in ``_apply``.
+    ``_spectrum(H)``: with nothing traced the whole state, from ``_apply``.
 
-    A blocked spectrum, or an empty ``traced``, forms the whole state with
-    ``_apply`` and traces it.  Otherwise, with p the Gibbs weights, the
-    reduced state is Y Y† for Y = V diag(√p) with the traced sites' axes
-    folded into Y's columns: d_K² d_S d work on a d_K-dimensional result, not
-    the d³ of the whole state, formed ``GIBBS_BLOCK`` eigenvectors at a time
-    so that no temporary is d × d.
-    """
+    Else, with p the Gibbs weights, Y Y† for Y = U diag(√p) with the traced
+    sites' axes folded into Y's columns, ``GIBBS_BLOCK`` eigenvectors at a
+    time: d_K² d_S d work and no d × d temporary.  U is V, or each block's v
+    lifted to u = [v; ±v reversed] (√2 times M's eigenvector; J u = ±u for the
+    index reversal J).  So where a traced site has even dimension, the upper
+    half of the first one's indices adds J R J to its lower half's R: that half
+    alone is folded, for (R + J R J) / 2.  With no such site the sum is halved."""
     beta = _as_positive("beta", beta)
     w, v, blocked = spectrum
     log_z = _log_partition(w, beta)
-    if blocked or not traced:
-        rho = _apply(spectrum, lambda w: _gibbs_weights(w, beta))[0]
-        keep, rho = _partial_trace(rho, layout, traced) if traced else (layout, rho)
-        return DenseOperator(keep, rho, True), log_z
+    if not traced:
+        return DenseOperator(layout, _apply(spectrum, lambda w: _gibbs_weights(w, beta))[0], True), log_z
     keep = layout.drop(traced)
     axes = [layout.axis_of(s) for s in keep.sites + layout.subset(traced).sites]
-    folded = v.reshape(layout.dims + (-1,)).transpose(axes + [len(axes)])
+    even = [a for a in axes[len(keep.sites) :] if blocked and layout.dims[a] % 2 == 0][:1]
+    half = tuple(slice(layout.dims[a] // 2 if a in even else None) for a in axes)
+    step = GIBBS_BLOCK * (2 if even else 1)
     roots = np.sqrt(_gibbs_weights(w, beta))
     rho = np.zeros((keep.dim, keep.dim), dtype=v.dtype)
-    for k in range(0, len(w), GIBBS_BLOCK):
-        y = (folded[..., k : k + GIBBS_BLOCK] * roots[k : k + GIBBS_BLOCK]).reshape(keep.dim, -1)
-        rho += y @ _dagger(y)
+    for vs, rs, sign in zip(v, roots, (1.0, -1.0)) if blocked else [(v, roots, 1.0)]:
+        for k in range(0, vs.shape[-1], step):
+            u = vs[:, k : k + step]
+            u = np.concatenate([u, sign * u[::-1]]) if blocked else u
+            folded = u.reshape(layout.dims + (-1,)).transpose(axes + [len(axes)])[half]
+            y = (folded * rs[k : k + step]).reshape(keep.dim, -1)
+            rho += y @ _dagger(y)
+    if blocked:
+        rho = (rho + rho[::-1, ::-1] if even else rho) / 2.0
     # A new array, not ``_symmetrize``: the d_K × d_K hole the sum leaves is
     # where a log of the state lands, and in place the 10-site cumulant-decay
     # worker's heap peaked 3 MB higher.
@@ -804,8 +822,13 @@ def op_norm(op: DenseOperator) -> float:
 
 
 def as_rng(seed) -> np.random.Generator:
+    """``seed`` if it is a Generator, else one seeded by a non-negative integer
+    (by the rule of ``_as_integer``); OperatorError for anything else."""
     if isinstance(seed, np.random.Generator):
         return seed
+    seed = _as_integer("seed", seed)
+    if seed < 0:
+        raise OperatorError(f"seed must be non-negative, got {seed}")
     return np.random.default_rng(seed)
 
 

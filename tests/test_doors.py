@@ -139,12 +139,16 @@ JORDAN = np.array([[0.0, 1.0], [0.0, 0.0]])
                                     DenseOperator(Q1, 1e300 * PAULI_X), 5), DynamicRangeError),
     (lambda: conjugation_residual(DenseOperator(Q1, np.eye(2)), DenseOperator(Q1, np.eye(2)), 1.0,
                                   DenseOperator(Q1, 1e300 * np.eye(2))), DynamicRangeError),
-    # exp of every eigenvalue underflowed, and the normalisation took 0 / 0.
+    # exp of every eigenvalue underflowed, and the normalisation took 0 / 0; shifted by
+    # the largest eigenvalue, the normalized exponential is well defined (None: a finite margin).
     (lambda: check_circle_perturbation(DenseOperator(Q1, np.diag([-1e300, -1e300])),
-                                       DenseOperator(Q1, np.zeros((2, 2))), 0.1, 0.1, 3), DynamicRangeError),
+                                       DenseOperator(Q1, np.zeros((2, 2))), 0.1, 0.1, 3), None),
 ], ids=["tiny_jordan", "commutator_power", "conjugation_residual", "circle_perturbation"])
 def test_breaches_found_by_the_contract(call, error):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
+        if error is None:
+            assert finite(call())
+            return
         with pytest.raises(error):
             call()

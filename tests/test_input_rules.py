@@ -4,6 +4,7 @@ non-finite value raises ``OperatorError``, while an integral float is taken as
 its integer.  Range violations keep each door's own error type."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -19,7 +20,10 @@ from qbp import (
     check_telescoping,
     conjugation_residual,
     deficiency_rows,
+    filter_hat,
     hastings_operator,
+    heisenberg,
+    random_density,
     random_hermitian,
     region_partition,
     run_sliding_window,
@@ -108,3 +112,35 @@ def test_range_violations_keep_their_error_types():
     with pytest.raises(ValueError, match="radius must be >= 1"):
         single_step_bound(ONES, 1.0, 1.0, 0)
     assert math.isfinite(single_step_bound(ONES, 1.0, 0.0, 1).total)  # no buffer edges
+
+
+@pytest.mark.parametrize("call", [
+    # numpy's SeedSequence raised a bare TypeError for a NaN or a string seed.
+    lambda: random_density(math.nan, Q12),
+    lambda: random_hermitian("7", Q12),
+    # n = 2.5 reached range() and raised a bare TypeError.
+    lambda: build_chain(2.5, 2),
+    # J = inf leaked numpy's "invalid value encountered in multiply" (0 * inf).
+    lambda: build_chain(3, 2, transverse_ising(J=math.inf)),
+    # a finite J whose term leaves the float range leaked numpy's overflow warning.
+    lambda: build_chain(3, 2, heisenberg(J=1e308)),
+    # the frequency profile returned NaN.
+    lambda: filter_hat(math.nan, 1.0),
+], ids=["nan_seed", "string_seed", "fractional_chain_length", "infinite_coupling", "overflowing_term", "nan_frequency"])
+def test_contract_breach_raises_operator_error(call):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OperatorError):
+            call()
+
+
+def test_seeds_and_factory_parameters_by_the_rules():
+    want = random_hermitian(3, Q12).mat
+    assert np.array_equal(random_hermitian(3.0, Q12).mat, want)
+    assert np.array_equal(random_hermitian(np.int64(3), Q12).mat, want)
+    assert np.array_equal(random_hermitian(np.random.default_rng(3), Q12).mat, want)
+    with pytest.raises(OperatorError, match="seed must be non-negative"):
+        random_hermitian(-1, Q12)
+    with pytest.raises(OperatorError, match="hx must be a finite number"):
+        transverse_ising(hx=True)
+    assert filter_hat(math.inf, 1.0) == 0.0 and filter_hat(-math.inf, 1.0) == 0.0

@@ -20,9 +20,11 @@ from qbp import (
     SiteLayout,
     SiteMismatchError,
     build_chain,
+    classical_ising,
     edge_hamiltonian,
     embed,
     embed_sum,
+    heisenberg,
     matrix_exp_h,
     matrix_log_pd,
     op_norm,
@@ -34,6 +36,7 @@ from qbp import (
     transverse_ising,
 )
 from qbp import operators
+from qbp.models import edge_gibbs_state
 from qbp.operators import (
     LOG_EIG_FLOOR,
     _density,
@@ -439,20 +442,29 @@ class TestFiniteEntries:
             operators._gibbs_weights(np.array(w), beta)
 
 
+#: Chain terms by name: every one but random2 is reversal-symmetric, so solved as blocks.
+CHAIN_TERMS = {
+    "tfim": lambda n: transverse_ising(1.0, 0.7),
+    "heisenberg": lambda n: heisenberg(0.8),
+    "classical_ising": lambda n: classical_ising(1.1),
+    "random2": lambda n: random_two_local(seed=n),
+}
+
+
 def _chain_hamiltonian(factory: str, n: int) -> DenseOperator:
-    term = transverse_ising(1.0, 0.7) if factory == "tfim" else random_two_local(seed=n)
-    return edge_hamiltonian(build_chain(n, 2, term, beta=1.0))
+    return edge_hamiltonian(build_chain(n, 2, CHAIN_TERMS[factory](n), beta=1.0))
 
 
 class TestReducedGibbs:
-    """``operators._gibbs`` reduces a Gibbs state straight from the spectrum:
-    a blocked spectrum (TFIM) through the whole state, an unblocked one
-    (random2) as Y Y† with the traced axes folded into Y's columns.  Both equal
-    the partial trace of ``gibbs_state``'s whole state within 1e-13."""
+    """``operators._gibbs`` reduces a Gibbs state straight from the spectrum,
+    as Y Y† with the traced axes folded into Y's columns: a blocked spectrum
+    (TFIM, Heisenberg, classical Ising) from its lifted block eigenvectors, an
+    unblocked one (random2) from its own.  Both equal the partial trace of
+    ``gibbs_state``'s whole state within 1e-13."""
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=60, deadline=None)
     @given(
-        factory=st.sampled_from(["tfim", "random2"]),
+        factory=st.sampled_from(sorted(CHAIN_TERMS)),
         n=st.integers(min_value=2, max_value=6),
         beta=st.floats(min_value=0.05, max_value=4.0),
         picks=st.lists(st.booleans(), min_size=6, max_size=6),
@@ -462,13 +474,32 @@ class TestReducedGibbs:
     @example(factory="random2", n=6, beta=1.0, picks=[True, False, True, False, False, True])
     @example(factory="tfim", n=6, beta=1.0, picks=[False, True, True, True, True, True])
     @example(factory="tfim", n=6, beta=1.0, picks=[True, False, True, False, False, True])
+    @example(factory="tfim", n=6, beta=1.0, picks=[False, False, False, False, False, True])  # the last site
+    @example(factory="heisenberg", n=5, beta=2.0, picks=[False, True, False, True, False, False])
+    @example(factory="classical_ising", n=4, beta=0.5, picks=[False, False, True, False, False, False])
     def test_equals_partial_trace_of_the_whole_state(self, factory, n, beta, picks):
         traced = frozenset(s for s, pick in zip(range(1, n + 1), picks) if pick)
         if len(traced) == n:
             traced -= {n}
         ham = _chain_hamiltonian(factory, n)
         spectrum = _spectrum(ham.mat)
-        assert spectrum[2] == (factory == "tfim")
+        assert spectrum[2] == (factory != "random2")
+        self.assert_reduces(ham, spectrum, beta, traced)
+
+    @pytest.mark.parametrize("traced", [{1}, {2}, {3}, {1, 2}, {1, 3}, {2, 3}])
+    def test_first_site_of_odd_dimension(self, traced):
+        """On dims (3, 2, 2) the halves of a lifted eigenvector cut through site
+        1's middle index, and with site 1 alone traced no traced site is even:
+        the whole of each vector is folded and the sum halved."""
+        lay = SiteLayout((1, 2, 3), (3, 2, 2))
+        mat = random_hermitian(11, lay).mat
+        ham = DenseOperator(lay, mat + mat[::-1, ::-1])
+        spectrum = _spectrum(ham.mat)
+        assert spectrum[2]
+        self.assert_reduces(ham, spectrum, 0.9, frozenset(traced))
+
+    @staticmethod
+    def assert_reduces(ham, spectrum, beta, traced):
         got, log_z = operators._gibbs(ham.layout, spectrum, beta, traced)
         whole, want_log_z = gibbs_state(ham, beta)
         want = partial_trace(whole, traced)
@@ -478,19 +509,35 @@ class TestReducedGibbs:
         assert log_z == want_log_z
 
     def test_blocked_and_untraced_are_the_whole_state_bit_for_bit(self):
-        for factory, traced in (("tfim", frozenset({2, 5})), ("random2", frozenset())):
-            ham = _chain_hamiltonian(factory, 6)
-            got, _ = operators._gibbs(ham.layout, _spectrum(ham.mat), 1.3, traced)
-            assert got.mat.tobytes() == partial_trace(gibbs_state(ham, 1.3)[0], traced).mat.tobytes()
+        ham = _chain_hamiltonian("random2", 6)
+        got, _ = operators._gibbs(ham.layout, _spectrum(ham.mat), 1.3, frozenset())
+        assert got.mat.tobytes() == gibbs_state(ham, 1.3)[0].mat.tobytes()
 
     def test_blocks_of_eigenvectors_sum_to_one_product(self, monkeypatch):
-        ham = _chain_hamiltonian("random2", 6)
-        spectrum = _spectrum(ham.mat)
-        traced = frozenset({1, 4})
-        whole, _ = operators._gibbs(ham.layout, spectrum, 0.8, traced)
-        monkeypatch.setattr(operators, "GIBBS_BLOCK", 7)  # ten blocks, the last of one vector
-        blocked, _ = operators._gibbs(ham.layout, spectrum, 0.8, traced)
-        assert np.abs(blocked.mat - whole.mat).max() <= 1e-15
+        cases = [("random2", {1, 4}), ("tfim", {1, 4}), ("tfim", {3, 5})]
+        spectra = {factory: (ham.layout, _spectrum(ham.mat))
+                   for factory, ham in ((f, _chain_hamiltonian(f, 6)) for f in ("random2", "tfim"))}
+        whole = [operators._gibbs(*spectra[f], 0.8, frozenset(t))[0] for f, t in cases]
+        # Ten chunks of an unblocked spectrum, the last of one vector; three of
+        # each block, the last of four, where the fold is halved.
+        monkeypatch.setattr(operators, "GIBBS_BLOCK", 7)
+        for (factory, traced), want in zip(cases, whole):
+            got, _ = operators._gibbs(*spectra[factory], 0.8, frozenset(traced))
+            assert np.abs(got.mat - want.mat).max() <= 1e-15
+
+    def test_no_traced_reduction_forms_the_whole_state(self, monkeypatch):
+        models = {f: build_chain(6, 2, CHAIN_TERMS[f](6), beta=1.2) for f in ("tfim", "random2")}
+        whole = {f: models[f]._reduced(frozenset()) for f in models}  # from ``_apply``
+
+        def refuse(*args):
+            raise AssertionError("a traced reduction formed the whole state")
+
+        monkeypatch.setattr(operators, "_apply", refuse)
+        for factory, model in models.items():
+            for traced in ({1}, {6}, {2, 3}, {1, 2, 3, 4, 5}):
+                got = model._reduced(frozenset(traced))
+                assert np.abs(got.mat - partial_trace(whole[factory], traced).mat).max() <= 1e-13
+            assert edge_gibbs_state(model, model.edges[:3], {1})[0].layout.sites == (2, 3, 4)
 
 
 class TestExpLog:
@@ -1027,6 +1074,18 @@ class TestApplyInOneBuffer:
         """M - M† is formed ``GIBBS_BLOCK`` rows at a time, with no conjugated copy of M."""
         d = 1024
         mat = _complex_hermitian(d)
+        hermitian, extra = _allocated(operators._hermitian, mat)
+        assert hermitian
+        assert extra <= 3 * 16 * operators.GIBBS_BLOCK * d
+
+    def test_scaled_hermiticity_test_scales_one_row_block_at_a_time(self):
+        """Entries near 1e300 put ||M||_F² past the float range, so the test is
+        judged on M scaled by a power of two: a block at a time, not a scaled
+        copy of M (16.9 MB here, against 8.5 MB unscaled)."""
+        d = 1024
+        mat = _complex_hermitian(d) * 1e300
+        with np.errstate(over="ignore"):
+            assert not np.isfinite(operators._squared_norm(mat))
         hermitian, extra = _allocated(operators._hermitian, mat)
         assert hermitian
         assert extra <= 3 * 16 * operators.GIBBS_BLOCK * d
