@@ -22,14 +22,12 @@ a list of one.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import math
 import os
 import resource
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
@@ -65,6 +63,16 @@ from .operators import (
     random_hermitian,
 )
 from .propagation import chain_ends, window_error_sweep
+
+# hashlib maps OpenSSL's libcrypto (3.5 MB resident) for one digest of the
+# config; CPython's own SHA-256 module gives the same digest.
+try:
+    from _sha2 import sha256  # Python 3.12 and later
+except ImportError:
+    try:
+        from _sha256 import sha256
+    except ImportError:
+        from hashlib import sha256
 
 
 class ConfigError(ValueError):
@@ -216,9 +224,7 @@ def write_manifest(out_dir: Path, command: str, cfg_raw: dict, cfg: ExperimentCo
                    jobs: int, t0: float) -> None:
     manifest = {
         "command": command,
-        "config_sha256": hashlib.sha256(
-            json.dumps(cfg_raw, sort_keys=True).encode()
-        ).hexdigest(),
+        "config_sha256": sha256(json.dumps(cfg_raw, sort_keys=True).encode()).hexdigest(),
         "seed": cfg.seed,
         "versions": {
             "qbp": __version__,
@@ -406,8 +412,10 @@ def run_command(name: str, cfg: ExperimentConfig, out_dir: Path) -> tuple[int, i
     A model is built once before any worker starts; with several beta values its
     views share one store of spectra, filled with H's first for pool workers to inherit.
     The points run in ``cfg.jobs`` worker processes (0: one per core), at most one per
-    point, or in this process when that is one.  Returns the exit code (4 when the lemma
-    suite records a failure, else 0) and the number of processes the points ran in.
+    point, or in this process when that is one; the pool's modules load only then, and
+    before the model is built, so they do not land on top of its solve's heap high-water
+    mark.  Returns the exit code (4 when the lemma suite records a failure, else 0) and
+    the number of processes the points ran in.
     """
     command = COMMANDS[name]
     empty = [f for f in command.required if not getattr(cfg, f)]
@@ -416,13 +424,15 @@ def run_command(name: str, cfg: ExperimentConfig, out_dir: Path) -> tuple[int, i
     worker = globals()[command.worker]
     betas = cfg.beta_values if "beta_values" in command.required else (None,)
     points = [(cfg, i, b) for i, b in enumerate(betas)]
+    jobs = min(cfg.jobs or os.cpu_count() or 1, len(points))
+    if jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor
     model = None
     if command.model:
         model = build_model(cfg, betas[0])
         if len(points) > 1:
             model = replace(model, spectra={})
             model._edge_spectrum(model.edges, model.layout)
-    jobs = min(cfg.jobs or os.cpu_count() or 1, len(points))
     _share(model)
     try:
         if jobs == 1:

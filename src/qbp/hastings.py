@@ -28,6 +28,7 @@ from .operators import (
     SiteMismatchError,
     _as_integer,
     _as_positive,
+    _as_reals,
     _dagger,
     _eigh,
     _hermitian_mats,
@@ -53,14 +54,13 @@ def filter_hat(omega, beta: float):
     The removable singularity at w = 0 is filled with the series
     1 - (beta w)^2 / 12, giving exactly 1 at zero frequency; the series is
     formed from the small entries alone.  A product beta w past the float
-    range is inf, where tanh(x) / x gives 0, the profile's limit.  beta must
-    be a finite positive number, and no omega NaN (OperatorError otherwise).
+    range is inf, where tanh(x) / x gives 0, the profile's limit.  beta and
+    omega follow the rules of ``operators._as_positive`` and ``_as_reals``
+    (OperatorError otherwise).
     """
     beta = _as_positive("beta", beta)
     with np.errstate(over="ignore"):
-        bw = beta * np.asarray(omega, dtype=float)
-    if np.isnan(bw).any():
-        raise OperatorError("the frequency profile is undefined at nan")
+        bw = beta * _as_reals("omega", omega)
     small = np.abs(bw) < SMALL_FREQ
     series = np.where(small, bw, 0.0)
     safe = np.where(small, 1.0, bw / 2.0)
@@ -72,14 +72,15 @@ def filter_time(t, beta: float):
     """Closed-form time kernel (2 / beta pi) log coth(pi |t| / 2 beta).
 
     Positive with an integrable log singularity at t = 0, where it is
-    undefined; exactly zero total-variation mass 1.  beta must be a finite
-    positive number (OperatorError otherwise); DynamicRangeError where the
-    kernel's value is past the float range, which takes t and beta below 1e-300.
+    undefined; exactly zero total-variation mass 1.  beta and t follow the
+    rules of ``operators._as_positive`` and ``_as_reals``, and no t is 0
+    (OperatorError otherwise); DynamicRangeError where the kernel's value is
+    past the float range, which takes t and beta below 1e-300.
     """
     beta = _as_positive("beta", beta)
-    t_arr = np.asarray(t, dtype=float)
-    if not np.all(np.abs(t_arr) > 0.0):
-        raise ValueError("the time kernel is singular at t = 0 and undefined at nan")
+    t_arr = _as_reals("t", t)
+    if not np.all(t_arr != 0.0):
+        raise OperatorError("the time kernel is singular at t = 0")
     # log(coth x) = log1p(2 / (e^{2x} - 1)).  Overflow of x or of e^{2x}
     # harmlessly drives the argument to zero.  Where 2 / (e^{2x} - 1) overflows
     # (x below about 1e-308), log coth x = -ln x within x², and ln x is taken

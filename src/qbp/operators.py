@@ -32,8 +32,9 @@ eigendecompositions from d = 64 call LAPACK zheevd's stages in numpy's own
 OpenBLAS (``_zheevd``): zheevd's result bit for bit, with d² complex entries of
 extra memory where zheevd takes 2d².  This module holds the one lookup of that
 library (``_openblas``).  The input rules live here too (`_as_integer`,
-`_as_positive`, `_as_finite`, `_require_known`): every door that reads input
-applies them, and raises its own error type in place of their OperatorError.
+`_as_positive`, `_as_finite`, `_as_reals`, `_require_known`): every door that
+reads input applies them, and raises its own error type in place of their
+OperatorError.
 """
 
 from __future__ import annotations
@@ -137,6 +138,15 @@ def _as_finite(name: str, x) -> float:
     if isinstance(x, bool) or not (isinstance(x, (int, float, np.integer)) and abs(x) <= sys.float_info.max):
         raise OperatorError(f"{name} must be a finite number, got {x!r}")
     return float(x)
+
+
+def _as_reals(name: str, x) -> np.ndarray:
+    """``x`` as a float array: a real number or an array of them, none NaN (±inf
+    allowed); not a bool, a string or a complex number."""
+    arr = np.asarray(x)
+    if arr.dtype.kind not in "iuf" or np.isnan(arr).any():
+        raise OperatorError(f"{name} must be real numbers, none nan, got {x!r}")
+    return arr.astype(float, copy=False)
 
 
 def _require_known(name: str, obj, known) -> None:

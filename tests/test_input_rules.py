@@ -21,6 +21,7 @@ from qbp import (
     conjugation_residual,
     deficiency_rows,
     filter_hat,
+    filter_time,
     hastings_operator,
     heisenberg,
     random_density,
@@ -126,7 +127,14 @@ def test_range_violations_keep_their_error_types():
     lambda: build_chain(3, 2, heisenberg(J=1e308)),
     # the frequency profile returned NaN.
     lambda: filter_hat(math.nan, 1.0),
-], ids=["nan_seed", "string_seed", "fractional_chain_length", "infinite_coupling", "overflowing_term", "nan_frequency"])
+    # the time kernel raised a bare ValueError at t = 0 and at NaN.
+    lambda: filter_time(0.0, 1.0),
+    lambda: filter_time(math.nan, 1.0),
+    # a string reached numpy's bare ValueError ("could not convert string to float").
+    lambda: filter_time("x", 1.0),
+    lambda: filter_hat("x", 1.0),
+], ids=["nan_seed", "string_seed", "fractional_chain_length", "infinite_coupling", "overflowing_term", "nan_frequency",
+        "zero_time", "nan_time", "string_time", "string_frequency"])
 def test_contract_breach_raises_operator_error(call):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
