@@ -1,5 +1,5 @@
 """Command-line front door: model ingestion, experiment orchestration,
-deterministic seeding, and CSV/JSON emission.
+deterministic seeding, and CSV emission.
 
 Commands::
 
@@ -335,31 +335,22 @@ def _hastings_point(args) -> tuple[list[list]]:
     return (rows,)
 
 
-def _markov_point(args) -> tuple[list[list], list[dict]]:
+def _markov_point(args) -> tuple[list[list]]:
     cfg, _, beta = args
     model = _command_model.at(beta)
-    csv_rows, json_rows = [], []
+    rows = []
     entropies: dict = {}
     for ell in cfg.ell_values:
         for row in deficiency_rows(model, ell, entropies=entropies):
             subset = "+".join(str(s) for s in row.subset)
-            csv_rows.append([cfg.model_id, beta, ell, subset, row.value, int(row.degenerate)])
-            json_rows.append({"beta": beta, **row.as_json()})
-    return csv_rows, json_rows
+            rows.append([cfg.model_id, beta, ell, subset, row.value, int(row.degenerate)])
+    return (rows,)
 
 
-def _lemma_suite(args) -> tuple[list[list], list[tuple[str, dict]]]:
+def _lemma_suite(args) -> tuple[list[list]]:
     cfg, _, _ = args
     summaries = run_suite(cfg.seed, cfg.instances)
-    rows = [
-        [name, s.count, s.min_margin, s.failures] for name, s in summaries.items()
-    ]
-    # The JSON report lists checks, and each check's fields, by sorted key.
-    by_check = [
-        (name, dict(sorted(summaries[name].as_json().items())))
-        for name in sorted(summaries)
-    ]
-    return rows, by_check
+    return ([[name, s.count, s.min_margin, s.failures] for name, s in summaries.items()],)
 
 
 # -- commands --------------------------------------------------------------------
@@ -372,14 +363,13 @@ class Command:
     ``required``, the config fields that must be non-empty, lists
     ``beta_values``, else once in all.  It is looked up when the command
     runs, so a wrapper or patch applied to the module attribute sees every
-    call.  Each output pairs a file name with either its CSV header
-    line or the JSON document type (``list`` or ``dict``) its rows form.
+    call.  Each output pairs a CSV file name with its header line.
     ``model`` says whether the worker reads the config's model.
     """
 
     worker: str
     required: tuple[str, ...]
-    outputs: tuple[tuple[str, str | type], ...]
+    outputs: tuple[tuple[str, str], ...]
     model: bool = True
 
 
@@ -397,11 +387,9 @@ COMMANDS = {
     ), model=False),
     "lemma-suite": Command("_lemma_suite", (), (
         ("lemma_suite.csv", "check,count,min_margin,failures"),
-        ("lemma_suite.json", dict),
     ), model=False),
     "markov-audit": Command("_markov_point", ("beta_values", "ell_values"), (
         ("markov_audit.csv", "model_id,beta,ell,U,deficiency,degenerate"),
-        ("markov_audit.json", list),
     )),
 }
 
@@ -443,11 +431,8 @@ def run_command(name: str, cfg: ExperimentConfig, out_dir: Path) -> tuple[int, i
     finally:
         _share(None)
     tables = [[row for part in parts for row in part] for parts in zip(*results)]
-    for (filename, form), rows in zip(command.outputs, tables):
-        if isinstance(form, str):
-            write_csv(out_dir / filename, form.split(","), rows)
-        else:
-            (out_dir / filename).write_text(json.dumps(form(rows), indent=2) + "\n", encoding="utf-8")
+    for (filename, header), rows in zip(command.outputs, tables):
+        write_csv(out_dir / filename, header.split(","), rows)
     return (4 if name == "lemma-suite" and any(failures for *_, failures in tables[0]) else 0), jobs
 
 

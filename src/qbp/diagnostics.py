@@ -221,14 +221,12 @@ def single_step_bound(
     (boundary) edges.  The first piece prices replacing the conjugation
     operator by its radius-local truncation; the second prices the drift
     between conjugating the true and the effective thermal backgrounds.
-    ``radius`` is an integer and ``beta`` and a nonzero ``buffer_norm`` are
+    ``radius`` is an integer >= 1 and ``beta`` and a nonzero ``buffer_norm`` are
     positive by the rules of ``operators._as_integer`` and ``_as_positive``.
     Raises ``DynamicRangeError`` where an exponent or the envelope leaves the
     float range.
     """
-    radius = _as_integer("radius", radius)
-    if radius < 1:
-        raise ValueError(f"radius must be >= 1, got {radius}")
+    radius = _as_integer("radius", radius, 1)
     beta = _as_positive("beta", beta)
     if buffer_norm != 0 or isinstance(buffer_norm, bool):  # no buffer edges: 0
         buffer_norm = _as_positive("buffer_norm", buffer_norm)

@@ -140,13 +140,11 @@ def hastings_operator(
     factors do not depend on the running product, so the steps are
     decomposed in stacks of at most ``STACK_ENTRIES`` matrix entries.
     H and V must be Hermitian (tested unless flagged), beta positive and
-    ``s_steps`` an integer by the rules of ``operators._as_positive`` and
+    ``s_steps`` an integer >= 1 by the rules of ``operators._as_positive`` and
     ``_as_integer``.  Raises DynamicRangeError where a float cannot hold the
     product.
     """
-    s_steps = _as_integer("s_steps", s_steps)
-    if s_steps < 1:
-        raise ValueError(f"s_steps must be >= 1, got {s_steps}")
+    s_steps = _as_integer("s_steps", s_steps, 1)
     beta, h, v = _operands(h, v, beta)
     result = np.eye(h.dim)
     step = -beta / (2.0 * s_steps)

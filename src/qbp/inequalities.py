@@ -24,6 +24,7 @@ import numpy as np
 from .operators import (
     DenseOperator,
     DynamicRangeError,
+    OperatorError,
     SiteLayout,
     _apply,
     _as_integer,
@@ -131,8 +132,6 @@ def check_circle_eig_lower_bound(a: DenseOperator, b: DenseOperator) -> CheckRes
 
 def _commutator_power(a, b, n: int):
     """``DynamicRangeError`` where a commutator or the right-hand side leaves the float range."""
-    if n < 1:
-        raise ValueError(f"power must be >= 1, got {n}")
     with np.errstate(over="ignore", invalid="ignore"):
         bn = np.linalg.matrix_power(b, n)
         sides = 1j * (a @ bn - bn @ a), 1j * (a @ b - b @ a)
@@ -143,18 +142,16 @@ def _commutator_power(a, b, n: int):
 
 
 def check_commutator_power(a: DenseOperator, b: DenseOperator, n: int) -> CheckResult:
-    """||[A, B^n]|| <= n ||B||^(n-1) ||[A, B]|| for Hermitian A, B; n an integer."""
-    return _check("commutator_power", _commutator_power, (a, b), _as_integer("n", n))
+    """||[A, B^n]|| <= n ||B||^(n-1) ||[A, B]|| for Hermitian A, B; n an integer, at least 1."""
+    return _check("commutator_power", _commutator_power, (a, b), _as_integer("power", n, 1))
 
 
 def _telescoping(u, v, o, k: int):
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
     for name, mat in (("U", u), ("V", v)):  # ||U†U - I|| <= 1e-9, per matrix
         defect = _dagger(mat) @ mat - np.eye(mat.shape[-1])
         over = ~(_squared_norm(defect) <= 1e-18)  # the Frobenius norm bounds the operator norm
         if over.any() and (_op_norm(defect[over]) > 1e-9).any():
-            raise ValueError(f"{name} is not unitary within tolerance")
+            raise OperatorError(f"{name} is not unitary within tolerance")
     vk = np.linalg.matrix_power(v, k)
     uvk = np.linalg.matrix_power(u @ v, k)
     lhs = _op_norm(vk @ o @ _dagger(vk) - uvk @ o @ _dagger(uvk))
@@ -170,8 +167,8 @@ def check_telescoping(
     u: DenseOperator, v: DenseOperator, o: DenseOperator, k: int
 ) -> CheckResult:
     """Conjugation by V^k versus (UV)^k differs by at most the sum of the
-    single-slot swap errors, for unitary U, V and Hermitian O; k an integer."""
-    return _check("telescoping", _telescoping, (u, v, o), _as_integer("k", k), unitary=2)
+    single-slot swap errors, for unitary U, V and Hermitian O; k an integer, at least 1."""
+    return _check("telescoping", _telescoping, (u, v, o), _as_integer("k", k, 1), unitary=2)
 
 
 def _exp_bound(a, b):
@@ -297,13 +294,6 @@ class SuiteSummary:
     count: int
     min_margin: float
     failures: int
-
-    def as_json(self) -> dict:
-        return {
-            "count": self.count,
-            "min_margin": self.min_margin,
-            "failures": self.failures,
-        }
 
 
 def run_suite(master_seed: int, instances: int = 500) -> dict[str, SuiteSummary]:

@@ -47,7 +47,7 @@ class TripartiteSplit:
         object.__setattr__(self, "b", frozenset(self.b))
         object.__setattr__(self, "c", frozenset(self.c))
         if self.a & self.b or self.a & self.c or self.b & self.c:
-            raise ValueError("tripartite split must be pairwise disjoint")
+            raise ModelError("tripartite split must be pairwise disjoint")
 
 
 def von_neumann_entropy(rho: DenseOperator) -> float:
@@ -69,7 +69,7 @@ def cmi(rho: DenseOperator, split: TripartiteSplit) -> float:
     """
     support = split.a | split.b | split.c
     if support != set(rho.layout.sites):
-        raise ValueError(
+        raise ModelError(
             f"split {sorted(support)} does not cover support {rho.layout.sites}"
         )
     return _cmi(rho, split, {})
@@ -105,7 +105,7 @@ def _blanket_split(
     arbitrary graph, or None when the split is degenerate (nothing lies
     beyond the blanket), whose deficiency is reported as zero."""
     if not subset or not subset < vertices:
-        raise ValueError(f"subset {sorted(subset)} must be a nonempty proper subset")
+        raise ModelError(f"subset {sorted(subset)} must be a nonempty proper subset")
     dist = bfs_distances(adj, subset)
     blanket = frozenset(v for v in vertices if 0 < dist.get(v, radius + 1) <= radius)
     rest = vertices - subset - blanket
@@ -118,14 +118,6 @@ class DeficiencyRow:
     radius: int
     value: float
     degenerate: bool
-
-    def as_json(self) -> dict:
-        return {
-            "U": list(self.subset),
-            "ell": self.radius,
-            "deficiency": self.value,
-            "degenerate": self.degenerate,
-        }
 
 
 def connected_subsets(adj: Mapping[int, Iterable[int]]) -> list[tuple[int, ...]]:

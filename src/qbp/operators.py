@@ -119,11 +119,14 @@ class SingularOperatorError(OperatorError):
         return type(self), (str(self), self.eigenvalue)
 
 
-def _as_integer(name: str, x) -> int:
-    """``x`` as an int: an integer, numpy's too, or an integral float; not a bool or a string."""
-    if isinstance(x, float) and x.is_integer() or isinstance(x, (int, np.integer)) and not isinstance(x, bool):
-        return int(x)
-    raise OperatorError(f"{name} must be an integer, got {x!r}")
+def _as_integer(name: str, x, least: int | None = None) -> int:
+    """``x`` as an int: an integer, numpy's too, or an integral float; not a bool or a
+    string; and at least ``least`` when that is given."""
+    if not (isinstance(x, float) and x.is_integer() or isinstance(x, (int, np.integer)) and not isinstance(x, bool)):
+        raise OperatorError(f"{name} must be an integer, got {x!r}")
+    if least is not None and x < least:
+        raise OperatorError(f"{name} must be >= {least}, got {int(x)}")
+    return int(x)
 
 
 def _as_positive(name: str, x) -> float:

@@ -31,6 +31,7 @@ from .models import (
 )
 from .operators import (
     DenseOperator,
+    OperatorError,
     SiteMismatchError,
     _as_integer,
     embed_sum,
@@ -68,7 +69,7 @@ def circle_product(*ops: DenseOperator) -> DenseOperator:
     on the union layout; all operands must be Hermitian positive definite.
     """
     if not ops:
-        raise ValueError("need at least one operand")
+        raise OperatorError("need at least one operand")
     return matrix_exp_h(embed_sum(matrix_log_pd(op) for op in ops))
 
 

@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import hashlib
 import json
@@ -36,6 +37,11 @@ def write_config(tmp_path, **overrides):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
     return path
+
+
+def read_csv(path):
+    with open(path, newline="", encoding="utf-8") as fh:
+        return list(csv.DictReader(fh))
 
 
 def run(command, cfg_path, out_dir, extra=()):
@@ -177,9 +183,9 @@ class TestOtherCommands:
     def test_lemma_suite_passes_and_reports(self, tmp_path):
         cfg = write_config(tmp_path)
         assert run("lemma-suite", cfg, tmp_path / "out") == 0
-        summary = json.loads((tmp_path / "out" / "lemma_suite.json").read_text())
-        assert all(v["failures"] == 0 for v in summary.values())
-        assert all(v["count"] == 25 for v in summary.values())
+        summary = read_csv(tmp_path / "out" / "lemma_suite.csv")
+        assert all(int(v["failures"]) == 0 for v in summary)
+        assert all(int(v["count"]) == 25 for v in summary)
 
     def test_lemma_suite_failure_exit_code(self, tmp_path, monkeypatch):
         from qbp.inequalities import SuiteSummary
@@ -201,8 +207,30 @@ class TestOtherCommands:
         rows = (tmp_path / "out" / "markov_audit.csv").read_text().splitlines()
         assert rows[0] == "model_id,beta,ell,U,deficiency,degenerate"
         assert all(float(r.split(",")[4]) <= 1e-8 for r in rows[1:])
-        audit = json.loads((tmp_path / "out" / "markov_audit.json").read_text())
+        audit = read_csv(tmp_path / "out" / "markov_audit.csv")
         assert {"U", "ell", "deficiency", "degenerate", "beta"} <= set(audit[0])
+
+
+#: Every result file of each command: its CSVs are the only copy of its numbers.
+RESULT_FILES = {
+    "window-sweep": ["window_sweep.csv", "single_step.csv"],
+    "cumulant-decay": ["cumulant_decay.csv"],
+    "hastings-verify": ["hastings_verify.csv"],
+    "lemma-suite": ["lemma_suite.csv"],
+    "markov-audit": ["markov_audit.csv"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(RESULT_FILES))
+def test_one_file_per_result(tmp_path, command):
+    """A command writes its CSVs and ``run_manifest.json``, nothing else, and
+    the manifest lists exactly those CSVs."""
+    cfg = write_config(tmp_path, ell_values=[1, 2], s_steps=[8], instances=5)
+    out = tmp_path / "out"
+    assert run(command, cfg, out) == 0
+    assert sorted(p.name for p in out.iterdir()) == sorted(RESULT_FILES[command] + ["run_manifest.json"])
+    manifest = json.loads((out / "run_manifest.json").read_text())
+    assert manifest["outputs"] == RESULT_FILES[command]
 
 
 # a malformed stock model, by what is wrong with it
@@ -597,9 +625,10 @@ class TestParallelism:
             assert manifest["jobs"] == pool and manifest["peak_rss_mb"] > 0
 
 
-#: Runs ``qbp.cli.main`` on its arguments in a fresh interpreter, then prints
-#: which of four modules it loaded, and whether the pool's module was loaded
-#: when ``GraphModel._edge_spectrum`` first ran.
+#: Runs ``qbp.cli.main`` on its arguments, if any, in a fresh interpreter, then
+#: prints which of four modules it loaded, whether the pool's module was loaded
+#: when ``GraphModel._edge_spectrum`` first ran, and every top-level module it
+#: loaded from outside the standard library, numpy and qbp.
 FOOTPRINT = """
 import json, sys
 from qbp import cli
@@ -613,30 +642,40 @@ def spy(self, *args, **kwargs):
     return solve(self, *args, **kwargs)
 
 GraphModel._edge_spectrum = spy
-code = cli.main(sys.argv[1:])
+code = cli.main(sys.argv[1:]) if sys.argv[1:] else 0
 loaded = [m for m in ("_hashlib", "concurrent.futures", "concurrent.futures.process", "numpy.random") if m in sys.modules]
-print(json.dumps({"code": code, "loaded": loaded, "pool_at_first_solve": pool_at_first_solve}))
+# imported modules only: numpy.random's Cython extensions register cython_runtime and _cython_* unimported
+imported = {name.split(".")[0] for name, module in list(sys.modules.items()) if getattr(module, "__spec__", None)}
+foreign = sorted(imported - set(sys.stdlib_module_names) - {"numpy", "qbp"})
+print(json.dumps({"code": code, "loaded": loaded, "pool_at_first_solve": pool_at_first_solve, "foreign": foreign}))
 """
 
 
-def footprint(tmp_path, command, cfg, jobs) -> dict:
+def _child(*argv) -> str:
+    """The last line a fresh interpreter prints, with qbp importable and one BLAS thread."""
     src = str(Path(cli.__file__).resolve().parents[1])
     env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run(
-        [sys.executable, "-c", FOOTPRINT, command, "--config", str(cfg), "--out", str(tmp_path / command),
-         "--jobs", str(jobs)],
-        capture_output=True, text=True, env=env,
-    )
+    proc = subprocess.run([sys.executable, *argv], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
-    return json.loads(proc.stdout.splitlines()[-1])
+    return proc.stdout.splitlines()[-1]
+
+
+def footprint(tmp_path, command=None, cfg=None, jobs=1) -> dict:
+    """``FOOTPRINT``'s report on ``command`` (None: on importing ``qbp.cli`` alone),
+    and under ``bare`` what a bare interpreter loads, its site hooks among them."""
+    argv = [] if command is None else [command, "--config", str(cfg), "--out", str(tmp_path / command),
+                                       "--jobs", str(jobs)]
+    run = json.loads(_child("-c", FOOTPRINT, *argv))
+    return run | {"bare": _child("-c", "import sys; print(*sys.modules)").split()}
 
 
 class TestFootprint:
     """A command loads only the modules it runs: hashlib maps OpenSSL's
     libcrypto and the pool module multiprocessing, about 5 MB resident
     between them, so a top-level import of either would show in every run's
-    peak RSS."""
+    peak RSS; a package from outside the standard library and numpy would
+    show in every run's start-up time."""
 
     def test_one_process_sweep_loads_no_openssl_pool_or_random(self, tmp_path):
         cfg = write_config(tmp_path, ell_values=[1, 2])
@@ -649,6 +688,15 @@ class TestFootprint:
         cfg = write_config(tmp_path, model=RANDOM2_CHAIN, beta_values=[0.5, 1.0])
         run = footprint(tmp_path, "cumulant-decay", cfg, jobs=2)
         assert run["code"] == 0 and run["pool_at_first_solve"] == [True]
+
+    @pytest.mark.parametrize("command", [None, "markov-audit"], ids=["import", "markov-audit"])
+    def test_start_up_loads_only_stdlib_numpy_and_qbp(self, tmp_path, command):
+        # The small-ops workload's set-up imports qbp.cli and builds random2 chains;
+        # a test extra such as scipy, or mpmath, loaded there would show in its setup_s.
+        cfg = write_config(tmp_path, model=RANDOM2_CHAIN, ell_values=[1])
+        run = footprint(tmp_path, command, cfg, jobs=1)
+        assert run["code"] == 0 and set(run["foreign"]) <= set(run["bare"])
+        assert not {"scipy", "networkx", "hypothesis", "mpmath"} & set(run["foreign"])
 
 
 def test_console_entry_point(tmp_path):
@@ -674,6 +722,15 @@ def test_readme_example_config_parses():
     cfg = cli.parse_config(json.loads(block))
     assert cfg.model_id == "chain-tfim-n8"
     assert len(cli.build_model(cfg, cfg.beta_values[0]).vertices) == 8
+
+
+def test_readme_lists_every_output():
+    """README's output table names each command's CSVs with their header rows."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    table = readme.split("| Command | File | Header row |\n|---|---|---|\n", 1)[1].split("\n\n", 1)[0]
+    listed = [tuple(cell.strip(" `") for cell in line.split("|")[1:4]) for line in table.splitlines()]
+    want = [(cmd, name, header) for cmd, command in cli.COMMANDS.items() for name, header in command.outputs]
+    assert listed[:-1] == want and listed[-1][:2] == ("every command", "run_manifest.json")
 
 
 def test_readme_library_quick_start_runs(capsys):

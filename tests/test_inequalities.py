@@ -222,10 +222,6 @@ class TestSuite:
         for name in CHECK_NAMES:
             assert a[name].min_margin == b[name].min_margin
 
-    def test_json_shape(self):
-        s = run_suite(master_seed=1, instances=5)["weyl"].as_json()
-        assert set(s) == {"count", "min_margin", "failures"}
-
     def test_kernels_test_no_hermiticity(self, monkeypatch):
         """The suite builds its operands Hermitian, so no kernel re-tests them."""
         calls = []

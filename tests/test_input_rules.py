@@ -1,23 +1,30 @@
 """Every exported integer or positive argument follows the input rules of
 ``operators`` (``_as_integer``, ``_as_positive``): a non-integer, a bool or a
 non-finite value raises ``OperatorError``, while an integral float is taken as
-its integer.  Range violations keep each door's own error type."""
+its integer.  Range violations raise a qbp error too: ``OperatorError`` for an
+operator door's floor or operands, ``ModelError`` for a graph query; both are
+``ValueError`` subclasses, and no door raises a bare ``ValueError``."""
 
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qbp
 from qbp import (
     BoundConstants,
     DenseOperator,
     ModelError,
     OperatorError,
     SiteLayout,
+    TripartiteSplit,
     build_chain,
     check_commutator_power,
     check_telescoping,
+    circle_product,
+    cmi,
     conjugation_residual,
     deficiency_rows,
     filter_hat,
@@ -30,9 +37,11 @@ from qbp import (
     run_sliding_window,
     single_step_bound,
     single_step_experiment,
+    thermal_state,
     transverse_ising,
     window_error_sweep,
 )
+from qbp.markov import _blanket_split
 
 Q12 = SiteLayout((1, 2), (2, 2))
 ONES = BoundConstants(1.0, 1.0, 1.0, 1.0, 1.0, 1.0)
@@ -113,6 +122,42 @@ def test_range_violations_keep_their_error_types():
     with pytest.raises(ValueError, match="radius must be >= 1"):
         single_step_bound(ONES, 1.0, 1.0, 0)
     assert math.isfinite(single_step_bound(ONES, 1.0, 0.0, 1).total)  # no buffer edges
+
+
+#: A call past a floor or outside a door's domain, once a bare ValueError:
+#: (call, its qbp error type, the message it kept).
+REFUSALS = {
+    "s_steps_floor": (lambda: hastings_operator(H, V, 1.0, 0), OperatorError, "s_steps must be >= 1, got 0"),
+    "power_floor": (lambda: check_commutator_power(H, V, 0), OperatorError, "power must be >= 1, got 0"),
+    "k_floor": (lambda: check_telescoping(IDENTITY, IDENTITY, H, 0), OperatorError, "k must be >= 1, got 0"),
+    "radius_floor": (lambda: single_step_bound(ONES, 1.0, 1.0, 0.0), OperatorError, "radius must be >= 1, got 0"),
+    "not_unitary": (lambda: check_telescoping(H, IDENTITY, H, 1), OperatorError, "U is not unitary"),
+    "no_operands": (lambda: circle_product(), OperatorError, "need at least one operand"),
+    "overlapping_split": (lambda: TripartiteSplit({1}, {1, 2}, {3, 4}), ModelError, "pairwise disjoint"),
+    "split_short_of_support": (lambda: cmi(thermal_state(CHAIN), TripartiteSplit({1}, {2}, {3})), ModelError,
+                               "does not cover support"),
+    "whole_blanket_subset": (lambda: _blanket_split(frozenset({1, 2}), {1: (2,), 2: (1,)}, frozenset({1, 2}), 1),
+                             ModelError, "nonempty proper subset"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFUSALS))
+def test_refusal_raises_a_qbp_error(case):
+    call, error, message = REFUSALS[case]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(error, match=message):
+            call()
+
+
+def test_no_bare_value_or_type_error_in_the_package():
+    """Every raise in ``qbp`` names a qbp error type; only ``_zheevd`` raises
+    numpy's ``LinAlgError``, the type numpy's own eigensolver raises."""
+    package = Path(qbp.__file__).resolve().parent
+    offenders = [f"{path.name}:{n}" for path in sorted(package.glob("*.py"))
+                 for n, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+                 if "raise ValueError(" in line or "raise TypeError(" in line]
+    assert offenders == []
 
 
 @pytest.mark.parametrize("call", [
