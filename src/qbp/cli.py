@@ -46,7 +46,7 @@ from .diagnostics import (
 from .hastings import conjugation_residual, hastings_operator
 from .inequalities import run_suite
 from .markov import deficiency_rows
-from .models import GraphModel, ModelError, build_chain, model_from_config, stock_factory
+from .models import GraphModel, ModelError, build_chain, load_model, stock_factory
 from .operators import (
     DimensionCapError,
     DynamicRangeError,
@@ -182,8 +182,7 @@ def parse_config(raw: dict, seed_override=None, out_override=None, jobs_override
 
 def build_model(cfg: ExperimentConfig, beta: float) -> GraphModel:
     if "path" in cfg.model:
-        with open(cfg.model["path"], "r", encoding="utf-8") as fh:
-            return model_from_config(json.load(fh)).at(beta)
+        return load_model(cfg.model["path"]).at(beta)
     stock = cfg.model["stock"]
     factory = stock_factory(stock["factory"], **stock["params"])
     return build_chain(stock["n"], stock["local_dim"], factory, beta)

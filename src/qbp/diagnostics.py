@@ -40,7 +40,6 @@ from .operators import (
     _as_positive,
     embed,
     embed_sum,
-    gibbs_state,
     matrix_log_pd,
     op_norm,
     partial_trace,
@@ -311,17 +310,12 @@ def single_step_experiment(
     radius = _as_integer("radius", radius)
     if radius < 1:
         raise ModelError(f"radius must be >= 1, got {radius}")
-    beta = model.beta
     parts = region_partition(model, {leaf}, radius)
     term1, log_z = edge_gibbs_state(model, model.edges, {leaf})
-    reduced_layout = model.layout.drop({leaf})
-
-    away = edge_hamiltonian(model, parts.outer + parts.buffer, reduced_layout)
     # The inner terms touch exactly the radius ball, so exp(-beta H_inner) on
     # the full layout is the ball's exponential tensored with identity.
     near, log_t = edge_gibbs_state(model, parts.inner, {leaf})
-    log_near = matrix_log_pd(near)
-    surrogate, log_s = gibbs_state(embed_sum([beta * away, -log_near]), 1.0)
+    surrogate, log_s = edge_gibbs_state(model, parts.outer + parts.buffer, (), [near])
 
     # The surrogate exp(-beta H_away + log near) has trace t * exp(log_s).
     scale = math.exp(log_t + log_s - log_z)
@@ -333,9 +327,5 @@ def single_step_experiment(
         if parts.buffer
         else 0.0
     )
-    bound = (
-        single_step_bound(consts, beta, buffer_norm, radius)
-        if consts is not None
-        else None
-    )
+    bound = None if consts is None else single_step_bound(consts, model.beta, buffer_norm, radius)
     return SingleStepRecord(radius, lhs_literal, lhs_normalized, buffer_norm, bound)

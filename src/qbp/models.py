@@ -37,7 +37,9 @@ from .operators import (
     _require_known,
     _spectrum,
     embed_sum,
+    gibbs_state,
     hermitize,
+    matrix_log_pd,
 )
 
 
@@ -302,17 +304,25 @@ def gibbs_weights(model: GraphModel) -> np.ndarray:
 
 
 def edge_gibbs_state(
-    model: GraphModel, edges: Sequence[EdgeTerm], traced: Iterable[int] = ()
+    model: GraphModel, edges: Sequence[EdgeTerm], traced: Iterable[int] = (),
+    messages: Sequence[DenseOperator] = (),
 ) -> tuple[DenseOperator, float]:
-    """Tr_traced exp(-beta H) / Z and log Z of the edge terms, summed in the
-    given order, on the sites they touch, from the shared spectra; all of the
-    model's edges, in any order, give its own cached reduction and
+    """Tr_traced exp(-K) / Z and log Z of K = beta H - sum of log m, on the
+    sites that H, the edge terms summed in the given order, and the messages m
+    touch, each log taken on its message's own support: every belief, from one
+    eigensolve, the traced sites folded out of K's spectrum by
+    ``operators._gibbs``, so no belief is formed whole to be traced.  Without
+    messages the spectrum of H is the shared spectra's, and all of the model's
+    edges, in any order, give its own cached reduction and
     log_partition_function."""
     traced = frozenset(traced)
-    if len(edges) == len(model.edges) and set(edges) == set(model.edges):
+    if not messages and len(edges) == len(model.edges) and set(edges) == set(model.edges):
         return model._reduced(traced), log_partition_function(model)
-    layout = model.layout.subset(set().union(*(e.endpoints() for e in edges)))
-    return _gibbs(layout, model._edge_spectrum(edges, layout), model.beta, traced)
+    layout = model.layout.subset(set().union(*(e.endpoints() for e in edges), *(m.sites for m in messages)))
+    if not messages:
+        return _gibbs(layout, model._edge_spectrum(edges, layout), model.beta, traced)
+    logs = [-matrix_log_pd(m) for m in messages]
+    return gibbs_state(embed_sum([model.beta * edge_hamiltonian(model, edges, layout), *logs], layout), 1.0, traced)
 
 
 def exact_reduced_density(model: GraphModel, keep: Iterable[int]) -> DenseOperator:

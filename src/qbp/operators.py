@@ -704,10 +704,10 @@ def matrix_exp_h(op: DenseOperator) -> DenseOperator:
     return DenseOperator(op.layout, _exp_h(*_hermitian_mats(op))[0], True)
 
 
-def gibbs_state(ham: DenseOperator, beta: float) -> tuple[DenseOperator, float]:
-    """exp(-beta H) / Z and log Z, from one eigensolve; beta by the rule of ``_as_positive``."""
+def gibbs_state(ham: DenseOperator, beta: float, traced: Iterable[int] = ()) -> tuple[DenseOperator, float]:
+    """Tr_traced exp(-beta H) / Z and log Z, from one eigensolve; beta by the rule of ``_as_positive``."""
     beta = _as_positive("beta", beta)
-    return _gibbs(ham.layout, _spectrum(*_hermitian_mats(ham)), beta)
+    return _gibbs(ham.layout, _spectrum(*_hermitian_mats(ham)), beta, frozenset(traced))
 
 
 def _gibbs(

@@ -9,7 +9,9 @@ sliding-window variant trades window width for accuracy when it is not.
 
 Every belief is one shifted exponential exp(-K) / Tr exp(-K) of a summed
 effective Hamiltonian K: beta times the edge terms minus the log of each
-incoming message, taken on its own support.  No exponential is logged back.
+incoming message, taken on its own support.  No exponential is logged back,
+and every belief comes from ``models.edge_gibbs_state``, which folds the
+traced sites out of K's spectrum: no message or window is formed whole.
 """
 
 from __future__ import annotations
@@ -35,10 +37,8 @@ from .operators import (
     SiteMismatchError,
     _as_integer,
     embed_sum,
-    gibbs_state,
     matrix_exp_h,
     matrix_log_pd,
-    partial_trace,
     trace_norm,
 )
 
@@ -86,8 +86,7 @@ def message_update(
     for m in incoming:
         if v in m.sites:
             raise SiteMismatchError(f"incoming message on {m.sites} already covers destination {v}")
-    k = embed_sum([model.beta * edge.term, *(-matrix_log_pd(m) for m in incoming)])
-    return partial_trace(gibbs_state(k, 1.0)[0], {u})
+    return edge_gibbs_state(model, [edge], {u}, incoming)[0]
 
 
 def run_exact_bp(model: GraphModel, target: int) -> DenseOperator:
@@ -108,8 +107,7 @@ def run_exact_bp(model: GraphModel, target: int) -> DenseOperator:
     def toward(u: int, v: int) -> DenseOperator:
         return message_update(model, u, v, [toward(w, u) for w in adj[u] if w != v])
 
-    incoming = (-matrix_log_pd(toward(u, target)) for u in adj[target])
-    return gibbs_state(embed_sum(incoming), 1.0)[0]
+    return edge_gibbs_state(model, (), (), [toward(u, target) for u in adj[target]])[0]
 
 
 def chain_ends(model: GraphModel) -> tuple[int, int]:
@@ -133,12 +131,12 @@ def run_sliding_window(model: GraphModel, target: int, window: int) -> DenseOper
     """Windowed propagation along a chain toward an endpoint target.
 
     Starts from the Gibbs state of the summed Hamiltonian of the first
-    ``window`` edges, then alternates tracing the lowest site with absorbing
-    the next edge term, exp(-beta h_j + log window) / Z, keeping at most
-    ``window + 1`` sites alive.  ``window = n_sites - 1`` spans the whole
-    chain, so it is the exact reduced state of the model's own thermal state,
-    reduced to the target without forming the whole.  ``window`` is an integer
-    by the rule of ``operators._as_integer``.
+    ``window`` edges, then absorbs each next edge term into the window,
+    exp(-beta h_j + log window) / Z, on at most ``window + 1`` sites; each
+    state comes with its oldest site traced out, the last with every site but
+    the target, so none is formed whole.  ``window = n_sites - 1`` spans the
+    whole chain, so it is the exact reduced state of the model's own thermal
+    state.  ``window`` is an integer by the rule of ``operators._as_integer``.
     """
     window = _as_integer("window", window)
     order = chain_order(model, target)
@@ -146,12 +144,15 @@ def run_sliding_window(model: GraphModel, target: int, window: int) -> DenseOper
     if not 1 <= window <= n - 1:
         raise ModelError(f"window must be in [1, {n - 1}], got {window}")
     seq_edges = [model.edge((order[i], order[i + 1])) for i in range(n - 1)]
-    current, _ = edge_gibbs_state(model, seq_edges[:window], order[:-1] if window == n - 1 else ())
+
+    def gone(j: int) -> list[int]:
+        """Sites traced once edge j is in: the window's oldest, or at the last edge all but the target."""
+        return order[j + 1 - window : n - 1 if j == n - 2 else j + 2 - window]
+
+    belief, _ = edge_gibbs_state(model, seq_edges[:window], gone(window - 1))
     for j in range(window, n - 1):
-        traced = partial_trace(current, {order[j - window]})
-        k = embed_sum([model.beta * seq_edges[j].term, -matrix_log_pd(traced)])
-        current, _ = gibbs_state(k, 1.0)
-    return partial_trace(current, set(current.sites) - {target})
+        belief, _ = edge_gibbs_state(model, [seq_edges[j]], gone(j), [belief])
+    return belief
 
 
 @dataclass(frozen=True)

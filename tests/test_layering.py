@@ -7,7 +7,9 @@ Hermitian norm comes from eigenvalues.  So does every map between
 sites and tensor axes: no other module calls ``np.einsum`` or ``as_strided``.
 And ``operators`` holds the one lookup of numpy's BLAS library: no other
 module imports ``ctypes``.  Hermiticity is judged at ``operators``' doors:
-no other module calls ``assert_hermitian`` or ``_hermitian``."""
+no other module calls ``assert_hermitian`` or ``_hermitian``.  Every belief
+comes through one door, ``models.edge_gibbs_state``: no other module calls
+``gibbs_state``, and ``propagation`` traces no state itself."""
 
 import ast
 from pathlib import Path
@@ -234,3 +236,39 @@ def test_only_operators_tests_hermiticity(path):
 
 def test_operators_holds_the_hermiticity_test():
     assert set(hermiticity_tests((SRC / "operators.py").read_text(encoding="utf-8"))) == HERMITICITY_TESTS
+
+
+def names_used(source: str) -> set[str]:
+    """Every name ``source`` imports, reads or takes as an attribute."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            found |= {a.name for a in node.names}
+        elif isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+    return found
+
+
+@pytest.mark.parametrize(
+    "source, found",
+    [
+        ("from .operators import gibbs_state as g", {"gibbs_state"}),
+        ("operators.partial_trace(x, s)", {"operators", "partial_trace", "x", "s"}),
+        ("def f(gibbs_state_like): pass", set()),
+    ],
+)
+def test_checker_finds_names_used(source, found):
+    assert names_used(source) == found
+
+
+@pytest.mark.parametrize(
+    "path", sorted(p for p in SRC.glob("*.py") if p.stem not in ("models", "operators")), ids=lambda p: p.name
+)
+def test_only_models_forms_beliefs(path):
+    assert "gibbs_state" not in names_used(path.read_text(encoding="utf-8"))
+
+
+def test_propagation_traces_no_state():
+    assert "partial_trace" not in names_used((SRC / "propagation.py").read_text(encoding="utf-8"))

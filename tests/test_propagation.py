@@ -6,6 +6,8 @@ from hypothesis import strategies as st
 from scipy import linalg
 
 from qbp import operators, propagation
+from qbp.models import adjacency
+from qbp.operators import embed_sum, gibbs_state, matrix_log_pd, partial_trace
 from qbp import (
     DenseOperator,
     ModelError,
@@ -135,6 +137,30 @@ class TestMessageUpdate:
             msg = message_update(m, u, v, [msg])
             assert abs(msg.trace() - 1.0) < 1e-10
             assert np.linalg.eigvalsh(msg.mat)[0] > 0
+
+    @pytest.mark.parametrize("n", [6, 7, 8])
+    @pytest.mark.parametrize("name", ["tfim", "heisenberg", "random"])
+    def test_incoming_messages_match_the_traced_whole_state(self, name, n):
+        """A message with incoming messages is Tr_u of the whole Gibbs state of
+        K = beta h - sum of log m, which ``edge_gibbs_state`` folds out of K's
+        spectrum without forming it; on a tree with a degree-3 vertex."""
+        specs = [(1, 2), (2, 3), (2, 4)] + [(k - 1, k) for k in range(5, n + 1)]
+        m = build_tree({k: 2 for k in range(1, n + 1)}, [(u, v, FACTORIES[name]) for u, v in specs], 1.0)
+        adj = adjacency(m)
+        errors = []
+
+        def toward(u, v):
+            incoming = [toward(w, u) for w in adj[u] if w != v]
+            got = message_update(m, u, v, incoming)
+            if incoming:
+                k = embed_sum([m.beta * m.edge((u, v)).term, *(-matrix_log_pd(x) for x in incoming)])
+                errors.append(trace_norm(got - partial_trace(gibbs_state(k, 1.0)[0], {u})))
+            return got
+
+        for u in adj[n]:
+            toward(u, n)
+        assert len(errors) == n - 3  # every message but the three leaves'
+        assert max(errors) <= 1e-14
 
     def test_destination_overlap_rejected(self):
         m = build_chain(3, 2, classical_ising(), beta=1.0)

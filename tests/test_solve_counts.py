@@ -187,6 +187,28 @@ def test_sliding_window_solves_once_per_step_random2(solves):
     assert solves["eigh", 8] == 4  # the first window, then one per step
 
 
+@pytest.mark.parametrize("factory", [TFIM, RANDOM2], ids=["tfim", "random2"])
+def test_sliding_window_forms_no_window_state_whole(monkeypatch, factory):
+    """Each window state comes with its oldest site, or at the last edge every
+    site but the target, folded out of its spectrum: no matrix function is
+    assembled at a window's dimension 2^(window + 1), at either end."""
+    dims: Counter = Counter()
+    apply = operators._apply
+
+    def recorded(spectrum, f):
+        out = apply(spectrum, f)
+        dims[out[0].shape[-1]] += 1
+        return out
+
+    monkeypatch.setattr(operators, "_apply", recorded)
+    m = build_chain(7, 2, factory, beta=1.0)
+    for end in (1, 7):
+        for window in range(1, 7):
+            dims.clear()
+            run_sliding_window(m, end, window)
+            assert dims[2 ** (window + 1)] == 0, (end, window)
+
+
 def _single_steps(factory) -> int:
     m = build_chain(6, 2, factory, beta=1.0)
     for radius in range(1, 5):

@@ -8,8 +8,9 @@ thread.  Every CSV and JSON a run writes is compared byte for byte, except
 that ``run_manifest.json`` is compared without its ``wall_time_s`` and
 ``peak_rss_mb``, a timing and a memory reading.
 Prints each file that differs, with the largest absolute and relative
-difference over the numeric fields the two files share, and each command that
-fails, and exits 1 if there is any::
+difference over the numeric fields the two files share and the name of every
+other field that differs (a JSON key path, or a CSV line and column), and each
+command that fails, and exits 1 if there is any::
 
     python tools/same_outputs.py OLD NEW [--seeds 42 7919] [--jobs 1 2]
 """
@@ -28,7 +29,6 @@ import tempfile
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
-import workloads  # noqa: E402
 
 
 def star_model(seed: int) -> dict:
@@ -40,7 +40,10 @@ def star_model(seed: int) -> dict:
 
 
 def commands(seed: int, work: Path) -> list[tuple[str, Path]]:
-    """(command, config file) for every run at ``seed``, the configs written to ``work``."""
+    """(command, config file) for every run at ``seed``, the configs written to ``work``.
+    ``workloads`` is imported here, not with this module, since importing it pins
+    the BLAS thread count in this process's environment."""
+    import workloads
     runs = [(c.name, c.config) for name in workloads.COMPONENTS for c in workloads.component(name, seed)]
     star = work / f"star-{seed}.json"
     star.write_text(json.dumps(star_model(seed)), encoding="utf-8")
@@ -75,44 +78,62 @@ def same(a: Path, b: Path) -> bool:
     return load_json(a) == load_json(b)
 
 
-def numeric_fields(path: Path) -> dict:
-    """Every number in a CSV (keyed by row and column) or JSON file (by key path)."""
+#: Stands for a field that one of two files lacks.
+MISSING = object()
+
+
+def fields(path: Path) -> dict:
+    """Every field of a CSV (keyed by line and column) or JSON file (by key
+    path): a number as a float, anything else as it is."""
     if path.suffix == ".csv":
-        found = {}
         with path.open(newline="", encoding="utf-8") as f:
-            for i, row in enumerate(csv.reader(f)):
-                for j, cell in enumerate(row):
-                    try:
-                        found[i, j] = float(cell)
-                    except ValueError:
-                        pass
-        return found
-    found, todo = {}, [((), load_json(path))]
+            rows = list(csv.reader(f))
+        names = rows[0] if rows else []
+        return {f"line {i + 1} column {names[j] if j < len(names) else j + 1}": number(cell)
+                for i, row in enumerate(rows) for j, cell in enumerate(row)}
+    found, todo = {}, [("", load_json(path))]
     while todo:
         key, x = todo.pop()
         if isinstance(x, dict):
-            todo += [(key + (k,), v) for k, v in x.items()]
+            todo += [(f"{key}.{k}" if key else str(k), v) for k, v in x.items()]
         elif isinstance(x, list):
-            todo += [(key + (k,), v) for k, v in enumerate(x)]
-        elif isinstance(x, (int, float)) and not isinstance(x, bool):
-            found[key] = float(x)
+            todo += [(f"{key}[{k}]", v) for k, v in enumerate(x)]
+        else:
+            found[key] = float(x) if isinstance(x, (int, float)) and not isinstance(x, bool) else x
     return found
+
+
+def number(cell: str):
+    """A CSV cell as a float, or as it is if it is not a number."""
+    try:
+        return float(cell)
+    except ValueError:
+        return cell
 
 
 def largest_difference(a: Path, b: Path) -> str:
     """The largest absolute and relative difference between the numbers of two
-    files, over the fields both have; relative to the larger magnitude."""
-    old, new = numeric_fields(a), numeric_fields(b)
+    files, over the fields both have; relative to the larger magnitude.  Every
+    other field that differs, or that only one file has, is named."""
+    old, new = fields(a), fields(b)
     worst_abs = worst_rel = 0.0
-    for key in old.keys() & new.keys():
-        x, y = old[key], new[key]
-        if x == y or (math.isnan(x) and math.isnan(y)):
-            continue
-        diff = abs(x - y) if math.isfinite(x) and math.isfinite(y) else math.inf
-        worst_abs = max(worst_abs, diff)
-        worst_rel = max(worst_rel, diff / max(abs(x), abs(y)))
-    unshared = len(old.keys() ^ new.keys())
+    unshared, named = 0, []
+    for key in [*old, *(k for k in new if k not in old)]:
+        x, y = old.get(key, MISSING), new.get(key, MISSING)
+        if isinstance(x, float) and isinstance(y, float):
+            if x == y or (math.isnan(x) and math.isnan(y)):
+                continue
+            diff = abs(x - y) if math.isfinite(x) and math.isfinite(y) else math.inf
+            worst_abs = max(worst_abs, diff)
+            worst_rel = max(worst_rel, diff / max(abs(x), abs(y)))
+        elif MISSING in (x, y) and isinstance(y if x is MISSING else x, float):
+            unshared += 1
+        elif x != y:
+            named.append(key)
     tail = f", {unshared} numeric field(s) in only one" if unshared else ""
+    if named:
+        more = f" and {len(named) - 5} more" if len(named) > 5 else ""
+        tail += f"; other fields differ: {', '.join(named[:5])}{more}"
     return f"largest difference {worst_abs:.3g} absolute, {worst_rel:.3g} relative{tail}"
 
 
