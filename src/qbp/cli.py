@@ -46,7 +46,7 @@ from .diagnostics import (
 from .hastings import conjugation_residual, hastings_operator
 from .inequalities import run_suite
 from .markov import deficiency_rows
-from .models import GraphModel, ModelError, build_chain, load_model, stock_factory
+from .models import GraphModel, ModelError, build_chain, load_model, log_partition_function, stock_factory
 from .operators import (
     DimensionCapError,
     DynamicRangeError,
@@ -130,9 +130,12 @@ def _check_stock(stock) -> dict:
 
 
 def parse_config(raw: dict, seed_override=None, out_override=None, jobs_override=None) -> ExperimentConfig:
-    def listed(field, rule, default=()):  # a lone value is a list of one; a tuple is a list
+    def listed(field, rule, *least, default=()):  # a lone value is a list of one; a tuple is a list
         values = raw.get(field, default)
-        return tuple(rule(field, x) for x in (values if isinstance(values, (list, tuple)) else [values]))
+        found = tuple(rule(field, x, *least) for x in (values if isinstance(values, (list, tuple)) else [values]))
+        if len(set(found)) < len(found):
+            raise ConfigError(f"{field} must not repeat a value, got {list(found)}")
+        return found
 
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
@@ -156,27 +159,18 @@ def parse_config(raw: dict, seed_override=None, out_override=None, jobs_override
         cfg = ExperimentConfig(
             model=model,
             beta_values=listed("beta_values", _as_positive),
-            ell_values=listed("ell_values", _as_integer),
+            ell_values=listed("ell_values", _as_integer, 1),
             bound_constants=DEFAULT_CONSTANTS | {k: _as_positive(k, v) for k, v in constants.items()},
-            s_steps=listed("s_steps", _as_integer, (64,)),
-            instances=_as_integer("instances", raw.get("instances", 500)),
-            seed=_as_integer("seed", seed),
+            s_steps=listed("s_steps", _as_integer, 1, default=(64,)),
+            instances=_as_integer("instances", raw.get("instances", 500), 1),
+            seed=_as_integer("seed", seed, 0),
             out_dir=str(out_override if out_override is not None else raw.get("out_dir", ".")),
-            jobs=_as_integer("jobs", jobs),
+            jobs=_as_integer("jobs", jobs, 0),  # 0: one per core
             target=None if raw.get("target") is None else _as_integer("target", raw["target"]),
             leaf=None if raw.get("leaf") is None else _as_integer("leaf", raw["leaf"]),
         )
     except OperatorError as exc:
         raise ConfigError(str(exc)) from None
-    for field in ("beta_values", "ell_values", "s_steps"):
-        values = getattr(cfg, field)
-        if not all(x > 0 for x in values):
-            raise ConfigError(f"{field} must be positive, got {list(values)}")
-        if len(set(values)) < len(values):
-            raise ConfigError(f"{field} must not repeat a value, got {list(values)}")
-    for field, least in (("instances", 1), ("seed", 0), ("jobs", 0)):  # jobs 0: one per core
-        if getattr(cfg, field) < least:
-            raise ConfigError(f"{field} must be at least {least}, got {getattr(cfg, field)}")
     return cfg
 
 
@@ -419,7 +413,7 @@ def run_command(name: str, cfg: ExperimentConfig, out_dir: Path) -> tuple[int, i
         model = build_model(cfg, betas[0])
         if len(points) > 1:
             model = replace(model, spectra={})
-            model._edge_spectrum(model.edges, model.layout)
+            log_partition_function(model)
     _share(model)
     try:
         if jobs == 1:

@@ -172,13 +172,11 @@ class SiteLayout:
 
     def __post_init__(self):
         sites = tuple(_as_integer("site id", s) for s in self.sites)
-        dims = tuple(_as_integer("local dimension", d) for d in self.dims)
+        dims = tuple(_as_integer("local dimension", d, 2) for d in self.dims)
         if len(sites) != len(dims):
             raise SiteMismatchError("sites and dims must have equal length")
         if len(set(sites)) != len(sites):
             raise SiteMismatchError(f"duplicate site ids in {sites}")
-        if any(d < 2 for d in dims):
-            raise OperatorError(f"local dimensions must be >= 2, got {dims}")
         order = sorted(range(len(sites)), key=lambda i: sites[i])
         sites = tuple(sites[i] for i in order)
         dims = tuple(dims[i] for i in order)
@@ -839,10 +837,7 @@ def as_rng(seed) -> np.random.Generator:
     (by the rule of ``_as_integer``); OperatorError for anything else."""
     if isinstance(seed, np.random.Generator):
         return seed
-    seed = _as_integer("seed", seed)
-    if seed < 0:
-        raise OperatorError(f"seed must be non-negative, got {seed}")
-    return np.random.default_rng(seed)
+    return np.random.default_rng(_as_integer("seed", seed, 0))
 
 
 def random_hermitian(seed, layout: SiteLayout) -> DenseOperator:

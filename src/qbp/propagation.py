@@ -29,7 +29,6 @@ from .models import (
     distance_map,
     edge_gibbs_state,
     exact_reduced_density,
-    thermal_state,
 )
 from .operators import (
     DenseOperator,
@@ -100,8 +99,6 @@ def run_exact_bp(model: GraphModel, target: int) -> DenseOperator:
     """
     if target not in model.vertices:
         raise ModelError(f"unknown vertex {target}")
-    if len(model.vertices) == 1:
-        return thermal_state(model)
     adj = adjacency(model)
 
     def toward(u: int, v: int) -> DenseOperator:

@@ -534,7 +534,7 @@ class TestExitCodes:
         # lemma-suite and hastings-verify once exited 1 with a traceback.
         cfg = write_config(tmp_path)
         assert run(command, cfg, tmp_path / "out", extra=["--seed", "-1"]) == 2
-        assert "seed must be at least 0, got -1" in capsys.readouterr().err
+        assert "seed must be >= 0, got -1" in capsys.readouterr().err
         assert not any((tmp_path / "out").glob("*"))
 
     def test_missing_seed(self, tmp_path):

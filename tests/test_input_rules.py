@@ -192,7 +192,7 @@ def test_seeds_and_factory_parameters_by_the_rules():
     assert np.array_equal(random_hermitian(3.0, Q12).mat, want)
     assert np.array_equal(random_hermitian(np.int64(3), Q12).mat, want)
     assert np.array_equal(random_hermitian(np.random.default_rng(3), Q12).mat, want)
-    with pytest.raises(OperatorError, match="seed must be non-negative"):
+    with pytest.raises(OperatorError, match="seed must be >= 0, got -1"):
         random_hermitian(-1, Q12)
     with pytest.raises(OperatorError, match="hx must be a finite number"):
         transverse_ising(hx=True)

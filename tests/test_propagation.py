@@ -31,6 +31,7 @@ from qbp import (
     random_two_local,
     run_exact_bp,
     run_sliding_window,
+    thermal_state,
     trace_norm,
     transverse_ising,
     window_error_sweep,
@@ -179,6 +180,12 @@ class TestExactPropagation:
         m = build_chain(2, 2, heisenberg(0.9), beta=1.1)
         belief = run_exact_bp(m, 2)
         assert op_norm(belief - exact_reduced_density(m, {2})) < 1e-12
+
+    def test_one_vertex_belief_is_the_thermal_state(self):
+        m = build_tree({5: 3}, [], beta=0.8)
+        belief = run_exact_bp(m, 5)
+        assert belief is thermal_state(m)
+        assert np.allclose(belief.mat, np.eye(3) / 3)
 
     def test_classical_chain_exact(self):
         m = build_chain(8, 2, classical_ising(1.0), beta=1.0)

@@ -7,10 +7,11 @@ from each tree's ``src`` for every seed and ``--jobs`` value, with one BLAS
 thread.  Every CSV and JSON a run writes is compared byte for byte, except
 that ``run_manifest.json`` is compared without its ``wall_time_s`` and
 ``peak_rss_mb``, a timing and a memory reading.
-Prints each file that differs, with the largest absolute and relative
-difference over the numeric fields the two files share and the name of every
-other field that differs (a JSON key path, or a CSV line and column), and each
-command that fails, and exits 1 if there is any::
+Prints each file that differs and each command that fails, and exits 1 if
+there is any.  For a file that differs it prints, for each CSV column or JSON
+key path (list indices dropped) whose numbers moved, the largest absolute and
+the largest relative move with their old and new values, and the name of every
+other field that differs (a JSON key path, or a CSV line and column)::
 
     python tools/same_outputs.py OLD NEW [--seeds 42 7919] [--jobs 1 2]
 """
@@ -23,6 +24,7 @@ import filecmp
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -83,13 +85,15 @@ MISSING = object()
 
 
 def fields(path: Path) -> dict:
-    """Every field of a CSV (keyed by line and column) or JSON file (by key
-    path): a number as a float, anything else as it is."""
+    """Every field of a CSV or JSON file, keyed by (column, name): a CSV field
+    by its column and its line and column, a JSON field by its key path without
+    and with list indices.  A number as a float, anything else as it is."""
     if path.suffix == ".csv":
         with path.open(newline="", encoding="utf-8") as f:
             rows = list(csv.reader(f))
         names = rows[0] if rows else []
-        return {f"line {i + 1} column {names[j] if j < len(names) else j + 1}": number(cell)
+        columns = [names[j] if j < len(names) else str(j + 1) for j in range(max(map(len, rows), default=0))]
+        return {(columns[j], f"line {i + 1} column {columns[j]}"): number(cell)
                 for i, row in enumerate(rows) for j, cell in enumerate(row)}
     found, todo = {}, [("", load_json(path))]
     while todo:
@@ -99,7 +103,8 @@ def fields(path: Path) -> dict:
         elif isinstance(x, list):
             todo += [(f"{key}[{k}]", v) for k, v in enumerate(x)]
         else:
-            found[key] = float(x) if isinstance(x, (int, float)) and not isinstance(x, bool) else x
+            value = float(x) if isinstance(x, (int, float)) and not isinstance(x, bool) else x
+            found[(re.sub(r"\[\d+\]", "", key), key)] = value
     return found
 
 
@@ -112,29 +117,35 @@ def number(cell: str):
 
 
 def largest_difference(a: Path, b: Path) -> str:
-    """The largest absolute and relative difference between the numbers of two
-    files, over the fields both have; relative to the larger magnitude.  Every
-    other field that differs, or that only one file has, is named."""
+    """For each column whose numbers moved, over the fields both files have,
+    its largest absolute and its largest relative move (relative to the larger
+    magnitude), each with its old and new value.  Every other field that
+    differs, or that only one file has, is named."""
     old, new = fields(a), fields(b)
-    worst_abs = worst_rel = 0.0
-    unshared, named = 0, []
+    moves, unshared, named = {}, 0, []
     for key in [*old, *(k for k in new if k not in old)]:
         x, y = old.get(key, MISSING), new.get(key, MISSING)
         if isinstance(x, float) and isinstance(y, float):
             if x == y or (math.isnan(x) and math.isnan(y)):
                 continue
             diff = abs(x - y) if math.isfinite(x) and math.isfinite(y) else math.inf
-            worst_abs = max(worst_abs, diff)
-            worst_rel = max(worst_rel, diff / max(abs(x), abs(y)))
+            relative = diff / max(abs(x), abs(y)) if math.isfinite(diff) else math.inf
+            moves.setdefault(key[0], []).append((diff, relative, x, y))
         elif MISSING in (x, y) and isinstance(y if x is MISSING else x, float):
             unshared += 1
         elif x != y:
-            named.append(key)
-    tail = f", {unshared} numeric field(s) in only one" if unshared else ""
+            named.append(key[1])
+    parts = []
+    for column, moved in moves.items():
+        (d, _, dx, dy), (_, r, rx, ry) = max(moved, key=lambda m: m[0]), max(moved, key=lambda m: m[1])
+        parts.append(f"{column} {d:.3g} absolute ({dx!r} -> {dy!r}), {r:.3g} relative ({rx!r} -> {ry!r})")
+    report = f"largest moves: {'; '.join(parts)}" if parts else "no number moved"
+    if unshared:
+        report += f", {unshared} numeric field(s) in only one"
     if named:
         more = f" and {len(named) - 5} more" if len(named) > 5 else ""
-        tail += f"; other fields differ: {', '.join(named[:5])}{more}"
-    return f"largest difference {worst_abs:.3g} absolute, {worst_rel:.3g} relative{tail}"
+        report += f"; other fields differ: {', '.join(named[:5])}{more}"
+    return report
 
 
 def compare(old: Path, new: Path) -> list[str]:
