@@ -89,7 +89,7 @@ DEFAULT_CONSTANTS = {
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    model: dict
+    model: dict  # {} when the config gives none
     beta_values: tuple[float, ...]
     ell_values: tuple[int, ...]
     bound_constants: dict
@@ -141,8 +141,8 @@ def parse_config(raw: dict, seed_override=None, out_override=None, jobs_override
         raise ConfigError("config root must be a JSON object")
     try:
         _require_known("config", raw, [f.name for f in fields(ExperimentConfig)])
-        model = raw.get("model")
-        if not isinstance(model, dict) or set(model) not in ({"path"}, {"stock"}):
+        model = raw.get("model", {})
+        if "model" in raw and (not isinstance(model, dict) or set(model) not in ({"path"}, {"stock"})):
             raise ConfigError("config needs a 'model' with exactly one of 'path' or 'stock'")
         if not isinstance(model.get("path", ""), str):
             raise ConfigError(f"model path must be a string, got {model['path']!r}")
@@ -226,7 +226,7 @@ def write_manifest(out_dir: Path, command: str, cfg_raw: dict, cfg: ExperimentCo
         },
         "blas": _blas_info(),
         "jobs": jobs,
-        "wall_time_s": time.time() - t0,
+        "wall_time_s": time.perf_counter() - t0,
         "peak_rss_mb": _peak_rss_mb(),
         "outputs": outputs,
     }
@@ -354,34 +354,33 @@ class Command:
 
     ``worker`` names the worker in this module; it runs once per beta when
     ``required``, the config fields that must be non-empty, lists
-    ``beta_values``, else once in all.  It is looked up when the command
-    runs, so a wrapper or patch applied to the module attribute sees every
-    call.  Each output pairs a CSV file name with its header line.
-    ``model`` says whether the worker reads the config's model.
+    ``beta_values``, else once in all, and reads a model built for it when
+    ``required`` lists ``model``.  It is looked up when the command runs, so
+    a wrapper or patch applied to the module attribute sees every call.
+    Each output pairs a CSV file name with its header line.
     """
 
     worker: str
     required: tuple[str, ...]
     outputs: tuple[tuple[str, str], ...]
-    model: bool = True
 
 
 COMMANDS = {
-    "window-sweep": Command("_window_sweep_point", ("beta_values", "ell_values"), (
+    "window-sweep": Command("_window_sweep_point", ("model", "beta_values", "ell_values"), (
         ("window_sweep.csv", "model_id,N,beta,ell,trace_error,slope"),
         ("single_step.csv", "model_id,beta,ell,lhs_literal,lhs_normalized,"
                             "rhs_total,rhs_bound1,rhs_bound2,K_fit,k_fit"),
     )),
-    "cumulant-decay": Command("_cumulant_point", ("beta_values",), (
+    "cumulant-decay": Command("_cumulant_point", ("model", "beta_values"), (
         ("cumulant_decay.csv", "model_id,beta,j,norm,K,k"),
     )),
     "hastings-verify": Command("_hastings_point", ("beta_values", "s_steps"), (
         ("hastings_verify.csv", "model_id,beta,s_steps,residual,o_norm,o_norm_cap"),
-    ), model=False),
+    )),
     "lemma-suite": Command("_lemma_suite", (), (
         ("lemma_suite.csv", "check,count,min_margin,failures"),
-    ), model=False),
-    "markov-audit": Command("_markov_point", ("beta_values", "ell_values"), (
+    )),
+    "markov-audit": Command("_markov_point", ("model", "beta_values", "ell_values"), (
         ("markov_audit.csv", "model_id,beta,ell,U,deficiency,degenerate"),
     )),
 }
@@ -390,7 +389,7 @@ COMMANDS = {
 def run_command(name: str, cfg: ExperimentConfig, out_dir: Path) -> tuple[int, int]:
     """Validate, run the worker over its points, and write every output.
 
-    A model is built once before any worker starts; with several beta values its
+    A required model is built once before any worker starts; with several beta values its
     views share one store of spectra, filled with H's first for pool workers to inherit.
     The points run in ``cfg.jobs`` worker processes (0: one per core), at most one per
     point, or in this process when that is one; the pool's modules load only then, and
@@ -408,12 +407,10 @@ def run_command(name: str, cfg: ExperimentConfig, out_dir: Path) -> tuple[int, i
     jobs = min(cfg.jobs or os.cpu_count() or 1, len(points))
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
-    model = None
-    if command.model:
-        model = build_model(cfg, betas[0])
-        if len(points) > 1:
-            model = replace(model, spectra={})
-            log_partition_function(model)
+    model = build_model(cfg, betas[0]) if "model" in command.required else None
+    if model is not None and len(points) > 1:
+        model = replace(model, spectra={})
+        log_partition_function(model)
     _share(model)
     try:
         if jobs == 1:
@@ -443,7 +440,7 @@ def main(argv=None) -> int:
         p.add_argument("--jobs", type=int, default=None, help="worker pool size (default 1; 0: one per core)")
     args = parser.parse_args(argv)
 
-    t0 = time.time()
+    t0 = time.perf_counter()
     try:
         with open(args.config, "r", encoding="utf-8") as fh:
             raw = json.load(fh)

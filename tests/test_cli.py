@@ -1,11 +1,13 @@
 import csv
 import dataclasses
 import hashlib
+import itertools
 import json
 import math
 import os
 import subprocess
 import sys
+import time
 import types
 from pathlib import Path
 
@@ -211,6 +213,52 @@ class TestOtherCommands:
         assert {"U", "ell", "deficiency", "degenerate", "beta"} <= set(audit[0])
 
 
+#: The commands that read a model, and so need one.
+MODEL_COMMANDS = ["window-sweep", "cumulant-decay", "markov-audit"]
+#: The 2-site chain the benchmark's lemma-suite and hastings-verify configs carry unread.
+UNUSED_CHAIN = {"stock": {"kind": "chain", "n": 2, "local_dim": 2, "factory": "tfim",
+                          "params": {"J": 1.0, "hx": 1.0}}}
+
+
+class TestModelOnlyWhereRead:
+    """A config names a model only for a command that reads one."""
+
+    @pytest.mark.parametrize("command,config", [
+        ("lemma-suite", {"instances": 25, "seed": 42}),
+        ("hastings-verify", {"beta_values": [0.5, 1.0], "s_steps": [8, 16], "seed": 42}),
+    ])
+    def test_model_free_command_runs_without_model(self, tmp_path, monkeypatch, command, config):
+        # Both once exited 2 on a config without a model, which they never read.
+        built = []
+        monkeypatch.setattr(cli, "build_model", lambda *args: built.append(args))
+        for name, extra in [("bare", {}), ("unused", {"model": UNUSED_CHAIN})]:
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps(config | extra))
+            assert run(command, path, tmp_path / name) == 0
+        for filename, _ in cli.COMMANDS[command].outputs:
+            assert (tmp_path / "bare" / filename).read_bytes() == (tmp_path / "unused" / filename).read_bytes()
+        assert built == []
+
+    @pytest.mark.parametrize("command", MODEL_COMMANDS)
+    def test_model_command_without_model_exits_2(self, tmp_path, capsys, command):
+        cfg = write_config(tmp_path)
+        raw = json.loads(cfg.read_text())
+        del raw["model"]
+        cfg.write_text(json.dumps(raw))
+        assert run(command, cfg, tmp_path / "out") == 2
+        assert capsys.readouterr().err == f"config error: {command} needs non-empty model\n"
+        assert not any((tmp_path / "out").glob("*"))
+
+
+def test_manifest_wall_time_is_monotonic(tmp_path, monkeypatch):
+    """A wall-clock step during a run (NTP, a suspend) is not run time."""
+    clock = itertools.count(time.time(), 1e6)
+    monkeypatch.setattr(time, "time", lambda: next(clock))
+    cfg = write_config(tmp_path, instances=5)
+    assert run("lemma-suite", cfg, tmp_path / "out") == 0
+    assert json.loads((tmp_path / "out" / "run_manifest.json").read_text())["wall_time_s"] < 60
+
+
 #: Every result file of each command: its CSVs are the only copy of its numbers.
 RESULT_FILES = {
     "window-sweep": ["window_sweep.csv", "single_step.csv"],
@@ -374,7 +422,7 @@ class TestExitCodes:
 
     def test_required_fields_match_command_table(self):
         table = {(c, f) for c, cmd in cli.COMMANDS.items() for f in cmd.required}
-        assert table == {(c, f) for c, f, v in BAD_VALUES if v == []}
+        assert table == {(c, f) for c, f, v in BAD_VALUES if v == []} | {(c, "model") for c in MODEL_COMMANDS}
 
     def test_negative_jobs(self, tmp_path):
         cfg = write_config(tmp_path)
@@ -592,10 +640,12 @@ RANDOM2_CHAIN = {"stock": {"kind": "chain", "n": 5, "factory": "random2", "param
 
 class TestParallelism:
     def test_jobs_flag_does_not_change_output(self, tmp_path):
-        """Workers that receive the model's shared spectrum from the pool's
-        initializer write every output byte for byte as one process does."""
+        """Pool workers, with the model's shared spectrum from the pool's
+        initializer where the command reads a model, write every output byte
+        for byte as one process does."""
         for command, model in [
             ("window-sweep", None),
+            ("hastings-verify", None),
             ("cumulant-decay", RANDOM2_CHAIN),
             ("markov-audit", RANDOM2_CHAIN),
         ]:
@@ -722,6 +772,15 @@ def test_readme_example_config_parses():
     cfg = cli.parse_config(json.loads(block))
     assert cfg.model_id == "chain-tfim-n8"
     assert len(cli.build_model(cfg, cfg.beta_values[0]).vertices) == 8
+
+
+def test_readme_minimal_lemma_suite_config_runs(tmp_path):
+    """README's minimal lemma-suite config, which names no model, runs."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split("a minimal `lemma-suite` config is\n\n```json\n", 1)[1].split("```", 1)[0]
+    cfg = tmp_path / "lemma.json"
+    cfg.write_text(json.dumps(json.loads(block) | {"instances": 5}))
+    assert run("lemma-suite", cfg, tmp_path / "out") == 0
 
 
 def test_readme_lists_every_output():
