@@ -144,8 +144,9 @@ def parse_config(raw: dict, seed_override=None, out_override=None, jobs_override
         model = raw.get("model", {})
         if "model" in raw and (not isinstance(model, dict) or set(model) not in ({"path"}, {"stock"})):
             raise ConfigError("config needs a 'model' with exactly one of 'path' or 'stock'")
-        if not isinstance(model.get("path", ""), str):
-            raise ConfigError(f"model path must be a string, got {model['path']!r}")
+        for name, value in (("model path", model.get("path", "")), ("out_dir", raw.get("out_dir", ""))):
+            if not isinstance(value, str):
+                raise ConfigError(f"{name} must be a string, got {value!r}")
         seed = seed_override if seed_override is not None else raw.get("seed")
         if seed is None:
             raise ConfigError("a master seed is required (config 'seed' or --seed)")
@@ -330,14 +331,9 @@ def _hastings_point(args) -> tuple[list[list]]:
 
 def _markov_point(args) -> tuple[list[list]]:
     cfg, _, beta = args
-    model = _command_model.at(beta)
-    rows = []
-    entropies: dict = {}
-    for ell in cfg.ell_values:
-        for row in deficiency_rows(model, ell, entropies=entropies):
-            subset = "+".join(str(s) for s in row.subset)
-            rows.append([cfg.model_id, beta, ell, subset, row.value, int(row.degenerate)])
-    return (rows,)
+    rows = deficiency_rows(_command_model.at(beta), *cfg.ell_values)
+    return ([[cfg.model_id, beta, row.radius, "+".join(map(str, row.subset)), row.value, int(row.degenerate)]
+             for row in rows],)
 
 
 def _lemma_suite(args) -> tuple[list[list]]:

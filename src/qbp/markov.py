@@ -126,22 +126,21 @@ def connected_subsets(adj: Mapping[int, Iterable[int]]) -> list[tuple[int, ...]]
     return [(v,) for v in vertices] + [(v, w) for v in vertices for w in sorted(adj[v]) if v < w]
 
 
-def deficiency_rows(
-    model: GraphModel, radius: int = 1, entropies: dict | None = None
-) -> list[DeficiencyRow]:
+def deficiency_rows(model: GraphModel, *radii: int) -> list[DeficiencyRow]:
     """Deficiencies of every vertex and every edge of the model's thermal
-    state, the only subsets that message passing conditions on.
-    ``entropies`` memoizes the state's reduced entropies by traced-site set:
-    pass one dict to every call on the same model, and each entropy is
-    computed once.  The whole state's comes from its Gibbs weights, with no
-    eigensolve at the model's dimension.  ``radius`` is an integer by the rule
-    of ``operators._as_integer``.
+    state, the only subsets that message passing conditions on, at each of
+    ``radii`` in the order given (radius 1 when none is given).  Each reduced
+    entropy is computed once for all radii, and the whole state's comes from
+    its Gibbs weights, with no eigensolve at the model's dimension.  Every
+    radius must be an integer by the rule of ``operators._as_integer`` and at
+    least 1; all are judged before any state is formed.
     """
-    radius = _as_integer("radius", radius)
-    entropies = {} if entropies is None else entropies
-    if frozenset() not in entropies:
-        entropies[frozenset()] = _entropy(gibbs_weights(model))
-    return _deficiency_rows(thermal_state(model), adjacency(model), radius, entropies)
+    radii = tuple(_as_integer("radius", r) for r in radii) or (1,)
+    if min(radii) < 1:
+        raise ModelError(f"radius must be >= 1, got {min(radii)}")
+    entropies = {frozenset(): _entropy(gibbs_weights(model))}
+    state, adj = thermal_state(model), adjacency(model)
+    return [row for radius in radii for row in _deficiency_rows(state, adj, radius, entropies)]
 
 
 def _deficiency_rows(
@@ -152,8 +151,6 @@ def _deficiency_rows(
 ) -> list[DeficiencyRow]:
     """Deficiencies of ``state`` over the graph ``adj`` for every vertex and
     edge that is a proper subset, memoizing entropies in ``entropies``."""
-    if radius < 1:
-        raise ModelError(f"radius must be >= 1, got {radius}")
     vertices = frozenset(state.layout.sites)
     rows = []
     for subset in connected_subsets(adj):

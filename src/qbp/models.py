@@ -99,10 +99,10 @@ class GraphModel:
     """A tree of sites, one Hermitian term per edge, at fixed temperature.
 
     ``spectra`` is either None, and every spectrum is decomposed where it is
-    used and then let go, or a dict of the spectra of edge sums by ordered
-    edge keys, shared by every view ``at`` makes and kept until the model is
-    dropped.  The CLI gives a model one when its command evaluates more than
-    one beta."""
+    used and then let go, or a dict of the spectra of edge sums by the ordered
+    tuple of their ``EdgeTerm`` objects, shared by every view ``at`` makes and
+    kept until the model is dropped.  The CLI gives a model one when its
+    command evaluates more than one beta."""
 
     layout: SiteLayout
     edges: tuple[EdgeTerm, ...]
@@ -181,11 +181,12 @@ class GraphModel:
 
     def _edge_spectrum(self, edges: Sequence[EdgeTerm], layout: SiteLayout) -> tuple:
         """The spectrum of the edges' sum, in the given order, on ``layout``:
-        the store's, else decomposed and stored there.  The sum is built in a
-        buffer nothing else holds, not even a name here: the eigensolve may
-        overwrite it, and a blocked solve frees it first."""
+        the store's under the terms themselves, which hash by identity, else
+        decomposed and stored there.  The sum is built in a buffer nothing else
+        holds, not even a name here: the eigensolve may overwrite it, and a
+        blocked solve frees it first."""
         spectra = self.spectra if self.spectra is not None else {}
-        key = tuple(e.key for e in edges)
+        key = tuple(edges)
         if key not in spectra:
             terms = tuple(e.term for e in edges)
             spectra[key] = _spectrum(_embed_sum(terms, layout), overwrite=True)

@@ -492,6 +492,17 @@ class TestExitCodes:
         assert run("cumulant-decay", cfg, tmp_path / "out") == 2
         assert not any((tmp_path / "out").glob("*.csv"))
 
+    @pytest.mark.parametrize("out_dir", [None, [1, 2], 7, True, {"a": 1}],
+                             ids=["null", "list", "int", "bool", "object"])
+    def test_out_dir_must_be_a_string(self, tmp_path, monkeypatch, capsys, out_dir):
+        # Each once ran into a directory named by its str(): "None", "[1, 2]", "7", ...
+        monkeypatch.chdir(tmp_path)
+        cfg = write_config(tmp_path, instances=5, out_dir=out_dir)
+        for extra in ([], ["--out", str(tmp_path / "out")]):  # checked even when --out overrides it
+            assert cli.main(["lemma-suite", "--config", str(cfg), *extra]) == 2
+            assert capsys.readouterr().err == f"config error: out_dir must be a string, got {out_dir!r}\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
     @pytest.mark.parametrize("command", ["window-sweep", "cumulant-decay"])
     def test_star_tree_model_file(self, tmp_path, capsys, command):
         model_path = tmp_path / "star.json"

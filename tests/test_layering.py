@@ -13,6 +13,7 @@ an underscore member that such a sibling defines.  A private helper that a
 second module needs belongs in ``operators`` or in the public API."""
 
 import ast
+import warnings
 from pathlib import Path
 
 import pytest
@@ -212,3 +213,16 @@ def test_operators_is_the_gateway():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_module_takes_numpy_norms(path):
     assert "linalg.norm" not in linalg_calls(SOURCE[path])
+
+
+@pytest.mark.parametrize("category", [DeprecationWarning, PendingDeprecationWarning])
+def test_deprecation_warned_from_qbp_is_an_error(category):
+    """The test configuration fails a deprecation warned from a qbp module,
+    such as numpy's about a call qbp makes, and leaves one from another
+    package a warning."""
+    probe = compile("import warnings\nwarnings.warn('old', category)", "probe.py", "exec")
+    with pytest.raises(category):
+        exec(probe, {"__name__": "qbp.probe", "category": category})
+    with warnings.catch_warnings(record=True) as caught:
+        exec(probe, {"__name__": "elsewhere.probe", "category": category})
+    assert [w.category for w in caught] == [category]

@@ -16,6 +16,7 @@ from qbp import (
     heisenberg,
     leaf_trace_preserves_markov,
     random_density,
+    random_two_local,
     transverse_ising,
     von_neumann_entropy,
 )
@@ -143,6 +144,34 @@ class TestDeficiency:
             rows = deficiency_rows(m, 1)
             assert [r.subset for r in rows] == want
             assert all(r.value <= 1e-9 for r in rows)
+
+
+def degree3_tree(factory):
+    """The tree of ``test_rows_cover_connected_subsets``: vertex 2 has degree 3."""
+    edges = [(4, 5), (2, 1), (2, 4), (3, 2)]
+    return build_tree({v: 2 for v in range(1, 6)}, [(u, v, factory) for u, v in edges], beta=1.0)
+
+
+def row_bits(rows):
+    return [(r.subset, r.radius, r.value.hex(), r.degenerate) for r in rows]
+
+
+class TestDeficiencyRadii:
+    """One call tabulates several radii on one state and one entropy memo."""
+
+    @pytest.mark.parametrize("model", [
+        build_chain(6, 2, random_two_local(seed=3), beta=1.0),
+        degree3_tree(classical_ising()),
+        degree3_tree(random_two_local(seed=5)),
+    ], ids=["random2_chain", "classical_tree", "random2_tree"])
+    def test_radii_in_one_call_equal_one_call_each(self, model):
+        one, two = deficiency_rows(model, 1), deficiency_rows(model, 2)
+        assert row_bits(deficiency_rows(model, 1, 2)) == row_bits(one + two)
+        assert row_bits(deficiency_rows(model, 2, 1)) == row_bits(two + one)  # in the order given
+
+    def test_no_radius_is_radius_one(self):
+        m = build_chain(5, 2, random_two_local(seed=3), beta=1.0)
+        assert row_bits(deficiency_rows(m)) == row_bits(deficiency_rows(m, 1))
 
 
 class TestLeafTrace:

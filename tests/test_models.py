@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import json
 import math
@@ -258,6 +259,14 @@ class TestThermalState:
         monkeypatch.setattr(operators, "_eigh", recorded_solve)
         log_partition_function(build_chain(8, 2, transverse_ising(1.0, 0.7), beta=1.0))
         assert solves == [((2, 128, 128), True)]
+
+    def test_store_of_spectra_keyed_by_terms_not_sites(self):
+        # Keyed by site labels, the store gave the Heisenberg terms the TFIM spectrum.
+        a = dataclasses.replace(build_chain(4, 2, transverse_ising(), beta=1.0), spectra={})
+        thermal_state(a)
+        heis = build_chain(4, 2, heisenberg(), beta=1.0)
+        got = thermal_state(dataclasses.replace(a, edges=heis.edges))
+        assert np.abs(got.mat - thermal_state(heis).mat).max() < 1e-12
 
     def test_edge_gibbs_state(self):
         m = build_chain(5, 2, random_two_local(7), beta=1.5)

@@ -8,7 +8,7 @@ cumulants of an operator take each shell's norm on the shell's own support,
 so only the last shell is solved at the operator's dimension, and the
 telescoping residual once more, on its first read.  A deficiency table computes each reduced entropy once,
 however many subsets and radii share it, and the whole state's from its Gibbs
-weights, with no solve.  A belief is one shifted exponential
+weights, with no solve; a bad radius among several is refused before any solve.  A belief is one shifted exponential
 of summed effective Hamiltonians, so a sliding-window step solves once at the
 window dimension and a single-step surrogate once at the reduced dimension.
 The lemma suite decomposes each stack of like instances in one call, so its
@@ -30,8 +30,10 @@ from collections import Counter, defaultdict
 import numpy as np
 import pytest
 
-from qbp import cli, inequalities, models, operators
+from qbp import cli, inequalities, markov, models, operators
 from qbp import (
+    ModelError,
+    OperatorError,
     SiteLayout,
     build_chain,
     cumulants,
@@ -114,16 +116,33 @@ def test_deficiency_table_solves_whole_state_entropy_once(solves):
     assert solves["eigvalsh", m.layout.dim] == 0  # from the Gibbs weights
 
 
-def test_deficiency_table_solves_each_reduced_entropy_once(solves):
+def test_deficiency_radius_rejected_before_any_solve(solves):
+    m = build_chain(6, 2, random_two_local(seed=3), beta=1.0)
+    solves.clear()  # building the model screens its edge terms
+    with pytest.raises(ModelError, match="radius must be >= 1, got 0"):
+        deficiency_rows(m, 1, 0)
+    with pytest.raises(OperatorError, match="radius must be an integer"):
+        deficiency_rows(m, 1, 2.5)
+    assert sum(solves.values()) == 0
+
+
+def test_deficiency_table_solves_each_reduced_entropy_once(solves, monkeypatch):
     n = 6
     m = build_chain(n, 2, random_two_local(seed=3), beta=1.0)
     thermal_state(m)
     solves.clear()
-    entropies: dict = {}
-    for radius in (1, 2):
-        deficiency_rows(m, radius, entropies=entropies)
+    seen = []
+
+    def recording(rho, traced, *args, **kwargs):
+        seen.append(frozenset(traced))
+        return original(rho, traced, *args, **kwargs)
+
+    original = markov.partial_trace
+    monkeypatch.setattr(markov, "partial_trace", recording)
+    deficiency_rows(m, 1, 2)
     # Each nondegenerate split (U, blanket, rest) of the chain needs the
-    # entropies with rest, U and U + rest traced out, and the whole state's.
+    # entropies with rest, U and U + rest traced out, and the whole state's,
+    # which comes from its Gibbs weights and traces nothing.
     traced = {frozenset()}
     sites = range(1, n + 1)
     subsets = [{v} for v in sites] + [{v, v + 1} for v in range(1, n)]
@@ -132,7 +151,7 @@ def test_deficiency_table_solves_each_reduced_entropy_once(solves):
             rest = {s for s in sites if min(abs(s - x) for x in u) > radius}
             if rest:
                 traced |= {frozenset(rest), frozenset(u), frozenset(u | rest)}
-    assert set(entropies) == traced
+    assert Counter(seen) == Counter(traced - {frozenset()})  # each once, no other
     # Every entropy but the whole state's, which comes from its Gibbs weights.
     assert sum(solves[key] for key in solves if isinstance(key, tuple)) == len(traced) - 1
     assert solves["eigvalsh", m.layout.dim] == 0
