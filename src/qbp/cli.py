@@ -46,7 +46,7 @@ from .diagnostics import (
 from .hastings import conjugation_residual, hastings_operator
 from .inequalities import run_suite
 from .markov import deficiency_rows
-from .models import GraphModel, ModelError, build_chain, load_model, log_partition_function, stock_factory
+from .models import GraphModel, ModelError, build_chain, degrees, load_model, log_partition_function, stock_factory
 from .operators import (
     DimensionCapError,
     DynamicRangeError,
@@ -296,8 +296,8 @@ def _window_sweep_point(args) -> tuple[list[list], list[list]]:
 def _cumulant_point(args) -> tuple[list[list]]:
     cfg, _, beta = args
     model = _command_model.at(beta)
-    first, _ = chain_ends(model)
-    leaf = cfg.leaf if cfg.leaf is not None else first
+    # The smallest leaf, a chain's first end (a lone vertex, of degree 0, is refused by thermal_potential).
+    leaf = cfg.leaf if cfg.leaf is not None else min(v for v, d in degrees(model).items() if d <= 1)
     series, fit = _cumulant_fit(model, leaf)
     rows = [
         [cfg.model_id, beta, j, norm, fit.amplitude, fit.decay]

@@ -108,16 +108,17 @@ def cumulants(
     """Telescoping decomposition of ``op`` into distance shells around
     ``anchor``.
 
-    Shell j is obtained by conditionally averaging the running remainder
-    over all sites farther than j from the anchor, so it is supported within
-    distance j; because the conditional average is the identity once no site
-    remains beyond j, the shells sum back to ``op`` exactly.  Distances are
-    measured in the model graph, so ``op`` may live on a reduced layout.
+    Shell j is A_j(op) - A_{j-1}(op) (x) I for j = 1..J, where A_j(op) =
+    (1/d_far) Tr_far op averages ``op`` onto the sites within distance j of the
+    anchor (d_far: the dimension of those farther out), A_0(op) = 0, and
+    A_J(op) = op at its farthest distance J (at least 1).  So the shells sum back
+    to ``op`` exactly, and a distance with no sites gives a zero shell.  Distances
+    are measured in the model graph, so ``op`` may live on a reduced layout.
 
     Each shell is held, and its norm taken, on its own support, since
-    ||A (x) I|| = ||A||; it is embedded at ``op``'s full dimension only to
-    update the remainder, so only the last shell is solved at that dimension;
-    the telescoping residual is solved there too, but only when read.
+    ||A (x) I|| = ||A||, so only the last shell is formed and solved at
+    ``op``'s dimension; the telescoping residual is solved there too, but
+    only when read.
     """
     anchor = frozenset(anchor)
     dm = distance_map(model, anchor)
@@ -125,20 +126,13 @@ def cumulants(
     unknown = set(sites) - set(dm)
     if unknown:
         raise ModelError(f"operator sites {sorted(unknown)} are not model vertices")
-    entries = []
-    remainder = op
-    j = 1
-    while True:
+    entries, inner = [], None
+    for j in range(1, max([1, *(dm[s] for s in sites)]) + 1):
         far = [s for s in sites if dm[s] > j]
-        shell = remainder
-        if far:
-            reduced = partial_trace(remainder, far)
-            shell = (1.0 / (op.dim // reduced.dim)) * reduced
+        average = (1.0 / op.layout.subset(far).dim) * partial_trace(op, far) if far else op
+        shell = average if inner is None else average - embed(inner, average.layout)
         entries.append(CumulantEntry(j, shell, op_norm(shell)))
-        if not far:
-            break
-        remainder = remainder - embed(shell, op.layout)
-        j += 1
+        inner = average
     return CumulantSeries(anchor, tuple(entries), op)
 
 

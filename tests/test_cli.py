@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qbp import cli, operators
+from qbp import cli, cumulants, fit_thermal_bound, load_model, operators, thermal_potential
 from qbp.operators import PAULI_X, PAULI_Z
 
 
@@ -199,6 +199,29 @@ class TestOtherCommands:
         cfg = write_config(tmp_path)
         assert run("lemma-suite", cfg, tmp_path / "out") == 4
 
+    @pytest.mark.parametrize("leaf", [None, 5], ids=["smallest_leaf", "leaf_5"])
+    def test_cumulant_decay_on_a_tree(self, tmp_path, leaf):
+        """A tree model runs, at its smallest leaf or the one the config names,
+        and each row is the library's shell norm and fit; ``cumulant-decay``
+        once required a chain."""
+        model_path = tmp_path / "star.json"
+        tfim = {"factory": "tfim", "params": {"J": 1.0, "hx": 1.0}}
+        model_path.write_text(json.dumps({
+            "vertices": [{"id": k, "dim": 2} for k in range(1, 6)],
+            "edges": [{"u": 2, "v": k, "term": tfim} for k in (1, 3, 4)] + [{"u": 4, "v": 5, "term": tfim}],
+            "beta": 1.0,
+        }))
+        extra = {} if leaf is None else {"leaf": leaf}
+        cfg = write_config(tmp_path, model={"path": str(model_path)}, beta_values=[1.0], **extra)
+        assert run("cumulant-decay", cfg, tmp_path / "out") == 0
+        m = load_model(model_path)
+        at = 1 if leaf is None else leaf
+        series = cumulants(thermal_potential(m, {at}), m, {at})
+        fit = fit_thermal_bound(series)
+        rows = [r.split(",") for r in (tmp_path / "out" / "cumulant_decay.csv").read_text().splitlines()[1:]]
+        assert [(int(r[2]), float(r[3])) for r in rows] == series.norms() and len(rows) == 3
+        assert {(float(r[4]), float(r[5])) for r in rows} == {(fit.amplitude, fit.decay)}
+
     def test_markov_audit(self, tmp_path):
         cfg = write_config(
             tmp_path,
@@ -259,6 +282,21 @@ def test_manifest_wall_time_is_monotonic(tmp_path, monkeypatch):
     assert json.loads((tmp_path / "out" / "run_manifest.json").read_text())["wall_time_s"] < 60
 
 
+def test_manifest_without_numpys_openblas(tmp_path, monkeypatch):
+    """Where numpy bundles no OpenBLAS, the manifest records no thread count and
+    numpy's complex eigensolver, and the lookup itself finds none."""
+    with monkeypatch.context() as patch:
+        patch.setattr(np, "__file__", str(tmp_path / "numpy" / "__init__.py"))  # no numpy.libs beside it
+        assert operators._openblas.__wrapped__() is None
+    for module in (operators, cli):
+        monkeypatch.setattr(module, "_lapack", lambda: None)
+    monkeypatch.setattr(operators, "_openblas", lambda: None)
+    cfg = write_config(tmp_path, model={"stock": RANDOM2_CHAIN["stock"] | {"n": 7}})  # d = 128: complex solves
+    assert run("cumulant-decay", cfg, tmp_path / "out") == 0
+    blas = json.loads((tmp_path / "out" / "run_manifest.json").read_text())["blas"]
+    assert blas["threads"] is None and blas["complex_eigh"] == "numpy"
+
+
 #: Every result file of each command: its CSVs are the only copy of its numbers.
 RESULT_FILES = {
     "window-sweep": ["window_sweep.csv", "single_step.csv"],
@@ -291,6 +329,7 @@ BAD_STOCKS = {
     "not_an_object": "chain",
     "unknown_key": {"n": 5, "factroy": "tfim"},
     "param_value_str": {"n": 4, "factory": "tfim", "params": {"J": "x"}},
+    "kind_tree": {"kind": "tree", "n": 4, "factory": "tfim"},
 }
 
 BAD_VALUES = [
@@ -503,7 +542,7 @@ class TestExitCodes:
             assert capsys.readouterr().err == f"config error: out_dir must be a string, got {out_dir!r}\n"
         assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
-    @pytest.mark.parametrize("command", ["window-sweep", "cumulant-decay"])
+    @pytest.mark.parametrize("command", ["window-sweep"])  # cumulant-decay takes any tree
     def test_star_tree_model_file(self, tmp_path, capsys, command):
         model_path = tmp_path / "star.json"
         model_path.write_text(json.dumps({
@@ -626,6 +665,13 @@ class TestExitCodes:
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
         assert run("window-sweep", bad, tmp_path / "out") == 2
+
+    @pytest.mark.parametrize("root", ["[1, 2]", "7", '"cfg"', "null"])
+    def test_config_root_must_be_an_object(self, tmp_path, capsys, root):
+        bad = tmp_path / "bad.json"
+        bad.write_text(root)
+        assert run("lemma-suite", bad, tmp_path / "out") == 2
+        assert capsys.readouterr().err == "config error: config root must be a JSON object\n"
 
 
     @pytest.mark.parametrize("beta", [100.0, 300.0, 1e6])

@@ -35,6 +35,7 @@ from qbp import (
     transverse_ising,
     window_error_sweep,
 )
+from qbp import diagnostics
 from qbp.diagnostics import CumulantEntry, CumulantSeries
 from qbp.models import log_partition_function
 
@@ -187,6 +188,42 @@ class TestCumulants:
         series = cumulants(pot, m, {1})
         assert pot.sites == (2, 3, 4, 5)
         assert [e.j for e in series.entries] == [1, 2, 3, 4]
+
+    def test_no_array_at_full_dimension_before_the_last_shell(self, monkeypatch):
+        """Each shell is a difference of two conditional averages of ``op``, so
+        only the last is formed at ``op``'s dimension: every earlier average
+        is embedded on the next one's support, never on ``op``'s layout."""
+        targets = []
+
+        def recording(op, full):
+            targets.append(full)
+            return embed(op, full)
+
+        monkeypatch.setattr(diagnostics, "embed", recording)
+        m = build_chain(7, 2, transverse_ising(), beta=1.0)
+        for op in (thermal_potential(m, {1}), random_hermitian(5, m.layout)):
+            targets.clear()
+            series = cumulants(op, m, {1})
+            assert len(series.entries) == 6 and len(targets) == 5  # shell 1 is an average itself
+            assert targets[-1] == op.layout
+            assert all(layout.dim < op.dim for layout in targets[:-1])
+            assert all(e.op.dim < op.dim for e in series.entries[:-1])
+
+    @pytest.mark.parametrize("sites, count, zero", [
+        ((1,), 1, []),  # only the anchor: its one shell is op
+        ((1, 2, 5), 4, [2, 3]),  # no site at distances 2 and 3: exactly-zero shells
+        ((1, 4), 3, [2]),
+        ((), 1, []),  # on no sites
+    ], ids=["anchor_only", "two_gaps", "gap", "no_sites"])
+    def test_shell_count_and_empty_distances(self, sites, count, zero):
+        m = build_chain(5, 2, transverse_ising(), beta=1.0)
+        layout = m.layout.subset(sites)
+        op = random_hermitian(7, layout)
+        series = cumulants(op, m, {1})
+        assert [e.j for e in series.entries] == list(range(1, count + 1))
+        assert [e.j for e in series.entries if not e.op.mat.any()] == zero
+        assert series.entries[-1].op.layout == layout
+        assert series.reconstruction_residual <= 1e-12
 
 
 class TestEnvelopeFit:

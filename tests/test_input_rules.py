@@ -6,6 +6,7 @@ operator door's floor or operands, ``ModelError`` for a graph query; both are
 ``ValueError`` subclasses, and no door raises a bare ``ValueError``."""
 
 import math
+import re
 import warnings
 from pathlib import Path
 
@@ -16,9 +17,13 @@ import qbp
 from qbp import (
     BoundConstants,
     DenseOperator,
+    EdgeTerm,
+    GraphModel,
     ModelError,
+    NonDensityError,
     OperatorError,
     SiteLayout,
+    SiteMismatchError,
     TripartiteSplit,
     build_chain,
     check_commutator_power,
@@ -26,7 +31,9 @@ from qbp import (
     circle_product,
     cmi,
     conjugation_residual,
+    cumulants,
     deficiency_rows,
+    exact_reduced_density,
     filter_hat,
     filter_time,
     hastings_operator,
@@ -34,16 +41,20 @@ from qbp import (
     random_density,
     random_hermitian,
     region_partition,
+    run_exact_bp,
     run_sliding_window,
     single_step_bound,
     single_step_experiment,
+    stock_factory,
     thermal_state,
     transverse_ising,
+    union_layout,
     window_error_sweep,
 )
 from qbp.markov import _blanket_split
+from qbp.operators import assert_density
 
-Q12 = SiteLayout((1, 2), (2, 2))
+Q1, Q12 = SiteLayout((1,), (2,)), SiteLayout((1, 2), (2, 2))
 ONES = BoundConstants(1.0, 1.0, 1.0, 1.0, 1.0, 1.0)
 CHAIN = build_chain(4, 2, transverse_ising(), beta=1.0)
 H, V = random_hermitian(1, Q12), random_hermitian(2, Q12)
@@ -124,8 +135,9 @@ def test_range_violations_keep_their_error_types():
     assert math.isfinite(single_step_bound(ONES, 1.0, 0.0, 1).total)  # no buffer edges
 
 
-#: A call past a floor or outside a door's domain, once a bare ValueError:
-#: (call, its qbp error type, the message it kept).
+#: A call past a floor or outside a door's domain: (call, its qbp error type,
+#: the message it keeps, matched literally).  The first nine were once a bare
+#: ValueError; the rest are refusals no other test reaches.
 REFUSALS = {
     "s_steps_floor": (lambda: hastings_operator(H, V, 1.0, 0), OperatorError, "s_steps must be >= 1, got 0"),
     "power_floor": (lambda: check_commutator_power(H, V, 0), OperatorError, "power must be >= 1, got 0"),
@@ -138,6 +150,33 @@ REFUSALS = {
                                "does not cover support"),
     "whole_blanket_subset": (lambda: _blanket_split(frozenset({1, 2}), {1: (2,), 2: (1,)}, frozenset({1, 2}), 1),
                              ModelError, "nonempty proper subset"),
+    "self_loop": (lambda: EdgeTerm(1, 1, IDENTITY), ModelError, "self-loop at vertex 1"),
+    "term_off_its_edge": (lambda: EdgeTerm(1, 2, DenseOperator.identity(SiteLayout((1, 3), (2, 2)))), ModelError,
+                          "edge term must live on sites (1, 2), got (1, 3)"),
+    "endpoint_not_a_vertex": (lambda: GraphModel(Q1, (EdgeTerm(1, 2, IDENTITY),), 1.0), ModelError,
+                              "edge endpoint 2 is not a model vertex"),
+    "term_dimension_mismatch": (lambda: GraphModel(SiteLayout((1, 2), (2, 3)), (EdgeTerm(1, 2, IDENTITY),), 1.0),
+                                ModelError, "edge term dimension mismatch at site 2"),
+    "duplicate_edge": (lambda: GraphModel(Q12, (EdgeTerm(1, 2, IDENTITY), EdgeTerm(2, 1, IDENTITY)), 1.0),
+                       ModelError, "duplicate edge (1, 2)"),
+    "reduced_density_off_the_model": (lambda: exact_reduced_density(CHAIN, {99}), ModelError, "unknown vertices [99]"),
+    "qutrit_tfim": (lambda: build_chain(3, 3, transverse_ising()), ModelError,
+                    "edge (1, 2): transverse_ising factory requires qubit sites"),
+    "unknown_factory": (lambda: stock_factory("nope"), ModelError, "unknown factory 'nope'; have ['classical_ising',"),
+    "one_site_chain": (lambda: build_chain(1), ModelError, "a chain needs at least 2 vertices, got 1"),
+    "layout_lengths": (lambda: SiteLayout((1, 2), (2,)), SiteMismatchError, "sites and dims must have equal length"),
+    "conflicting_union": (lambda: union_layout(Q1, SiteLayout((1,), (3,))), SiteMismatchError,
+                          "site 1 has conflicting dimensions"),
+    "matrix_off_its_layout": (lambda: DenseOperator(Q1, np.eye(3)), OperatorError,
+                              "matrix shape (3, 3) does not match layout dimension 2"),
+    "sum_across_layouts": (lambda: H + DenseOperator.identity(Q1), SiteMismatchError, "layouts differ: (1, 2) vs (1,)"),
+    "negative_density": (lambda: assert_density(DenseOperator(Q1, np.diag([1.5, -0.5]))), NonDensityError,
+                         "minimum eigenvalue -0.5 below -1e-10"),
+    "cumulants_off_the_model": (lambda: cumulants(DenseOperator.identity(SiteLayout((9,), (2,))), CHAIN, {1}),
+                                ModelError, "operator sites [9] are not model vertices"),
+    "conjugation_off_layout": (lambda: conjugation_residual(H, V, 1.0, DenseOperator.identity(SiteLayout((1, 3), (2, 2)))),
+                               SiteMismatchError, "conjugation operator layout does not match H, V"),
+    "exact_bp_off_the_model": (lambda: run_exact_bp(CHAIN, 99), ModelError, "unknown vertex 99"),
 }
 
 
@@ -146,7 +185,7 @@ def test_refusal_raises_a_qbp_error(case):
     call, error, message = REFUSALS[case]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(error, match=message):
+        with pytest.raises(error, match=re.escape(message)):
             call()
 
 

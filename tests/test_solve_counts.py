@@ -157,29 +157,51 @@ def test_deficiency_table_solves_each_reduced_entropy_once(solves, monkeypatch):
     assert solves["eigvalsh", m.layout.dim] == 0
 
 
-def _cumulant_solves(solves, factory) -> tuple[int, Counter]:
-    """The potential's dimension, and the solves before the residual is read;
-    ``solves`` then holds those after it is read twice."""
+def _sizes(counts: Counter) -> Counter:
+    """The decomposed matrices by dimension alone."""
+    return Counter({key: n for key, n in counts.items() if isinstance(key, int) and n})
+
+
+def _cumulant_solves(solves, factory) -> tuple[int, Counter, Counter, Counter]:
+    """The potential's dimension; the solves of each shell's norm, taken once
+    on the shell's own support, whole or as its two reversal blocks as the
+    screen finds it; the solves before the residual is read; and those of
+    reading it twice."""
     m = build_chain(6, 2, factory, beta=1.0)
     potential = thermal_potential(m, {1})
     solves.clear()
     series = cumulants(potential, m, {1})
-    assert len(series.entries) == 5
+    assert len(series.entries) == 5 and series.entries[-1].op.dim == potential.dim
     unread = Counter(solves)
     assert series.reconstruction_residual == series.reconstruction_residual <= 1e-10
-    return potential.dim, unread
+    read = Counter(solves)
+    read.subtract(unread)
+    shells = Counter()
+    for entry in series.entries:
+        blocked = operators._reversal_blocks(entry.op.mat) is not None
+        shells[entry.op.dim // 2 if blocked else entry.op.dim] += 2 if blocked else 1
+    return potential.dim, shells, unread, read
+
+
+def _solved_once_at(counts: Counter, dim: int) -> bool:
+    """One call decomposed one matrix at ``dim``, whole or as its two reversal
+    blocks, and nothing else: the telescoping residual sums to roundoff, which
+    may or may not pass the reversal screen."""
+    return counts["calls"] == 1 and _sizes(counts) in ({dim: 1}, {dim // 2: 2})
 
 
 def test_cumulants_solve_only_last_shell_and_residual_at_full_dimension(solves):
-    dim, unread = _cumulant_solves(solves, TFIM)
-    assert solves[dim] == 0
-    assert unread[dim // 2] == 2  # the last shell, as two half-size blocks
-    assert solves[dim // 2] == 4  # and the residual
+    dim, shells, unread, read = _cumulant_solves(solves, TFIM)
+    assert _sizes(unread) == shells and unread["calls"] == 5  # each shell once
+    assert unread[dim] == 0  # the last shell as two half-size blocks
+    assert _solved_once_at(read, dim)  # and the residual, once
 
 
 def test_cumulants_solve_only_last_shell_and_residual_at_full_dimension_random2(solves):
-    dim, unread = _cumulant_solves(solves, RANDOM2)
-    assert unread[dim] == 1 and solves[dim] == 2
+    dim, shells, unread, read = _cumulant_solves(solves, RANDOM2)
+    assert _sizes(unread) == shells and unread["calls"] == 5
+    assert unread[dim] == 1
+    assert _solved_once_at(read, dim)
 
 
 def test_hastings_operator_decomposes_all_steps_in_two_calls(solves):
